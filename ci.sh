@@ -268,6 +268,27 @@ bench_smoke() {
 step "bench smoke (tiny scenario matrix → validated JSON report)" \
   bench_smoke
 
+# The repository benchmark's own oracles, as a correctness check only:
+# a short untraced run of each gated workload must end with
+# `"correct": true` — every serve-light reply bit-equal to a solo
+# engine, every serve-mixed op answered exactly once. The numbers are
+# not gated here, and `--trace 0` keeps it free of the timing-based
+# trace checks.
+perfbench_smoke() {
+  local workload last
+  for workload in serve-light serve-mixed; do
+    last=$(CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+      --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)
+    if ! grep -q '"correct": true' <<< "$last"; then
+      echo "perfbench $workload is not correct: $last"
+      return 1
+    fi
+  done
+}
+
+step "perfbench smoke (gated workloads answer correctly, --trace 0)" \
+  perfbench_smoke
+
 step "cargo doc --no-deps (-D warnings)" \
   env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 

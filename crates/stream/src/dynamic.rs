@@ -2,9 +2,9 @@
 //!
 //! [`nai_graph::CsrMatrix`] is immutable by design (compressed storage
 //! cannot absorb appends); streaming workloads instead keep adjacency
-//! lists and derive normalization weights from *current* degrees at
-//! propagation time, so an edge arrival never invalidates precomputed
-//! values.
+//! lists, and the streaming engine caches each node's normalization
+//! factors and refreshes them when a mutation changes that node's
+//! degree, so an arrival never invalidates a stored matrix.
 
 use nai_graph::{CsrMatrix, Graph};
 use nai_linalg::DenseMatrix;

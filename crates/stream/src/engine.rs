@@ -2,9 +2,13 @@
 //!
 //! [`StreamingEngine`] is Algorithm 1 re-hosted on [`DynamicGraph`]:
 //! supporting frontiers come from BFS over adjacency lists, and the
-//! normalized-adjacency weights `d̃_i^(γ−1) d̃_j^(−γ)` of Eq. (1) are
-//! computed from the **current** degrees at propagation time, so arrivals
-//! never invalidate a stored matrix. The stationary reference comes from
+//! normalized-adjacency weight `d̃_i^(γ−1) d̃_j^(−γ)` of Eq. (1) is the
+//! product of two per-node factors the engine caches and refreshes at
+//! mutation time — for an arrival and each of its neighbours, and for
+//! both endpoints of a new edge — so arrivals never invalidate a stored
+//! matrix and propagation computes no powers. The depth-1 step gathers
+//! raw feature rows in place from the graph; later steps gather from the
+//! previous step's output. The stationary reference comes from
 //! [`IncrementalStationary`] in `O(f)` per arrival.
 //!
 //! The workflow is ingest → flush:
@@ -92,6 +96,26 @@ impl StageClock {
     }
 }
 
+/// Eq. (1)'s normalization factors of one node with `d̃ = degree + 1`:
+/// `row = d̃^(γ−1)` scales the node's own output row, `col = d̃^(−γ)`
+/// scales its feature row wherever it is gathered. The weight of edge
+/// `(i, j)` is `norm[i].row * norm[j].col`.
+#[derive(Clone, Copy)]
+struct NormFactors {
+    row: f32,
+    col: f32,
+}
+
+impl NormFactors {
+    fn of(degree: usize, gamma: f32) -> Self {
+        let d = (degree + 1) as f32;
+        NormFactors {
+            row: d.powf(gamma - 1.0),
+            col: d.powf(-gamma),
+        }
+    }
+}
+
 /// A deployed NAI model serving a stream of arrivals.
 pub struct StreamingEngine {
     graph: DynamicGraph,
@@ -100,6 +124,9 @@ pub struct StreamingEngine {
     gates: Option<GateSet>,
     gamma: f32,
     lambda2: f32,
+    /// Per-node Eq. (1) factors, kept in step with the graph's degrees
+    /// by every mutation.
+    norm: Vec<NormFactors>,
     pending: Vec<u32>,
     stats: LatencyStats,
     macs: MacsBreakdown,
@@ -151,6 +178,9 @@ impl StreamingEngine {
             assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
         }
         let stationary = IncrementalStationary::from_dynamic(&graph, gamma);
+        let norm = (0..graph.num_nodes() as u32)
+            .map(|v| NormFactors::of(graph.degree(v), gamma))
+            .collect();
         Self {
             graph,
             stationary,
@@ -158,6 +188,7 @@ impl StreamingEngine {
             gates,
             gamma,
             lambda2,
+            norm,
             pending: Vec::new(),
             stats: LatencyStats::new(),
             macs: MacsBreakdown::default(),
@@ -337,6 +368,10 @@ impl StreamingEngine {
             .map(|&u| (self.graph.degree(u), self.graph.feature(u).to_vec()))
             .collect();
         let id = self.graph.add_node(features, &uniq);
+        self.norm.push(NormFactors::of(uniq.len(), self.gamma));
+        for &u in &uniq {
+            self.refresh_norm(u);
+        }
         let old_refs: Vec<(usize, &[f32])> = old.iter().map(|(d, x)| (*d, x.as_slice())).collect();
         self.stationary.on_add_node(features, &old_refs);
         // One weighted row for the arrival plus one degree-delta
@@ -362,10 +397,17 @@ impl StreamingEngine {
         );
         let added = self.graph.add_edge(u, v);
         debug_assert!(added);
+        self.refresh_norm(u);
+        self.refresh_norm(v);
         self.stationary.on_add_edge(&xu, du, &xv, dv);
         // Two endpoint degree-delta corrections, each O(f).
         self.macs.replication += 2 * self.graph.feature_dim() as u64;
         true
+    }
+
+    /// Recomputes `v`'s cached factors after its degree changed.
+    fn refresh_norm(&mut self, v: u32) {
+        self.norm[v as usize] = NormFactors::of(self.graph.degree(v), self.gamma);
     }
 
     /// [`Self::observe_edge`] under replicated apply — the duplicate
@@ -411,8 +453,11 @@ impl StreamingEngine {
     /// Runs on the same [`nai_core::active`] engine as the static
     /// `NaiEngine`: shared exit bookkeeping (`ActiveSet`), stamped
     /// column-map support lookups, full-width history with one row
-    /// indirection, and in-place incremental hop-set shrinking — only
-    /// the propagation arithmetic (degree-derived weights) differs.
+    /// indirection, and in-place incremental hop-set shrinking. Only the
+    /// propagation differs: weights come from the cached per-node factors,
+    /// and depth 1 reads raw features in place, so BFS stops at
+    /// `t_max − 1` hops and the widest (depth-0) support set is never
+    /// built.
     ///
     /// # Panics
     /// Panics on invalid config, missing gates, or unknown node ids.
@@ -485,39 +530,50 @@ impl StreamingEngine {
         clock.nap();
 
         // Supporting hop sets (line 3) over the dynamic adjacency lists.
+        // Depth 1 gathers raw features in place, so no depth-0 support is
+        // needed: BFS stops one hop short and `sets[l − 1]` is the
+        // support of depth `l`.
         let graph = &self.graph;
         scratch.bfs.hop_sets_by_into(
             |u| graph.neighbors(u).iter().copied(),
             nodes,
-            cfg.t_max,
+            cfg.t_max - 1,
             &mut scratch.plan.sets,
         );
-        scratch.plan.init_support();
 
         for (r, &v) in nodes.iter().enumerate() {
             scratch.history[0]
                 .row_mut(r)
                 .copy_from_slice(self.graph.feature(v));
         }
-        scratch
-            .h_prev
-            .reset_for_overwrite(scratch.plan.support().len(), f);
-        for (t, &g) in scratch.plan.support().iter().enumerate() {
-            scratch
-                .h_prev
-                .row_mut(t)
-                .copy_from_slice(self.graph.feature(g));
-        }
 
         for l in 1..=cfg.t_max {
-            let support_l = std::mem::take(&mut scratch.plan.sets[l]);
-            let step_macs = self.propagate_step_into(
-                &support_l,
-                scratch.plan.col_map(),
-                &scratch.h_prev,
-                &mut scratch.h_next,
-                cfg.parallel_spmm,
-            );
+            let support_l = std::mem::take(&mut scratch.plan.sets[l - 1]);
+            // Each source is its own closure type, so each call site gets
+            // a monomorphized gather loop.
+            let step_macs = if l == 1 {
+                let graph = &self.graph;
+                self.propagate_step_into(
+                    &support_l,
+                    |g| graph.feature(g),
+                    &mut scratch.h_next,
+                    cfg.parallel_spmm,
+                )
+            } else {
+                let (col_map, prev) = (scratch.plan.col_map(), scratch.h_prev.as_slice());
+                let prev_row = |g: u32| {
+                    let local = col_map[g as usize];
+                    debug_assert_ne!(local, u32::MAX, "support nesting violated");
+                    let local = local as usize;
+                    &prev[local * f..(local + 1) * f]
+                };
+                self.propagate_step_into(
+                    &support_l,
+                    prev_row,
+                    &mut scratch.h_next,
+                    cfg.parallel_spmm,
+                )
+            };
             self.macs.propagation += step_macs;
             scratch.plan.advance(support_l);
 
@@ -600,7 +656,7 @@ impl StreamingEngine {
                     scratch.bfs.shrink_hop_sets_by(
                         |u| graph.neighbors(u).iter().copied(),
                         scratch.active.nodes(),
-                        &mut scratch.plan.sets[l + 1..=cfg.t_max],
+                        &mut scratch.plan.sets[l..cfg.t_max],
                         cfg.t_max - l - 1,
                     );
                 }
@@ -614,51 +670,43 @@ impl StreamingEngine {
         results
     }
 
-    /// One propagation step `H_l[i] = Σ_{j ∈ Ñ(i)} Â_ij H_{l−1}[j]` with
-    /// weights derived from current degrees (self-loop included), written
-    /// into the reusable `out` buffer.
+    /// One propagation step `H_l[i] = Σ_{j ∈ Ñ(i)} Â_ij H_{l−1}[j]`
+    /// (self-loop included) with weights from the cached per-node factors,
+    /// reading node `j`'s `H_{l−1}` row as `src_row(j)` and writing into
+    /// the reusable `out` buffer.
     ///
     /// When `parallel` is set, output rows are filled concurrently via
     /// `nai_linalg::parallel` (honoring `InferenceConfig::parallel_spmm`);
     /// each row is an independent reduction, so results and the returned
     /// MAC count are bit-identical with the serial path. Small frontiers
     /// fall back to the serial loop.
-    fn propagate_step_into(
+    fn propagate_step_into<'a>(
         &self,
         support_l: &[u32],
-        col_map: &[u32],
-        h_prev: &DenseMatrix,
+        src_row: impl Fn(u32) -> &'a [f32] + Sync,
         out: &mut DenseMatrix,
         parallel: bool,
     ) -> u64 {
-        let f = h_prev.cols();
-        let gamma = self.gamma;
+        let f = self.graph.feature_dim();
         out.reset_zeroed(support_l.len(), f);
-        let prev = h_prev.as_slice();
-        // Self-loop + one term per neighbor, every one mapped by the
-        // nesting invariant — the MAC count is exact without a pass over
-        // the features.
+        let norm = &self.norm;
+        // Self-loop + one term per neighbor, every one readable via `src_row`
+        // by the nesting invariant — the MAC count is exact without a
+        // pass over the features.
         let macs: u64 = support_l
             .iter()
             .map(|&gi| (self.graph.degree(gi) as u64 + 1) * f as u64)
             .sum();
         let fill_row = |gi: u32, orow: &mut [f32]| {
-            let di = (self.graph.degree(gi) + 1) as f32;
-            let left = di.powf(gamma - 1.0);
+            let left = norm[gi as usize].row;
             // Self-loop term of Ã = A + I.
-            let self_local = col_map[gi as usize];
-            debug_assert_ne!(self_local, u32::MAX, "support nesting violated");
-            let w_self = left * di.powf(-gamma);
-            let src = &prev[self_local as usize * f..(self_local as usize + 1) * f];
-            for (o, &x) in orow.iter_mut().zip(src) {
+            let w_self = left * norm[gi as usize].col;
+            for (o, &x) in orow.iter_mut().zip(src_row(gi)) {
                 *o += w_self * x;
             }
             for &j in self.graph.neighbors(gi) {
-                let local = col_map[j as usize];
-                debug_assert_ne!(local, u32::MAX, "support nesting violated");
-                let w = left * ((self.graph.degree(j) + 1) as f32).powf(-gamma);
-                let src = &prev[local as usize * f..(local as usize + 1) * f];
-                for (o, &x) in orow.iter_mut().zip(src) {
+                let w = left * norm[j as usize].col;
+                for (o, &x) in orow.iter_mut().zip(src_row(j)) {
                     *o += w * x;
                 }
             }

@@ -8,9 +8,9 @@
 //! never spells out:
 //!
 //! * [`dynamic::DynamicGraph`] — a growable undirected graph with O(1)
-//!   amortized node/edge appends and on-the-fly symmetric normalization
-//!   (adjacency weights are derived from *current* degrees, so no stored
-//!   normalized matrix can go stale);
+//!   amortized node/edge appends and no stored normalized matrix to go
+//!   stale (the engine keeps per-node normalization factors and refreshes
+//!   them for the nodes each mutation touches);
 //! * [`stationary::IncrementalStationary`] — the rank-1 stationary state
 //!   `X^(∞)` of Eq. (7) maintained under node/edge arrivals in `O(f)` per
 //!   update instead of `O(n·f)` recomputation;

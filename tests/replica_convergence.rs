@@ -6,7 +6,11 @@
 //! {1, 2, 4} — every reply must match a single-threaded
 //! [`StreamingEngine`] oracle fed the same sequence, and after a drain
 //! every replica must hold the *identical* graph (`snapshot_csr()`
-//! bit-equal, features included). This is the serving layer's
+//! bit-equal, features included) and answer a fixed-depth read of every
+//! node exactly as a fresh engine deployed on the oracle's final graph —
+//! engine state derived from the graph at mutation time (the cached
+//! per-node normalization factors) must have followed every mutation,
+//! not only the graph itself. This is the serving layer's
 //! correctness contract: mutations are applied on every replica in one
 //! global order, so there is no such thing as a wrong shard to read
 //! from.
@@ -38,11 +42,16 @@ fn engine() -> StreamingEngine {
         },
         &mut StdRng::seed_from_u64(97),
     );
+    deploy(DynamicGraph::from_graph(&g))
+}
+
+/// The model every engine here serves, deployed fresh over `graph`.
+fn deploy(graph: DynamicGraph) -> StreamingEngine {
     let mut rng = StdRng::seed_from_u64(98);
     let classifiers: Vec<DepthClassifier> = (1..=K)
         .map(|d| DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[6], 0.0, &mut rng))
         .collect();
-    StreamingEngine::with_lambda2(DynamicGraph::from_graph(&g), classifiers, None, 0.5, 0.9)
+    StreamingEngine::with_lambda2(graph, classifiers, None, 0.5, 0.9)
 }
 
 fn infer_cfg() -> InferenceConfig {
@@ -155,7 +164,7 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 
     // Drain and compare every replica's materialized graph — to each
     // other and to the oracle — bit for bit.
-    let replicas = service.into_engines();
+    let mut replicas = service.into_engines();
     prop_assert_eq!(replicas.len(), shards);
     let want = oracle.graph();
     let want_csr = want.snapshot_csr();
@@ -181,6 +190,22 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
                 i
             );
         }
+    }
+
+    // Fixed-depth reads of every node read no stationary state, so they
+    // depend only on the graph and the engine's per-node factors: each
+    // replica must answer them exactly as an engine deployed fresh on
+    // the oracle's final graph.
+    let all: Vec<u32> = (0..want.num_nodes() as u32).collect();
+    let fixed = InferenceConfig::fixed(K);
+    let expected = deploy(want.clone()).infer_nodes(&all, &fixed);
+    for (w, replica) in replicas.iter_mut().enumerate() {
+        prop_assert_eq!(
+            replica.infer_nodes(&all, &fixed),
+            expected,
+            "replica {} fixed-depth reads",
+            w
+        );
     }
     Ok(())
 }
