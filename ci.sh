@@ -28,6 +28,33 @@ step "cargo build --release (tier-1, all targets incl. benches)" \
 step "cargo test -q (tier-1)" \
   cargo test -q
 
+# The three load-shed tests submit their burst as one group, so the
+# worker that closes the burst's batch sees all of it in flight on every
+# schedule. Rerun them 20 times oversubscribed — 16 test threads on a
+# 2-core box, beside a busy-loop sibling process — and fail on the
+# first red run.
+shed_stress() {
+  local spin="" i log
+  log=$(mktemp)
+  trap 'trap - RETURN; [ -n "${spin:-}" ] && kill "$spin" 2>/dev/null; rm -f "$log"; true' RETURN
+  cargo test -q -p nai-serve --lib --no-run
+  ( while :; do :; done ) &
+  spin=$!
+  for i in $(seq 1 20); do
+    if ! cargo test -q -p nai-serve --lib -- --test-threads 16 \
+      load_shed_caps_depth_under_pressure \
+      load_shed_engages_under_pressure_and_recovers_after_drain \
+      degraded_predictions_are_never_cached_as_full_depth_answers \
+      > "$log" 2>&1; then
+      echo "load-shed tests failed on run $i:"; cat "$log"
+      return 1
+    fi
+  done
+}
+
+step "load-shed tests ×20, oversubscribed (fail on first red)" \
+  shed_stress
+
 step "cargo clippy --all-targets (-D warnings)" \
   cargo clippy --all-targets --quiet -- -D warnings
 
@@ -99,7 +126,7 @@ serve_smoke() {
     --k 2 --epochs 8 --hidden 8 --out "$dir/m.naic" > /dev/null
   "$bin" serve --graph "$dir/ds.graph" --split "$dir/ds.split" \
     --model "$dir/m.naic" --port 0 --workers 2 --max-batch 16 \
-    --max-wait-ms 1 > "$dir/serve.log" 2>&1 &
+    > "$dir/serve.log" 2>&1 &
   pid=$!
   for _ in $(seq 1 100); do
     grep -q "listening on" "$dir/serve.log" && break
@@ -157,7 +184,7 @@ serve_smoke() {
   # must be a cache hit, visible in /metrics.
   "$bin" serve --graph "$dir/ds.graph" --split "$dir/ds.split" \
     --model "$dir/m.naic" --port 0 --workers 2 --max-batch 16 \
-    --max-wait-ms 1 --cache --cache-cap 256 > "$dir/serve_cache.log" 2>&1 &
+    --cache --cache-cap 256 > "$dir/serve_cache.log" 2>&1 &
   pid=$!
   for _ in $(seq 1 100); do
     grep -q "listening on" "$dir/serve_cache.log" && break
@@ -202,7 +229,7 @@ obs_smoke() {
     --k 2 --epochs 8 --hidden 8 --out "$dir/m.naic" > /dev/null
   "$bin" serve --graph "$dir/ds.graph" --split "$dir/ds.split" \
     --model "$dir/m.naic" --port 0 --workers 2 --max-batch 16 \
-    --max-wait-ms 1 > "$dir/serve.log" 2>&1 &
+    > "$dir/serve.log" 2>&1 &
   pid=$!
   for _ in $(seq 1 100); do
     grep -q "listening on" "$dir/serve.log" && break
@@ -227,7 +254,7 @@ obs_smoke() {
   grep -q '^nai_batch_closed_total{reason="max_batch"}' "$dir/prom.txt"
   # JSON scrape: per-stage spans and batch anatomy ride along.
   curl -sf "http://$addr/metrics" | grep -q '"queue_wait"'
-  curl -sf "http://$addr/metrics" | grep -q '"closed_on_deadline"'
+  curl -sf "http://$addr/metrics" | grep -q '"closed_on_idle"'
   # Flight recorder: stage-timed traces of the slowest requests.
   curl -sf "http://$addr/debug/slow" > "$dir/slow.json"
   grep -q '"trace_id"' "$dir/slow.json"
@@ -258,7 +285,7 @@ bench_smoke() {
   for cell in power-law hub-star uniform-read zipf-read \
       schema_version depth_histogram shed_ops throughput_rps \
       cache_enabled cache_hits cache_misses \
-      latency_ns closed_on_idle closed_on_shutdown \
+      latency_ns closed_on_idle \
       transport pipeline_depth pipelined per_request; do
     grep -q "\"$cell\"" "$dir/bench.json"
   done

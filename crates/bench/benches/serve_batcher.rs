@@ -2,18 +2,18 @@
 //! level.
 //!
 //! The paper's Fig. 5 varies the inference batch size offline; a
-//! serving system tunes the same dial at runtime through the dynamic
-//! micro-batcher's `max_batch` / `max_wait` knobs. This harness runs a
-//! closed loop of concurrent clients against an in-process
-//! [`NaiService`] (no sockets — the batcher and workers are what is
-//! being measured) and reports throughput and the p50/p99 service
-//! latency per knob setting.
+//! serving system tunes the same dial at runtime through `max_batch`,
+//! the cap on how many queued requests a worker merges into one engine
+//! call. This harness runs a closed loop of concurrent clients against
+//! an in-process [`NaiService`] (no sockets — sequencing and the
+//! workers are what is being measured) and reports throughput and the
+//! p50/p99 service latency per setting.
 //!
 //! Expected shape, mirroring Fig. 5: growing `max_batch` amortizes the
-//! per-batch stationary/BFS work (throughput up, per-request p99 up —
-//! requests wait for peers); growing `max_wait` with a large
-//! `max_batch` moves p99 roughly with the deadline while throughput
-//! saturates — the knob trades tail latency against efficiency.
+//! per-batch stationary/BFS work (throughput up, mean batch up) while
+//! each request rides a longer engine call (p99 up). Nothing waits for
+//! a batch to fill, so batches only grow as far as the clients keep
+//! the workers' queues full.
 
 use nai::core::config::{CacheConfig, LoadShedPolicy, ServeConfig};
 use nai::prelude::*;
@@ -31,7 +31,6 @@ fn run_cell(
     seed_graph: &DynamicGraph,
     infer_cfg: &InferenceConfig,
     max_batch: usize,
-    max_wait: Duration,
     requests_per_client: usize,
 ) -> (f64, Duration, Duration, f64) {
     let service = NaiService::from_checkpoint(
@@ -41,7 +40,6 @@ fn run_cell(
         ServeConfig {
             workers: 2,
             max_batch,
-            max_wait,
             queue_cap: 4 * CLIENTS,
             shed: LoadShedPolicy {
                 trigger_fraction: 1.0,
@@ -105,55 +103,22 @@ fn main() {
         ds.graph.num_nodes(),
     );
     println!(
-        "\n{:<26} {:>12} {:>12} {:>12} {:>11}",
-        "max_batch / max_wait", "req/s", "p50", "p99", "mean batch"
+        "\n{:<12} {:>12} {:>12} {:>12} {:>11}",
+        "max_batch", "req/s", "p50", "p99", "mean batch"
     );
-
-    // Dial 1: batch size. The deadline is loose enough for the size
-    // bound to close full-rate batches, but short enough that the
-    // closed loop's end-of-run stragglers (fewer active clients than
-    // max_batch) don't sit on it forever.
-    for max_batch in [1usize, 4, 16] {
+    for max_batch in [1usize, 4, 16, 64] {
         let (rps, p50, p99, mb) = run_cell(
             &ckpt,
             &seed_graph,
             &infer_cfg,
             max_batch,
-            Duration::from_millis(2),
             requests_per_client,
         );
-        println!(
-            "{:<26} {:>12.0} {:>12?} {:>12?} {:>11.1}",
-            format!("b={max_batch} / 2ms"),
-            rps,
-            p50,
-            p99,
-            mb
-        );
-    }
-    // Dial 2: wait deadline (batch bound loose, the deadline closes it).
-    for wait_us in [200u64, 1000, 5000] {
-        let max_wait = Duration::from_micros(wait_us);
-        let (rps, p50, p99, mb) = run_cell(
-            &ckpt,
-            &seed_graph,
-            &infer_cfg,
-            64,
-            max_wait,
-            requests_per_client,
-        );
-        println!(
-            "{:<26} {:>12.0} {:>12?} {:>12?} {:>11.1}",
-            format!("b=64 / {}µs", wait_us),
-            rps,
-            p50,
-            p99,
-            mb
-        );
+        println!("{max_batch:<12} {rps:>12.0} {p50:>12?} {p99:>12?} {mb:>11.1}");
     }
     println!(
         "\nexpected shape: larger max_batch lifts req/s and mean batch while p99 \
-         grows (peers wait for the batch to fill); with the size bound loose, p99 \
-         tracks max_wait — the service-level Fig. 5 latency/throughput dial."
+         grows (each request rides a longer engine call) — the service-level \
+         Fig. 5 latency/throughput dial."
     );
 }

@@ -4,8 +4,8 @@
 //! built and quick-trained once, then every [`WorkloadSpec`] drives the
 //! same deterministic op stream through **two** stacks —
 //!
-//! * the **serve stack** ([`NaiService`]: admission control, dynamic
-//!   micro-batching, sequenced replication over shard replicas), paced
+//! * the **serve stack** ([`NaiService`]: admission control, batching
+//!   workers, sequenced replication over shard replicas), paced
 //!   closed-loop over client threads or open-loop on the workload's
 //!   burst schedule;
 //! * the **offline engine** (one solo [`StreamingEngine`] replaying the
@@ -48,8 +48,10 @@ use std::time::{Duration, Instant};
 /// stage, `batch.closed_on_idle`/`closed_on_shutdown`, and the
 /// optional per-cell `transport` section emitted under `--transport`
 /// (the same op stream replayed over real HTTP through the reactor,
-/// pipelined keep-alive and/or per-request connections).
-pub const SCHEMA_VERSION: u64 = 2;
+/// pipelined keep-alive and/or per-request connections). v3: the
+/// `max_wait` knob is gone, and with it `batch.closed_on_deadline` and
+/// `batch.closed_on_shutdown`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Which HTTP transport modes to measure per cell (off by default:
 /// the core matrix drives [`NaiService`] directly).
@@ -114,7 +116,6 @@ pub fn bench(args: &ParsedArgs) -> CliResult {
         "seed",
         "queue-cap",
         "max-batch",
-        "max-wait-ms",
         "shed-at",
         "shed-tmax",
         "cache",
@@ -159,16 +160,9 @@ pub fn bench(args: &ParsedArgs) -> CliResult {
     let epochs = args.get_parse_or("epochs", 8usize)?;
     let hidden = args.get_parse_or("hidden", 8usize)?;
     let infer_cfg = inference_config_of(args, k)?;
-    let max_wait_ms = args.get_parse_or("max-wait-ms", 1.0f64)?;
-    if !max_wait_ms.is_finite() || !(0.0..=60_000.0).contains(&max_wait_ms) {
-        return Err(CliError::Other(format!(
-            "--max-wait-ms must be a finite value in [0, 60000], got {max_wait_ms}"
-        )));
-    }
     let serve_cfg = ServeConfig {
         workers: args.get_parse_or("workers", 2usize)?,
         max_batch: args.get_parse_or("max-batch", 16usize)?,
-        max_wait: Duration::from_secs_f64(max_wait_ms / 1000.0),
         queue_cap: args.get_parse_or("queue-cap", 64usize)?,
         shed: LoadShedPolicy {
             trigger_fraction: args.get_parse_or("shed-at", 0.75f64)?,
@@ -485,9 +479,7 @@ fn run_cell(
                             "closed_on_max_batch",
                             Json::uint(metrics.closed_on_max_batch),
                         ),
-                        ("closed_on_deadline", Json::uint(metrics.closed_on_deadline)),
                         ("closed_on_idle", Json::uint(metrics.closed_on_idle)),
-                        ("closed_on_shutdown", Json::uint(metrics.closed_on_shutdown)),
                         ("mean_size", Json::Num(metrics.batch_sizes.mean())),
                     ]),
                 ),
@@ -944,12 +936,7 @@ pub fn validate_report(
             let batch = serve
                 .get("batch")
                 .ok_or_else(|| format!("{ctx}: serve.batch missing"))?;
-            for key in [
-                "closed_on_max_batch",
-                "closed_on_deadline",
-                "closed_on_idle",
-                "closed_on_shutdown",
-            ] {
+            for key in ["closed_on_max_batch", "closed_on_idle"] {
                 if batch.get(key).and_then(Json::as_u64).is_none() {
                     return Err(format!("{ctx}: serve.batch.{key} missing or not a count"));
                 }
@@ -988,7 +975,7 @@ mod tests {
 
     fn tiny_report() -> Json {
         let raw = r#"{
-            "schema_version": 2, "harness": "nai bench", "scale": "test",
+            "schema_version": 3, "harness": "nai bench", "scale": "test",
             "model_kind": "SGC", "nap": "distance", "k": 2, "workers": 2,
             "requests_per_cell": 4, "clients": 1, "seed": 7,
             "cache_enabled": false, "cache_cap": 4096,
@@ -1008,8 +995,7 @@ mod tests {
                               "engine_nap": {"count": 4, "mean_us": 0.8, "p99_us": 1},
                               "engine_classify": {"count": 4, "mean_us": 1.0, "p99_us": 2},
                               "serialize": {"count": 4, "mean_us": 0.8, "p99_us": 1}},
-                          "batch": {"closed_on_max_batch": 1, "closed_on_deadline": 0,
-                                    "closed_on_idle": 1, "closed_on_shutdown": 0,
+                          "batch": {"closed_on_max_batch": 1, "closed_on_idle": 1,
                                     "mean_size": 2.0},
                           "shed_ops": 0, "degraded_batches": 0,
                           "cache_hits": 0, "cache_misses": 0, "mean_depth": 1.5,

@@ -397,7 +397,6 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
         "port",
         "workers",
         "max-batch",
-        "max-wait-ms",
         "queue-cap",
         "shed-at",
         "shed-tmax",
@@ -409,16 +408,9 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
     let ckpt = ModelCheckpoint::load(Path::new(args.require("model")?))?;
     let infer_cfg = inference_config_of(args, ckpt.k)?;
     let port = args.get_parse_or("port", 8080u16)?;
-    let max_wait_ms = args.get_parse_or("max-wait-ms", 2.0f64)?;
-    if !max_wait_ms.is_finite() || !(0.0..=60_000.0).contains(&max_wait_ms) {
-        return Err(CliError::Other(format!(
-            "--max-wait-ms must be a finite value in [0, 60000], got {max_wait_ms}"
-        )));
-    }
     let serve_cfg = ServeConfig {
         workers: args.get_parse_or("workers", 2usize)?,
         max_batch: args.get_parse_or("max-batch", 64usize)?,
-        max_wait: Duration::from_secs_f64(max_wait_ms / 1000.0),
         queue_cap: args.get_parse_or("queue-cap", 1024usize)?,
         shed: LoadShedPolicy {
             trigger_fraction: args.get_parse_or("shed-at", 0.75f64)?,
@@ -460,7 +452,7 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
     };
     println!(
         "nai-serve listening on {} ({} k={} on {name}; shards {}, max_batch {}, \
-         max_wait {max_wait_ms}ms, queue_cap {}, shed at {:.0}% → t_max {}, cache {cache_desc})",
+         queue_cap {}, shed at {:.0}% → t_max {}, cache {cache_desc})",
         server.local_addr(),
         ckpt.kind.name(),
         ckpt.k,
@@ -737,12 +729,9 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
                     .unwrap_or(0)
             };
             println!(
-                "batches: closed_on_max_batch {} | closed_on_deadline {} | closed_on_idle {} \
-                 | closed_on_shutdown {} | mean size {:.2}",
+                "batches: closed_on_max_batch {} | closed_on_idle {} | mean size {:.2}",
                 batch("closed_on_max_batch"),
-                batch("closed_on_deadline"),
                 batch("closed_on_idle"),
-                batch("closed_on_shutdown"),
                 metrics
                     .get("batch")
                     .and_then(|b| b.get("mean_size"))

@@ -40,9 +40,9 @@ COMMANDS:
   stream     Streaming-arrival demo with latency percentiles
              data flags, --model PATH, --nap ..., --arrivals N, --degree N,
              --batch N, --seed N, --parallel-spmm
-  serve      Online inference service (HTTP + newline-JSON, micro-batching)
+  serve      Online inference service (HTTP + newline-JSON, batching workers)
              data flags, --model PATH, --nap ..., --port N (0 = ephemeral),
-             --workers N, --max-batch N, --max-wait-ms F, --queue-cap N,
+             --workers N, --max-batch N, --queue-cap N,
              --shed-at F, --shed-tmax N, --cache, --cache-cap N,
              --parallel-spmm
   loadgen    Closed-loop load driver against a running `nai serve`
@@ -58,7 +58,7 @@ COMMANDS:
                           (comma list; default all),
              --requests N, --clients N, --workers N, --model-kind KIND,
              --k N, --epochs N, --hidden N, --nap ..., --seed N,
-             --queue-cap N, --max-batch N, --max-wait-ms F,
+             --queue-cap N, --max-batch N,
              --shed-at F, --shed-tmax N, --cache, --cache-cap N
   lint       Token-aware static analysis of the project invariants
              --workspace (lint every member crate of the enclosing

@@ -226,18 +226,18 @@ impl CacheConfig {
     }
 }
 
-/// Serving-layer knobs for `nai-serve`: dynamic micro-batching,
-/// admission control, and sharding over engine replicas.
+/// Serving-layer knobs for `nai-serve`: batching, admission control,
+/// and sharding over engine replicas.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ServeConfig {
     /// Worker count — engine shards, each owning one replica and its
     /// amortized scratch.
     pub workers: usize,
-    /// A forming batch is dispatched as soon as it holds this many
-    /// requests (the Fig. 5 batch-size dial at the service level).
+    /// A worker stops merging queued requests into one engine batch
+    /// once it holds this many (the Fig. 5 batch-size dial at the
+    /// service level). Nothing waits for a batch to fill: a worker
+    /// runs whatever is queued for it as soon as it is free.
     pub max_batch: usize,
-    /// ... or as soon as its oldest request has waited this long.
-    pub max_wait: std::time::Duration,
     /// Admission bound: maximum requests in flight (queued or being
     /// served); submissions beyond it are rejected as `Overloaded`.
     pub queue_cap: usize,
@@ -252,7 +252,6 @@ impl Default for ServeConfig {
         Self {
             workers: 2,
             max_batch: 64,
-            max_wait: std::time::Duration::from_millis(2),
             queue_cap: 1024,
             shed: LoadShedPolicy::default(),
             cache: CacheConfig::off(),

@@ -51,7 +51,7 @@
 //! | [`baselines`] | GLNN, NOSMOG, TinyGNN, Quantization, PPRGo |
 //! | [`datasets`] | Flickr / Ogbn-arxiv / Ogbn-products proxies |
 //! | [`stream`] | dynamic graphs + per-arrival streaming inference |
-//! | [`serve`] | online inference service: micro-batching, shard workers, HTTP |
+//! | [`serve`] | online inference service: batching shard workers, HTTP |
 
 pub use nai_baselines as baselines;
 pub use nai_core as core;

@@ -6,8 +6,8 @@
 //! | stage | span |
 //! |-------|------|
 //! | `parse` | transport ingress: request bytes read off the socket → parsed op submitted for admission (zero for in-process callers, which skip the transport) |
-//! | `queue_wait` | admission (`submit`) → scheduler pops the job off the request channel |
-//! | `batch_wait` | scheduler pop → the worker's engine call starts (batch forming window, channel transit, mutation validation, batch-mates' prefix work) |
+//! | `queue_wait` | admission (`submit`) → the answering worker takes the request off its channel (sequencing, routing, channel transit, waiting behind the worker's current batch) |
+//! | `batch_wait` | worker dequeue → the worker's engine call starts (the merged batch's mutation prefix and batch-mates' ingest flush) |
 //! | `engine_propagation` | feature propagation inside the engine: BFS support planning, stationary rows, per-hop SpMM steps, frontier shrinking |
 //! | `engine_nap` | node-adaptive propagation exit decisions (distance / gate / upper-bound tests) |
 //! | `engine_classify` | per-depth classifier forward passes and exit gathers |
@@ -107,21 +107,15 @@ impl StageBreakdown {
     }
 }
 
-/// Why the batcher closed the batch a request rode in.
+/// Why a worker stopped merging queued work into the batch a request
+/// rode in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CloseReason {
-    /// The forming batch hit `max_batch` and dispatched immediately.
+    /// The merged batch reached `max_batch` requests.
     MaxBatch,
-    /// The `max_wait` deadline expired with a partial batch while
-    /// other admitted requests were still in transit toward it.
-    Deadline,
-    /// Work-conserving close: every admitted request was already in
-    /// the forming batch, so no further arrival was possible and
-    /// waiting out `max_wait` could only add latency.
+    /// The worker's channel was empty: everything queued for it was
+    /// aboard, so the batch ran at once.
     Idle,
-    /// The intake channel drained on shutdown with a partial batch —
-    /// a teardown artifact, not a batching-policy outcome.
-    Shutdown,
 }
 
 impl CloseReason {
@@ -129,9 +123,7 @@ impl CloseReason {
     pub fn as_str(self) -> &'static str {
         match self {
             CloseReason::MaxBatch => "max_batch",
-            CloseReason::Deadline => "deadline",
             CloseReason::Idle => "idle",
-            CloseReason::Shutdown => "shutdown",
         }
     }
 }
@@ -155,7 +147,7 @@ pub struct TraceRecord {
     /// NAP exit depth per retained node, parallel to `nodes`.
     pub depths: Vec<u32>,
     /// Answered from the versioned prediction cache, skipping the
-    /// batcher and engine entirely.
+    /// workers and engine entirely.
     pub cache_hit: bool,
     /// Replication sequence number the answering replica had applied.
     pub applied_seq: u64,

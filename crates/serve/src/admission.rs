@@ -4,13 +4,13 @@
 //! makes overload control correct: the `in_flight` slot counter
 //! bounded by `queue_cap`, the per-party `answered` reply counters
 //! that make a panicked worker's slot repair exact, and the per-worker
-//! `dead` flags that hand a dying worker off to the scheduler. The
+//! `dead` flags that hand a dying worker off to the sequencer. The
 //! invariants — checked exhaustively by `tests/model.rs` under
 //! `--cfg nai_model` — are:
 //!
 //! * `in_flight` never exceeds `queue_cap` and never underflows: every
 //!   admitted request releases its slot exactly once, whichever party
-//!   (worker, scheduler, panic repair, submit rollback) does it.
+//!   (worker, sequencer, panic repair, submit rollback) does it.
 //! * After a worker panic, `repair_panicked` releases exactly the
 //!   slots of the jobs the worker owned but never answered — even
 //!   while other workers concurrently answer their own slices of the
@@ -32,24 +32,24 @@ pub struct AdmissionLedger {
     in_flight: AtomicUsize,
     cap: usize,
     /// Replies sent, indexed by answering party (`0..workers` = that
-    /// worker, `workers` = the scheduler). Broadcast batches contain
+    /// worker, `workers` = the sequencer). Broadcast batches contain
     /// jobs a worker does *not* answer, so panic repair must count
     /// exactly the repairer's own replies — a global counter would mix
     /// in concurrent replies from other workers and under-repair.
     answered: Vec<AtomicU64>,
     /// Raised by a worker's panic path *before* it starts draining its
-    /// channel; the scheduler reaps the flag at its next dispatch.
+    /// channel; the sequencer reaps the flag at its next dispatch.
     dead: Vec<AtomicBool>,
 }
 
 impl AdmissionLedger {
     /// A ledger admitting at most `cap` in-flight requests, with reply
-    /// slots for `workers` workers plus the scheduler.
+    /// slots for `workers` workers plus the sequencer.
     pub fn new(cap: usize, workers: usize) -> Self {
         Self {
             in_flight: AtomicUsize::new(0),
             cap,
-            // One slot per worker plus the scheduler's.
+            // One slot per worker plus the sequencer's.
             answered: (0..=workers).map(|_| AtomicU64::new(0)).collect(),
             dead: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -60,8 +60,10 @@ impl AdmissionLedger {
         self.cap
     }
 
-    /// The scheduler's slot index in the `answered` ledger.
-    pub fn scheduler_slot(&self) -> usize {
+    /// The sequencer's slot index in the `answered` ledger. Its replies
+    /// are sent by submitting threads while they hold the sequencer
+    /// lock.
+    pub fn sequencer_slot(&self) -> usize {
         self.answered.len() - 1
     }
 
@@ -139,7 +141,7 @@ impl AdmissionLedger {
         leaked
     }
 
-    /// Marks worker `w` dead. Release: pairs with the scheduler's
+    /// Marks worker `w` dead. Release: pairs with the sequencer's
     /// Acquire in [`Self::is_dead`] so reaping observes everything the
     /// worker did before dying.
     pub fn mark_dead(&self, w: usize) {

@@ -10,12 +10,12 @@
 //! * **Version guard** — an entry is inserted only if the sequence
 //!   point it was computed at is *still* the cache's current sequence
 //!   point ([`PredictionCache::insert`] drops late results computed
-//!   before a newer mutation was sequenced), and the scheduler advances
+//!   before a newer mutation was sequenced), and the sequencer advances
 //!   the cache's sequence point (after invalidating) the moment it
 //!   sequences a mutation — before any worker could have applied it.
 //! * **Mutation invalidation** — under fixed-depth propagation a
 //!   mutation can only change predictions within `t_max` hops of the
-//!   touched nodes, so the scheduler walks that frontier
+//!   touched nodes, so the sequencer walks that frontier
 //!   ([`nai_stream::DynamicGraph::k_hop_frontier`]) and evicts every
 //!   cached node within its own depth bound of the mutation
 //!   ([`PredictionCache::invalidate_frontier`]). When the walk blows
@@ -166,7 +166,7 @@ impl PredictionCache {
     /// Inserts a freshly computed prediction — only if it was computed
     /// at the cache's *current* sequence point. A result computed at
     /// `seq` is stale the moment a newer mutation is sequenced (the
-    /// scheduler invalidates and advances before any worker can apply
+    /// sequencer invalidates and advances before any worker can apply
     /// it), so late inserts are dropped rather than raced in.
     pub fn insert(&mut self, node: u32, seq: u64, prediction: usize, depth: usize) {
         if seq != self.seq {
@@ -235,7 +235,7 @@ impl PredictionCache {
 }
 
 /// What a sequenced mutation evicts before its sequence point advances
-/// (computed by the scheduler's mirror walk, applied by
+/// (computed by the sequencer's mirror walk, applied by
 /// [`VersionedCache::sequence_mutation`]).
 pub enum Invalidation {
     /// The graph did not change (duplicate edge) or the mutation

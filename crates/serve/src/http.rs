@@ -339,9 +339,7 @@ fn metrics_json(service: &NaiService) -> Json {
             "batch",
             Json::obj(vec![
                 ("closed_on_max_batch", Json::uint(m.closed_on_max_batch)),
-                ("closed_on_deadline", Json::uint(m.closed_on_deadline)),
                 ("closed_on_idle", Json::uint(m.closed_on_idle)),
-                ("closed_on_shutdown", Json::uint(m.closed_on_shutdown)),
                 ("mean_size", Json::Num(m.batch_sizes.mean())),
                 ("p99_size", Json::uint(m.batch_sizes.quantile(0.99))),
                 (
@@ -449,13 +447,11 @@ fn metrics_prom(service: &NaiService) -> String {
     w.family(
         "nai_batch_closed_total",
         "counter",
-        "Batches closed, by close reason (max_batch, deadline, idle, shutdown).",
+        "Batches closed, by close reason (max_batch, idle).",
     );
     for (reason, value) in [
         ("max_batch", m.closed_on_max_batch),
-        ("deadline", m.closed_on_deadline),
         ("idle", m.closed_on_idle),
-        ("shutdown", m.closed_on_shutdown),
     ] {
         w.counter("nai_batch_closed_total", &[("reason", reason)], value);
     }

@@ -6,15 +6,16 @@
 //! per-arrival algorithm; this crate supplies the serving system around
 //! it, std-only (the workspace has no crates.io access):
 //!
-//! * [`service::NaiService`] — a **dynamic micro-batcher** (requests
-//!   coalesce until `max_batch` or a `max_wait` deadline — the Fig. 5
-//!   batch-size/latency trade-off as a runtime policy) feeding a
-//!   **worker pool** of engine replicas kept convergent by **sequenced
-//!   mutation replication**: every ingest/edge arrival is stamped with
-//!   a monotonic sequence number, validated once, and broadcast to
+//! * [`service::NaiService`] — a **worker pool** of engine replicas
+//!   kept convergent by **sequenced mutation replication**: the
+//!   submitting thread stamps every ingest/edge arrival with a
+//!   monotonic sequence number, validates it once, and sends it to
 //!   every replica, which applies its batch's mutation prefix in
 //!   sequence order before serving reads — so any replica answers any
-//!   node and clients never route; **admission control** rejects work
+//!   node and clients never route. Each worker **batches** whatever is
+//!   queued for it when it becomes free (up to `max_batch` requests —
+//!   the Fig. 5 batch-size/latency trade-off, set by load instead of a
+//!   timer); **admission control** rejects work
 //!   beyond a bounded in-flight cap with a typed `Overloaded` (never a
 //!   hang), and a **load-shed policy** lowers the NAP depth budget
 //!   under queue pressure — the paper's accuracy↔latency dial driven
@@ -73,10 +74,12 @@ pub use obs::ServeObs;
 pub use proto::{NodeResult, Op, Reply, Request};
 pub use reactor::TransportConfig;
 pub use service::{
-    CompletionQueue, MacsCell, MetricsSnapshot, NaiService, ServeError, ServiceInfo, Submitted,
-    Ticket,
+    CompletionQueue, MacsCell, MetricsSnapshot, NaiService, ServeError, ServiceInfo, Ticket,
 };
 pub use workload::{zipf_rank, Arrivals, Sampling, WorkloadSampler, WorkloadSpec};
+
+#[cfg(nai_model)]
+pub use service::WorkerInbox;
 
 #[cfg(test)]
 mod tests {
@@ -96,7 +99,11 @@ mod tests {
     /// An untrained (random-weight) deployment — serving correctness
     /// tests only need *deterministic* classifiers, not accurate ones,
     /// and skipping the training pipeline keeps these tests fast.
-    fn engine_shards(n_nodes: usize, n_shards: usize, seed: u64) -> Vec<StreamingEngine> {
+    pub(crate) fn engine_shards(
+        n_nodes: usize,
+        n_shards: usize,
+        seed: u64,
+    ) -> Vec<StreamingEngine> {
         let g = nai_graph::generators::generate(
             &nai_graph::generators::GeneratorConfig {
                 num_nodes: n_nodes,
@@ -127,7 +134,6 @@ mod tests {
         ServeConfig {
             workers,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_cap: 64,
             shed: LoadShedPolicy {
                 trigger_fraction: 1.0,
@@ -401,7 +407,7 @@ mod tests {
     fn panicking_worker_repairs_admission_and_is_marked_dead() {
         // Gate-mode inference without trained gates panics inside the
         // engine: the worker must die without leaking its admission
-        // slot, and the scheduler must answer later requests with a
+        // slot, and the sequencer must answer later requests with a
         // typed error instead of hanging.
         let shards = engine_shards(30, 1, 27);
         let service = NaiService::new(shards, InferenceConfig::gate(1, K), serve_cfg(1)).unwrap();
@@ -425,8 +431,8 @@ mod tests {
         // Later requests get a typed error, never a hang: a submission
         // racing the worker's unwind lands in its channel and is
         // answered by the dying worker's drain loop ("worker is
-        // gone"); once the scheduler has reaped the dead flag, jobs
-        // are answered at dispatch ("no live shard workers"). Either
+        // gone"); once a submitter has reaped the dead flag, jobs
+        // are answered at sequencing ("no live shard workers"). Either
         // way every admission slot comes back.
         for _ in 0..3 {
             match service.call(Request {
@@ -450,16 +456,15 @@ mod tests {
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 1024,
-            max_wait: Duration::from_millis(300),
             queue_cap: 2,
             ..serve_cfg(1)
         };
         let service = Arc::new(NaiService::new(shards, infer_cfg(), cfg).unwrap());
-        // The work-conserving batcher no longer parks admitted requests
-        // on the max_wait deadline, so two idle submissions cannot pin
-        // the admission bound. Saturate it the honest way instead: two
-        // closed-loop flooders that resubmit the moment they are
-        // answered keep in_flight hovering at queue_cap.
+        // Workers never park admitted requests waiting for a batch to
+        // fill, so two idle submissions cannot pin the admission bound.
+        // Saturate it the honest way instead: two closed-loop flooders
+        // that resubmit the moment they are answered keep in_flight
+        // hovering at queue_cap.
         let stop = Arc::new(AtomicBool::new(false));
         let flooders: Vec<_> = (0..2)
             .map(|_| {
@@ -521,13 +526,42 @@ mod tests {
             .is_ok());
     }
 
+    /// Single-node reads of nodes `0..n`, no shard hint.
+    fn reads(n: u32) -> Vec<Request> {
+        (0..n)
+            .map(|i| Request {
+                op: Op::Infer { nodes: vec![i] },
+                shard: None,
+            })
+            .collect()
+    }
+
+    /// Submits `reqs` as one group — the way the reactor submits the
+    /// `/v1` lines of one parse pass: every request is admitted before
+    /// any is sequenced, so the whole group is in flight when a worker
+    /// closes the batch that holds it. Returns the replies in arrival
+    /// order.
+    fn call_group(service: &NaiService, reqs: Vec<Request>) -> Vec<Reply> {
+        let (tx, rx) = crate::sync::mpsc::channel();
+        let n = reqs.len();
+        let group = reqs
+            .into_iter()
+            .map(|r| (r, 0, service::ReplySink::Channel(tx.clone())))
+            .collect();
+        for outcome in service.submit_group(group) {
+            assert!(matches!(outcome, Ok(None)), "queued, got {outcome:?}");
+        }
+        (0..n)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect()
+    }
+
     #[test]
     fn load_shed_caps_depth_under_pressure() {
         let shards = engine_shards(60, 1, 13);
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 4,
-            max_wait: Duration::from_millis(50),
             queue_cap: 8,
             shed: LoadShedPolicy {
                 trigger_fraction: 0.0, // always under pressure
@@ -537,18 +571,8 @@ mod tests {
         };
         // Fixed-depth K config: without shedding every node exits at K.
         let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
-        let tickets: Vec<Ticket> = (0..4)
-            .map(|i| {
-                service
-                    .submit(Request {
-                        op: Op::Infer { nodes: vec![i] },
-                        shard: None,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            match t.wait(Duration::from_secs(10)).unwrap() {
+        for reply in call_group(&service, reads(4)) {
+            match reply {
                 Reply::Infer { results, .. } => {
                     assert_eq!(results[0].depth, 1, "depth budget capped to 1 under shed");
                 }
@@ -569,11 +593,7 @@ mod tests {
         let shards = engine_shards(60, 1, 33);
         let cfg = ServeConfig {
             workers: 1,
-            // The whole burst fits one batch, so it is dispatched only
-            // once all of it is in flight (or 50 ms pass) — the shed
-            // decision then deterministically sees in_flight = 8.
             max_batch: 8,
-            max_wait: Duration::from_millis(50),
             queue_cap: 8,
             shed: LoadShedPolicy {
                 trigger_fraction: 0.5, // pressure at ≥ 4 in flight
@@ -581,20 +601,12 @@ mod tests {
             },
             cache: CacheConfig::off(),
         };
-        // Fixed-depth K: without shedding every node exits at K.
+        // Fixed-depth K: without shedding every node exits at K. The
+        // burst goes in as one group, so its batch closes with all 8
+        // in flight.
         let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
-        let tickets: Vec<Ticket> = (0..8)
-            .map(|i| {
-                service
-                    .submit(Request {
-                        op: Op::Infer { nodes: vec![i] },
-                        shard: None,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            match t.wait(Duration::from_secs(10)).unwrap() {
+        for reply in call_group(&service, reads(8)) {
+            match reply {
                 Reply::Infer { results, .. } => {
                     assert_eq!(results[0].depth, 1, "budget capped under pressure");
                 }
@@ -606,7 +618,7 @@ mod tests {
         assert_eq!(pressured.shed_ops, 8);
 
         // Drained: the closed loop above received every reply, so
-        // in_flight is 0 and the next dispatch sees 1 < 4 — full depth.
+        // in_flight is 0 and the next batch closes at 1 < 4 — full depth.
         assert_eq!(service.queue_depth(), 0);
         match service
             .call(Request {
@@ -635,7 +647,6 @@ mod tests {
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 8,
-            max_wait: Duration::from_millis(50),
             queue_cap: 8,
             shed: LoadShedPolicy {
                 trigger_fraction: 0.5, // pressure at ≥ 4 in flight
@@ -644,18 +655,8 @@ mod tests {
             cache: CacheConfig::on(64),
         };
         let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
-        let tickets: Vec<Ticket> = (0..8)
-            .map(|i| {
-                service
-                    .submit(Request {
-                        op: Op::Infer { nodes: vec![i] },
-                        shard: None,
-                    })
-                    .unwrap()
-            })
-            .collect();
-        for t in tickets {
-            match t.wait(Duration::from_secs(10)).unwrap() {
+        for reply in call_group(&service, reads(8)) {
+            match reply {
                 Reply::Infer { results, .. } => {
                     assert_eq!(results[0].depth, 1, "budget capped under pressure");
                 }
@@ -771,14 +772,13 @@ mod tests {
         assert_eq!(m.batch_sizes.count(), m.batches);
         assert_eq!(m.batch_sizes.sum(), 10, "every request rode one batch");
         assert_eq!(
-            m.closed_on_max_batch + m.closed_on_deadline + m.closed_on_idle + m.closed_on_shutdown,
+            m.closed_on_max_batch + m.closed_on_idle,
             m.batches,
             "every batch closes for exactly one reason"
         );
-        // A single closed-loop client means each popped request is the
-        // only one in flight: the work-conserving batcher closes those
-        // batches immediately instead of sleeping out max_wait.
-        assert!(m.closed_on_idle >= 1, "work-conserving closes happened");
+        // A single closed-loop client leaves each request alone in its
+        // worker's channel: every batch takes all that is queued.
+        assert_eq!(m.closed_on_idle, m.batches, "nothing waited to fill");
     }
 
     #[test]

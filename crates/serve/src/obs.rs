@@ -32,7 +32,7 @@ pub const SLOW_TRACES: usize = 16;
 pub const SLOW_WINDOW: usize = 4096;
 
 /// Request-lifecycle observability state shared by the submit path,
-/// the scheduler, and every worker.
+/// the sequencer, and every worker.
 pub struct ServeObs {
     /// End-to-end latency plus one histogram per pipeline stage (ns).
     pipeline: StagePipeline,
@@ -41,9 +41,7 @@ pub struct ServeObs {
     /// Dispatched batch sizes (requests per dispatch).
     batch_sizes: LogHistogram,
     closed_on_max_batch: AtomicU64,
-    closed_on_deadline: AtomicU64,
     closed_on_idle: AtomicU64,
-    closed_on_shutdown: AtomicU64,
     /// The slowest requests per window, full stage timelines.
     recorder: FlightRecorder,
     /// Monotone trace-id source (ids start at 1; 0 is never issued).
@@ -57,9 +55,7 @@ impl ServeObs {
             depths: LogHistogram::new(),
             batch_sizes: LogHistogram::new(),
             closed_on_max_batch: AtomicU64::new(0),
-            closed_on_deadline: AtomicU64::new(0),
             closed_on_idle: AtomicU64::new(0),
-            closed_on_shutdown: AtomicU64::new(0),
             recorder: FlightRecorder::new(SLOW_TRACES, SLOW_WINDOW),
             next_trace: AtomicU64::new(1),
         }
@@ -78,9 +74,7 @@ impl ServeObs {
         match close {
             // Relaxed: monotone counters read only by scrapes.
             CloseReason::MaxBatch => self.closed_on_max_batch.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Deadline => self.closed_on_deadline.fetch_add(1, Ordering::Relaxed),
             CloseReason::Idle => self.closed_on_idle.fetch_add(1, Ordering::Relaxed),
-            CloseReason::Shutdown => self.closed_on_shutdown.fetch_add(1, Ordering::Relaxed),
         };
     }
 
@@ -131,25 +125,10 @@ impl ServeObs {
         self.closed_on_max_batch.load(Ordering::Relaxed)
     }
 
-    /// Batches closed by the `max_wait` deadline while other admitted
-    /// requests were still in transit.
-    pub fn closed_on_deadline(&self) -> u64 {
-        // Relaxed: scrape of a monotone counter; staleness is fine.
-        self.closed_on_deadline.load(Ordering::Relaxed)
-    }
-
-    /// Batches closed work-conservingly: every admitted request was
-    /// already aboard, so waiting out `max_wait` was pointless.
+    /// Batches closed because the worker's channel was empty.
     pub fn closed_on_idle(&self) -> u64 {
         // Relaxed: scrape of a monotone counter; staleness is fine.
         self.closed_on_idle.load(Ordering::Relaxed)
-    }
-
-    /// Partial batches drained by shutdown (teardown artifact, kept
-    /// out of the policy counters above).
-    pub fn closed_on_shutdown(&self) -> u64 {
-        // Relaxed: scrape of a monotone counter; staleness is fine.
-        self.closed_on_shutdown.load(Ordering::Relaxed)
     }
 }
 
@@ -167,17 +146,14 @@ mod tests {
     fn batch_anatomy_counters_split_by_reason() {
         let obs = ServeObs::new();
         obs.note_batch(8, CloseReason::MaxBatch);
-        obs.note_batch(3, CloseReason::Deadline);
+        obs.note_batch(3, CloseReason::Idle);
         obs.note_batch(8, CloseReason::MaxBatch);
         obs.note_batch(2, CloseReason::Idle);
-        obs.note_batch(1, CloseReason::Shutdown);
         assert_eq!(obs.closed_on_max_batch(), 2);
-        assert_eq!(obs.closed_on_deadline(), 1);
-        assert_eq!(obs.closed_on_idle(), 1);
-        assert_eq!(obs.closed_on_shutdown(), 1);
+        assert_eq!(obs.closed_on_idle(), 2);
         let sizes = obs.batch_sizes();
-        assert_eq!(sizes.count(), 5);
-        assert_eq!(sizes.sum(), 22);
+        assert_eq!(sizes.count(), 4);
+        assert_eq!(sizes.sum(), 21);
         assert_eq!(sizes.exact_small_counts()[8], 2, "exact small buckets");
     }
 

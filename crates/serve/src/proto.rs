@@ -59,7 +59,7 @@ pub enum Op {
 /// An operation plus an optional replica affinity hint.
 ///
 /// The hint names the replica that computes (and answers) the request;
-/// without one, the scheduler assigns replicas round-robin. Mutations
+/// without one, the sequencer assigns replicas round-robin. Mutations
 /// are applied on *every* replica regardless of the hint — routing is
 /// a load-balancing preference, never a consistency contract.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,8 +6,8 @@
 //! [`crate::sync::poll::Poller::wait`] and drives non-blocking sockets
 //! through per-connection state machines — read buffer → incremental
 //! HTTP/1.1 parse → dispatch → ordered response queue → write buffer.
-//! A readable socket drains *all* pipelined `/v1` lines into the
-//! admission queue in one syscall round-trip, and replies come back
+//! A readable socket drains *all* pipelined `/v1` lines into one
+//! submission group in one syscall round-trip, and replies come back
 //! through a [`CompletionQueue`] instead of a parked thread per
 //! request, so pipelining depth — not connection count — sets the
 //! admission pressure.
@@ -42,8 +42,8 @@
 
 use crate::http::{route_basic, ServerState, CT_JSON};
 use crate::json::Json;
-use crate::proto::{error_line, parse_request, render_reply};
-use crate::service::{CompletionQueue, ServeError, Submitted};
+use crate::proto::{error_line, parse_request, render_reply, Request};
+use crate::service::{CompletionQueue, ReplySink, ServeError};
 use crate::sync::poll::{Event, Interest, Poller};
 use crate::sync::time::Instant;
 use crate::sync::Arc;
@@ -433,6 +433,10 @@ pub(crate) struct Reactor {
     free: Vec<usize>,
     tokens: HashMap<u64, TokenDest>,
     next_token: u64,
+    /// `/v1` lines parsed in the current pass, submitted together by
+    /// [`Self::submit_parsed`]; `dests` is parallel to `group`.
+    group: Vec<(Request, u64, ReplySink)>,
+    dests: Vec<(u64, TokenDest)>,
     next_gen: u64,
     draining: bool,
     drain_deadline: Instant,
@@ -466,6 +470,8 @@ impl Reactor {
             free: Vec::new(),
             tokens: HashMap::new(),
             next_token: 0,
+            group: Vec::new(),
+            dests: Vec::new(),
             next_gen: 0,
             draining: false,
             drain_deadline: Instant::now(),
@@ -631,10 +637,15 @@ impl Reactor {
         self.pump(slot);
     }
 
-    /// Parses every complete request sitting in the read buffer —
-    /// this is where a pipelined burst fans into the admission queue
-    /// in one pass.
+    /// Parses every complete request sitting in the read buffer, then
+    /// submits the pass's `/v1` lines as one group — a pipelined burst
+    /// reaches each worker as one batch.
     fn parse_loop(&mut self, slot: usize, ingress: Instant) {
+        self.parse_requests(slot);
+        self.submit_parsed(ingress);
+    }
+
+    fn parse_requests(&mut self, slot: usize) {
         loop {
             enum Parsed {
                 Req(HttpRequest),
@@ -661,7 +672,7 @@ impl Reactor {
                 }
             };
             match parsed {
-                Parsed::Req(req) => self.handle_request(slot, req, ingress),
+                Parsed::Req(req) => self.handle_request(slot, req),
                 Parsed::Bad(msg) => {
                     if let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) {
                         conn.no_new_requests = true;
@@ -674,7 +685,7 @@ impl Reactor {
         }
     }
 
-    fn handle_request(&mut self, slot: usize, req: HttpRequest, ingress: Instant) {
+    fn handle_request(&mut self, slot: usize, req: HttpRequest) {
         // Split the query string off the path; only /metrics reads it.
         let (path, query) = match req.path.split_once('?') {
             Some((p, q)) => (p, q),
@@ -700,20 +711,20 @@ impl Reactor {
             return;
         }
         if req.method == "POST" && path == "/v1" {
-            self.queue_v1(slot, &req.body, ingress, close);
+            self.queue_v1(slot, &req.body, close);
             return;
         }
         let (status, body, ct) = route_basic(&req.method, path, query, &self.state.service);
         self.queue_ready(slot, status, &body, ct, close);
     }
 
-    /// Runs every line of a newline-JSON `/v1` body through the
-    /// service, preserving order. Cache hits and rejections resolve
-    /// inline; admitted lines reserve `None` slots filled by the
-    /// completion queue. The HTTP status reflects the single-line case
-    /// (503 overloaded / 400 invalid); multi-line bodies always get
-    /// 200 with per-line `"ok"` flags.
-    fn queue_v1(&mut self, slot: usize, body: &str, ingress: Instant, close: bool) {
+    /// Adds every line of a newline-JSON `/v1` body to the pass's
+    /// submission group, preserving order: each parsed line reserves a
+    /// `None` slot, filled when its reply arrives — at submission for
+    /// cache hits and rejections. The HTTP status reflects the
+    /// single-line case (503 overloaded / 400 invalid); multi-line
+    /// bodies always get 200 with per-line `"ok"` flags.
+    fn queue_v1(&mut self, slot: usize, body: &str, close: bool) {
         let lines: Vec<&str> = body.lines().filter(|l| !l.trim().is_empty()).collect();
         if lines.is_empty() {
             let body = format!("{}\n", error_line("empty_body", None));
@@ -739,44 +750,22 @@ impl Reactor {
                     slots.push(Some(error_line("invalid", Some(&msg)).to_string()));
                 }
                 Ok(req) => {
-                    let parse_ns = dur_ns(ingress.elapsed());
                     let token = self.next_token;
                     self.next_token += 1;
-                    match self
-                        .state
-                        .service
-                        .submit_completion(req, parse_ns, &self.queue, token)
-                    {
-                        Ok(Submitted::Done(reply)) => slots.push(Some(render_reply(&reply))),
-                        Ok(Submitted::Pending) => {
-                            self.tokens.insert(
-                                token,
-                                TokenDest {
-                                    slot,
-                                    gen,
-                                    resp,
-                                    line: i,
-                                },
-                            );
-                            slots.push(None);
-                            missing += 1;
-                        }
-                        Err(e) => {
-                            let (kind, message): (&str, Option<&str>) = match &e {
-                                ServeError::Overloaded => ("overloaded", None),
-                                ServeError::ShuttingDown => ("shutting_down", None),
-                                ServeError::Timeout => ("timeout", None),
-                                ServeError::Invalid(m) => ("invalid", Some(m.as_str())),
-                            };
-                            if single {
-                                status = match e {
-                                    ServeError::Invalid(_) => 400,
-                                    _ => 503,
-                                };
-                            }
-                            slots.push(Some(error_line(kind, message).to_string()));
-                        }
-                    }
+                    let sink = ReplySink::Completion {
+                        queue: Arc::clone(&self.queue),
+                        token,
+                    };
+                    self.group.push((req, 0, sink));
+                    let dest = TokenDest {
+                        slot,
+                        gen,
+                        resp,
+                        line: i,
+                    };
+                    self.dests.push((token, dest));
+                    slots.push(None);
+                    missing += 1;
                 }
             }
         }
@@ -792,6 +781,75 @@ impl Reactor {
             }));
             conn.next_resp += 1;
         }
+    }
+
+    /// Submits the `/v1` lines parsed since the last call as one group.
+    /// Lines the service answers at once (cache hits, rejections) fill
+    /// their slots here; the others are routed by token when their
+    /// replies complete.
+    fn submit_parsed(&mut self, ingress: Instant) {
+        if self.group.is_empty() {
+            return;
+        }
+        // Nothing is submitted before the whole pass is parsed, so every
+        // line's parse stage ends here.
+        let parse_ns = dur_ns(ingress.elapsed());
+        let mut group = std::mem::take(&mut self.group);
+        for entry in &mut group {
+            entry.1 = parse_ns;
+        }
+        let outcomes = self.state.service.submit_group(group);
+        for ((token, dest), outcome) in std::mem::take(&mut self.dests).into_iter().zip(outcomes) {
+            let (line, status) = match outcome {
+                Ok(None) => {
+                    self.tokens.insert(token, dest);
+                    continue;
+                }
+                Ok(Some(reply)) => (render_reply(&reply), None),
+                Err(e) => {
+                    let (kind, message): (&str, Option<&str>) = match &e {
+                        ServeError::Overloaded => ("overloaded", None),
+                        ServeError::ShuttingDown => ("shutting_down", None),
+                        ServeError::Timeout => ("timeout", None),
+                        ServeError::Invalid(m) => ("invalid", Some(m.as_str())),
+                    };
+                    let status = match e {
+                        ServeError::Invalid(_) => 400,
+                        _ => 503,
+                    };
+                    (error_line(kind, message).to_string(), Some(status))
+                }
+            };
+            self.fill(&dest, line, status);
+        }
+    }
+
+    /// Fills line `dest.line` of its pending batch, unless the
+    /// connection or batch is gone or the line was already filled (by
+    /// the timeout sweep). `status`, if given, becomes a single-line
+    /// batch's HTTP status. Returns whether the line was filled.
+    fn fill(&mut self, dest: &TokenDest, line: String, status: Option<u16>) -> bool {
+        let Some(conn) = self.conns.get_mut(dest.slot).and_then(|c| c.as_mut()) else {
+            return false;
+        };
+        if conn.gen != dest.gen {
+            return false;
+        }
+        let Some(idx) = dest.resp.checked_sub(conn.resp_base) else {
+            return false;
+        };
+        let Some(Response::Pending(batch)) = conn.responses.get_mut(idx as usize) else {
+            return false;
+        };
+        let Some(slot) = batch.slots.get_mut(dest.line).filter(|l| l.is_none()) else {
+            return false;
+        };
+        *slot = Some(line);
+        batch.missing = batch.missing.saturating_sub(1);
+        if let (Some(status), true) = (status, batch.single) {
+            batch.status = status;
+        }
+        true
     }
 
     fn queue_ready(
@@ -924,24 +982,7 @@ impl Reactor {
             let Some(dest) = self.tokens.remove(&token) else {
                 continue;
             };
-            let Some(conn) = self.conns.get_mut(dest.slot).and_then(|c| c.as_mut()) else {
-                continue;
-            };
-            if conn.gen != dest.gen {
-                continue;
-            }
-            let Some(idx) = dest.resp.checked_sub(conn.resp_base) else {
-                continue;
-            };
-            let Some(Response::Pending(batch)) = conn.responses.get_mut(idx as usize) else {
-                continue;
-            };
-            let Some(line) = batch.slots.get_mut(dest.line) else {
-                continue;
-            };
-            if line.is_none() {
-                *line = Some(render_reply(&reply));
-                batch.missing = batch.missing.saturating_sub(1);
+            if self.fill(&dest, render_reply(&reply), None) {
                 touched.push(dest.slot);
             }
         }

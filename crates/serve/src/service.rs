@@ -1,60 +1,58 @@
-//! The in-process serving engine: admission control → dynamic
-//! micro-batcher → replicated shard worker pool.
+//! The in-process serving engine: admission control and sequencing on
+//! the submitting thread → replicated shard worker pool.
 //!
 //! ```text
-//!             submit()                 scheduler thread              worker threads
-//! clients ──[admission: in-flight ≤ queue_cap]──▶ bounded MPSC ──▶ forming batch
-//!                │ Overloaded                          │  closes on max_batch
-//!                ▼                                     │  or max_wait deadline
-//!            rejected                                  ▼
-//!                              stamp mutations with seq, validate once,
-//!                              broadcast them to every worker; route
-//!                              reads (hint or round-robin)
-//!                                                      │
-//!                                        ┌─────────────┼─────────────┐
-//!                                        ▼             ▼             ▼
-//!                                    worker 0      worker 1  …   worker N−1
-//!                                 apply mutation  apply mutation  apply mutation
-//!                                 prefix in seq   prefix in seq   prefix in seq
-//!                                 order, then     order, then     order, then
-//!                                 serve reads     serve reads     serve reads
+//!   submitting thread (the reactor, or an in-process caller)
+//! request ──[cache lookup]──[admission: in-flight ≤ queue_cap]──┐
+//!              │ hit                │ Overloaded                 │
+//!              ▼                    ▼                            ▼
+//!          answered             rejected        lock the Sequencer: validate and
+//!          inline                               stamp mutations with seq, invalidate
+//!                                               the cache, route reads (hint or
+//!                                               round-robin), send to the workers
+//!                                                                │
+//!                                                  ┌─────────────┼─────────────┐
+//!                                                  ▼             ▼             ▼
+//!                                              worker 0      worker 1  …   worker N−1
+//!                                         take everything queued (≤ max_batch requests),
+//!                                         apply the mutation prefix in seq order,
+//!                                         then serve the reads in one engine call
 //! ```
 //!
-//! **Batching** is the paper's Fig. 5 trade-off as a runtime policy: a
-//! forming batch closes when it holds `max_batch` requests *or* its
-//! oldest request has waited `max_wait` — larger/longer batches amortize
-//! the per-batch stationary and BFS work, at the cost of queueing
-//! latency. The batcher is also *work-conserving*: when the intake
-//! channel is empty and every admitted request is already aboard the
-//! forming batch, no further arrival can possibly join before
-//! dispatch, so the batch closes immediately (`CloseReason::Idle`)
-//! instead of sleeping out the rest of the `max_wait` window.
+//! **Batching** happens in one place, the worker. After a blocking
+//! receive it takes every batch already waiting in its channel, up to
+//! `max_batch` requests, and runs them together — larger batches
+//! amortize the per-call stationary and BFS work (the paper's Fig. 5
+//! trade-off). Nothing waits for a batch to fill: a request reaching an
+//! idle worker runs at once, and requests arriving while a worker is
+//! busy coalesce behind it, so batch size follows load.
 //!
 //! **Sequenced mutation replication**: each worker owns one
 //! [`StreamingEngine`] replica (same checkpoint, private graph +
-//! scratch). The scheduler stamps every mutation (ingest /
-//! observe_edge) with a monotonic sequence number, validates it once
-//! against its sequenced model of the global graph, and broadcasts it
-//! to *every* worker; exactly one replica — the affinity hint, or
-//! round-robin — holds the client's reply handle and pays for the
-//! prediction. A worker applies its batch's mutation prefix in
-//! sequence order *before* executing its slice of reads, and worker
-//! channels are FIFO, so every replica converges on the same graph and
-//! any replica can serve any node: read-your-writes holds at batch
-//! granularity with no client routing contract.
+//! scratch). The `Sequencer` — one lock shared by every submitting
+//! thread — stamps every mutation (ingest / observe_edge) with a
+//! monotonic sequence number, validates it once against its model of
+//! the global graph, and sends it to *every* worker; exactly one
+//! replica — the affinity hint, or round-robin — holds the client's
+//! reply handle and pays for the prediction. Sending under the lock
+//! keeps every worker channel in sequence order. A worker applies its
+//! batch's mutation prefix in sequence order *before* executing its
+//! slice of reads, and channels are FIFO, so every replica converges on
+//! the same graph and any replica can serve any node: read-your-writes
+//! holds at batch granularity with no client routing contract.
 //!
 //! **Admission / shedding**: at most `queue_cap` requests may be in
 //! flight (queued or being served); beyond that, [`ServeError::Overloaded`]
 //! is returned immediately — never a hang. Before that hard wall, the
-//! [`nai_core::config::LoadShedPolicy`] caps the NAP depth budget of
-//! batches dispatched under queue pressure, trading accuracy for drain
-//! rate (the accuracy↔latency dial driven by load).
+//! [`nai_core::config::LoadShedPolicy`] caps the NAP depth budget of a
+//! batch its worker closes under queue pressure, trading accuracy for
+//! drain rate (the accuracy↔latency dial driven by load).
 //!
-//! **Prediction cache** (opt-in via `ServeConfig::cache`): `submit`
-//! consults a sequence-versioned [`PredictionCache`](crate::cache::PredictionCache) before admission —
+//! **Prediction cache** (opt-in via `ServeConfig::cache`): the submit
+//! path consults a sequence-versioned [`PredictionCache`](crate::cache::PredictionCache) before admission —
 //! a read whose nodes are all cached is answered on the caller's
-//! thread, skipping the queue, the batching wait, and the replica
-//! entirely. The scheduler keeps its own [`DynamicGraph`] mirror of the
+//! thread, skipping the queue, the workers, and the engine entirely.
+//! The sequencer keeps its own [`DynamicGraph`] mirror of the
 //! replicated graph and, at the moment it sequences a mutation,
 //! invalidates the mutation's dirty frontier (fixed-depth mode) or
 //! flushes everything (globally-dependent NAP modes, or a walk past its
@@ -69,9 +67,7 @@ use crate::cache::{Invalidation, VersionedCache};
 use crate::obs::ServeObs;
 use crate::proto::{NodeResult, Op, Reply, Request};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::mpsc::{
-    self, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError,
-};
+use crate::sync::mpsc::{self, Receiver, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::time::Instant;
 use crate::sync::{lock_recover, Arc, Mutex};
@@ -142,12 +138,13 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Submissions rejected at the admission bound.
     pub overloaded: u64,
-    /// Batches dispatched so far.
+    /// Engine batches run so far (a worker's merged batch that answers
+    /// at least one request).
     pub batches: u64,
-    /// Batches dispatched with a degraded (load-shed) depth budget.
+    /// Engine batches run with a degraded (load-shed) depth budget.
     pub degraded_batches: u64,
-    /// Requests dispatched inside degraded batches (counted per
-    /// request at dispatch time, whatever its kind or node count).
+    /// Requests answered inside degraded batches (counted per request
+    /// when its batch closes, whatever its kind or node count).
     pub shed_ops: u64,
     /// Edge mutations answered (sequenced once each, whatever the
     /// replica count).
@@ -178,21 +175,12 @@ pub struct MetricsSnapshot {
     /// [`Stage::index`]: one sample per stage per answered request
     /// (request granularity — a multi-node read contributes once).
     pub stages: [HistogramSnapshot; STAGE_COUNT],
-    /// Requests per dispatched batch.
+    /// Requests per engine batch (the requests its worker answers).
     pub batch_sizes: HistogramSnapshot,
-    /// Batches closed because the forming batch reached `max_batch`.
+    /// Batches whose worker stopped merging at `max_batch` requests.
     pub closed_on_max_batch: u64,
-    /// Batches closed by the `max_wait` deadline while other admitted
-    /// requests were still in transit toward them.
-    pub closed_on_deadline: u64,
-    /// Batches closed work-conservingly: every admitted request was
-    /// already aboard the forming batch, so waiting out the deadline
-    /// could only have added latency.
+    /// Batches that took everything queued for their worker.
     pub closed_on_idle: u64,
-    /// Partial batches drained by shutdown — a teardown artifact,
-    /// counted apart so the deadline counter describes batching policy
-    /// only.
-    pub closed_on_shutdown: u64,
     /// Cumulative per-stage MACs. Inference stages (propagation / NAP /
     /// classification) are summed over replicas — each read or
     /// prediction runs on exactly one. The `replication` stage is the
@@ -271,7 +259,7 @@ impl CompletionQueue {
 /// Where a reply lands: a per-request channel (the blocking
 /// [`Ticket`] path) or a shared [`CompletionQueue`] keyed by token
 /// (the event-driven transport path).
-enum ReplySink {
+pub(crate) enum ReplySink {
     Channel(Sender<Reply>),
     Completion {
         queue: Arc<CompletionQueue>,
@@ -291,7 +279,7 @@ impl ReplySink {
 }
 
 /// The admission slot + reply sink of one accepted request; exactly
-/// one party (a worker, or the scheduler for never-dispatched jobs)
+/// one party (a worker, or the sequencer for a job it cannot route)
 /// answers it, releasing the slot.
 struct ReplyHandle {
     responder: ReplySink,
@@ -302,11 +290,8 @@ struct ReplyHandle {
     /// skip the transport. Added to the reported end-to-end latency so
     /// the stage spans keep tiling it.
     parse_ns: u64,
+    /// Admission time: where the `queue_wait` stage starts.
     enqueued: Instant,
-    /// When the scheduler popped the job off the request channel
-    /// (initialized to `enqueued`; the pop overwrites it). The
-    /// enqueued→dequeued span is the `queue_wait` stage.
-    dequeued: Instant,
 }
 
 struct Job {
@@ -332,20 +317,14 @@ struct SeqMutation {
     handle: Option<ReplyHandle>,
 }
 
+/// What one submission group sends one worker. A worker merges every
+/// batch waiting in its channel before running them (see
+/// [`ShardBatch::absorb_queued`]).
 struct ShardBatch {
-    /// This batch's full mutation prefix, in sequence order.
+    /// The group's full mutation prefix, in sequence order.
     mutations: Vec<SeqMutation>,
     /// This worker's slice of reads, executed after the prefix.
     reads: Vec<ReadJob>,
-    cfg: InferenceConfig,
-    /// Dispatched under a load-shed (capped-depth) budget: results are
-    /// honest answers but must never be cached as full-depth ones.
-    degraded: bool,
-    /// Requests in the dispatch this slice came from (the whole formed
-    /// batch, not just this worker's share) — reported in traces.
-    size: u32,
-    /// Why the batcher closed the dispatch this slice came from.
-    close: CloseReason,
 }
 
 impl ShardBatch {
@@ -354,6 +333,42 @@ impl ShardBatch {
         self.reads.len() as u64
             + self.mutations.iter().filter(|m| m.handle.is_some()).count() as u64
     }
+
+    /// Appends every batch already waiting on `rx` until the channel is
+    /// empty or this batch owns `max_batch` jobs. The channel is FIFO,
+    /// so the merged mutation prefix stays in sequence order. Returns
+    /// the owned-job count and why merging stopped.
+    fn absorb_queued(&mut self, rx: &Receiver<ShardBatch>, max_batch: usize) -> (u64, CloseReason) {
+        let mut size = self.owned_jobs();
+        while size < max_batch as u64 {
+            match rx.try_recv() {
+                Ok(next) => {
+                    size += next.owned_jobs();
+                    self.mutations.extend(next.mutations);
+                    self.reads.extend(next.reads);
+                }
+                // Empty — or disconnected at shutdown, in which case
+                // the next `recv` ends the worker after this batch.
+                Err(_) => return (size, CloseReason::Idle),
+            }
+        }
+        (size, CloseReason::MaxBatch)
+    }
+}
+
+/// How a worker runs one merged batch, fixed when the batch closes.
+struct BatchRun {
+    /// The base inference config, or its load-shed degradation.
+    cfg: InferenceConfig,
+    /// Run under a load-shed (capped-depth) budget: results are honest
+    /// answers but must never be cached as full-depth ones.
+    degraded: bool,
+    /// When the worker took the batch off its channel: the end of
+    /// `queue_wait` and the start of `batch_wait`.
+    dequeued: Instant,
+    /// Requests the worker answers in this batch — reported in traces.
+    size: u32,
+    close: CloseReason,
 }
 
 /// The timing context of one engine call, shared by every reply it
@@ -361,17 +376,35 @@ impl ShardBatch {
 /// every batch member (each member really does wait for the coalesced
 /// call), and the start/end instants bound the `batch_wait` and
 /// `serialize` stages.
-struct BatchTiming {
+struct BatchTiming<'a> {
+    run: &'a BatchRun,
     /// Just before the engine call.
     engine_start: Instant,
     /// Just after the engine call returned.
     engine_end: Instant,
     /// The engine's cumulative stage-time delta across the call.
     engine: StageTimes,
-    /// Requests in the dispatch (whole formed batch).
-    batch_size: u32,
-    /// Why the batcher closed the dispatch.
-    close: CloseReason,
+}
+
+/// Runs one engine call and captures its [`BatchTiming`].
+fn timed<'a, T>(
+    engine: &mut StreamingEngine,
+    run: &'a BatchRun,
+    call: impl FnOnce(&mut StreamingEngine) -> T,
+) -> (T, BatchTiming<'a>) {
+    // The engine attributes its interior to stages cumulatively; the
+    // before/after delta is this call's share.
+    let stages_before = engine.stage_times();
+    let engine_start = Instant::now();
+    let out = call(engine);
+    let engine_end = Instant::now();
+    let timing = BatchTiming {
+        run,
+        engine_start,
+        engine_end,
+        engine: engine.stage_times().since(&stages_before),
+    };
+    (out, timing)
 }
 
 /// One worker's cumulative per-stage MACs, published as a single
@@ -429,8 +462,9 @@ struct Shared {
     /// and the slow-request flight recorder.
     obs: ServeObs,
     /// `None` unless `ServeConfig::cache.enabled`. Locked briefly by
-    /// the submit path (lookup / miss counting), the scheduler
-    /// (invalidation + sequence advance), and workers (inserts).
+    /// the submit path (lookup / miss counting, and invalidation +
+    /// sequence advance under the sequencer lock) and by workers
+    /// (inserts).
     cache: Option<VersionedCache>,
     /// Per-worker MACs breakdown, overwritten after each batch from
     /// the engine's own totals — atomically, so scrapes never tear.
@@ -442,6 +476,35 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: &ServeConfig) -> Self {
+        Shared {
+            admission: AdmissionLedger::new(cfg.queue_cap, cfg.workers),
+            overloaded: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            degraded_batches: AtomicU64::new(0),
+            shed_ops: AtomicU64::new(0),
+            edges_observed: AtomicU64::new(0),
+            op_errors: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            obs: ServeObs::new(),
+            cache: cfg
+                .cache
+                .enabled
+                .then(|| VersionedCache::new(cfg.cache.cap)),
+            worker_macs: (0..cfg.workers).map(|_| MacsCell::new()).collect(),
+            returned: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Answers a job the sequencer cannot serve with a typed error.
+    fn refuse(&self, handle: &ReplyHandle, message: String) {
+        self.respond(
+            self.admission.sequencer_slot(),
+            handle,
+            Reply::Error { message },
+        );
+    }
+
     fn respond(&self, who: usize, handle: &ReplyHandle, reply: Reply) {
         match &reply {
             // Relaxed on the counters below: each is a monotone count
@@ -483,17 +546,14 @@ impl Shared {
         let total_ns = handle.parse_ns + dur_ns(now.saturating_duration_since(handle.enqueued));
         let mut stages = StageBreakdown::default();
         stages.set(Stage::Parse, handle.parse_ns);
+        let dequeued = timing.run.dequeued;
         stages.set(
             Stage::QueueWait,
-            dur_ns(handle.dequeued.saturating_duration_since(handle.enqueued)),
+            dur_ns(dequeued.saturating_duration_since(handle.enqueued)),
         );
         stages.set(
             Stage::BatchWait,
-            dur_ns(
-                timing
-                    .engine_start
-                    .saturating_duration_since(handle.dequeued),
-            ),
+            dur_ns(timing.engine_start.saturating_duration_since(dequeued)),
         );
         stages.set(Stage::EnginePropagation, dur_ns(timing.engine.propagation));
         stages.set(Stage::EngineNap, dur_ns(timing.engine.nap));
@@ -546,8 +606,8 @@ impl Shared {
                 depths,
                 cache_hit: false,
                 applied_seq,
-                batch_size: timing.batch_size,
-                close_reason: timing.close.as_str(),
+                batch_size: timing.run.size,
+                close_reason: timing.run.close.as_str(),
             },
         );
         self.respond(who, handle, reply);
@@ -597,9 +657,7 @@ impl Shared {
             stages: self.obs.stages(),
             batch_sizes: self.obs.batch_sizes(),
             closed_on_max_batch: self.obs.closed_on_max_batch(),
-            closed_on_deadline: self.obs.closed_on_deadline(),
             closed_on_idle: self.obs.closed_on_idle(),
-            closed_on_shutdown: self.obs.closed_on_shutdown(),
             macs,
         }
     }
@@ -634,25 +692,29 @@ impl Ticket {
     }
 }
 
-/// The outcome of [`NaiService::submit_completion`].
-#[derive(Debug)]
-pub enum Submitted {
-    /// Admitted: the reply will arrive on the completion queue under
-    /// the submitted token.
-    Pending,
-    /// Answered inline from the prediction cache — nothing was queued
-    /// and nothing will land on the completion queue.
-    Done(Reply),
-}
-
 /// The online inference service (transport-agnostic; see
 /// [`crate::http`] for the TCP front end).
 pub struct NaiService {
-    tx: Mutex<Option<SyncSender<Job>>>,
+    /// `None` once shutdown began: dropping the sequencer drops every
+    /// worker sender, so each worker drains its channel and exits.
+    sequencer: Mutex<Option<Sequencer>>,
     shared: Arc<Shared>,
     info: ServiceInfo,
     cfg: ServeConfig,
+    /// One per worker — the service runs no other thread.
     threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// What admission made of one request.
+enum Admitted {
+    /// Answered from the prediction cache; nothing was admitted.
+    Hit(Reply),
+    /// Holds an admission slot and waits for the sequencer.
+    Job {
+        job: Job,
+        /// A read that consulted the cache and missed.
+        cache_miss: bool,
+    },
 }
 
 impl NaiService {
@@ -696,25 +758,9 @@ impl NaiService {
             k,
             seed_nodes,
         };
-        let shared = Arc::new(Shared {
-            admission: AdmissionLedger::new(cfg.queue_cap, cfg.workers),
-            overloaded: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            degraded_batches: AtomicU64::new(0),
-            shed_ops: AtomicU64::new(0),
-            edges_observed: AtomicU64::new(0),
-            op_errors: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            obs: ServeObs::new(),
-            cache: cfg
-                .cache
-                .enabled
-                .then(|| VersionedCache::new(cfg.cache.cap)),
-            worker_macs: (0..cfg.workers).map(|_| MacsCell::new()).collect(),
-            returned: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(&cfg));
 
-        // The scheduler's invalidation mirror must be cloned before the
+        // The sequencer's invalidation mirror must be cloned before the
         // engines move into their worker threads.
         let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
             mirror: engines[0].graph().clone(),
@@ -728,7 +774,7 @@ impl NaiService {
             budget: cfg.cache.frontier_budget,
         });
 
-        let mut threads = Vec::with_capacity(cfg.workers + 1);
+        let mut threads = Vec::with_capacity(cfg.workers);
         let mut worker_txs = Vec::with_capacity(cfg.workers);
         for (w, engine) in engines.into_iter().enumerate() {
             let (wtx, wrx) = mpsc::channel::<ShardBatch>();
@@ -737,37 +783,15 @@ impl NaiService {
             threads.push(
                 thread::Builder::new()
                     .name(format!("nai-serve-worker-{w}"))
-                    .spawn(move || worker_loop(w, engine, wrx, shared_w))
+                    .spawn(move || worker_loop(w, engine, wrx, shared_w, infer_cfg, cfg))
                     // nai-lint: allow(hot-path-panic) -- spawn fails only on
                     // OS resource exhaustion during service construction.
                     .expect("spawn worker thread"),
             );
         }
 
-        let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
-        let shared_s = Arc::clone(&shared);
-        let sched_cfg = cfg;
-        threads.push(
-            thread::Builder::new()
-                .name("nai-serve-batcher".to_string())
-                .spawn(move || {
-                    Scheduler::new(
-                        worker_txs,
-                        infer_cfg,
-                        sched_cfg,
-                        shared_s,
-                        info,
-                        invalidator,
-                    )
-                    .run(rx)
-                })
-                // nai-lint: allow(hot-path-panic) -- spawn fails only on
-                // OS resource exhaustion during service construction.
-                .expect("spawn scheduler thread"),
-        );
-
         Ok(Self {
-            tx: Mutex::new(Some(tx)),
+            sequencer: Mutex::new(Some(Sequencer::new(worker_txs, info, invalidator))),
             shared,
             info,
             cfg,
@@ -802,7 +826,7 @@ impl NaiService {
         self.cfg
     }
 
-    /// Enqueues a request; returns a [`Ticket`] for the eventual reply.
+    /// Submits a request; returns a [`Ticket`] for the eventual reply.
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] at the admission bound,
@@ -810,52 +834,76 @@ impl NaiService {
     /// [`ServeError::ShuttingDown`] after [`Self::shutdown`] began.
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
         let (rtx, rrx) = mpsc::channel();
-        if let Some(reply) = self.submit_with(req, 0, ReplySink::Channel(rtx.clone()))? {
+        let sink = ReplySink::Channel(rtx.clone());
+        match self.submit_group(vec![(req, 0, sink)]).pop() {
             // Cache fast path: pre-resolve the ticket.
-            let _ = rtx.send(reply);
+            Some(Ok(Some(reply))) => drop(rtx.send(reply)),
+            Some(Ok(None)) => {}
+            Some(Err(e)) => return Err(e),
+            None => unreachable!("submit_group returns one outcome per request"),
         }
         Ok(Ticket { rx: rrx })
     }
 
-    /// Enqueues a request whose reply is delivered to an event-driven
-    /// transport's [`CompletionQueue`] under `token` instead of a
-    /// per-request channel. A read answered entirely from the
-    /// prediction cache short-circuits: the reply comes back inline as
-    /// [`Submitted::Done`] and nothing ever lands on the queue.
-    ///
-    /// `parse_ns` is the transport's parse span (request bytes read
-    /// off the socket → this call); it is stamped as the `parse` stage
-    /// and counted into the request's end-to-end latency.
-    ///
-    /// # Errors
-    /// As [`Self::submit`].
-    pub fn submit_completion(
+    /// The one submit path, for a group of `(request, parse_ns, sink)`
+    /// triples (the `/v1` lines the reactor parsed in one pass over a
+    /// connection's read buffer, or a single request). Each request is
+    /// checked, looked up in the cache and admitted on its own; the
+    /// admitted ones are then sequenced and routed under one
+    /// acquisition of the sequencer lock, so they reach the workers
+    /// together. Returns one outcome per request, in order:
+    /// `Ok(Some(reply))` when the cache answered on this thread (the
+    /// sink is unused), `Ok(None)` when the reply will arrive through
+    /// the sink.
+    pub(crate) fn submit_group(
         &self,
-        req: Request,
-        parse_ns: u64,
-        queue: &Arc<CompletionQueue>,
-        token: u64,
-    ) -> Result<Submitted, ServeError> {
-        let sink = ReplySink::Completion {
-            queue: Arc::clone(queue),
-            token,
+        reqs: Vec<(Request, u64, ReplySink)>,
+    ) -> Vec<Result<Option<Reply>, ServeError>> {
+        let mut outcomes = Vec::with_capacity(reqs.len());
+        let mut jobs = Vec::new();
+        let mut misses = 0;
+        for (req, parse_ns, sink) in reqs {
+            outcomes.push(match self.admit(req, parse_ns, sink) {
+                Ok(Admitted::Hit(reply)) => Ok(Some(reply)),
+                Ok(Admitted::Job { job, cache_miss }) => {
+                    misses += usize::from(cache_miss);
+                    jobs.push(job);
+                    Ok(None)
+                }
+                Err(e) => Err(e),
+            });
+        }
+        if jobs.is_empty() {
+            return outcomes;
+        }
+        // A panic while sequencing may have left a gap in the sequence,
+        // so a poisoned sequencer takes no more work, as after shutdown.
+        let mut sequencer = self.sequencer.lock().ok();
+        let Some(seq) = sequencer.as_mut().and_then(|s| s.as_mut()) else {
+            drop(sequencer);
+            // The admitted jobs never entered a queue: give their slots
+            // back.
+            for outcome in outcomes.iter_mut().filter(|o| matches!(o, Ok(None))) {
+                self.shared.admission.cancel_admit();
+                *outcome = Err(ServeError::ShuttingDown);
+            }
+            return outcomes;
         };
-        Ok(match self.submit_with(req, parse_ns, sink)? {
-            Some(reply) => Submitted::Done(reply),
-            None => Submitted::Pending,
-        })
+        seq.dispatch(jobs, &self.shared);
+        drop(sequencer);
+        // Counted once the reads are queued, so hits + misses == reads
+        // that consulted the cache.
+        if let Some(cache) = &self.shared.cache {
+            for _ in 0..misses {
+                cache.note_miss();
+            }
+        }
+        outcomes
     }
 
-    /// The shared submit path. Returns `Ok(Some(reply))` when the
-    /// prediction cache answered on this thread (the sink is unused),
-    /// `Ok(None)` when the request was admitted and the reply will
-    /// arrive through the sink.
-    fn submit_with(
-        &self,
-        req: Request,
-        parse_ns: u64,
-        sink: ReplySink,
-    ) -> Result<Option<Reply>, ServeError> {
+    /// Checks the shard hint, answers a fully cached read on this
+    /// thread, or takes an admission slot.
+    fn admit(&self, req: Request, parse_ns: u64, sink: ReplySink) -> Result<Admitted, ServeError> {
         if let Some(s) = req.shard {
             if s >= self.info.shards {
                 return Err(ServeError::Invalid(format!(
@@ -865,19 +913,16 @@ impl NaiService {
             }
         }
         // Prediction-cache fast path: a read whose nodes are all cached
-        // is answered right here — no admission slot, no batching wait,
-        // no replica work. The entries' version guard makes the answer
-        // bit-identical to a dispatch at the current sequence point,
-        // and `applied_seq` reports that point. Anything short of a
-        // full hit is counted as a miss once the read is actually
-        // enqueued (so hits + misses == reads that took this path).
-        let mut cached_read = false;
+        // is answered right here — no admission slot, no queue, no
+        // replica work. The entries' version guard makes the answer
+        // bit-identical to a worker's at the current sequence point,
+        // and `applied_seq` reports that point.
+        let mut cache_miss = false;
         if let Some(cache) = &self.shared.cache {
             if let Op::Infer { nodes } = &req.op {
-                cached_read = true;
                 let begun = Instant::now();
                 if let Some((applied_seq, results)) = cache.lookup(nodes) {
-                    return Ok(Some(self.answer_from_cache(
+                    return Ok(Admitted::Hit(self.answer_from_cache(
                         begun,
                         parse_ns,
                         req.shard,
@@ -885,6 +930,7 @@ impl NaiService {
                         results,
                     )));
                 }
+                cache_miss = true;
             }
         }
         // Admission: reserve an in-flight slot or reject immediately.
@@ -893,52 +939,23 @@ impl NaiService {
             self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Overloaded);
         }
-        let enqueued = Instant::now();
-        let job = Job {
-            op: req.op,
-            shard: req.shard,
-            handle: ReplyHandle {
-                responder: sink,
-                trace_id: self.shared.obs.next_trace_id(),
-                parse_ns,
-                enqueued,
-                dequeued: enqueued,
+        Ok(Admitted::Job {
+            job: Job {
+                op: req.op,
+                shard: req.shard,
+                handle: ReplyHandle {
+                    responder: sink,
+                    trace_id: self.shared.obs.next_trace_id(),
+                    parse_ns,
+                    enqueued: Instant::now(),
+                },
             },
-        };
-        let guard = lock_recover(&self.tx);
-        let outcome = match guard.as_ref() {
-            None => Err(ServeError::ShuttingDown),
-            Some(tx) => match tx.try_send(job) {
-                Ok(()) => Ok(None),
-                // The sync_channel capacity equals queue_cap, so with the
-                // admission counter reserved this is unreachable in
-                // practice — kept as a typed backstop, not a panic.
-                Err(TrySendError::Full(_)) => Err(ServeError::Overloaded),
-                Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-            },
-        };
-        drop(guard);
-        match &outcome {
-            Err(e) => {
-                // The job never entered the queue: give its slot back.
-                self.shared.admission.cancel_admit();
-                if *e == ServeError::Overloaded {
-                    // Relaxed: see the admission-refusal count above.
-                    self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Ok(_) if cached_read => {
-                if let Some(cache) = &self.shared.cache {
-                    cache.note_miss();
-                }
-            }
-            Ok(_) => {}
-        }
-        outcome
+            cache_miss,
+        })
     }
 
     /// Answers a fully cached read on the caller's thread: bumps
-    /// `served`, records the (sub-batching) latency, depths, and trace,
+    /// `served`, records the latency, depths, and trace,
     /// and returns the reply. The reply's `shard` is the caller's hint
     /// (or replica 0): no replica did any work, but the field must
     /// name a valid one.
@@ -1027,10 +1044,9 @@ impl NaiService {
     /// request still gets its reply), and joins all threads.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        // Dropping the submission sender disconnects the scheduler's
-        // receive loop; the scheduler dispatches its forming batch,
-        // then drops the worker senders, which drains the workers.
-        drop(lock_recover(&self.tx).take());
+        // Dropping the sequencer drops every worker sender: each worker
+        // answers what is already queued for it, then exits.
+        drop(lock_recover(&self.sequencer).take());
         let mut threads = lock_recover(&self.threads);
         for handle in threads.drain(..) {
             let _ = handle.join();
@@ -1053,7 +1069,7 @@ impl Drop for NaiService {
     }
 }
 
-/// The scheduler's cache-invalidation state: a private mirror of the
+/// The sequencer's cache-invalidation state: a private mirror of the
 /// replicated graph, kept in lockstep with sequenced mutations, plus
 /// the dirty-frontier walk parameters.
 struct CacheInvalidator {
@@ -1070,26 +1086,24 @@ struct CacheInvalidator {
     budget: usize,
 }
 
-/// The batcher thread: forms batches, sequences + validates mutations,
-/// broadcasts them, and routes reads.
-struct Scheduler {
-    /// `None` once a worker is known dead: its sender is dropped so
-    /// the worker's drain loop (see [`worker_loop`]) disconnects and
-    /// exits.
+/// The state every submitting thread shares, behind
+/// `NaiService::sequencer`'s lock: it sequences + validates mutations,
+/// invalidates the cache, routes reads, and sends each group of work
+/// to the workers. The lock is held across the sends, so every worker
+/// channel receives mutations in strictly increasing, gap-free
+/// sequence order — the order `process_shard_batch` applies them in.
+struct Sequencer {
+    /// One sender per worker; `None` once the worker is known dead —
+    /// its `AdmissionLedger` dead flag raised by the panic path, or its
+    /// channel disconnected. Dropping the sender ends the worker's
+    /// drain loop (see [`worker_loop`]); a dead worker is skipped by
+    /// routing and broadcast from then on, and its jobs are answered
+    /// with a typed error instead of leaking their admission slots.
     worker_txs: Vec<Option<Sender<ShardBatch>>>,
-    /// A worker found dead — its `Shared::dead` flag set by the panic
-    /// path, or its channel disconnected — is skipped by routing and
-    /// broadcast from then on; its jobs are answered with a typed
-    /// error instead of leaking their admission slots.
-    alive: Vec<bool>,
-    workers: usize,
-    base_cfg: InferenceConfig,
-    cfg: ServeConfig,
-    shared: Arc<Shared>,
     rr: usize,
     /// Next mutation sequence number (1-based; 0 = "seed state").
     next_seq: u64,
-    /// The scheduler's model of the replicated graph's node count:
+    /// The sequencer's model of the replicated graph's node count:
     /// seed nodes plus every valid sequenced ingest. Mutations are
     /// validated against this once, here — replicas apply them without
     /// re-checking.
@@ -1100,23 +1114,14 @@ struct Scheduler {
     invalidator: Option<CacheInvalidator>,
 }
 
-impl Scheduler {
+impl Sequencer {
     fn new(
         worker_txs: Vec<Sender<ShardBatch>>,
-        base_cfg: InferenceConfig,
-        cfg: ServeConfig,
-        shared: Arc<Shared>,
         info: ServiceInfo,
         invalidator: Option<CacheInvalidator>,
     ) -> Self {
-        let workers = worker_txs.len();
         Self {
             worker_txs: worker_txs.into_iter().map(Some).collect(),
-            alive: vec![true; workers],
-            workers,
-            base_cfg,
-            cfg,
-            shared,
             rr: 0,
             next_seq: 1,
             nodes: info.seed_nodes as u64,
@@ -1125,21 +1130,15 @@ impl Scheduler {
         }
     }
 
-    /// The scheduler's slot in `Shared::answered`.
-    fn self_slot(&self) -> usize {
-        self.workers
-    }
-
-    /// Retires workers whose panic path raised `Shared::dead` since the
-    /// last dispatch: drop their senders (disconnecting their drain
-    /// loops) and take them out of routing. A batch sent before the
-    /// flag was observed is answered by the worker's drain loop, so the
-    /// hand-off leaks nothing.
-    fn reap_dead_workers(&mut self) {
-        for w in 0..self.workers {
-            if self.alive[w] && self.shared.admission.is_dead(w) {
-                self.alive[w] = false;
-                self.worker_txs[w] = None;
+    /// Retires workers whose panic path raised their dead flag: drop
+    /// their senders (disconnecting their drain loops) and take them
+    /// out of routing. A batch sent before the flag was observed is
+    /// answered by the worker's drain loop, so the hand-off leaks
+    /// nothing.
+    fn reap_dead_workers(&mut self, admission: &AdmissionLedger) {
+        for (w, tx) in self.worker_txs.iter_mut().enumerate() {
+            if tx.is_some() && admission.is_dead(w) {
+                *tx = None;
             }
         }
     }
@@ -1148,15 +1147,16 @@ impl Scheduler {
     /// live worker, the next live worker round-robin otherwise; `None`
     /// when every worker is gone.
     fn route(&mut self, hint: Option<usize>) -> Option<usize> {
+        let workers = self.worker_txs.len();
         if let Some(s) = hint {
-            if self.alive[s] {
+            if self.worker_txs[s].is_some() {
                 return Some(s);
             }
         }
-        for _ in 0..self.workers {
-            let s = self.rr % self.workers;
+        for _ in 0..workers {
+            let s = self.rr % workers;
             self.rr += 1;
-            if self.alive[s] {
+            if self.worker_txs[s].is_some() {
                 return Some(s);
             }
         }
@@ -1214,11 +1214,8 @@ impl Scheduler {
     /// The walk runs on the *post-mutation* mirror: edge additions only
     /// shrink hop distances, so the new adjacency reaches every node
     /// whose old ≤`radius`-hop computation involved the touched region.
-    fn invalidate_cache(&mut self, op: &Op, seq: u64) {
-        let Some(inv) = self.invalidator.as_mut() else {
-            return;
-        };
-        let Some(cache) = self.shared.cache.as_ref() else {
+    fn invalidate_cache(&mut self, op: &Op, seq: u64, cache: Option<&VersionedCache>) {
+        let (Some(inv), Some(cache)) = (self.invalidator.as_mut(), cache) else {
             return;
         };
         // `None` = the graph did not change (duplicate edge): nothing
@@ -1254,85 +1251,48 @@ impl Scheduler {
         cache.sequence_mutation(seq, action);
     }
 
-    fn dispatch(&mut self, forming: &mut Vec<Job>, close: CloseReason) {
-        if forming.is_empty() {
-            return;
-        }
-        self.reap_dead_workers();
-        if !self.alive.iter().any(|&a| a) {
-            // Every worker is gone: answer rather than hang or leak.
-            for job in forming.drain(..) {
-                self.shared.respond(
-                    self.self_slot(),
-                    &job.handle,
-                    Reply::Error {
-                        message: "no live shard workers".to_string(),
-                    },
-                );
-            }
-            return;
-        }
-        // Relaxed on the dispatch counters: monotone, scrape-only.
-        self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        let size = forming.len() as u32;
-        self.shared.obs.note_batch(size, close);
-        let degraded = self
-            .cfg
-            .shed
-            .engaged(self.shared.admission.in_flight(), self.cfg.queue_cap);
-        let batch_cfg = if degraded {
-            // Relaxed: monotone shed counter, scrape-only.
-            self.shared.degraded_batches.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .shed_ops
-                // Relaxed: monotone shed counter, scrape-only.
-                .fetch_add(forming.len() as u64, Ordering::Relaxed);
-            self.cfg.shed.degrade(&self.base_cfg)
-        } else {
-            self.base_cfg
-        };
-
-        let mut reads: Vec<Vec<ReadJob>> = (0..self.workers).map(|_| Vec::new()).collect();
+    /// Sequences, validates and routes one group of admitted jobs, then
+    /// sends each live worker its share: the group's whole mutation
+    /// prefix (every replica applies every mutation) and the reads
+    /// routed to it. Jobs that cannot be served are answered here.
+    fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared) {
+        self.reap_dead_workers(&shared.admission);
+        let mut reads: Vec<Vec<ReadJob>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
         // (seq, op, answering replica, handle) in sequence order; the
         // handle is moved into exactly one worker's broadcast copy.
         let mut muts: Vec<(u64, Arc<Op>, usize, Option<ReplyHandle>)> = Vec::new();
-        for job in forming.drain(..) {
-            match job.op {
-                Op::Infer { .. } => match self.route(job.shard) {
+        for job in jobs {
+            if let Op::Infer { .. } = job.op {
+                match self.route(job.shard) {
                     Some(s) => reads[s].push(ReadJob {
                         op: job.op,
                         handle: job.handle,
                     }),
-                    None => self.respond_no_workers(&job.handle),
-                },
-                Op::Ingest { .. } | Op::ObserveEdge { .. } => {
-                    if let Err(message) = self.validate_mutation(&job.op) {
-                        self.shared.respond(
-                            self.self_slot(),
-                            &job.handle,
-                            Reply::Error { message },
-                        );
-                        continue;
-                    }
-                    let Some(responder) = self.route(job.shard) else {
-                        self.respond_no_workers(&job.handle);
-                        continue;
-                    };
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    if matches!(job.op, Op::Ingest { .. }) {
-                        self.nodes += 1;
-                    }
-                    self.invalidate_cache(&job.op, seq);
-                    muts.push((seq, Arc::new(job.op), responder, Some(job.handle)));
+                    None => shared.refuse(&job.handle, "no live shard workers".to_string()),
                 }
-            }
-        }
-
-        for (w, worker_reads) in reads.iter_mut().enumerate() {
-            if !self.alive[w] {
                 continue;
             }
+            if let Err(message) = self.validate_mutation(&job.op) {
+                shared.refuse(&job.handle, message);
+                continue;
+            }
+            let Some(responder) = self.route(job.shard) else {
+                shared.refuse(&job.handle, "no live shard workers".to_string());
+                continue;
+            };
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            if matches!(job.op, Op::Ingest { .. }) {
+                self.nodes += 1;
+            }
+            self.invalidate_cache(&job.op, seq, shared.cache.as_ref());
+            muts.push((seq, Arc::new(job.op), responder, Some(job.handle)));
+        }
+
+        for (w, worker_reads) in reads.into_iter().enumerate() {
+            let Some(tx) = &self.worker_txs[w] else {
+                continue;
+            };
             let mutations: Vec<SeqMutation> = muts
                 .iter_mut()
                 .map(|(seq, op, responder, handle)| SeqMutation {
@@ -1341,24 +1301,13 @@ impl Scheduler {
                     handle: if *responder == w { handle.take() } else { None },
                 })
                 .collect();
-            let batch_reads = std::mem::take(worker_reads);
-            if mutations.is_empty() && batch_reads.is_empty() {
+            if mutations.is_empty() && worker_reads.is_empty() {
                 continue;
             }
             let batch = ShardBatch {
                 mutations,
-                reads: batch_reads,
-                cfg: batch_cfg,
-                degraded,
-                size,
-                close,
+                reads: worker_reads,
             };
-            let tx = self.worker_txs[w]
-                .as_ref()
-                // nai-lint: allow(hot-path-panic) -- dispatch targets only
-                // workers that passed the is_dead reap just above; a reaped
-                // worker's sender is the only one ever dropped.
-                .expect("alive workers keep a sender");
             if let Err(dead) = tx.send(batch) {
                 // Backstop for a worker that died without raising its
                 // dead flag (should not happen — the panic path always
@@ -1370,96 +1319,18 @@ impl Scheduler {
                 // replicas stay convergent with each other (a mutation
                 // answered by a live replica may thus outlive its dead
                 // responder, like a timeout).
-                self.alive[w] = false;
                 self.worker_txs[w] = None;
                 let gone = dead.0;
-                for m in gone.mutations.into_iter().filter_map(|m| m.handle) {
-                    self.respond_worker_gone(w, &m);
-                }
-                for r in gone.reads {
-                    self.respond_worker_gone(w, &r.handle);
+                for handle in gone
+                    .mutations
+                    .into_iter()
+                    .filter_map(|m| m.handle)
+                    .chain(gone.reads.into_iter().map(|r| r.handle))
+                {
+                    shared.refuse(&handle, format!("shard {w} worker is gone"));
                 }
             }
         }
-    }
-
-    fn respond_no_workers(&self, handle: &ReplyHandle) {
-        self.shared.respond(
-            self.self_slot(),
-            handle,
-            Reply::Error {
-                message: "no live shard workers".to_string(),
-            },
-        );
-    }
-
-    fn respond_worker_gone(&self, worker: usize, handle: &ReplyHandle) {
-        self.shared.respond(
-            self.self_slot(),
-            handle,
-            Reply::Error {
-                message: format!("shard {worker} worker is gone"),
-            },
-        );
-    }
-
-    fn run(mut self, rx: Receiver<Job>) {
-        let mut forming: Vec<Job> = Vec::with_capacity(self.cfg.max_batch);
-        loop {
-            let next = if forming.is_empty() {
-                match rx.recv() {
-                    Ok(job) => Some(job),
-                    Err(_) => break,
-                }
-            } else {
-                match rx.try_recv() {
-                    Ok(job) => Some(job),
-                    Err(TryRecvError::Disconnected) => {
-                        self.dispatch(&mut forming, CloseReason::Shutdown);
-                        break;
-                    }
-                    Err(TryRecvError::Empty) => {
-                        // Work-conserving close: the channel is empty
-                        // and every in-flight request is already aboard
-                        // the forming batch, so nothing else can arrive
-                        // before dispatch — sleeping out the rest of
-                        // `max_wait` would only add latency. (Slots are
-                        // reserved *before* the channel send, so an
-                        // admitted-but-unsent request keeps in_flight
-                        // above the batch size and we wait for it.)
-                        if self.shared.admission.in_flight() <= forming.len() {
-                            self.dispatch(&mut forming, CloseReason::Idle);
-                            continue;
-                        }
-                        let deadline = forming[0].handle.enqueued + self.cfg.max_wait;
-                        match deadline.checked_duration_since(Instant::now()) {
-                            None => None, // oldest request's wait budget is spent
-                            Some(remaining) => match rx.recv_timeout(remaining) {
-                                Ok(job) => Some(job),
-                                Err(RecvTimeoutError::Timeout) => None,
-                                Err(RecvTimeoutError::Disconnected) => {
-                                    self.dispatch(&mut forming, CloseReason::Shutdown);
-                                    break;
-                                }
-                            },
-                        }
-                    }
-                }
-            };
-            match next {
-                Some(mut job) => {
-                    // The queue_wait stage ends here: the job has left
-                    // the request channel and joined the forming batch.
-                    job.handle.dequeued = Instant::now();
-                    forming.push(job);
-                    if forming.len() >= self.cfg.max_batch {
-                        self.dispatch(&mut forming, CloseReason::MaxBatch);
-                    }
-                }
-                None => self.dispatch(&mut forming, CloseReason::Deadline),
-            }
-        }
-        // Senders to workers drop here; workers drain and exit.
     }
 }
 
@@ -1468,31 +1339,62 @@ fn worker_loop(
     mut engine: StreamingEngine,
     rx: Receiver<ShardBatch>,
     shared: Arc<Shared>,
+    base_cfg: InferenceConfig,
+    cfg: ServeConfig,
 ) {
     // Sequence number of the last mutation applied to this replica
     // (0 = seed state); exported in replies as `applied_seq`.
     let mut applied_seq = 0u64;
-    while let Ok(batch) = rx.recv() {
-        let owned = batch.owned_jobs();
+    while let Ok(mut batch) = rx.recv() {
+        let (owned, close) = batch.absorb_queued(&rx, cfg.max_batch);
+        // The batch closes here, so the load-shed decision is made
+        // here: in_flight counts this batch and everything queued
+        // behind it.
+        let degraded = cfg
+            .shed
+            .engaged(shared.admission.in_flight(), cfg.queue_cap);
+        let run = BatchRun {
+            cfg: if degraded {
+                cfg.shed.degrade(&base_cfg)
+            } else {
+                base_cfg
+            },
+            degraded,
+            dequeued: Instant::now(),
+            size: owned as u32,
+            close,
+        };
+        // A batch that only replicates other workers' mutations
+        // answers nobody: it is not counted as a batch.
+        if owned > 0 {
+            // Relaxed on the batch counters: monotone, scrape-only.
+            shared.batches.fetch_add(1, Ordering::Relaxed);
+            shared.obs.note_batch(run.size, close);
+            if degraded {
+                // Relaxed: monotone shed counters, scrape-only.
+                shared.degraded_batches.fetch_add(1, Ordering::Relaxed);
+                shared.shed_ops.fetch_add(owned, Ordering::Relaxed);
+            }
+        }
         let answered_before = shared.admission.answered_by(worker);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_shard_batch(worker, &mut engine, batch, &mut applied_seq, &shared);
+            process_shard_batch(worker, &mut engine, batch, &run, &mut applied_seq, &shared);
         }));
         if let Err(panic) = outcome {
             // The engine may be in an inconsistent state — let the
-            // worker die (the scheduler reaps it and answers its future
+            // worker die (the sequencer reaps it and answers its future
             // jobs with a typed error) — but first give back the
             // admission slots of the jobs this batch owned and never
             // answered, so queue capacity is not permanently shrunk.
             // The per-worker counter makes the repair exact even while
             // other workers answer their own slices of the same
-            // broadcast batch. These clients see a timeout rather than
+            // broadcast group. These clients see a timeout rather than
             // a reply. Repair raises the dead flag, then the drain
-            // runs: batches the scheduler sends before it observes the
-            // flag would otherwise be silently dropped with their
-            // admission slots held — answer their owned jobs with a
-            // typed error instead. The drain ends when the scheduler
-            // reaps this worker (dropping its sender) or shuts down.
+            // runs: batches sent before a submitter observes the flag
+            // would otherwise be silently dropped with their admission
+            // slots held — answer their owned jobs with a typed error
+            // instead. The drain ends when the sequencer reaps this
+            // worker (dropping its sender) or shuts down.
             shared
                 .admission
                 .repair_panicked(worker, owned, answered_before);
@@ -1527,30 +1429,22 @@ fn worker_loop(
     lock_recover(&shared.returned).push((worker, engine));
 }
 
-/// Executes one worker's view of a batch: first the batch's full
-/// mutation prefix in sequence order (every replica applies every
-/// mutation; ingests owned by this worker are additionally queued and
-/// answered by one flush after the prefix), then this worker's slice
-/// of reads — which therefore observe every mutation of this batch and
-/// of all earlier batches (worker channels are FIFO), on whatever
-/// replica they landed.
+/// Executes one worker's merged batch: first the full mutation prefix
+/// in sequence order (every replica applies every mutation; ingests
+/// owned by this worker are additionally queued and answered by one
+/// flush after the prefix), then this worker's reads — which therefore
+/// observe every mutation of this batch and of all earlier batches
+/// (worker channels are FIFO), on whatever replica they landed.
 fn process_shard_batch(
     worker: usize,
     engine: &mut StreamingEngine,
     batch: ShardBatch,
+    run: &BatchRun,
     applied_seq: &mut u64,
     shared: &Shared,
 ) {
-    let ShardBatch {
-        mutations,
-        reads,
-        cfg,
-        degraded,
-        size,
-        close,
-    } = batch;
     let mut ingest_handles: Vec<ReplyHandle> = Vec::new();
-    for m in mutations {
+    for m in batch.mutations {
         debug_assert_eq!(
             m.seq,
             *applied_seq + 1,
@@ -1589,20 +1483,9 @@ fn process_shard_batch(
         *applied_seq = m.seq;
     }
     if !ingest_handles.is_empty() {
-        // The engine attributes its interior to stages cumulatively;
-        // the before/after delta is this flush's share, attributed
-        // whole to every ingest it answers (each waited for the call).
-        let stages_before = engine.stage_times();
-        let engine_start = Instant::now();
-        let predictions = engine.flush(&cfg);
-        let engine_end = Instant::now();
-        let timing = BatchTiming {
-            engine_start,
-            engine_end,
-            engine: engine.stage_times().since(&stages_before),
-            batch_size: size,
-            close,
-        };
+        // The flush's stage times are attributed whole to every ingest
+        // it answers (each waited for the call).
+        let (predictions, timing) = timed(engine, run, |e| e.flush(&run.cfg));
         debug_assert_eq!(predictions.len(), ingest_handles.len());
         for (p, handle) in predictions.iter().zip(&ingest_handles) {
             shared.respond_traced(
@@ -1619,17 +1502,7 @@ fn process_shard_batch(
             );
         }
     }
-    infer_run(
-        worker,
-        engine,
-        &reads,
-        &cfg,
-        *applied_seq,
-        degraded,
-        size,
-        close,
-        shared,
-    );
+    infer_run(worker, engine, &batch.reads, run, *applied_seq, shared);
 }
 
 /// Answers a slice of reads with one coalesced active-set engine call
@@ -1637,18 +1510,14 @@ fn process_shard_batch(
 /// populate the prediction cache — unless this batch ran under a
 /// degraded (load-shed) depth budget, whose answers must never be
 /// served later as full-depth ones; the cache's own version guard
-/// additionally drops results that a mutation sequenced since this
-/// batch was formed has already outdated.
-#[allow(clippy::too_many_arguments)] // one internal call site
+/// additionally drops results that a mutation sequenced since has
+/// already outdated.
 fn infer_run(
     worker: usize,
     engine: &mut StreamingEngine,
     jobs: &[ReadJob],
-    cfg: &InferenceConfig,
+    run: &BatchRun,
     applied_seq: u64,
-    degraded: bool,
-    batch_size: u32,
-    close: CloseReason,
     shared: &Shared,
 ) {
     if jobs.is_empty() {
@@ -1678,18 +1547,8 @@ fn infer_run(
             }
         }
     }
-    let stages_before = engine.stage_times();
-    let engine_start = Instant::now();
-    let results = engine.infer_nodes(&nodes, cfg);
-    let engine_end = Instant::now();
-    let timing = BatchTiming {
-        engine_start,
-        engine_end,
-        engine: engine.stage_times().since(&stages_before),
-        batch_size,
-        close,
-    };
-    if !degraded {
+    let (results, timing) = timed(engine, run, |e| e.infer_nodes(&nodes, &run.cfg));
+    if !run.degraded {
         if let Some(cache) = &shared.cache {
             // Stamped with the sequence point this replica computed
             // at; the cache's version guard drops any entry a mutation
@@ -1730,26 +1589,128 @@ fn infer_run(
     }
 }
 
+/// One worker's channel, handed to the caller by
+/// [`NaiService::without_workers`] in place of a worker thread.
+/// Compiled only under `--cfg nai_model`.
+#[cfg(nai_model)]
+pub struct WorkerInbox {
+    worker: usize,
+    rx: Receiver<ShardBatch>,
+    shared: Arc<Shared>,
+}
+
+#[cfg(nai_model)]
+impl NaiService {
+    /// The real submit path and sequencer over `workers` worker
+    /// channels and no worker threads (seed graph of `seed_nodes`
+    /// nodes, feature dimension 1, no cache), so the model tests can
+    /// race submitting threads and inspect exactly what each worker
+    /// receives.
+    pub fn without_workers(
+        workers: usize,
+        seed_nodes: usize,
+        queue_cap: usize,
+    ) -> (Self, Vec<WorkerInbox>) {
+        let cfg = ServeConfig {
+            workers,
+            queue_cap,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(&cfg));
+        let info = ServiceInfo {
+            shards: workers,
+            feature_dim: 1,
+            k: 1,
+            seed_nodes,
+        };
+        let (txs, inboxes) = (0..workers)
+            .map(|worker| {
+                let (tx, rx) = mpsc::channel();
+                let shared = Arc::clone(&shared);
+                (tx, WorkerInbox { worker, rx, shared })
+            })
+            .unzip();
+        let service = Self {
+            sequencer: Mutex::new(Some(Sequencer::new(txs, info, None))),
+            shared,
+            info,
+            cfg,
+            threads: Mutex::new(Vec::new()),
+        };
+        (service, inboxes)
+    }
+}
+
+#[cfg(nai_model)]
+impl WorkerInbox {
+    /// Blocks for the next batch sent to this worker, answers the jobs
+    /// it owns with a stub reply, and returns the sequence numbers of
+    /// the batch's mutations in the order received.
+    pub fn answer_next(&self) -> Vec<u64> {
+        let Ok(batch) = self.rx.recv() else {
+            return Vec::new();
+        };
+        let mut seqs = Vec::new();
+        for m in batch.mutations {
+            seqs.push(m.seq);
+            if let Some(handle) = &m.handle {
+                let reply = Reply::Edge {
+                    shard: self.worker,
+                    applied_seq: m.seq,
+                    added: true,
+                };
+                self.shared.respond(self.worker, handle, reply);
+            }
+        }
+        for r in batch.reads {
+            let reply = Reply::Error {
+                message: "reads are not modeled".to_string(),
+            };
+            self.shared.respond(self.worker, &r.handle, reply);
+        }
+        seqs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nai_core::config::CacheConfig;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    fn bare_shared(workers: usize, with_cache: bool) -> Shared {
-        Shared {
-            admission: AdmissionLedger::new(4, workers),
-            overloaded: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            degraded_batches: AtomicU64::new(0),
-            shed_ops: AtomicU64::new(0),
-            edges_observed: AtomicU64::new(0),
-            op_errors: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            obs: ServeObs::new(),
-            cache: with_cache.then(|| VersionedCache::new(8)),
-            worker_macs: (0..workers).map(|_| MacsCell::new()).collect(),
-            returned: Mutex::new(Vec::new()),
+    /// The service runs its workers and nothing else: requests are
+    /// sequenced on the thread that submits them, so there is no
+    /// batcher thread to hand them to.
+    #[test]
+    fn service_runs_exactly_one_thread_per_worker() {
+        for workers in [1, 3] {
+            let cfg = ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            };
+            let engines = crate::tests::engine_shards(20, workers, 4);
+            let service = NaiService::new(engines, InferenceConfig::fixed(2), cfg).unwrap();
+            let threads = lock_recover(&service.threads);
+            assert_eq!(threads.len(), cfg.workers);
+            for t in threads.iter() {
+                let name = t.thread().name().unwrap_or_default();
+                assert_ne!(name, "nai-serve-batcher");
+                assert!(name.starts_with("nai-serve-worker-"), "{name}");
+            }
         }
+    }
+
+    fn bare_shared(workers: usize, with_cache: bool) -> Shared {
+        Shared::new(&ServeConfig {
+            workers,
+            queue_cap: 4,
+            cache: if with_cache {
+                CacheConfig::on(8)
+            } else {
+                CacheConfig::off()
+            },
+            ..ServeConfig::default()
+        })
     }
 
     fn poison<T>(m: &Mutex<T>) {

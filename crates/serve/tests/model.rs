@@ -19,6 +19,11 @@
 //! 4. **Shutdown gate** — stop / begin / end / drain interleavings
 //!    terminate under every schedule (a lost wakeup would surface as
 //!    a detected deadlock) and never lose a counted connection.
+//! 5. **Completion mailbox** — a reply pushed while the reactor drains
+//!    is never stranded without a wake.
+//! 6. **Sequencing** — threads submitting mutations at the same time
+//!    leave every worker channel in strictly increasing, gap-free
+//!    sequence order, and every admission slot is answered once.
 //!
 //! Plus the satellite-1 regression pinning why `worker_macs` moved
 //! from four `Relaxed` stores to a mutex ([`nai_serve::MacsCell`]):
@@ -31,7 +36,8 @@ use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::{Builder, Stats};
 use nai_serve::{
-    AdmissionLedger, CompletionQueue, ConnGate, Invalidation, MacsCell, Reply, VersionedCache,
+    AdmissionLedger, CompletionQueue, ConnGate, Invalidation, MacsCell, NaiService, Op, Reply,
+    Request, VersionedCache,
 };
 use nai_stream::MacsBreakdown;
 use std::time::Duration;
@@ -55,7 +61,7 @@ fn admission_slots_never_exceed_cap_and_never_leak() {
             let mut handles = Vec::new();
             // Three submitters race for two slots: at least one must
             // be refused somewhere, and every admit is released —
-            // submitter 0 via a worker reply, 1 via the scheduler
+            // submitter 0 via a worker reply, 1 via the sequencer
             // slot, 2 via the submit-rollback path.
             for who in 0..3usize {
                 let ledger = ledger.clone();
@@ -67,7 +73,7 @@ fn admission_slots_never_exceed_cap_and_never_leak() {
                     assert!(depth >= 1 && depth <= 2, "in_flight {depth} out of bounds");
                     match who {
                         0 => ledger.note_answered(0),
-                        1 => ledger.note_answered(ledger.scheduler_slot()),
+                        1 => ledger.note_answered(ledger.sequencer_slot()),
                         _ => ledger.cancel_admit(),
                     }
                     true
@@ -123,7 +129,7 @@ fn panic_repair_frees_exactly_the_unanswered_slots() {
 }
 
 /// Invariant 3a: a worker's insert computed at sequence point 0 races
-/// the scheduler sequencing a mutation that dirties the same node.
+/// the sequencer sequencing a mutation that dirties the same node.
 /// Whichever side takes the cache lock first, a later read must never
 /// see the pre-mutation prediction: insert-then-sequence evicts the
 /// entry; sequence-then-insert drops it on the version guard.
@@ -138,12 +144,12 @@ fn version_guard_never_serves_a_stale_prediction() {
                 c.insert_batch(0, [(5u32, 7usize, 1usize)]);
             });
             let c = cache.clone();
-            let scheduler = loom::thread::spawn(move || {
+            let sequencer = loom::thread::spawn(move || {
                 // Mutation 1 dirties node 5 at distance 0.
                 c.sequence_mutation(1, Invalidation::Frontier(vec![(5, 0)]));
             });
             worker.join().unwrap();
-            scheduler.join().unwrap();
+            sequencer.join().unwrap();
             assert_eq!(cache.seq(), 1);
             assert!(
                 cache.lookup(&[5]).is_none(),
@@ -288,6 +294,67 @@ fn completion_queue_never_strands_a_reply_without_a_wake() {
             );
         })
         .expect("completion mailbox must never lose a wakeup");
+    assert!(stats.exhausted);
+}
+
+/// Invariant 6: two threads submit a mutation each at the same time —
+/// an edge with no shard hint and an ingest pinned to worker 1 — while
+/// worker 0 answers concurrently. Sequence numbers are taken and the
+/// batches sent under one lock, so on every schedule both worker
+/// channels receive the mutations as 1 then 2, with nothing missing or
+/// reordered (a replica applying them out of order would diverge).
+/// Each mutation is answered by exactly one worker: every ticket gets
+/// its one reply and every admission slot comes back (a second answer
+/// would trip the ledger's double-free check).
+#[test]
+fn concurrent_submitters_keep_every_worker_channel_in_sequence_order() {
+    let stats = dfs(2)
+        .check_quiet(|| {
+            let (service, mut inboxes) = NaiService::without_workers(2, 4, 4);
+            let service = Arc::new(service);
+            let worker1 = inboxes.pop().unwrap();
+            let worker0 = inboxes.pop().unwrap();
+            let requests = [
+                Request {
+                    op: Op::ObserveEdge { u: 0, v: 1 },
+                    shard: None,
+                },
+                Request {
+                    op: Op::Ingest {
+                        features: vec![0.5],
+                        neighbors: vec![2],
+                    },
+                    shard: Some(1),
+                },
+            ];
+            let submitters: Vec<_> = requests
+                .into_iter()
+                .map(|req| {
+                    let service = service.clone();
+                    loom::thread::spawn(move || service.submit(req).expect("admitted"))
+                })
+                .collect();
+            let answering = loom::thread::spawn(move || {
+                let mut seqs = worker0.answer_next();
+                seqs.extend(worker0.answer_next());
+                seqs
+            });
+            let tickets: Vec<_> = submitters.into_iter().map(|h| h.join().unwrap()).collect();
+            let mut seqs1 = worker1.answer_next();
+            seqs1.extend(worker1.answer_next());
+            assert_eq!(
+                answering.join().unwrap(),
+                vec![1, 2],
+                "worker 0 out of order"
+            );
+            assert_eq!(seqs1, vec![1, 2], "worker 1 out of order");
+            for t in tickets {
+                let reply = t.wait(Duration::from_secs(1));
+                assert!(matches!(reply, Ok(Reply::Edge { .. })), "{reply:?}");
+            }
+            assert_eq!(service.queue_depth(), 0, "admission slot leaked");
+        })
+        .expect("sequencing must keep channels ordered on every schedule");
     assert!(stats.exhausted);
 }
 

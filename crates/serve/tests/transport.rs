@@ -60,7 +60,6 @@ fn serve_cfg() -> ServeConfig {
     ServeConfig {
         workers: 1, // one replica: `shard` is constant, replies are bit-stable
         max_batch: 8,
-        max_wait: Duration::from_millis(1),
         queue_cap: 256,
         shed: LoadShedPolicy {
             trigger_fraction: 1.0,

@@ -17,7 +17,6 @@ use nai::serve::{NaiService, Op, Reply, Request};
 use nai::stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 const K: usize = 2;
 const HOT: usize = 8; // hot-set size: the ids re-read every round
@@ -51,7 +50,6 @@ fn hit_rate_collapses_during_mutation_bursts_and_recovers() {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_cap: 64,
             shed: LoadShedPolicy {
                 trigger_fraction: 1.0,

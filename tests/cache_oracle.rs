@@ -16,7 +16,6 @@ use nai::stream::{DynamicGraph, StreamingEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 const F: usize = 5;
 const K: usize = 2;
@@ -47,7 +46,6 @@ fn serve_cfg(workers: usize, cache: CacheConfig) -> ServeConfig {
     ServeConfig {
         workers,
         max_batch: 8,
-        max_wait: Duration::from_millis(1),
         queue_cap: 64,
         shed: LoadShedPolicy {
             trigger_fraction: 1.0,

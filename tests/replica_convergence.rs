@@ -13,7 +13,8 @@
 //! not only the graph itself. This is the serving layer's
 //! correctness contract: mutations are applied on every replica in one
 //! global order, so there is no such thing as a wrong shard to read
-//! from.
+//! from. A second test submits from four threads at once and checks the
+//! same convergence with replica 0 as the reference.
 
 use nai::core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
 use nai::models::{DepthClassifier, ModelKind};
@@ -22,7 +23,6 @@ use nai::stream::{DynamicGraph, StreamingEngine};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 const F: usize = 5;
 const K: usize = 2;
@@ -62,7 +62,6 @@ fn serve_cfg(workers: usize) -> ServeConfig {
     ServeConfig {
         workers,
         max_batch: 8,
-        max_wait: Duration::from_millis(1),
         queue_cap: 64,
         shed: LoadShedPolicy {
             trigger_fraction: 1.0,
@@ -208,6 +207,84 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
+}
+
+/// Callers dispatching at the same time: four threads submit mixed
+/// ingest, edge and read traffic at once, each sequencing its own
+/// requests on its own thread. There is no single-threaded oracle for
+/// the order they interleave in, but whatever order the sequencer
+/// picked, every replica applied it: all replicas must end with the
+/// identical graph, and answer a fixed-depth read of every node exactly
+/// as a fresh engine deployed on replica 0's graph.
+#[test]
+fn replicas_converge_under_concurrent_submitters() {
+    const THREADS: usize = 4;
+    const OPS_PER_THREAD: usize = 40;
+    for shards in [2usize, 4] {
+        let engines: Vec<StreamingEngine> = (0..shards).map(|_| engine()).collect();
+        let service = NaiService::new(engines, infer_cfg(), serve_cfg(shards)).unwrap();
+        // Each script only names ids below its own thread's node count,
+        // which never exceeds the service's: every op is valid however
+        // the threads interleave.
+        let scripts: Vec<Vec<Op>> = (0..THREADS)
+            .map(|t| script(0xC0C0 + (shards * THREADS + t) as u64, OPS_PER_THREAD))
+            .collect();
+        let ingests = scripts
+            .iter()
+            .flatten()
+            .filter(|op| matches!(op, Op::Ingest { .. }))
+            .count();
+        std::thread::scope(|scope| {
+            for ops in &scripts {
+                let service = &service;
+                scope.spawn(move || {
+                    for op in ops {
+                        let reply = service
+                            .call(Request {
+                                op: op.clone(),
+                                shard: None,
+                            })
+                            .unwrap();
+                        assert!(!matches!(reply, Reply::Error { .. }), "{op:?}: {reply:?}");
+                    }
+                });
+            }
+        });
+
+        let mut replicas = service.into_engines();
+        assert_eq!(replicas.len(), shards);
+        let want = replicas[0].graph().clone();
+        assert_eq!(want.num_nodes(), SEED_NODES + ingests);
+        let want_csr = want.snapshot_csr();
+        for (w, replica) in replicas.iter().enumerate().skip(1) {
+            let got = replica.graph();
+            assert_eq!(got.num_nodes(), want.num_nodes(), "replica {w}");
+            let got_csr = got.snapshot_csr();
+            assert_eq!(got_csr.nnz(), want_csr.nnz(), "replica {w}");
+            for i in 0..want.num_nodes() {
+                assert_eq!(
+                    got_csr.row_indices(i),
+                    want_csr.row_indices(i),
+                    "replica {w} row {i}"
+                );
+                assert_eq!(
+                    got.feature(i as u32),
+                    want.feature(i as u32),
+                    "replica {w} features {i}"
+                );
+            }
+        }
+        let all: Vec<u32> = (0..want.num_nodes() as u32).collect();
+        let fixed = InferenceConfig::fixed(K);
+        let expected = deploy(want).infer_nodes(&all, &fixed);
+        for (w, replica) in replicas.iter_mut().enumerate() {
+            assert_eq!(
+                replica.infer_nodes(&all, &fixed),
+                expected,
+                "{shards} shards: replica {w} fixed-depth reads"
+            );
+        }
+    }
 }
 
 proptest! {

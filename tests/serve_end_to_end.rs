@@ -104,7 +104,6 @@ fn round_robin_interleaved_workload_matches_single_engine_oracle() {
         ServeConfig {
             workers: SHARDS,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             queue_cap: 256,
             shed: LoadShedPolicy {
                 trigger_fraction: 1.0,
@@ -238,11 +237,9 @@ fn queue_overflow_returns_overloaded_not_a_hang() {
             workers: 1,
             // max_batch 1 keeps the lone worker busy in the engine (one
             // request per flush) while the rest of the burst lands, so
-            // the admission bound must trip even though the
-            // work-conserving batcher no longer parks admitted requests
-            // on the deadline.
+            // the admission bound must trip even though no admitted
+            // request ever waits for a batch to fill.
             max_batch: 1,
-            max_wait: Duration::from_millis(400),
             queue_cap: CAP,
             shed: LoadShedPolicy {
                 trigger_fraction: 1.0,
