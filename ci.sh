@@ -28,6 +28,18 @@ step "cargo build --release (tier-1, all targets incl. benches)" \
 step "cargo test -q (tier-1)" \
   cargo test -q
 
+# Tier-1 runs the two byte-identity oracles of the read kernel in debug
+# builds only; perfbench and the server run optimised code. Run both
+# again with --release, so an optimisation-sensitive change to either
+# graph view's arithmetic (the summation order of Eq. (1)) shows here.
+release_oracles() {
+  cargo test -q --release -p nai-core --test active_regression
+  cargo test -q --release -p nai-stream --test read_path_regression
+}
+
+step "read-kernel oracles (--release)" \
+  release_oracles
+
 # The three load-shed tests submit their burst as one group, so the
 # worker that closes the burst's batch sees all of it in flight on every
 # schedule. Rerun them 20 times oversubscribed — 16 test threads on a

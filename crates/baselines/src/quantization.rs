@@ -47,13 +47,9 @@ impl QuantizedModel {
         let mut predictions = Vec::with_capacity(test_nodes.len());
         let mut batches = 0usize;
         let clf = engine.classifier(self.depth);
-        // One scratch across all batches: workspace setup is paid once,
-        // not O(n) per chunk.
-        let mut scratch = nai_core::active::EngineScratch::new();
         for chunk in test_nodes.chunks(batch_size.max(1)) {
             batches += 1;
-            let (history, prop_macs, fp) =
-                engine.propagate_only_with(chunk, self.depth, &mut scratch);
+            let (history, prop_macs, fp) = engine.propagate_only(chunk, self.depth);
             macs.add(&prop_macs);
             feature_time += fp;
             let input = clf.combine_input(&history);

@@ -1,10 +1,9 @@
 //! Active-set bookkeeping for Algorithm 1's hot loop.
 //!
 //! The paper charges Algorithm 1 only for propagation, NAP decisions, and
-//! classification — every other per-depth cost is overhead the engine
-//! must keep sublinear. This module owns that bookkeeping, shared by the
-//! static ([`crate::inference::NaiEngine`]) and streaming
-//! (`nai-stream::StreamingEngine`) engines:
+//! classification — every other per-depth cost is overhead the read
+//! kernel ([`crate::kernel::ReadKernel`]) must keep sublinear. This
+//! module owns that bookkeeping:
 //!
 //! * [`ActiveSet`] — which batch rows are still propagating. Every active
 //!   node carries exactly one row-index indirection: its **original batch
@@ -12,18 +11,17 @@
 //!   indexed by that row, so an exit round compacts two index vectors
 //!   instead of gathering `O(k · |active| · f)` feature copies.
 //! * [`FrontierPlan`] — the supporting hop sets plus a stamped
-//!   global→local column map for the gather-SpMM. The map replaces the
-//!   per-depth `HashMap` the engines used to rebuild (`O(|support|)`
-//!   inserts + hashing per depth) with `O(1)` array lookups; entries are
-//!   unmapped when the support advances, so the array is reusable across
-//!   batches without an `O(n)` reset.
-//! * [`EngineScratch`] — one reusable workspace per worker holding both
-//!   of the above plus the BFS scratch, feature ping-pong buffers, and
-//!   the per-depth history pool. After the first batch warms it up, a
-//!   batch iteration performs no `O(n)` work and no per-depth
-//!   allocations.
+//!   global→local column map for the gather. The map gives `O(1)` array
+//!   lookups instead of a per-depth `HashMap`; entries are unmapped when
+//!   the support advances, so the array is reusable across batches
+//!   without an `O(n)` reset.
+//! * [`EngineScratch`] — one reusable workspace holding both of the
+//!   above plus the BFS scratch, feature ping-pong buffers, and the
+//!   per-depth history pool. After the first batch warms it up, a batch
+//!   performs no `O(n)` work and no per-depth allocations. `NaiEngine`
+//!   pools them across calls; `StreamingEngine` owns one.
 //!
-//! The frontier-shrink invariant the engines rely on — `N(sets[l+1]) ⊆
+//! The frontier-shrink invariant the kernel relies on — `N(sets[l+1]) ⊆
 //! sets[l]`, preserved by `BfsScratch::shrink_hop_sets` — is documented
 //! in `nai-graph::frontier` and property-tested there.
 
@@ -112,9 +110,10 @@ impl ActiveSet {
 /// current support, so no `O(n)` clear is ever needed.
 #[derive(Debug, Default)]
 pub struct FrontierPlan {
-    /// `sets[l]` = supporting nodes for depth `l` (see
-    /// `BfsScratch::hop_sets`). Engines take levels out as they advance
-    /// and shrink the suffix on exits.
+    /// Supporting hop sets (see `BfsScratch::hop_sets`). The read kernel
+    /// reads layer 0 in place, so its `sets[l − 1]` supports depth `l`;
+    /// it takes levels out as it advances and shrinks the suffix on
+    /// exits.
     pub sets: Vec<Vec<u32>>,
     col_map: Vec<u32>,
     support: Vec<u32>,
@@ -180,7 +179,7 @@ impl FrontierPlan {
     }
 }
 
-/// Reusable per-worker workspace for the active-set engine: BFS scratch,
+/// Reusable workspace for the read kernel: BFS scratch,
 /// frontier plan, active set, stationary rows, per-depth history pool,
 /// and the propagation ping-pong buffers.
 ///

@@ -1,44 +1,30 @@
-//! Algorithm 1 — batched node-adaptive inductive inference.
+//! The static NAI deployment: Algorithm 1 over a frozen graph.
 //!
-//! For each test batch the engine:
+//! [`NaiEngine`] holds a trained deployment (adjacency, normalized
+//! adjacency `Â`, features, stationary state, per-depth classifiers,
+//! optional gates) and is the frozen [`GraphView`] the read kernel
+//! ([`crate::kernel::ReadKernel`]) runs over. Every entry point goes
+//! through one private batch loop that cuts the test nodes into
+//! `batch_size` batches, runs the kernel on each, and assembles the
+//! report: feature-processing time and total time (the paper's "FP Time"
+//! / "Time" columns) and [`MacsBreakdown`] MACs.
 //!
-//! 1. computes the batch's stationary rows (line 2);
-//! 2. BFS-collects supporting hop sets `S_l = N_{T_max−l}(batch)`
-//!    (line 3);
-//! 3. propagates online: `H_l[i] = Σ_j Â_ij H_{l−1}[j]` for `i ∈ S_l`
-//!    (valid because `N(S_l) ⊆ S_{l−1}`, a property tested in
-//!    `nai-graph`);
-//! 4. from depth `T_min` onward applies the selected NAP module to the
-//!    still-active batch nodes; exiting nodes are classified by `f^(l)`
-//!    immediately (lines 6–15);
-//! 5. when nodes exit, **shrinks the remaining hop sets to the
-//!    survivors' neighborhoods** (an in-place filter, membership-equal
-//!    to recomputation — see `nai-graph::frontier`), shrinking every
-//!    later SpMM — this is where the nonlinear speedup of Table V comes
-//!    from, because supporting sets grow exponentially with depth;
-//! 6. classifies whatever remains at `T_max` (line 17).
-//!
-//! The loop runs on the [`crate::active`] engine: one
-//! [`EngineScratch`] per worker amortizes every buffer across batches,
-//! exit rounds compact index vectors instead of copying feature
-//! history, and support lookups go through the stamped column map
-//! instead of per-depth hash maps. Wall-clock time is split into
-//! feature processing (sampling + propagation + stationary + NAP) and
-//! total, matching the paper's "FP Time" / "Time" columns; MACs are
-//! tallied by [`crate::macs::MacsBreakdown`].
+//! Workspaces come from a small pool, so a call costs `O(touched)`
+//! rather than `O(n)` setup: a scratch is taken per call (per thread
+//! under `infer_parallel`) and returned only when the call finishes
+//! normally.
 
 use crate::active::EngineScratch;
 use crate::config::{InferenceConfig, NapMode};
 use crate::gates::GateSet;
+use crate::kernel::{GraphView, Heads, ReadKernel, Tally};
 use crate::macs::MacsBreakdown;
 use crate::metrics::InferenceReport;
-use crate::napd;
 use crate::stationary::StationaryState;
-use crate::upper_bound;
 use nai_graph::{CsrMatrix, Graph};
-use nai_linalg::ops::{argmax_rows, l2_distance};
 use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-node outcome of an inference run, aligned with the input order.
@@ -71,13 +57,22 @@ pub struct NaiEngine {
     total_tilde_degree: f64,
     /// Cached λ₂ estimate of `Â` (NAP_u; computed on first use).
     lambda2: std::sync::OnceLock<f32>,
+    /// Idle workspaces; holds at most as many as calls ever ran at once.
+    scratch_pool: Mutex<Vec<EngineScratch>>,
+}
+
+/// What one thread of the batch loop accumulated over its batches.
+struct ChunkOut {
+    tally: Tally,
+    histogram: Vec<usize>,
 }
 
 impl NaiEngine {
     /// Assembles an engine.
     ///
     /// # Panics
-    /// Panics if no classifiers are supplied or shapes disagree.
+    /// Panics if no classifiers are supplied or shapes disagree, including
+    /// a `norm_adj` that is not `Ã = A + I` in structure.
     pub fn new(
         graph: &Graph,
         norm_adj: CsrMatrix,
@@ -87,6 +82,12 @@ impl NaiEngine {
     ) -> Self {
         assert!(!classifiers.is_empty(), "need at least one classifier");
         assert_eq!(norm_adj.n(), graph.num_nodes(), "normalized adjacency size");
+        // The kernel charges `degree + 1` terms per propagated row.
+        assert_eq!(
+            norm_adj.nnz(),
+            graph.adj.nnz() + graph.adj.n(),
+            "normalized adjacency must have the structure of A + I"
+        );
         for (i, c) in classifiers.iter().enumerate() {
             assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
         }
@@ -100,6 +101,7 @@ impl NaiEngine {
             gates,
             total_tilde_degree,
             lambda2: std::sync::OnceLock::new(),
+            scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -154,13 +156,7 @@ impl NaiEngine {
         labels: &[u32],
         cfg: &InferenceConfig,
     ) -> InferenceResult {
-        self.infer_with_heads(
-            test_nodes,
-            labels,
-            cfg,
-            &|l, feats| self.classifiers[l - 1].forward(feats),
-            &|l| self.classifiers[l - 1].macs_per_node(),
-        )
+        self.drive(test_nodes, labels, cfg, 1, None)
     }
 
     /// Algorithm 1 with **pluggable classifier heads**: `head(l, feats)`
@@ -180,70 +176,16 @@ impl NaiEngine {
         head: &dyn Fn(usize, &[DenseMatrix]) -> DenseMatrix,
         head_macs: &dyn Fn(usize) -> u64,
     ) -> InferenceResult {
-        // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
-        // (documented # Panics): a bad config must abort before inference.
-        cfg.validate(self.k()).expect("invalid inference config");
-        if matches!(cfg.nap, NapMode::Gate) {
-            assert!(
-                self.gates.is_some(),
-                "gate NAP requested but the engine has no trained gates"
-            );
-        }
-        let total_start = Instant::now();
-        let mut feature_time = Duration::ZERO;
-        let mut macs = MacsBreakdown::default();
-        // Stationary precompute charged once per run (rank-1 structure;
-        // see DESIGN.md §5 / EXPERIMENTS.md accounting).
-        macs.stationary += self.stationary.precompute_macs();
-
-        let mut predictions = vec![usize::MAX; test_nodes.len()];
-        let mut depths = vec![0usize; test_nodes.len()];
-        let mut histogram = vec![0usize; cfg.t_max];
-        let mut scratch = EngineScratch::new();
-        let mut batches = 0usize;
-
-        for batch_start in (0..test_nodes.len()).step_by(cfg.batch_size) {
-            let batch =
-                &test_nodes[batch_start..(batch_start + cfg.batch_size).min(test_nodes.len())];
-            batches += 1;
-            self.infer_batch(
-                batch,
-                batch_start,
-                cfg,
-                head,
-                head_macs,
-                &mut scratch,
-                &mut macs,
-                &mut feature_time,
-                &mut predictions,
-                &mut depths,
-                &mut histogram,
-                true,
-            );
-        }
-
-        let total_time = total_start.elapsed();
-        let eval: Vec<usize> = (0..test_nodes.len()).collect();
-        let label_view: Vec<u32> = test_nodes.iter().map(|&v| labels[v as usize]).collect();
-        let accuracy = nai_linalg::ops::accuracy(&predictions, &label_view, &eval);
-        InferenceResult {
-            report: InferenceReport {
-                num_nodes: test_nodes.len(),
-                accuracy,
-                macs,
-                total_time,
-                feature_time,
-                depth_histogram: histogram,
-                batches,
-            },
-            predictions,
-            depths,
-        }
+        let heads = Heads {
+            forward: head,
+            macs_per_node: head_macs,
+        };
+        self.drive(test_nodes, labels, cfg, 1, Some(heads))
     }
 
     /// Multi-threaded Algorithm 1: test batches are independent, so they
     /// are partitioned (at batch granularity) over `num_threads` OS
-    /// threads, each with its own BFS scratch. Predictions, depths, MACs,
+    /// threads, each with its own scratch. Predictions, depths, MACs,
     /// and the exit histogram are bit-identical with [`Self::infer`];
     /// only wall-clock changes. `feature_time` is summed across threads
     /// (busy time, not elapsed), matching the MACs-style accounting.
@@ -258,121 +200,7 @@ impl NaiEngine {
         num_threads: usize,
     ) -> InferenceResult {
         assert!(num_threads >= 1, "need at least one thread");
-        // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
-        // (documented # Panics): a bad config must abort before inference.
-        cfg.validate(self.k()).expect("invalid inference config");
-        if matches!(cfg.nap, NapMode::Gate) {
-            assert!(
-                self.gates.is_some(),
-                "gate NAP requested but the engine has no trained gates"
-            );
-        }
-        // Initialize the λ₂ cache before workers share it.
-        if matches!(cfg.nap, NapMode::UpperBound { .. }) {
-            let _ = self.lambda2();
-        }
-        let total_start = Instant::now();
-        let batch_size = cfg.batch_size;
-        let n_batches = test_nodes.len().div_ceil(batch_size).max(1);
-        let per_thread = n_batches.div_ceil(num_threads);
-
-        let mut predictions = vec![usize::MAX; test_nodes.len()];
-        let mut depths = vec![0usize; test_nodes.len()];
-
-        struct WorkerOut {
-            macs: MacsBreakdown,
-            feature_time: Duration,
-            histogram: Vec<usize>,
-            batches: usize,
-        }
-
-        let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut pred_rest: &mut [usize] = &mut predictions;
-            let mut depth_rest: &mut [usize] = &mut depths;
-            let mut consumed = 0usize;
-            for t in 0..num_threads {
-                let node_start = (t * per_thread * batch_size).min(test_nodes.len());
-                let node_end = ((t + 1) * per_thread * batch_size).min(test_nodes.len());
-                if node_start >= node_end {
-                    break;
-                }
-                debug_assert_eq!(node_start, consumed);
-                let count = node_end - node_start;
-                let (pred_slice, pr) = pred_rest.split_at_mut(count);
-                let (depth_slice, dr) = depth_rest.split_at_mut(count);
-                pred_rest = pr;
-                depth_rest = dr;
-                consumed += count;
-                let nodes = &test_nodes[node_start..node_end];
-                handles.push(scope.spawn(move || {
-                    let mut out = WorkerOut {
-                        macs: MacsBreakdown::default(),
-                        feature_time: Duration::ZERO,
-                        histogram: vec![0usize; cfg.t_max],
-                        batches: 0,
-                    };
-                    let mut scratch = EngineScratch::new();
-                    for start in (0..nodes.len()).step_by(batch_size) {
-                        let batch = &nodes[start..(start + batch_size).min(nodes.len())];
-                        out.batches += 1;
-                        self.infer_batch(
-                            batch,
-                            start,
-                            cfg,
-                            &|l, feats| self.classifiers[l - 1].forward(feats),
-                            &|l| self.classifiers[l - 1].macs_per_node(),
-                            &mut scratch,
-                            &mut out.macs,
-                            &mut out.feature_time,
-                            pred_slice,
-                            depth_slice,
-                            &mut out.histogram,
-                            true,
-                        );
-                    }
-                    out
-                }));
-            }
-            handles
-                .into_iter()
-                // nai-lint: allow(hot-path-panic) -- join propagates a worker
-                // panic to the caller; swallowing it would return truncated rows.
-                .map(|h| h.join().expect("worker"))
-                .collect()
-        });
-
-        let mut macs = MacsBreakdown::default();
-        macs.stationary += self.stationary.precompute_macs();
-        let mut feature_time = Duration::ZERO;
-        let mut histogram = vec![0usize; cfg.t_max];
-        let mut batches = 0usize;
-        for o in outs {
-            macs.add(&o.macs);
-            feature_time += o.feature_time;
-            for (h, v) in histogram.iter_mut().zip(&o.histogram) {
-                *h += v;
-            }
-            batches += o.batches;
-        }
-
-        let total_time = total_start.elapsed();
-        let eval: Vec<usize> = (0..test_nodes.len()).collect();
-        let label_view: Vec<u32> = test_nodes.iter().map(|&v| labels[v as usize]).collect();
-        let accuracy = nai_linalg::ops::accuracy(&predictions, &label_view, &eval);
-        InferenceResult {
-            report: InferenceReport {
-                num_nodes: test_nodes.len(),
-                accuracy,
-                macs,
-                total_time,
-                feature_time,
-                depth_histogram: histogram,
-                batches,
-            },
-            predictions,
-            depths,
-        }
+        self.drive(test_nodes, labels, cfg, num_threads, None)
     }
 
     /// Online frontier propagation *without* adaptive exits: returns the
@@ -381,11 +209,8 @@ impl NaiEngine {
     ///
     /// This is the vanilla inductive-inference path (Fig. 1 (d)) that the
     /// fixed-depth baselines — vanilla Scalable GNNs and the Quantization
-    /// baseline — share with NAI. It runs on the same active-set engine
-    /// as [`Self::infer`] (fixed depth, capturing head). This
-    /// convenience wrapper builds a fresh [`EngineScratch`] per call;
-    /// callers issuing many batches should hold one scratch and use
-    /// [`Self::propagate_only_with`] instead.
+    /// baseline — share with NAI. It runs the same kernel as
+    /// [`Self::infer`] (fixed depth, capturing head) on a pooled scratch.
     ///
     /// # Panics
     /// Panics if `depth` is zero or any node id is out of range.
@@ -394,13 +219,13 @@ impl NaiEngine {
         batch: &[u32],
         depth: usize,
     ) -> (Vec<DenseMatrix>, MacsBreakdown, Duration) {
-        let mut scratch = EngineScratch::new();
-        self.propagate_only_with(batch, depth, &mut scratch)
+        let mut scratch = self.take_scratch();
+        let out = self.propagate_only_with(batch, depth, &mut scratch);
+        self.recycle(scratch);
+        out
     }
 
-    /// [`Self::propagate_only`] reusing a caller-owned scratch, so a
-    /// stream of batches pays `O(visited)` per batch rather than `O(n)`
-    /// workspace setup.
+    /// [`Self::propagate_only`] on a caller-owned scratch.
     ///
     /// # Panics
     /// Same contract as [`Self::propagate_only`].
@@ -412,14 +237,10 @@ impl NaiEngine {
     ) -> (Vec<DenseMatrix>, MacsBreakdown, Duration) {
         assert!(depth >= 1, "depth must be positive");
         let start = Instant::now();
-        let mut macs = MacsBreakdown::default();
         if batch.is_empty() {
             let f = self.features.cols();
-            return (
-                vec![DenseMatrix::zeros(0, f); depth + 1],
-                macs,
-                start.elapsed(),
-            );
+            let levels = vec![DenseMatrix::zeros(0, f); depth + 1];
+            return (levels, MacsBreakdown::default(), start.elapsed());
         }
         let cfg = InferenceConfig {
             t_min: depth,
@@ -430,234 +251,228 @@ impl NaiEngine {
         };
         // At fixed depth every node exits together at `depth`, so the
         // capturing head observes exactly `X^(0..=depth)` aligned with
-        // the batch; its logits are discarded.
+        // the batch; its logits are discarded. No classifier runs, so the
+        // config is validated against `depth` rather than `k`.
         let captured = std::cell::RefCell::new(Vec::new());
-        let mut feature_time = Duration::ZERO;
-        let mut predictions = vec![usize::MAX; batch.len()];
-        let mut depths = vec![0usize; batch.len()];
-        let mut histogram = vec![0usize; depth];
-        self.infer_batch(
+        let capture = |_: usize, feats: &[DenseMatrix]| {
+            *captured.borrow_mut() = feats.to_vec();
+            DenseMatrix::zeros(feats[0].rows(), 1)
+        };
+        let heads = Heads {
+            forward: &capture,
+            macs_per_node: &|_| 0,
+        };
+        let mut tally = Tally::default();
+        // Fixed depth reads no stationary rows, and charges none.
+        ReadKernel::new(&cfg, depth, None, 0.0).run(
+            self,
             batch,
-            0,
-            &cfg,
-            &|_, feats| {
-                *captured.borrow_mut() = feats.to_vec();
-                DenseMatrix::zeros(feats[0].rows(), 1)
-            },
-            &|_| 0,
+            heads,
             scratch,
-            &mut macs,
-            &mut feature_time,
-            &mut predictions,
-            &mut depths,
-            &mut histogram,
-            false,
+            |_| 0,
+            &mut tally,
+            |_, _, _| {},
         );
-        (captured.into_inner(), macs, start.elapsed())
+        (captured.into_inner(), tally.macs, start.elapsed())
     }
 
-    /// One batch of Algorithm 1 (lines 2–17) on the active-set engine.
-    ///
-    /// `with_stationary` disables the line-2 stationary computation for
-    /// the propagate-only path (which must not charge stationary MACs);
-    /// it must be `true` for every adaptive NAP mode.
-    #[allow(clippy::too_many_arguments)]
-    fn infer_batch(
+    /// The one batch loop behind [`Self::infer`], [`Self::infer_with_heads`]
+    /// and [`Self::infer_parallel`]: validates once, splits `test_nodes`
+    /// into whole batches over at most `threads` threads (inline when one
+    /// suffices), and assembles the report. Custom `heads` run on the
+    /// calling thread only; the engine's own classifiers serve otherwise.
+    fn drive(
         &self,
-        batch: &[u32],
-        batch_offset: usize,
+        test_nodes: &[u32],
+        labels: &[u32],
         cfg: &InferenceConfig,
-        head: &dyn Fn(usize, &[DenseMatrix]) -> DenseMatrix,
-        head_macs: &dyn Fn(usize) -> u64,
-        scratch: &mut EngineScratch,
-        macs: &mut MacsBreakdown,
-        feature_time: &mut Duration,
-        predictions: &mut [usize],
-        depths: &mut [usize],
-        histogram: &mut [usize],
-        with_stationary: bool,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        debug_assert!(
-            with_stationary || matches!(cfg.nap, NapMode::Fixed),
-            "adaptive NAP modes need the stationary rows"
-        );
-        let f = self.features.cols();
-        let fp0 = Instant::now();
-        scratch.begin_batch(self.adj.n(), batch, cfg.t_max, f);
+        threads: usize,
+        heads: Option<Heads<'_>>,
+    ) -> InferenceResult {
+        debug_assert!(threads == 1 || heads.is_none(), "custom heads run inline");
+        // λ₂ is read by NAP_u only; estimating it is a one-off power
+        // iteration the other modes should not pay for.
+        let lambda2 = match cfg.nap {
+            NapMode::UpperBound { .. } => self.lambda2(),
+            _ => 0.0,
+        };
+        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), lambda2);
+        let total_start = Instant::now();
+        let forward = |l: usize, feats: &[DenseMatrix]| self.classifiers[l - 1].forward(feats);
+        let macs_per_node = |l: usize| self.classifiers[l - 1].macs_per_node();
+        let (forward, macs_per_node) = (&forward, &macs_per_node);
 
-        // Line 2: stationary rows for the batch.
-        if with_stationary {
-            self.stationary.rows_into(batch, &mut scratch.x_inf);
-            macs.stationary += batch.len() as u64 * self.stationary.macs_per_row();
-        }
-
-        // NAP_u precomputes every node's exit depth from Eq. (10) before
-        // propagation (O(1) per node: a sqrt, a division and two logs).
-        // Indexed by original batch row, like the history.
-        let assigned: Vec<usize> = match cfg.nap {
-            NapMode::UpperBound { ts } => {
-                macs.nap += batch.len() as u64 * 4;
-                upper_bound::assign_depths(
-                    &self.adj,
-                    batch,
-                    ts,
-                    self.lambda2(),
-                    self.total_tilde_degree,
-                    cfg.t_min,
-                    cfg.t_max,
-                )
-            }
-            _ => Vec::new(),
+        let mut predictions = vec![usize::MAX; test_nodes.len()];
+        let mut depths = vec![0usize; test_nodes.len()];
+        // Whole batches per thread, so every batch — and with it every
+        // answer — is the one the serial run forms.
+        let batches = test_nodes.len().div_ceil(cfg.batch_size);
+        let per_chunk = batches.div_ceil(threads).max(1) * cfg.batch_size;
+        let chunks = test_nodes
+            .chunks(per_chunk)
+            .zip(predictions.chunks_mut(per_chunk))
+            .zip(depths.chunks_mut(per_chunk));
+        let outs: Vec<ChunkOut> = if test_nodes.len() <= per_chunk {
+            let heads = heads.unwrap_or(Heads {
+                forward,
+                macs_per_node,
+            });
+            chunks
+                .map(|((nodes, p), d)| self.run_chunk(&kernel, heads, nodes, p, d))
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = chunks
+                    .map(|((nodes, p), d)| {
+                        scope.spawn(move || {
+                            let heads = Heads {
+                                forward,
+                                macs_per_node,
+                            };
+                            self.run_chunk(&kernel, heads, nodes, p, d)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    // A worker's panic resumes on the caller with its own
+                    // message; swallowing it would return truncated rows.
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
         };
 
-        // Line 3: supporting hop sets; the widest becomes the initial
-        // support frontier, mapped in the stamped column map.
-        scratch
-            .bfs
-            .hop_sets_into(&self.adj, batch, cfg.t_max, &mut scratch.plan.sets);
-        scratch.plan.init_support();
-
-        // History level 0 is X^(0) of the batch; the support features
-        // start as X^(0) of the widest frontier.
-        for (r, &v) in batch.iter().enumerate() {
-            scratch.history[0]
-                .row_mut(r)
-                .copy_from_slice(self.features.row(v as usize));
+        let mut tally = Tally::default();
+        let mut histogram = vec![0usize; cfg.t_max];
+        for o in &outs {
+            tally.macs.add(&o.tally.macs);
+            tally.times.merge(&o.tally.times);
+            for (h, v) in histogram.iter_mut().zip(&o.histogram) {
+                *h += v;
+            }
         }
-        scratch
-            .h_prev
-            .reset_for_overwrite(scratch.plan.support().len(), f);
-        for (t, &g) in scratch.plan.support().iter().enumerate() {
-            scratch
-                .h_prev
-                .row_mut(t)
-                .copy_from_slice(self.features.row(g as usize));
+        // Stationary precompute charged once per run (rank-1 structure;
+        // see DESIGN.md §5 / EXPERIMENTS.md accounting).
+        tally.macs.stationary += self.stationary.precompute_macs();
+        let total_time = total_start.elapsed();
+        let eval: Vec<usize> = (0..test_nodes.len()).collect();
+        let label_view: Vec<u32> = test_nodes.iter().map(|&v| labels[v as usize]).collect();
+        let accuracy = nai_linalg::ops::accuracy(&predictions, &label_view, &eval);
+        InferenceResult {
+            report: InferenceReport {
+                num_nodes: test_nodes.len(),
+                accuracy,
+                macs: tally.macs,
+                total_time,
+                feature_time: tally.times.propagation + tally.times.nap,
+                depth_histogram: histogram,
+                batches,
+            },
+            predictions,
+            depths,
         }
-        *feature_time += fp0.elapsed();
+    }
 
-        for l in 1..=cfg.t_max {
-            let fp = Instant::now();
-            let support_l = std::mem::take(&mut scratch.plan.sets[l]);
-            // The column map still describes the previous support (the
-            // rows of h_prev); N(sets[l]) ⊆ sets[l−1] guarantees every
-            // neighbor is mapped.
-            let step_macs = self.norm_adj.spmm_gather_into(
-                &support_l,
-                scratch.plan.col_map(),
-                &scratch.h_prev,
-                &mut scratch.h_next,
-                cfg.parallel_spmm,
+    /// Runs the kernel over `nodes` in `batch_size` batches on one pooled
+    /// scratch, writing answers into the aligned `predictions`/`depths`.
+    fn run_chunk(
+        &self,
+        kernel: &ReadKernel<'_>,
+        heads: Heads<'_>,
+        nodes: &[u32],
+        predictions: &mut [usize],
+        depths: &mut [usize],
+    ) -> ChunkOut {
+        let cfg = kernel.config();
+        let mut out = ChunkOut {
+            tally: Tally::default(),
+            histogram: vec![0usize; cfg.t_max],
+        };
+        let mut scratch = self.take_scratch();
+        for (b, batch) in nodes.chunks(cfg.batch_size).enumerate() {
+            let offset = b * cfg.batch_size;
+            let stationary = |x_inf: &mut DenseMatrix| {
+                self.stationary.rows_into(batch, x_inf);
+                batch.len() as u64 * self.stationary.macs_per_row()
+            };
+            kernel.run(
+                self,
+                batch,
+                heads,
+                &mut scratch,
+                stationary,
+                &mut out.tally,
+                |row, prediction, depth| {
+                    predictions[offset + row] = prediction;
+                    depths[offset + row] = depth;
+                    out.histogram[depth - 1] += 1;
+                },
             );
-            macs.propagation += step_macs;
-            scratch.plan.advance(support_l);
-
-            // Locate active rows in the new support (O(1) stamped
-            // lookups) and extend the full-width history.
-            scratch.active_rows.clear();
-            for &g in scratch.active.nodes() {
-                let local = scratch.plan.local(g);
-                debug_assert_ne!(local, u32::MAX, "active ⊆ every hop set");
-                scratch.active_rows.push(local as usize);
-            }
-            let hist_l = &mut scratch.history[l];
-            for (a, &row) in scratch.active_rows.iter().enumerate() {
-                hist_l
-                    .row_mut(scratch.active.origs()[a])
-                    .copy_from_slice(scratch.h_next.row(row));
-            }
-            *feature_time += fp.elapsed();
-
-            // Lines 6–15: early exits.
-            let at_final = l == cfg.t_max;
-            scratch.exit_mask.clear();
-            scratch.exit_mask.resize(scratch.active.len(), at_final);
-            if !at_final && l >= cfg.t_min {
-                let fp = Instant::now();
-                match cfg.nap {
-                    NapMode::Fixed => {}
-                    NapMode::Distance { ts } => {
-                        for a in 0..scratch.active.len() {
-                            let cur = scratch.h_next.row(scratch.active_rows[a]);
-                            let stat = scratch.x_inf.row(scratch.active.origs()[a]);
-                            scratch.exit_mask[a] = l2_distance(cur, stat) < ts;
-                        }
-                        macs.nap += scratch.active.len() as u64 * napd::macs_per_node(f);
-                    }
-                    NapMode::Gate => {
-                        // nai-lint: allow(hot-path-panic) -- Gate mode asserts
-                        // gates.is_some() at function entry; unreachable here.
-                        let gates = self.gates.as_ref().expect("validated above");
-                        if l < gates.k() {
-                            let (h_next, x_inf) = (&scratch.h_next, &scratch.x_inf);
-                            let rows = scratch
-                                .active_rows
-                                .iter()
-                                .zip(scratch.active.origs())
-                                .map(|(&r, &o)| (h_next.row(r), x_inf.row(o)));
-                            gates.decide_rows(l, rows, &mut scratch.exit_mask);
-                            macs.nap += scratch.active.len() as u64 * gates.macs_per_node();
-                        }
-                    }
-                    NapMode::UpperBound { .. } => {
-                        // Depths were fixed before propagation; exiting here
-                        // costs no feature comparison at all.
-                        for a in 0..scratch.active.len() {
-                            scratch.exit_mask[a] = assigned[scratch.active.origs()[a]] == l;
-                        }
-                    }
-                }
-                *feature_time += fp.elapsed();
-            }
-
-            if scratch.exit_mask.iter().any(|&e| e) {
-                // Compact the index vectors; the history matrices stay
-                // where they are (rows addressed by original batch row).
-                let exited = scratch.active.apply_exits(&scratch.exit_mask);
-
-                // Classify the exiting nodes with f^(l) (line 12/17),
-                // gathering only their rows from the history.
-                let exit_feats: Vec<DenseMatrix> = scratch.history[..=l]
-                    .iter()
-                    // nai-lint: allow(hot-path-panic) -- `exited` is a subset of
-                    // the active set, which indexes these same history matrices.
-                    .map(|m| m.gather_rows(exited).expect("exit rows"))
-                    .collect();
-                let logits = head(l, &exit_feats);
-                macs.classification += exited.len() as u64 * head_macs(l);
-                let preds = argmax_rows(&logits);
-                for (t, &orig) in exited.iter().enumerate() {
-                    predictions[batch_offset + orig] = preds[t];
-                    depths[batch_offset + orig] = l;
-                    histogram[l - 1] += 1;
-                }
-
-                if scratch.active.is_empty() {
-                    scratch.plan.finish();
-                    return; // whole batch classified
-                }
-
-                // Line 5 revisited: shrink the future supporting sets to
-                // the survivors' neighborhoods, in place.
-                if l < cfg.t_max {
-                    let fp = Instant::now();
-                    scratch.bfs.shrink_hop_sets(
-                        &self.adj,
-                        scratch.active.nodes(),
-                        &mut scratch.plan.sets[l + 1..=cfg.t_max],
-                        cfg.t_max - l - 1,
-                    );
-                    *feature_time += fp.elapsed();
-                }
-            }
-
-            std::mem::swap(&mut scratch.h_prev, &mut scratch.h_next);
         }
-        // Defensive: the forced exit at t_max always empties the batch
-        // above, but keep the column-map invariant on every path.
-        scratch.plan.finish();
+        self.recycle(scratch);
+        out
+    }
+
+    /// An idle pooled scratch, or a fresh one. Return it with
+    /// [`Self::recycle`] only after the call using it returned normally:
+    /// a scratch a panic unwound through may still hold a stamped column
+    /// map, so it is dropped instead of reused.
+    fn take_scratch(&self) -> EngineScratch {
+        // The pool is a plain stack no code panics while holding, and it
+        // stays consistent even if one did: recover a poisoned lock.
+        let mut pool = self
+            .scratch_pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pool.pop().unwrap_or_default()
+    }
+
+    fn recycle(&self, scratch: EngineScratch) {
+        let mut pool = self
+            .scratch_pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        pool.push(scratch);
+    }
+}
+
+/// The frozen view: BFS and degrees come from the raw adjacency, Eq. (1)
+/// weights from the precomputed `Â`.
+impl GraphView for NaiEngine {
+    fn num_nodes(&self) -> usize {
+        self.adj.n()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.features.cols()
+    }
+
+    fn degree(&self, v: u32) -> usize {
+        self.adj.row_nnz(v as usize)
+    }
+
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.adj.row_indices(v as usize)
+    }
+
+    fn feature(&self, v: u32) -> &[f32] {
+        self.features.row(v as usize)
+    }
+
+    fn total_tilde_degree(&self) -> f64 {
+        self.total_tilde_degree
+    }
+
+    /// Sums `Â`'s row `i` in column order, the self-loop at its sorted
+    /// position: the order of `CsrMatrix::spmm_gather_into` and of the
+    /// offline `propagate_features` the classifiers were trained on.
+    #[inline]
+    fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]) {
+        for (j, w) in self.norm_adj.row_iter(i as usize) {
+            for (o, &x) in out.iter_mut().zip(src_row(j)) {
+                *o += w * x;
+            }
+        }
     }
 }
 
@@ -668,6 +483,7 @@ mod tests {
     use nai_graph::generators::{generate, GeneratorConfig};
     use nai_graph::normalize::normalized_adjacency;
     use nai_graph::Convolution;
+    use nai_linalg::ops::argmax_rows;
     use nai_models::propagate_features;
     use nai_models::train::train_depth_classifier;
     use nai_models::ModelKind;

@@ -13,10 +13,14 @@
 //! * [`gates`] — Gate-based NAP: per-depth trained gates with
 //!   Gumbel-softmax relaxation and the inference-time penalty mechanism
 //!   (Eq. 11–13);
-//! * [`inference`] — Algorithm 1: batched online propagation with
-//!   per-node early exit and shrinking supporting frontiers;
+//! * [`kernel`] — Algorithm 1, written once: online propagation with
+//!   per-node early exit and shrinking supporting frontiers, generic over
+//!   a [`kernel::GraphView`] (the static and streaming engines are its
+//!   two views);
+//! * [`inference`] — the static deployment [`inference::NaiEngine`]: the
+//!   frozen-CSR view plus the batch loop;
 //! * [`active`] — the allocation-free active-set / frontier-plan
-//!   bookkeeping both the static and streaming engines run on;
+//!   bookkeeping the kernel runs on;
 //! * [`distill`] — Inception Distillation (Eq. 14–21): Single-Scale KD
 //!   from `f^(k)` and Multi-Scale KD from a trainable ensemble teacher;
 //! * [`macs`] / [`metrics`] — the MACs accounting of Table I and the
@@ -32,6 +36,7 @@ pub mod distill;
 pub mod eval;
 pub mod gates;
 pub mod inference;
+pub mod kernel;
 pub mod macs;
 pub mod metrics;
 pub mod napd;

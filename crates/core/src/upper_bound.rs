@@ -46,11 +46,38 @@ pub fn assign_depths(
     t_min: usize,
     t_max: usize,
 ) -> Vec<usize> {
+    assign_depths_by(
+        |v| adj.row_nnz(v as usize),
+        nodes,
+        ts,
+        lambda2,
+        total_tilde_degree,
+        t_min,
+        t_max,
+    )
+}
+
+/// [`assign_depths`] over an arbitrary degree function — `degree(v)` is
+/// the neighbour count of `v` — so graph representations that are not
+/// CSR share the one policy (the read kernel calls it through
+/// `GraphView::degree`).
+///
+/// # Panics
+/// Panics if `t_min > t_max` (or `degree` panics on an id).
+pub fn assign_depths_by(
+    degree: impl Fn(u32) -> usize,
+    nodes: &[u32],
+    ts: f32,
+    lambda2: f32,
+    total_tilde_degree: f64,
+    t_min: usize,
+    t_max: usize,
+) -> Vec<usize> {
     assert!(t_min <= t_max, "t_min must not exceed t_max");
     nodes
         .iter()
         .map(|&v| {
-            let degree = adj.row_nnz(v as usize) as f32;
+            let degree = degree(v) as f32;
             match spectral_bound(ts, degree, total_tilde_degree, lambda2) {
                 Some(b) => (b.ceil() as usize).clamp(t_min, t_max),
                 None => t_max,

@@ -1,15 +1,14 @@
 //! Per-arrival node-adaptive inference over a growing graph.
 //!
-//! [`StreamingEngine`] is Algorithm 1 re-hosted on [`DynamicGraph`]:
+//! [`StreamingEngine`] runs Algorithm 1 — the one read kernel of
+//! [`nai_core::kernel`] — over a dynamic view of its [`DynamicGraph`]:
 //! supporting frontiers come from BFS over adjacency lists, and the
 //! normalized-adjacency weight `d̃_i^(γ−1) d̃_j^(−γ)` of Eq. (1) is the
 //! product of two per-node factors the engine caches and refreshes at
 //! mutation time — for an arrival and each of its neighbours, and for
 //! both endpoints of a new edge — so arrivals never invalidate a stored
-//! matrix and propagation computes no powers. The depth-1 step gathers
-//! raw feature rows in place from the graph; later steps gather from the
-//! previous step's output. The stationary reference comes from
-//! [`IncrementalStationary`] in `O(f)` per arrival.
+//! matrix and propagation computes no powers. The stationary reference
+//! comes from [`IncrementalStationary`] in `O(f)` per arrival.
 //!
 //! The workflow is ingest → flush:
 //!
@@ -28,14 +27,11 @@ use crate::stationary::IncrementalStationary;
 use crate::stats::{LatencyStats, MacsBreakdown, StageTimes};
 use crate::sync::time::Instant;
 use nai_core::active::EngineScratch;
-use nai_core::config::{InferenceConfig, NapMode};
+use nai_core::config::InferenceConfig;
 use nai_core::gates::GateSet;
-use nai_core::napd;
-use nai_core::upper_bound::spectral_bound;
+use nai_core::kernel::{GraphView, Heads, ReadKernel, Tally};
 use nai_graph::normalized_adjacency;
 use nai_graph::Convolution;
-use nai_linalg::ops::{argmax_rows, l2_distance};
-use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
 use std::time::Duration;
 
@@ -50,50 +46,6 @@ pub struct StreamPrediction {
     pub depth: usize,
     /// Wall-clock latency of the micro-batch that served this node.
     pub latency: Duration,
-}
-
-/// Contiguous-span stopwatch behind [`StreamingEngine::stage_times`]:
-/// `infer_nodes_inner` calls one of the stage methods at each
-/// attribution boundary (the same sites where [`MacsBreakdown`] is
-/// charged), attributing everything since the previous boundary to
-/// that stage. The spans partition the call's wall time — no interior
-/// interval goes unattributed — so summed stage times track the engine
-/// call's duration to within the cost of the `Instant::now` reads
-/// themselves (a handful per propagation depth).
-struct StageClock {
-    mark: Instant,
-    acc: StageTimes,
-}
-
-impl StageClock {
-    fn new() -> Self {
-        StageClock {
-            mark: Instant::now(),
-            acc: StageTimes::default(),
-        }
-    }
-
-    fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let span = now.saturating_duration_since(self.mark);
-        self.mark = now;
-        span
-    }
-
-    fn propagation(&mut self) {
-        let span = self.lap();
-        self.acc.propagation += span;
-    }
-
-    fn nap(&mut self) {
-        let span = self.lap();
-        self.acc.nap += span;
-    }
-
-    fn classification(&mut self) {
-        let span = self.lap();
-        self.acc.classification += span;
-    }
 }
 
 /// Eq. (1)'s normalization factors of one node with `d̃ = degree + 1`:
@@ -450,293 +402,111 @@ impl StreamingEngine {
     /// Algorithm 1 over the current graph for explicit `nodes` (they must
     /// already be in the graph). Returns `(prediction, depth)` per node.
     ///
-    /// Runs on the same [`nai_core::active`] engine as the static
-    /// `NaiEngine`: shared exit bookkeeping (`ActiveSet`), stamped
-    /// column-map support lookups, full-width history with one row
-    /// indirection, and in-place incremental hop-set shrinking. Only the
-    /// propagation differs: weights come from the cached per-node factors,
-    /// and depth 1 reads raw features in place, so BFS stops at
-    /// `t_max − 1` hops and the widest (depth-0) support set is never
-    /// built.
+    /// Runs the same read kernel as the static `NaiEngine`, over the
+    /// dynamic view: BFS walks the adjacency lists, weights come from the
+    /// cached per-node factors, and depth 1 reads raw features in place.
     ///
     /// # Panics
     /// Panics on invalid config, missing gates, or unknown node ids.
     pub fn infer_nodes(&mut self, nodes: &[u32], cfg: &InferenceConfig) -> Vec<(usize, usize)> {
-        // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
-        // (documented # Panics): a bad config must abort before inference.
-        cfg.validate(self.k()).expect("invalid inference config");
-        if matches!(cfg.nap, NapMode::Gate) {
-            assert!(
-                self.gates.is_some(),
-                "gate NAP requested but the engine has no trained gates"
-            );
-        }
+        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), self.lambda2);
         if nodes.is_empty() {
             return Vec::new();
         }
-        // Detach the scratch so the borrow checker can see it is disjoint
-        // from the graph/stationary state it is used alongside.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut clock = StageClock::new();
-        let results = self.infer_nodes_inner(nodes, cfg, &mut scratch, &mut clock);
-        self.scratch = scratch;
-        // Merged here, not inside `infer_nodes_inner`, so the all-exited
-        // early return cannot drop a partially accumulated breakdown.
-        self.stage_times.merge(&clock.acc);
-        results
-    }
-
-    fn infer_nodes_inner(
-        &mut self,
-        nodes: &[u32],
-        cfg: &InferenceConfig,
-        scratch: &mut EngineScratch,
-        clock: &mut StageClock,
-    ) -> Vec<(usize, usize)> {
-        let n = self.graph.num_nodes();
-        let f = self.graph.feature_dim();
+        let classifiers = &self.classifiers;
+        let heads = Heads {
+            forward: &|l, feats| classifiers[l - 1].forward(feats),
+            macs_per_node: &|l| classifiers[l - 1].macs_per_node(),
+        };
+        let view = DynamicView {
+            graph: &self.graph,
+            norm: &self.norm,
+        };
+        let stationary = &self.stationary;
         let mut results = vec![(usize::MAX, 0usize); nodes.len()];
-        scratch.begin_batch(n, nodes, cfg.t_max, f);
-        for &v in nodes {
-            assert!((v as usize) < n, "node {v} out of range");
-        }
-
-        // Stationary rows (Algorithm 1 line 2) — O(f) per node thanks to
-        // the incremental accumulators. Indexed by original batch row,
-        // written into the reusable scratch buffer.
-        self.stationary
-            .rows_into(&self.graph, nodes, &mut scratch.x_inf);
-        clock.propagation();
-
-        // NAP_u: depths fixed from Eq. (10) before propagation, indexed
-        // by original batch row.
-        let assigned: Vec<usize> = match cfg.nap {
-            NapMode::UpperBound { ts } => {
-                self.macs.nap += nodes.len() as u64 * 4;
-                let total = self.graph.total_tilde_degree();
-                nodes
-                    .iter()
-                    .map(|&v| {
-                        let degree = self.graph.degree(v) as f32;
-                        match spectral_bound(ts, degree, total, self.lambda2) {
-                            Some(b) => (b.ceil() as usize).clamp(cfg.t_min, cfg.t_max),
-                            None => cfg.t_max,
-                        }
-                    })
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        clock.nap();
-
-        // Supporting hop sets (line 3) over the dynamic adjacency lists.
-        // Depth 1 gathers raw features in place, so no depth-0 support is
-        // needed: BFS stops one hop short and `sets[l − 1]` is the
-        // support of depth `l`.
-        let graph = &self.graph;
-        scratch.bfs.hop_sets_by_into(
-            |u| graph.neighbors(u).iter().copied(),
+        let mut tally = Tally::default();
+        // Detached for the call: if the kernel panics, the scratch (its
+        // column map possibly still stamped) is dropped, not reused.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        kernel.run(
+            &view,
             nodes,
-            cfg.t_max - 1,
-            &mut scratch.plan.sets,
+            heads,
+            &mut scratch,
+            |x_inf| {
+                // O(f) per node thanks to the incremental accumulators;
+                // not charged, like every other incremental update.
+                stationary.rows_into(view.graph, nodes, x_inf);
+                0
+            },
+            &mut tally,
+            |row, prediction, depth| results[row] = (prediction, depth),
         );
-
-        for (r, &v) in nodes.iter().enumerate() {
-            scratch.history[0]
-                .row_mut(r)
-                .copy_from_slice(self.graph.feature(v));
-        }
-
-        for l in 1..=cfg.t_max {
-            let support_l = std::mem::take(&mut scratch.plan.sets[l - 1]);
-            // Each source is its own closure type, so each call site gets
-            // a monomorphized gather loop.
-            let step_macs = if l == 1 {
-                let graph = &self.graph;
-                self.propagate_step_into(
-                    &support_l,
-                    |g| graph.feature(g),
-                    &mut scratch.h_next,
-                    cfg.parallel_spmm,
-                )
-            } else {
-                let (col_map, prev) = (scratch.plan.col_map(), scratch.h_prev.as_slice());
-                let prev_row = |g: u32| {
-                    let local = col_map[g as usize];
-                    debug_assert_ne!(local, u32::MAX, "support nesting violated");
-                    let local = local as usize;
-                    &prev[local * f..(local + 1) * f]
-                };
-                self.propagate_step_into(
-                    &support_l,
-                    prev_row,
-                    &mut scratch.h_next,
-                    cfg.parallel_spmm,
-                )
-            };
-            self.macs.propagation += step_macs;
-            scratch.plan.advance(support_l);
-
-            scratch.active_rows.clear();
-            for &g in scratch.active.nodes() {
-                let local = scratch.plan.local(g);
-                debug_assert_ne!(local, u32::MAX, "active ⊆ every hop set");
-                scratch.active_rows.push(local as usize);
-            }
-            let hist_l = &mut scratch.history[l];
-            for (a, &row) in scratch.active_rows.iter().enumerate() {
-                hist_l
-                    .row_mut(scratch.active.origs()[a])
-                    .copy_from_slice(scratch.h_next.row(row));
-            }
-            clock.propagation();
-
-            let at_final = l == cfg.t_max;
-            scratch.exit_mask.clear();
-            scratch.exit_mask.resize(scratch.active.len(), at_final);
-            if !at_final && l >= cfg.t_min {
-                match cfg.nap {
-                    NapMode::Fixed => {}
-                    NapMode::Distance { ts } => {
-                        for a in 0..scratch.active.len() {
-                            let cur = scratch.h_next.row(scratch.active_rows[a]);
-                            let stat = scratch.x_inf.row(scratch.active.origs()[a]);
-                            scratch.exit_mask[a] = l2_distance(cur, stat) < ts;
-                        }
-                        self.macs.nap += scratch.active.len() as u64 * napd::macs_per_node(f);
-                    }
-                    NapMode::Gate => {
-                        // nai-lint: allow(hot-path-panic) -- Gate mode asserts
-                        // gates.is_some() at function entry; unreachable here.
-                        let gates = self.gates.as_ref().expect("validated above");
-                        if l < gates.k() {
-                            let (h_next, x_inf) = (&scratch.h_next, &scratch.x_inf);
-                            let rows = scratch
-                                .active_rows
-                                .iter()
-                                .zip(scratch.active.origs())
-                                .map(|(&r, &o)| (h_next.row(r), x_inf.row(o)));
-                            gates.decide_rows(l, rows, &mut scratch.exit_mask);
-                            self.macs.nap += scratch.active.len() as u64 * gates.macs_per_node();
-                        }
-                    }
-                    NapMode::UpperBound { .. } => {
-                        for a in 0..scratch.active.len() {
-                            scratch.exit_mask[a] = assigned[scratch.active.origs()[a]] == l;
-                        }
-                    }
-                }
-            }
-            clock.nap();
-
-            if scratch.exit_mask.iter().any(|&e| e) {
-                let exited = scratch.active.apply_exits(&scratch.exit_mask);
-                let clf = &self.classifiers[l - 1];
-                let exit_feats: Vec<DenseMatrix> = scratch.history[..=l]
-                    .iter()
-                    // nai-lint: allow(hot-path-panic) -- `exited` is a subset of
-                    // the active set, which indexes these same history matrices.
-                    .map(|m| m.gather_rows(exited).expect("exit rows"))
-                    .collect();
-                let logits = clf.forward(&exit_feats);
-                self.macs.classification += exited.len() as u64 * clf.macs_per_node();
-                let preds = argmax_rows(&logits);
-                for (t, &orig) in exited.iter().enumerate() {
-                    results[orig] = (preds[t], l);
-                }
-                clock.classification();
-
-                if scratch.active.is_empty() {
-                    scratch.plan.finish();
-                    clock.propagation();
-                    return results;
-                }
-                if l < cfg.t_max {
-                    let graph = &self.graph;
-                    scratch.bfs.shrink_hop_sets_by(
-                        |u| graph.neighbors(u).iter().copied(),
-                        scratch.active.nodes(),
-                        &mut scratch.plan.sets[l..cfg.t_max],
-                        cfg.t_max - l - 1,
-                    );
-                }
-                clock.propagation();
-            }
-
-            std::mem::swap(&mut scratch.h_prev, &mut scratch.h_next);
-        }
-        scratch.plan.finish();
-        clock.propagation();
+        self.scratch = scratch;
+        self.macs.propagation += tally.macs.propagation;
+        self.macs.nap += tally.macs.nap;
+        self.macs.classification += tally.macs.classification;
+        self.stage_times.merge(&tally.times);
         results
     }
+}
 
-    /// One propagation step `H_l[i] = Σ_{j ∈ Ñ(i)} Â_ij H_{l−1}[j]`
-    /// (self-loop included) with weights from the cached per-node factors,
-    /// reading node `j`'s `H_{l−1}` row as `src_row(j)` and writing into
-    /// the reusable `out` buffer.
-    ///
-    /// When `parallel` is set, output rows are filled concurrently via
-    /// `nai_linalg::parallel` (honoring `InferenceConfig::parallel_spmm`);
-    /// each row is an independent reduction, so results and the returned
-    /// MAC count are bit-identical with the serial path. Small frontiers
-    /// fall back to the serial loop.
-    fn propagate_step_into<'a>(
-        &self,
-        support_l: &[u32],
-        src_row: impl Fn(u32) -> &'a [f32] + Sync,
-        out: &mut DenseMatrix,
-        parallel: bool,
-    ) -> u64 {
-        let f = self.graph.feature_dim();
-        out.reset_zeroed(support_l.len(), f);
-        let norm = &self.norm;
-        // Self-loop + one term per neighbor, every one readable via `src_row`
-        // by the nesting invariant — the MAC count is exact without a
-        // pass over the features.
-        let macs: u64 = support_l
-            .iter()
-            .map(|&gi| (self.graph.degree(gi) as u64 + 1) * f as u64)
-            .sum();
-        let fill_row = |gi: u32, orow: &mut [f32]| {
-            let left = norm[gi as usize].row;
-            // Self-loop term of Ã = A + I.
-            let w_self = left * norm[gi as usize].col;
-            for (o, &x) in orow.iter_mut().zip(src_row(gi)) {
-                *o += w_self * x;
-            }
-            for &j in self.graph.neighbors(gi) {
-                let w = left * norm[j as usize].col;
-                for (o, &x) in orow.iter_mut().zip(src_row(j)) {
-                    *o += w * x;
-                }
-            }
-        };
-        let threads = if parallel && f > 0 && !support_l.is_empty() {
-            let avg_cost = (macs as usize / support_l.len()).max(1);
-            nai_linalg::parallel::thread_count(support_l.len() * avg_cost)
-        } else {
-            1
-        };
-        if threads <= 1 {
-            for (t, &gi) in support_l.iter().enumerate() {
-                fill_row(gi, out.row_mut(t));
-            }
-            return macs;
+/// The dynamic view: adjacency lists and raw features from the graph,
+/// Eq. (1) weights from the engine's cached factors.
+struct DynamicView<'a> {
+    graph: &'a DynamicGraph,
+    norm: &'a [NormFactors],
+}
+
+impl GraphView for DynamicView<'_> {
+    fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.graph.feature_dim()
+    }
+
+    fn degree(&self, v: u32) -> usize {
+        self.graph.degree(v)
+    }
+
+    fn neighbors(&self, v: u32) -> &[u32] {
+        self.graph.neighbors(v)
+    }
+
+    fn feature(&self, v: u32) -> &[f32] {
+        self.graph.feature(v)
+    }
+
+    fn total_tilde_degree(&self) -> f64 {
+        self.graph.total_tilde_degree()
+    }
+
+    /// Sums the self-loop term first, then one term per neighbour in
+    /// adjacency-list order, each weight the product of two cached
+    /// factors. This is not `Â`'s column order, so fixed-depth features
+    /// can differ from the static engine's in the last bits.
+    #[inline]
+    fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]) {
+        let left = self.norm[i as usize].row;
+        let w_self = left * self.norm[i as usize].col;
+        for (o, &x) in out.iter_mut().zip(src_row(i)) {
+            *o += w_self * x;
         }
-        let avg_cost = (macs as usize / support_l.len()).max(1);
-        nai_linalg::parallel::par_rows_mut(out.as_mut_slice(), f, avg_cost, |row0, chunk| {
-            for (off, orow) in chunk.chunks_mut(f).enumerate() {
-                fill_row(support_l[row0 + off], orow);
+        for &j in self.graph.neighbors(i) {
+            let w = left * self.norm[j as usize].col;
+            for (o, &x) in out.iter_mut().zip(src_row(j)) {
+                *o += w * x;
             }
-        });
-        macs
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nai_core::config::PipelineConfig;
+    use nai_core::config::{NapMode, PipelineConfig};
     use nai_core::pipeline::NaiPipeline;
     use nai_graph::generators::{generate, GeneratorConfig};
     use nai_graph::{Graph, InductiveSplit};
@@ -783,8 +553,11 @@ mod tests {
         // With no arrivals, the streaming engine must agree with the
         // static NaiEngine on the same graph, for every NAP mode.
         //
-        // Fixed-depth modes share the propagation arithmetic exactly, so
-        // they must match bit-for-bit. Threshold modes (distance, gate,
+        // The two graph views sum Eq. (1)'s terms in different orders
+        // (`Â`'s column order vs. self-loop first, then neighbours), so
+        // even fixed-depth features can differ in the last bits; only
+        // fixed-depth predictions and depths are pinned equal. Threshold
+        // modes (distance, gate,
         // upper-bound) compare against the stationary state, which the
         // two engines compute by different algorithms (incremental f64
         // accumulators vs. the per-component direct form — equal only to
@@ -836,6 +609,33 @@ mod tests {
                 preds.len(),
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_read_panics_and_engine_recovers() {
+        let (g, split, t) = trained(200, 3);
+        let mut se = engine_from(&t, &g);
+        let cfg = InferenceConfig::distance(0.5, 1, 3);
+        let want = engine_from(&t, &g).infer_nodes(&split.test, &cfg);
+        assert_eq!(se.infer_nodes(&split.test, &cfg), want, "warm-up");
+        let before = se.macs_breakdown();
+
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            se.infer_nodes(&[1, 200, 2], &cfg)
+        }))
+        .expect_err("an out-of-range id must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains("node 200 out of range"),
+            "panic message: {msg:?}"
+        );
+        assert_eq!(
+            se.macs_breakdown(),
+            before,
+            "a rejected read charges nothing"
+        );
+
+        assert_eq!(se.infer_nodes(&split.test, &cfg), want, "after the panic");
     }
 
     #[test]

@@ -20,11 +20,14 @@
 //! * [`stats::LatencyStats`] — p50/p95/p99 latency and throughput
 //!   accounting for the streaming benches.
 //!
-//! The static [`nai_core::inference::NaiEngine`] and this engine agree
-//! exactly when the stream is ingested fully before one flush (tested in
-//! `tests/stream_matches_static.rs`); the streaming value is everything
-//! before that point: predictions against the graph *as it existed at
-//! arrival time*, without rebuilding CSR matrices or stationary states.
+//! The static [`nai_core::inference::NaiEngine`] and this engine run the
+//! same read kernel ([`nai_core::kernel`]) over two graph views. On the
+//! same graph they agree on predictions and depths, up to rare
+//! threshold flips from their differently computed stationary states
+//! (tested in `engine.rs` and the workspace's `tests/scenario_matrix.rs`);
+//! the streaming value is everything before that point: predictions
+//! against the graph *as it existed at arrival time*, without rebuilding
+//! CSR matrices or stationary states.
 
 pub mod dynamic;
 pub mod engine;

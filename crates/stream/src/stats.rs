@@ -45,49 +45,10 @@ impl MacsBreakdown {
 }
 
 /// Cumulative wall time split by engine pipeline stage — the time-axis
-/// twin of [`MacsBreakdown`], attributed at the same code sites inside
-/// `StreamingEngine::infer_nodes`.
-///
-/// The serving layer snapshots this before and after each coalesced
-/// engine call and takes [`StageTimes::since`] to attribute the call's
-/// wall time to the batch it processed, so `/metrics` can split
-/// end-to-end latency into propagation / NAP / classification spans.
-/// Cumulative like `macs_total()`: never reset by `reset_stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Feature propagation: stationary rows, BFS support planning,
-    /// per-hop SpMM steps, frontier shrinking.
-    pub propagation: Duration,
-    /// NAP exit decisions: distance checks, gate forwards, Eq. (10)
-    /// bound evaluations.
-    pub nap: Duration,
-    /// Per-depth classifier forwards and exit gathers.
-    pub classification: Duration,
-}
-
-impl StageTimes {
-    /// Sum over all stages.
-    pub fn total(&self) -> Duration {
-        self.propagation + self.nap + self.classification
-    }
-
-    /// Accumulates another breakdown.
-    pub fn merge(&mut self, other: &StageTimes) {
-        self.propagation += other.propagation;
-        self.nap += other.nap;
-        self.classification += other.classification;
-    }
-
-    /// Stage-wise `self − earlier` (saturating): the time attributable
-    /// to whatever ran between two snapshots of a cumulative counter.
-    pub fn since(&self, earlier: &StageTimes) -> StageTimes {
-        StageTimes {
-            propagation: self.propagation.saturating_sub(earlier.propagation),
-            nap: self.nap.saturating_sub(earlier.nap),
-            classification: self.classification.saturating_sub(earlier.classification),
-        }
-    }
-}
+/// twin of [`MacsBreakdown`], filled by the read kernel and accumulated
+/// by `StreamingEngine::infer_nodes`. Cumulative like `macs_total()`:
+/// never reset by `reset_stats`.
+pub use nai_core::kernel::StageTimes;
 
 /// Lazily maintained sorted view of the samples; `stale` and `buf`
 /// share one lock so their coherence needs no cross-field reasoning.
