@@ -230,7 +230,8 @@ step "serve smoke (healthz + inference over TCP + clean shutdown)" \
 # `nai loadgen`, then assert the Prometheus exposition carries the
 # request/stage histograms (cumulative buckets, exact counts), the
 # JSON scrape carries per-stage spans and batch anatomy, and the
-# flight recorder at /debug/slow holds stage-timed traces.
+# flight recorder at /debug/slow holds stage-timed traces, and that an
+# idle server answers a read inline on the reactor thread.
 obs_smoke() {
   local dir bin pid="" addr
   dir=$(mktemp -d)
@@ -267,6 +268,13 @@ obs_smoke() {
   # JSON scrape: per-stage spans and batch anatomy ride along.
   curl -sf "http://$addr/metrics" | grep -q '"queue_wait"'
   curl -sf "http://$addr/metrics" | grep -q '"closed_on_idle"'
+  # The traffic has drained, so a lone read finds an idle replica that
+  # has applied every mutation: the reactor answers it inline.
+  curl -sf -X POST --data '{"op":"infer","nodes":[1]}' "http://$addr/v1" \
+    | grep -q '"ok":true'
+  curl -sf "http://$addr/metrics" | grep -Eq '"inline_batches":[1-9]'
+  curl -sf "http://$addr/metrics?format=prom" \
+    | grep -Eq '^nai_inline_batches_total [1-9]'
   # Flight recorder: stage-timed traces of the slowest requests.
   curl -sf "http://$addr/debug/slow" > "$dir/slow.json"
   grep -q '"trace_id"' "$dir/slow.json"

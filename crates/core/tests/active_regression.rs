@@ -1,5 +1,5 @@
-//! Regression: the active-set rewrite of `NaiEngine::infer_batch` must be
-//! **byte-identical** with the pre-refactor Algorithm 1 loop.
+//! Regression: the active-set Algorithm 1 loop behind `NaiEngine::infer`
+//! must be **byte-identical** with the pre-refactor loop.
 //!
 //! `reference_infer` below is the engine's previous implementation
 //! (per-depth `HashMap` position lookups, full-history `gather_rows`

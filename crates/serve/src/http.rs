@@ -283,6 +283,7 @@ fn metrics_json(service: &NaiService) -> Json {
         ("served", Json::uint(m.served)),
         ("overloaded", Json::uint(m.overloaded)),
         ("batches", Json::uint(m.batches)),
+        ("inline_batches", Json::uint(m.inline_batches)),
         ("degraded_batches", Json::uint(m.degraded_batches)),
         ("shed_ops", Json::uint(m.shed_ops)),
         ("edges_observed", Json::uint(m.edges_observed)),
@@ -400,6 +401,11 @@ fn metrics_prom(service: &NaiService) -> String {
             m.overloaded,
         ),
         ("nai_batches_total", "Batches dispatched.", m.batches),
+        (
+            "nai_inline_batches_total",
+            "Batches the reactor ran itself on an idle replica (part of nai_batches_total).",
+            m.inline_batches,
+        ),
         (
             "nai_degraded_batches_total",
             "Batches dispatched under a load-shed depth budget.",

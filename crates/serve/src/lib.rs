@@ -12,8 +12,10 @@
 //!   monotonic sequence number, validates it once, and sends it to
 //!   every replica, which applies its batch's mutation prefix in
 //!   sequence order before serving reads — so any replica answers any
-//!   node and clients never route. Each worker **batches** whatever is
-//!   queued for it when it becomes free (up to `max_batch` requests —
+//!   node and clients never route. The HTTP reactor answers a group of
+//!   reads on its own thread when it can claim an idle replica that
+//!   has applied every sequenced mutation. Each worker **batches**
+//!   whatever is queued for it when it becomes free (up to `max_batch` requests —
 //!   the Fig. 5 batch-size/latency trade-off, set by load instead of a
 //!   timer); **admission control** rejects work
 //!   beyond a bounded in-flight cap with a typed `Overloaded` (never a
@@ -548,7 +550,7 @@ mod tests {
             .into_iter()
             .map(|r| (r, 0, service::ReplySink::Channel(tx.clone())))
             .collect();
-        for outcome in service.submit_group(group) {
+        for outcome in service.submit_group(group, false) {
             assert!(matches!(outcome, Ok(None)), "queued, got {outcome:?}");
         }
         (0..n)

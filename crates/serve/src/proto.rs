@@ -236,63 +236,83 @@ pub fn render_request(req: &Request) -> String {
     Json::obj(fields).to_string()
 }
 
-/// Renders a reply as one wire line.
+/// Renders a reply as one wire line. Successful replies are written
+/// straight into the line, byte for byte what rendering them as
+/// [`Json`] objects gives; an error goes through [`error_line`], which
+/// escapes its message.
 pub fn render_reply(reply: &Reply) -> String {
+    let head = |line: &mut String, op: &str, shard: usize, applied_seq: u64| {
+        line.push_str("{\"ok\":true,\"op\":\"");
+        line.push_str(op);
+        line.push_str("\",\"shard\":");
+        push_uint(line, shard as u64);
+        line.push_str(",\"applied_seq\":");
+        push_uint(line, applied_seq);
+    };
+    let mut line = String::with_capacity(96);
     match reply {
         Reply::Infer {
             shard,
             applied_seq,
             results,
-        } => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("op", Json::str("infer")),
-            ("shard", Json::uint(*shard as u64)),
-            ("applied_seq", Json::uint(*applied_seq)),
-            (
-                "results",
-                Json::Arr(
-                    results
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("node", Json::uint(r.node as u64)),
-                                ("prediction", Json::uint(r.prediction as u64)),
-                                ("depth", Json::uint(r.depth as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+        } => {
+            head(&mut line, "infer", *shard, *applied_seq);
+            line.push_str(",\"results\":[");
+            for (i, r) in results.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                line.push_str("{\"node\":");
+                push_uint(&mut line, r.node as u64);
+                line.push_str(",\"prediction\":");
+                push_uint(&mut line, r.prediction as u64);
+                line.push_str(",\"depth\":");
+                push_uint(&mut line, r.depth as u64);
+                line.push('}');
+            }
+            line.push_str("]}");
+        }
         Reply::Ingest {
             shard,
             applied_seq,
             node,
             prediction,
             depth,
-        } => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("op", Json::str("ingest")),
-            ("shard", Json::uint(*shard as u64)),
-            ("applied_seq", Json::uint(*applied_seq)),
-            ("node", Json::uint(*node as u64)),
-            ("prediction", Json::uint(*prediction as u64)),
-            ("depth", Json::uint(*depth as u64)),
-        ]),
+        } => {
+            head(&mut line, "ingest", *shard, *applied_seq);
+            line.push_str(",\"node\":");
+            push_uint(&mut line, *node as u64);
+            line.push_str(",\"prediction\":");
+            push_uint(&mut line, *prediction as u64);
+            line.push_str(",\"depth\":");
+            push_uint(&mut line, *depth as u64);
+            line.push('}');
+        }
         Reply::Edge {
             shard,
             applied_seq,
             added,
-        } => Json::obj(vec![
-            ("ok", Json::Bool(true)),
-            ("op", Json::str("observe_edge")),
-            ("shard", Json::uint(*shard as u64)),
-            ("applied_seq", Json::uint(*applied_seq)),
-            ("added", Json::Bool(*added)),
-        ]),
-        Reply::Error { message } => error_line("invalid", Some(message)),
+        } => {
+            head(&mut line, "observe_edge", *shard, *applied_seq);
+            line.push_str(",\"added\":");
+            line.push_str(if *added { "true" } else { "false" });
+            line.push('}');
+        }
+        Reply::Error { message } => return error_line("invalid", Some(message)).to_string(),
     }
-    .to_string()
+    line
+}
+
+/// Writes `x` as [`Json::uint`] renders it: every number is an `f64`,
+/// so integers above 2⁵³ come out rounded, in `f64` notation.
+fn push_uint(line: &mut String, x: u64) {
+    use std::fmt::Write as _;
+    let f = x as f64;
+    let _ = if f <= 2f64.powi(53) {
+        write!(line, "{}", f as u64)
+    } else {
+        write!(line, "{f}")
+    };
 }
 
 /// An `{"ok":false,...}` object for transport-level failures
@@ -431,6 +451,135 @@ mod tests {
         let v = Json::parse(&err).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("error").unwrap().as_str(), Some("invalid"));
+    }
+
+    /// The `Json` tree rendering `render_reply` replaced.
+    fn render_reply_as_tree(reply: &Reply) -> String {
+        let head = |op: &str, shard: usize, applied_seq: u64| {
+            vec![
+                ("ok", Json::Bool(true)),
+                ("op", Json::str(op)),
+                ("shard", Json::uint(shard as u64)),
+                ("applied_seq", Json::uint(applied_seq)),
+            ]
+        };
+        match reply {
+            Reply::Infer {
+                shard,
+                applied_seq,
+                results,
+            } => {
+                let mut fields = head("infer", *shard, *applied_seq);
+                let results = results
+                    .iter()
+                    .map(|r| {
+                        Json::obj(vec![
+                            ("node", Json::uint(r.node as u64)),
+                            ("prediction", Json::uint(r.prediction as u64)),
+                            ("depth", Json::uint(r.depth as u64)),
+                        ])
+                    })
+                    .collect();
+                fields.push(("results", Json::Arr(results)));
+                Json::obj(fields)
+            }
+            Reply::Ingest {
+                shard,
+                applied_seq,
+                node,
+                prediction,
+                depth,
+            } => {
+                let mut fields = head("ingest", *shard, *applied_seq);
+                fields.push(("node", Json::uint(*node as u64)));
+                fields.push(("prediction", Json::uint(*prediction as u64)));
+                fields.push(("depth", Json::uint(*depth as u64)));
+                Json::obj(fields)
+            }
+            Reply::Edge {
+                shard,
+                applied_seq,
+                added,
+            } => {
+                let mut fields = head("observe_edge", *shard, *applied_seq);
+                fields.push(("added", Json::Bool(*added)));
+                Json::obj(fields)
+            }
+            Reply::Error { message } => error_line("invalid", Some(message)),
+        }
+        .to_string()
+    }
+
+    #[test]
+    fn direct_reply_rendering_is_byte_identical_to_the_json_tree() {
+        let result = |node, prediction, depth| NodeResult {
+            node,
+            prediction,
+            depth,
+        };
+        let mut replies = vec![
+            Reply::Infer {
+                shard: 0,
+                applied_seq: 0,
+                results: vec![],
+            },
+            Reply::Infer {
+                shard: 1,
+                applied_seq: 7,
+                results: vec![result(0, 2, 1), result(17, 0, 3), result(42, 4, 2)],
+            },
+            Reply::Ingest {
+                shard: 3,
+                applied_seq: 8,
+                node: 205,
+                prediction: 0,
+                depth: 2,
+            },
+            Reply::Edge {
+                shard: 1,
+                applied_seq: 9,
+                added: true,
+            },
+            Reply::Edge {
+                shard: 0,
+                applied_seq: 10,
+                added: false,
+            },
+            Reply::Error {
+                message: "node \"9\" out of range\n\t(\u{1})".into(),
+            },
+        ];
+        // Largest values, and the edges of the f64-exact range every
+        // JSON number goes through.
+        for seq in [u64::MAX, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, 1 << 60] {
+            replies.push(Reply::Infer {
+                shard: usize::MAX,
+                applied_seq: seq,
+                results: vec![
+                    result(u32::MAX, usize::MAX, usize::MAX),
+                    result(u32::MAX - 1, 0, 0),
+                ],
+            });
+            replies.push(Reply::Ingest {
+                shard: usize::MAX,
+                applied_seq: seq,
+                node: u32::MAX,
+                prediction: usize::MAX,
+                depth: usize::MAX,
+            });
+            replies.push(Reply::Edge {
+                shard: usize::MAX,
+                applied_seq: seq,
+                added: true,
+            });
+        }
+        for reply in &replies {
+            assert_eq!(
+                render_reply(reply),
+                render_reply_as_tree(reply),
+                "{reply:?}"
+            );
+        }
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! through per-connection state machines — read buffer → incremental
 //! HTTP/1.1 parse → dispatch → ordered response queue → write buffer.
 //! A readable socket drains *all* pipelined `/v1` lines into one
-//! submission group in one syscall round-trip, and replies come back
-//! through a [`CompletionQueue`] instead of a parked thread per
-//! request, so pipelining depth — not connection count — sets the
-//! admission pressure.
+//! submission group in one syscall round-trip, so pipelining depth —
+//! not connection count — sets the admission pressure. A group of reads
+//! may be answered on this thread: the service claims an idle,
+//! caught-up replica and runs its share inline, and those replies fill
+//! their slots at submission, like cache hits. Every other reply comes
+//! back through a [`CompletionQueue`] and the wake pipe instead of a
+//! parked thread per request.
 //!
 //! The state machine's invariants:
 //!
@@ -25,7 +28,9 @@
 //!   pipelining requests is throttled by TCP instead of ballooning
 //!   server memory.
 //! * **Liveness.** `last_activity` advances on every completed request
-//!   parse and on every byte of write progress. A connection with no
+//!   parse and on every byte of write progress. The kernel send buffer
+//!   is fixed at `SEND_BUF`, so once it is full a write makes progress
+//!   only when the peer has taken bytes out of it. A connection with no
 //!   activity for `read_timeout` is evicted *regardless of its write
 //!   backlog* — this covers slowloris senders, half-open peers, idle
 //!   keep-alive connections, and readers that never drain their
@@ -74,6 +79,13 @@ const MAX_HEADERS: usize = 100;
 const WRITE_BUF_CAP: usize = 256 * 1024;
 /// Bytes read per `read(2)` on a readable connection.
 const READ_CHUNK: usize = 16 * 1024;
+/// Kernel send buffer of every connection (`SO_SNDBUF`; the kernel
+/// doubles it for bookkeeping). Fixing it turns off send-buffer
+/// autotuning, which on loopback grows to megabytes while the peer
+/// reads nothing: every `write()` into that slack would count as write
+/// progress and keep a non-reading peer alive for seconds, while the
+/// reactor renders responses nobody reads.
+const SEND_BUF: i32 = 64 * 1024;
 
 /// Tuning knobs for the event-driven transport.
 #[derive(Debug, Clone, Copy)]
@@ -246,6 +258,43 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize
         },
         pos + content_length,
     )))
+}
+
+/// Sets the connection's kernel send buffer to [`SEND_BUF`].
+fn fix_send_buffer(stream: &std::net::TcpStream) -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    const SOL_SOCKET: i32 = 1;
+    #[cfg(target_os = "linux")]
+    const SO_SNDBUF: i32 = 7;
+    #[cfg(not(target_os = "linux"))]
+    const SOL_SOCKET: i32 = 0xffff;
+    #[cfg(not(target_os = "linux"))]
+    const SO_SNDBUF: i32 = 0x1001;
+    extern "C" {
+        fn setsockopt(
+            fd: i32,
+            level: i32,
+            optname: i32,
+            optval: *const std::ffi::c_void,
+            optlen: u32,
+        ) -> i32;
+    }
+    // SAFETY: a plain syscall on the open fd `stream` owns; the kernel
+    // copies the int behind `optval`.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_SNDBUF,
+            &SEND_BUF as *const i32 as *const std::ffi::c_void,
+            std::mem::size_of::<i32>() as u32,
+        )
+    };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
+    }
 }
 
 /// Renders a complete HTTP/1.1 response to wire bytes.
@@ -559,7 +608,10 @@ impl Reactor {
                         drop(stream);
                         continue;
                     }
-                    if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+                    if stream.set_nonblocking(true).is_err()
+                        || stream.set_nodelay(true).is_err()
+                        || fix_send_buffer(&stream).is_err()
+                    {
                         continue;
                     }
                     let slot = match self.free.pop() {
@@ -721,9 +773,9 @@ impl Reactor {
     /// Adds every line of a newline-JSON `/v1` body to the pass's
     /// submission group, preserving order: each parsed line reserves a
     /// `None` slot, filled when its reply arrives — at submission for
-    /// cache hits and rejections. The HTTP status reflects the
-    /// single-line case (503 overloaded / 400 invalid); multi-line
-    /// bodies always get 200 with per-line `"ok"` flags.
+    /// cache hits, inline reads and rejections. The HTTP status
+    /// reflects the single-line case (503 overloaded / 400 invalid);
+    /// multi-line bodies always get 200 with per-line `"ok"` flags.
     fn queue_v1(&mut self, slot: usize, body: &str, close: bool) {
         let lines: Vec<&str> = body.lines().filter(|l| !l.trim().is_empty()).collect();
         if lines.is_empty() {
@@ -784,9 +836,9 @@ impl Reactor {
     }
 
     /// Submits the `/v1` lines parsed since the last call as one group.
-    /// Lines the service answers at once (cache hits, rejections) fill
-    /// their slots here; the others are routed by token when their
-    /// replies complete.
+    /// Lines the service answers at once (cache hits, reads run inline
+    /// on a claimed replica, rejections) fill their slots here; the
+    /// others are routed by token when their replies complete.
     fn submit_parsed(&mut self, ingress: Instant) {
         if self.group.is_empty() {
             return;
@@ -798,7 +850,7 @@ impl Reactor {
         for entry in &mut group {
             entry.1 = parse_ns;
         }
-        let outcomes = self.state.service.submit_group(group);
+        let outcomes = self.state.service.submit_group(group, true);
         for ((token, dest), outcome) in std::mem::take(&mut self.dests).into_iter().zip(outcomes) {
             let (line, status) = match outcome {
                 Ok(None) => {

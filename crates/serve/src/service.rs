@@ -1,5 +1,6 @@
 //! The in-process serving engine: admission control and sequencing on
-//! the submitting thread → replicated shard worker pool.
+//! the submitting thread → replicated shard worker pool, with reads the
+//! reactor may answer on its own thread.
 //!
 //! ```text
 //!   submitting thread (the reactor, or an in-process caller)
@@ -8,15 +9,17 @@
 //!              ▼                    ▼                            ▼
 //!          answered             rejected        lock the Sequencer: validate and
 //!          inline                               stamp mutations with seq, invalidate
-//!                                               the cache, route reads (hint or
+//!                                               the cache, claim (reactor, reads
+//!                                               only), route reads (hint or
 //!                                               round-robin), send to the workers
-//!                                                                │
-//!                                                  ┌─────────────┼─────────────┐
-//!                                                  ▼             ▼             ▼
-//!                                              worker 0      worker 1  …   worker N−1
+//!                                                     │                  │
+//!                          claimed share, run on the  │                  │
+//!                          submitting thread ◀────────┘   ┌──────────────┼─────────────┐
+//!                                                         ▼              ▼             ▼
+//!                                                     worker 0      worker 1  …   worker N−1
 //!                                         take everything queued (≤ max_batch requests),
-//!                                         apply the mutation prefix in seq order,
-//!                                         then serve the reads in one engine call
+//!                                         lock the replica, apply the mutation prefix in
+//!                                         seq order, then serve the reads in one engine call
 //! ```
 //!
 //! **Batching** happens in one place, the worker. After a blocking
@@ -27,7 +30,15 @@
 //! idle worker runs at once, and requests arriving while a worker is
 //! busy coalesce behind it, so batch size follows load.
 //!
-//! **Sequenced mutation replication**: each worker owns one
+//! **Inline reads**: the replicas live in `Shared` behind one mutex
+//! each, which a worker holds for each merged batch. When the reactor
+//! submits a group of reads without shard hints, it claims (with
+//! `try_lock`, under the sequencer lock) an idle replica that has
+//! applied every sequenced mutation, sends the rest of the group to
+//! the other workers, and runs the claimed share itself — no thread
+//! hand-off either way (see `Sequencer::claim`).
+//!
+//! **Sequenced mutation replication**: each worker has one
 //! [`StreamingEngine`] replica (same checkpoint, private graph +
 //! scratch). The `Sequencer` — one lock shared by every submitting
 //! thread — stamps every mutation (ingest / observe_edge) with a
@@ -70,13 +81,14 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::mpsc::{self, Receiver, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::time::Instant;
-use crate::sync::{lock_recover, Arc, Mutex};
+use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::config::{InferenceConfig, NapMode, ServeConfig};
 use nai_obs::{
     CloseReason, HistogramSnapshot, Stage, StageBreakdown, TraceRecord, STAGE_COUNT, TRACE_NODE_CAP,
 };
 use nai_stream::{DynamicGraph, MacsBreakdown, StageTimes, StreamingEngine};
+use std::cell::OnceCell;
 use std::time::Duration;
 
 /// A `Duration` as whole nanoseconds, saturating at `u64::MAX` (585
@@ -139,8 +151,11 @@ pub struct MetricsSnapshot {
     /// Submissions rejected at the admission bound.
     pub overloaded: u64,
     /// Engine batches run so far (a worker's merged batch that answers
-    /// at least one request).
+    /// at least one request, or a share of reads answered inline).
     pub batches: u64,
+    /// The part of `batches` the reactor ran itself, on a claimed idle
+    /// replica, instead of handing the reads to a worker.
+    pub inline_batches: u64,
     /// Engine batches run with a degraded (load-shed) depth budget.
     pub degraded_batches: u64,
     /// Requests answered inside degraded batches (counted per request
@@ -179,7 +194,8 @@ pub struct MetricsSnapshot {
     pub batch_sizes: HistogramSnapshot,
     /// Batches whose worker stopped merging at `max_batch` requests.
     pub closed_on_max_batch: u64,
-    /// Batches that took everything queued for their worker.
+    /// Batches that took everything queued for their worker, and
+    /// inline batches (everything claimed runs at once).
     pub closed_on_idle: u64,
     /// Cumulative per-stage MACs. Inference stages (propagation / NAP /
     /// classification) are summed over replicas — each read or
@@ -257,14 +273,18 @@ impl CompletionQueue {
 }
 
 /// Where a reply lands: a per-request channel (the blocking
-/// [`Ticket`] path) or a shared [`CompletionQueue`] keyed by token
-/// (the event-driven transport path).
+/// [`Ticket`] path), a shared [`CompletionQueue`] keyed by token (the
+/// event-driven transport path), or a slot on the submitting thread
+/// (a read it answers inline on a claimed replica).
 pub(crate) enum ReplySink {
     Channel(Sender<Reply>),
     Completion {
         queue: Arc<CompletionQueue>,
         token: u64,
     },
+    /// Filled by the submitting thread itself and handed back as the
+    /// submission's outcome, so the reply touches no mailbox.
+    Inline(OnceCell<Reply>),
 }
 
 impl ReplySink {
@@ -274,6 +294,10 @@ impl ReplySink {
             // not an error: the reply is simply discarded.
             ReplySink::Channel(tx) => drop(tx.send(reply)),
             ReplySink::Completion { queue, token } => queue.push(*token, reply),
+            ReplySink::Inline(slot) => {
+                let first = slot.set(reply).is_ok();
+                debug_assert!(first, "an inline job is answered exactly once");
+            }
         }
     }
 }
@@ -292,6 +316,16 @@ struct ReplyHandle {
     parse_ns: u64,
     /// Admission time: where the `queue_wait` stage starts.
     enqueued: Instant,
+}
+
+impl ReplyHandle {
+    /// The reply an inline run left in this handle's slot.
+    fn into_inline_reply(self) -> Option<Reply> {
+        match self.responder {
+            ReplySink::Inline(slot) => slot.into_inner(),
+            _ => None,
+        }
+    }
 }
 
 struct Job {
@@ -446,12 +480,28 @@ impl Default for MacsCell {
     }
 }
 
+/// One engine replica and how far it has replicated.
+struct Replica {
+    engine: StreamingEngine,
+    /// Sequence number of the last mutation applied to this replica
+    /// (0 = seed state); exported in replies as `applied_seq`.
+    applied_seq: u64,
+}
+
+/// A replica's lock. Its worker holds it for each merged batch; the
+/// reactor only ever `try_lock`s it, to claim an idle replica for an
+/// inline read. `None` once the replica is retired (its engine
+/// panicked). A poisoned lock is treated the same way: the engine may
+/// be inconsistent, so it is never recovered.
+type ReplicaSlot = Mutex<Option<Replica>>;
+
 struct Shared {
     /// In-flight slot accounting, per-party reply counters, and worker
     /// dead flags — the state whose interplay the model tests check.
     admission: AdmissionLedger,
     overloaded: AtomicU64,
     batches: AtomicU64,
+    inline_batches: AtomicU64,
     degraded_batches: AtomicU64,
     shed_ops: AtomicU64,
     edges_observed: AtomicU64,
@@ -469,18 +519,20 @@ struct Shared {
     /// Per-worker MACs breakdown, overwritten after each batch from
     /// the engine's own totals — atomically, so scrapes never tear.
     worker_macs: Vec<MacsCell>,
-    /// Engine replicas handed back by workers at drain time (see
-    /// [`NaiService::into_engines`]); a panicked worker's replica is
-    /// absent.
-    returned: Mutex<Vec<(usize, StreamingEngine)>>,
+    /// One per worker, indexed like the workers.
+    replicas: Vec<ReplicaSlot>,
 }
 
 impl Shared {
-    fn new(cfg: &ServeConfig) -> Self {
+    /// Shared state over `engines`, one per worker in order (fewer
+    /// engines leave the remaining replicas retired from the start).
+    fn new(cfg: &ServeConfig, engines: Vec<StreamingEngine>) -> Self {
+        let mut engines = engines.into_iter();
         Shared {
             admission: AdmissionLedger::new(cfg.queue_cap, cfg.workers),
             overloaded: AtomicU64::new(0),
             batches: AtomicU64::new(0),
+            inline_batches: AtomicU64::new(0),
             degraded_batches: AtomicU64::new(0),
             shed_ops: AtomicU64::new(0),
             edges_observed: AtomicU64::new(0),
@@ -492,7 +544,52 @@ impl Shared {
                 .enabled
                 .then(|| VersionedCache::new(cfg.cache.cap)),
             worker_macs: (0..cfg.workers).map(|_| MacsCell::new()).collect(),
-            returned: Mutex::new(Vec::new()),
+            replicas: (0..cfg.workers)
+                .map(|_| {
+                    Mutex::new(engines.next().map(|engine| Replica {
+                        engine,
+                        applied_seq: 0,
+                    }))
+                })
+                .collect(),
+        }
+    }
+
+    /// Counts one engine batch that answers `owned` requests.
+    fn note_batch(&self, run: &BatchRun, owned: u64) {
+        // Relaxed on the batch counters: monotone, scrape-only.
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.obs.note_batch(run.size, run.close);
+        if run.degraded {
+            // Relaxed: monotone shed counters, scrape-only.
+            self.degraded_batches.fetch_add(1, Ordering::Relaxed);
+            self.shed_ops.fetch_add(owned, Ordering::Relaxed);
+        }
+    }
+
+    /// After a batch ran cleanly on `worker`'s replica: publish its
+    /// MACs and drop the engine's own latency samples.
+    fn finish_batch(&self, worker: usize, engine: &mut StreamingEngine) {
+        // One atomic publish of all four stages: a scrape sees either
+        // the pre-batch or the post-batch breakdown, never a mix (the
+        // old 4×`Relaxed`-store pattern tore — see `MacsCell`).
+        self.worker_macs[worker].publish(&engine.macs_breakdown());
+        // The service keeps its own (queue-inclusive) latency samples;
+        // drop the engine's internal per-flush copy so a long-lived
+        // replica does not accumulate a second unbounded sample vector.
+        engine.reset_stats();
+    }
+
+    /// Answers every job `batch` owns with the typed error of a
+    /// retired replica.
+    fn answer_gone(&self, worker: usize, batch: ShardBatch) {
+        for handle in batch
+            .mutations
+            .into_iter()
+            .filter_map(|m| m.handle)
+            .chain(batch.reads.into_iter().map(|r| r.handle))
+        {
+            self.respond(worker, &handle, gone(worker));
         }
     }
 
@@ -643,6 +740,7 @@ impl Shared {
             // linearization point.
             overloaded: self.overloaded.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
+            inline_batches: self.inline_batches.load(Ordering::Relaxed),
             degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
             shed_ops: self.shed_ops.load(Ordering::Relaxed),
             edges_observed: self.edges_observed.load(Ordering::Relaxed),
@@ -662,13 +760,22 @@ impl Shared {
         }
     }
 
-    /// Takes the engines drained workers handed back, in worker order
-    /// (poison-recovering: a replica pushed before another worker's
-    /// panic is still recoverable).
-    fn take_returned(&self) -> Vec<StreamingEngine> {
-        let mut replicas = std::mem::take(&mut *lock_recover(&self.returned));
-        replicas.sort_by_key(|(w, _)| *w);
-        replicas.into_iter().map(|(_, e)| e).collect()
+    /// Takes every live replica's engine, in worker order. A retired
+    /// replica is absent, and so is one behind a poisoned lock: its
+    /// engine may be inconsistent.
+    fn take_engines(&self) -> Vec<StreamingEngine> {
+        self.replicas
+            .iter()
+            .filter_map(|slot| slot.lock().ok()?.take())
+            .map(|replica| replica.engine)
+            .collect()
+    }
+}
+
+/// The typed error a retired replica's jobs are answered with.
+fn gone(worker: usize) -> Reply {
+    Reply::Error {
+        message: format!("shard {worker} worker is gone"),
     }
 }
 
@@ -701,6 +808,9 @@ pub struct NaiService {
     shared: Arc<Shared>,
     info: ServiceInfo,
     cfg: ServeConfig,
+    /// The base inference config every batch runs under (or its
+    /// load-shed degradation).
+    infer_cfg: InferenceConfig,
     /// One per worker — the service runs no other thread.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -758,10 +868,8 @@ impl NaiService {
             k,
             seed_nodes,
         };
-        let shared = Arc::new(Shared::new(&cfg));
-
         // The sequencer's invalidation mirror must be cloned before the
-        // engines move into their worker threads.
+        // engines move into their replica slots.
         let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
             mirror: engines[0].graph().clone(),
             // Only fixed-depth propagation is a purely local function
@@ -773,17 +881,18 @@ impl NaiService {
             radius: infer_cfg.t_max,
             budget: cfg.cache.frontier_budget,
         });
+        let shared = Arc::new(Shared::new(&cfg, engines));
 
         let mut threads = Vec::with_capacity(cfg.workers);
         let mut worker_txs = Vec::with_capacity(cfg.workers);
-        for (w, engine) in engines.into_iter().enumerate() {
+        for w in 0..cfg.workers {
             let (wtx, wrx) = mpsc::channel::<ShardBatch>();
             worker_txs.push(wtx);
             let shared_w = Arc::clone(&shared);
             threads.push(
                 thread::Builder::new()
                     .name(format!("nai-serve-worker-{w}"))
-                    .spawn(move || worker_loop(w, engine, wrx, shared_w, infer_cfg, cfg))
+                    .spawn(move || worker_loop(w, wrx, shared_w, infer_cfg, cfg))
                     // nai-lint: allow(hot-path-panic) -- spawn fails only on
                     // OS resource exhaustion during service construction.
                     .expect("spawn worker thread"),
@@ -795,6 +904,7 @@ impl NaiService {
             shared,
             info,
             cfg,
+            infer_cfg,
             threads: Mutex::new(threads),
         })
     }
@@ -833,16 +943,26 @@ impl NaiService {
     /// [`ServeError::Invalid`] for an out-of-range shard hint,
     /// [`ServeError::ShuttingDown`] after [`Self::shutdown`] began.
     pub fn submit(&self, req: Request) -> Result<Ticket, ServeError> {
+        self.submit_one(req, false).map(|(ticket, _)| ticket)
+    }
+
+    /// [`Self::submit`], optionally as the reactor submits (see
+    /// [`Self::submit_group`]); also says whether the reply was made on
+    /// this thread.
+    fn submit_one(&self, req: Request, inline: bool) -> Result<(Ticket, bool), ServeError> {
         let (rtx, rrx) = mpsc::channel();
         let sink = ReplySink::Channel(rtx.clone());
-        match self.submit_group(vec![(req, 0, sink)]).pop() {
-            // Cache fast path: pre-resolve the ticket.
-            Some(Ok(Some(reply))) => drop(rtx.send(reply)),
-            Some(Ok(None)) => {}
+        let here = match self.submit_group(vec![(req, 0, sink)], inline).pop() {
+            // Answered on this thread: pre-resolve the ticket.
+            Some(Ok(Some(reply))) => {
+                drop(rtx.send(reply));
+                true
+            }
+            Some(Ok(None)) => false,
             Some(Err(e)) => return Err(e),
             None => unreachable!("submit_group returns one outcome per request"),
-        }
-        Ok(Ticket { rx: rrx })
+        };
+        Ok((Ticket { rx: rrx }, here))
     }
 
     /// The one submit path, for a group of `(request, parse_ns, sink)`
@@ -851,22 +971,34 @@ impl NaiService {
     /// checked, looked up in the cache and admitted on its own; the
     /// admitted ones are then sequenced and routed under one
     /// acquisition of the sequencer lock, so they reach the workers
-    /// together. Returns one outcome per request, in order:
-    /// `Ok(Some(reply))` when the cache answered on this thread (the
+    /// together.
+    ///
+    /// With `inline` (the reactor's submissions), a group of reads
+    /// without shard hints may claim an idle replica that has applied
+    /// every sequenced mutation: its share of the reads then runs on
+    /// this thread after the lock is released, while the other shares
+    /// go to their workers as usual (see [`Sequencer::claim`]).
+    ///
+    /// Returns one outcome per request, in order: `Ok(Some(reply))`
+    /// when the cache or an inline run answered on this thread (the
     /// sink is unused), `Ok(None)` when the reply will arrive through
     /// the sink.
     pub(crate) fn submit_group(
         &self,
         reqs: Vec<(Request, u64, ReplySink)>,
+        inline: bool,
     ) -> Vec<Result<Option<Reply>, ServeError>> {
         let mut outcomes = Vec::with_capacity(reqs.len());
         let mut jobs = Vec::new();
+        // The outcome index of each job.
+        let mut job_outcome = Vec::new();
         let mut misses = 0;
         for (req, parse_ns, sink) in reqs {
             outcomes.push(match self.admit(req, parse_ns, sink) {
                 Ok(Admitted::Hit(reply)) => Ok(Some(reply)),
                 Ok(Admitted::Job { job, cache_miss }) => {
                     misses += usize::from(cache_miss);
+                    job_outcome.push(outcomes.len());
                     jobs.push(job);
                     Ok(None)
                 }
@@ -889,7 +1021,13 @@ impl NaiService {
             }
             return outcomes;
         };
-        seq.dispatch(jobs, &self.shared);
+        seq.reap_dead_workers(&self.shared.admission);
+        let claim = if inline {
+            seq.claim(&mut jobs, &self.shared)
+        } else {
+            None
+        };
+        seq.dispatch(jobs, &self.shared, claim.as_ref().map(|c| c.worker));
         drop(sequencer);
         // Counted once the reads are queued, so hits + misses == reads
         // that consulted the cache.
@@ -898,7 +1036,77 @@ impl NaiService {
                 cache.note_miss();
             }
         }
+        if let Some(claim) = claim {
+            // The claimed share is the first jobs of the group.
+            for (i, reply) in job_outcome.into_iter().zip(self.run_inline(claim)) {
+                outcomes[i] = reply.map(Some).ok_or(ServeError::Timeout);
+            }
+        }
         outcomes
+    }
+
+    /// Runs a claimed share of reads on this thread, as the replica's
+    /// worker would run them in one batch, and returns each job's reply
+    /// in order. A panic in the engine retires the replica exactly as
+    /// a panicked worker is retired: its dead flag goes up, the jobs it
+    /// did not answer get the typed "worker is gone" error (which frees
+    /// their admission slots), and its worker, finding the replica
+    /// gone, answers whatever reaches its channel the same way until
+    /// the sequencer drops it.
+    fn run_inline(&self, claim: Claim<'_>) -> Vec<Option<Reply>> {
+        let Claim {
+            worker,
+            mut slot,
+            jobs,
+        } = claim;
+        let shared = &*self.shared;
+        // The shed decision is the worker's, made at the same point.
+        let degraded = self
+            .cfg
+            .shed
+            .engaged(shared.admission.in_flight(), self.cfg.queue_cap);
+        let run = BatchRun {
+            cfg: if degraded {
+                self.cfg.shed.degrade(&self.infer_cfg)
+            } else {
+                self.infer_cfg
+            },
+            degraded,
+            dequeued: Instant::now(),
+            size: jobs.len() as u32,
+            // Everything claimed is aboard and runs at once.
+            close: CloseReason::Idle,
+        };
+        shared.note_batch(&run, jobs.len() as u64);
+        // Relaxed: monotone, scrape-only.
+        shared.inline_batches.fetch_add(1, Ordering::Relaxed);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.as_mut().map(|replica| {
+                let applied_seq = replica.applied_seq;
+                infer_run(
+                    worker,
+                    &mut replica.engine,
+                    &jobs,
+                    &run,
+                    applied_seq,
+                    shared,
+                );
+                shared.finish_batch(worker, &mut replica.engine);
+            })
+        }));
+        if !matches!(ran, Ok(Some(()))) {
+            *slot = None;
+            drop(slot);
+            shared.admission.mark_dead(worker);
+            for job in &jobs {
+                if matches!(&job.handle.responder, ReplySink::Inline(r) if r.get().is_none()) {
+                    shared.respond(worker, &job.handle, gone(worker));
+                }
+            }
+        }
+        jobs.into_iter()
+            .map(|job| job.handle.into_inline_reply())
+            .collect()
     }
 
     /// Checks the shard hint, answers a fully cached read on this
@@ -1056,10 +1264,10 @@ impl NaiService {
     /// [`Self::shutdown`], then hands back the drained engine replicas
     /// in worker order — the convergence oracle for tests (replicas
     /// must hold identical graphs) and the state hand-off for
-    /// re-checkpointing. A replica whose worker panicked is absent.
+    /// re-checkpointing. A replica whose engine panicked is absent.
     pub fn into_engines(self) -> Vec<StreamingEngine> {
         self.shutdown();
-        self.shared.take_returned()
+        self.shared.take_engines()
     }
 }
 
@@ -1086,12 +1294,21 @@ struct CacheInvalidator {
     budget: usize,
 }
 
+/// A replica claimed by the reactor, held locked, with the reads it
+/// answers inline (their sinks are [`ReplySink::Inline`]).
+struct Claim<'s> {
+    worker: usize,
+    slot: MutexGuard<'s, Option<Replica>>,
+    jobs: Vec<ReadJob>,
+}
+
 /// The state every submitting thread shares, behind
 /// `NaiService::sequencer`'s lock: it sequences + validates mutations,
-/// invalidates the cache, routes reads, and sends each group of work
-/// to the workers. The lock is held across the sends, so every worker
-/// channel receives mutations in strictly increasing, gap-free
-/// sequence order — the order `process_shard_batch` applies them in.
+/// invalidates the cache, claims replicas for inline reads, routes
+/// reads, and sends each group of work to the workers. The lock is
+/// held across the sends, so every worker channel receives mutations
+/// in strictly increasing, gap-free sequence order — the order
+/// `process_shard_batch` applies them in.
 struct Sequencer {
     /// One sender per worker; `None` once the worker is known dead —
     /// its `AdmissionLedger` dead flag raised by the panic path, or its
@@ -1130,11 +1347,11 @@ impl Sequencer {
         }
     }
 
-    /// Retires workers whose panic path raised their dead flag: drop
-    /// their senders (disconnecting their drain loops) and take them
-    /// out of routing. A batch sent before the flag was observed is
-    /// answered by the worker's drain loop, so the hand-off leaks
-    /// nothing.
+    /// Retires workers whose dead flag is up (their engine panicked,
+    /// on the worker or in an inline run): drop their senders
+    /// (disconnecting their drain loops) and take them out of routing.
+    /// A batch sent before the flag was observed is answered by the
+    /// worker's drain loop, so the hand-off leaks nothing.
     fn reap_dead_workers(&mut self, admission: &AdmissionLedger) {
         for (w, tx) in self.worker_txs.iter_mut().enumerate() {
             if tx.is_some() && admission.is_dead(w) {
@@ -1144,23 +1361,77 @@ impl Sequencer {
     }
 
     /// Picks the answering replica: the affinity hint when it names a
-    /// live worker, the next live worker round-robin otherwise; `None`
-    /// when every worker is gone.
-    fn route(&mut self, hint: Option<usize>) -> Option<usize> {
+    /// live worker, the next live worker round-robin otherwise, passing
+    /// over `skip` (a replica claimed for an inline run) while another
+    /// live one exists; `None` when every worker is gone.
+    fn route(&mut self, hint: Option<usize>, skip: Option<usize>) -> Option<usize> {
         let workers = self.worker_txs.len();
         if let Some(s) = hint {
             if self.worker_txs[s].is_some() {
                 return Some(s);
             }
         }
+        let mut fallback = None;
         for _ in 0..workers {
             let s = self.rr % workers;
             self.rr += 1;
             if self.worker_txs[s].is_some() {
-                return Some(s);
+                if Some(s) != skip {
+                    return Some(s);
+                }
+                fallback = Some(s);
             }
         }
-        None
+        fallback
+    }
+
+    /// The inline claim, made by the reactor under the sequencer lock.
+    /// A group qualifies if it holds only reads and none names a shard
+    /// (a hint names the replica that must answer, which a split does
+    /// not honour). It then claims the first live replica from the
+    /// round-robin cursor whose lock is free and which has applied
+    /// every mutation sequenced so far. That check is the read's
+    /// linearisation point: it sees every mutation whose reply anyone
+    /// has received, so read-your-writes holds as on the worker path.
+    /// `try_lock` never waits for a busy worker, and a poisoned or
+    /// retired replica is passed over.
+    ///
+    /// The claimed replica takes the group's first ⌈g / live⌉ reads
+    /// (the whole of a single read): this thread runs them once the
+    /// sequencer lock is released, while the rest go to the other
+    /// workers, so a large group still runs on every core.
+    fn claim<'s>(&mut self, jobs: &mut Vec<Job>, shared: &'s Shared) -> Option<Claim<'s>> {
+        if !jobs
+            .iter()
+            .all(|j| matches!(j.op, Op::Infer { .. }) && j.shard.is_none())
+        {
+            return None;
+        }
+        let sequenced = self.next_seq - 1;
+        let workers = self.worker_txs.len();
+        let (worker, slot) = (0..workers)
+            .map(|i| (self.rr + i) % workers)
+            .filter(|&w| self.worker_txs[w].is_some())
+            .find_map(|w| {
+                let slot = shared.replicas[w].try_lock().ok()?;
+                let caught_up = slot.as_ref()?.applied_seq == sequenced;
+                caught_up.then_some((w, slot))
+            })?;
+        self.rr = worker + 1;
+        let live = self.worker_txs.iter().flatten().count();
+        let rest = jobs.split_off(jobs.len().div_ceil(live));
+        let claimed = std::mem::replace(jobs, rest);
+        let jobs = claimed
+            .into_iter()
+            .map(|job| ReadJob {
+                op: job.op,
+                handle: ReplyHandle {
+                    responder: ReplySink::Inline(OnceCell::new()),
+                    ..job.handle
+                },
+            })
+            .collect();
+        Some(Claim { worker, slot, jobs })
     }
 
     /// Validates a mutation against the sequenced global graph model —
@@ -1254,16 +1525,17 @@ impl Sequencer {
     /// Sequences, validates and routes one group of admitted jobs, then
     /// sends each live worker its share: the group's whole mutation
     /// prefix (every replica applies every mutation) and the reads
-    /// routed to it. Jobs that cannot be served are answered here.
-    fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared) {
-        self.reap_dead_workers(&shared.admission);
+    /// routed to it. Reads pass over `claimed`, the replica answering
+    /// part of the group inline. Jobs that cannot be served are
+    /// answered here.
+    fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared, claimed: Option<usize>) {
         let mut reads: Vec<Vec<ReadJob>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
         // (seq, op, answering replica, handle) in sequence order; the
         // handle is moved into exactly one worker's broadcast copy.
         let mut muts: Vec<(u64, Arc<Op>, usize, Option<ReplyHandle>)> = Vec::new();
         for job in jobs {
             if let Op::Infer { .. } = job.op {
-                match self.route(job.shard) {
+                match self.route(job.shard, claimed) {
                     Some(s) => reads[s].push(ReadJob {
                         op: job.op,
                         handle: job.handle,
@@ -1276,7 +1548,7 @@ impl Sequencer {
                 shared.refuse(&job.handle, message);
                 continue;
             }
-            let Some(responder) = self.route(job.shard) else {
+            let Some(responder) = self.route(job.shard, None) else {
                 shared.refuse(&job.handle, "no live shard workers".to_string());
                 continue;
             };
@@ -1336,97 +1608,110 @@ impl Sequencer {
 
 fn worker_loop(
     worker: usize,
-    mut engine: StreamingEngine,
     rx: Receiver<ShardBatch>,
     shared: Arc<Shared>,
     base_cfg: InferenceConfig,
     cfg: ServeConfig,
 ) {
-    // Sequence number of the last mutation applied to this replica
-    // (0 = seed state); exported in replies as `applied_seq`.
-    let mut applied_seq = 0u64;
-    while let Ok(mut batch) = rx.recv() {
-        let (owned, close) = batch.absorb_queued(&rx, cfg.max_batch);
-        // The batch closes here, so the load-shed decision is made
-        // here: in_flight counts this batch and everything queued
-        // behind it.
-        let degraded = cfg
-            .shed
-            .engaged(shared.admission.in_flight(), cfg.queue_cap);
-        let run = BatchRun {
-            cfg: if degraded {
-                cfg.shed.degrade(&base_cfg)
-            } else {
-                base_cfg
-            },
-            degraded,
-            dequeued: Instant::now(),
-            size: owned as u32,
-            close,
-        };
-        // A batch that only replicates other workers' mutations
-        // answers nobody: it is not counted as a batch.
-        if owned > 0 {
-            // Relaxed on the batch counters: monotone, scrape-only.
-            shared.batches.fetch_add(1, Ordering::Relaxed);
-            shared.obs.note_batch(run.size, close);
-            if degraded {
-                // Relaxed: monotone shed counters, scrape-only.
-                shared.degraded_batches.fetch_add(1, Ordering::Relaxed);
-                shared.shed_ops.fetch_add(owned, Ordering::Relaxed);
-            }
+    while let Ok(batch) = rx.recv() {
+        let served = serve_batch(worker, batch, &rx, &shared, &base_cfg, &cfg);
+        if matches!(served, Served::Done) {
+            continue;
         }
-        let answered_before = shared.admission.answered_by(worker);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_shard_batch(worker, &mut engine, batch, &run, &mut applied_seq, &shared);
-        }));
-        if let Err(panic) = outcome {
-            // The engine may be in an inconsistent state — let the
-            // worker die (the sequencer reaps it and answers its future
-            // jobs with a typed error) — but first give back the
-            // admission slots of the jobs this batch owned and never
-            // answered, so queue capacity is not permanently shrunk.
-            // The per-worker counter makes the repair exact even while
-            // other workers answer their own slices of the same
-            // broadcast group. These clients see a timeout rather than
-            // a reply. Repair raises the dead flag, then the drain
-            // runs: batches sent before a submitter observes the flag
-            // would otherwise be silently dropped with their admission
-            // slots held — answer their owned jobs with a typed error
-            // instead. The drain ends when the sequencer reaps this
-            // worker (dropping its sender) or shuts down.
+        // The replica is retired. Batches sent before a submitter
+        // observes the dead flag would otherwise be dropped with their
+        // admission slots held: answer their owned jobs with a typed
+        // error instead. The drain ends when the sequencer reaps this
+        // worker (dropping its sender) or shuts down.
+        while let Ok(stranded) = rx.recv() {
+            shared.answer_gone(worker, stranded);
+        }
+        if let Served::Panicked(panic) = served {
+            std::panic::resume_unwind(panic);
+        }
+        return;
+    }
+}
+
+/// What became of one merged batch.
+enum Served {
+    Done,
+    /// The replica was already retired (an inline run panicked on it):
+    /// the batch's owned jobs got the typed "worker is gone" error.
+    Retired,
+    /// The engine panicked mid-batch: the replica is retired and the
+    /// batch's unanswered admission slots are repaired.
+    Panicked(Box<dyn std::any::Any + Send>),
+}
+
+/// Merges everything queued behind `batch` and runs it on `worker`'s
+/// replica, which stays locked for the whole batch.
+fn serve_batch(
+    worker: usize,
+    mut batch: ShardBatch,
+    rx: &Receiver<ShardBatch>,
+    shared: &Shared,
+    base_cfg: &InferenceConfig,
+    cfg: &ServeConfig,
+) -> Served {
+    let (owned, close) = batch.absorb_queued(rx, cfg.max_batch);
+    let dequeued = Instant::now();
+    // Blocks while the reactor runs an inline read on this replica.
+    let mut slot = shared.replicas[worker].lock().ok();
+    let Some(replica) = slot.as_deref_mut().and_then(Option::as_mut) else {
+        drop(slot);
+        shared.answer_gone(worker, batch);
+        return Served::Retired;
+    };
+    // The batch closes here, so the load-shed decision is made here:
+    // in_flight counts this batch and everything queued behind it.
+    let degraded = cfg
+        .shed
+        .engaged(shared.admission.in_flight(), cfg.queue_cap);
+    let run = BatchRun {
+        cfg: if degraded {
+            cfg.shed.degrade(base_cfg)
+        } else {
+            *base_cfg
+        },
+        degraded,
+        dequeued,
+        size: owned as u32,
+        close,
+    };
+    // A batch that only replicates other workers' mutations answers
+    // nobody: it is not counted as a batch.
+    if owned > 0 {
+        shared.note_batch(&run, owned);
+    }
+    // Sampled under the replica lock, so no inline answer on this
+    // replica can land between the sample and a repair.
+    let answered_before = shared.admission.answered_by(worker);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        process_shard_batch(worker, replica, batch, &run, shared);
+        shared.finish_batch(worker, &mut replica.engine);
+    }));
+    match outcome {
+        Ok(()) => Served::Done,
+        Err(panic) => {
+            // The engine may be in an inconsistent state: retire the
+            // replica, then give back the admission slots of the jobs
+            // this batch owned and never answered, so queue capacity is
+            // not permanently shrunk. The per-party reply counter makes
+            // the repair exact even while other workers answer their
+            // own slices of the same broadcast group. These clients see
+            // a timeout rather than a reply. Repair raises the dead
+            // flag; the sequencer reaps it at its next submission.
+            if let Some(retired) = slot.as_deref_mut() {
+                *retired = None;
+            }
+            drop(slot);
             shared
                 .admission
                 .repair_panicked(worker, owned, answered_before);
-            while let Ok(stranded) = rx.recv() {
-                for handle in stranded
-                    .mutations
-                    .into_iter()
-                    .filter_map(|m| m.handle)
-                    .chain(stranded.reads.into_iter().map(|r| r.handle))
-                {
-                    shared.respond(
-                        worker,
-                        &handle,
-                        Reply::Error {
-                            message: format!("shard {worker} worker is gone"),
-                        },
-                    );
-                }
-            }
-            std::panic::resume_unwind(panic);
+            Served::Panicked(panic)
         }
-        // One atomic publish of all four stages: a scrape sees either
-        // the pre-batch or the post-batch breakdown, never a mix (the
-        // old 4×`Relaxed`-store pattern tore — see `MacsCell`).
-        shared.worker_macs[worker].publish(&engine.macs_breakdown());
-        // The service keeps its own (queue-inclusive) latency samples;
-        // drop the engine's internal per-flush copy so a long-lived
-        // worker does not accumulate a second unbounded sample vector.
-        engine.reset_stats();
     }
-    // Drained cleanly: hand the replica back for `into_engines`.
-    lock_recover(&shared.returned).push((worker, engine));
 }
 
 /// Executes one worker's merged batch: first the full mutation prefix
@@ -1437,12 +1722,15 @@ fn worker_loop(
 /// (worker channels are FIFO), on whatever replica they landed.
 fn process_shard_batch(
     worker: usize,
-    engine: &mut StreamingEngine,
+    replica: &mut Replica,
     batch: ShardBatch,
     run: &BatchRun,
-    applied_seq: &mut u64,
     shared: &Shared,
 ) {
+    let Replica {
+        engine,
+        applied_seq,
+    } = replica;
     let mut ingest_handles: Vec<ReplyHandle> = Vec::new();
     for m in batch.mutations {
         debug_assert_eq!(
@@ -1597,37 +1885,72 @@ pub struct WorkerInbox {
     worker: usize,
     rx: Receiver<ShardBatch>,
     shared: Arc<Shared>,
+    infer_cfg: InferenceConfig,
+    cfg: ServeConfig,
 }
 
 #[cfg(nai_model)]
 impl NaiService {
     /// The real submit path and sequencer over `workers` worker
     /// channels and no worker threads (seed graph of `seed_nodes`
-    /// nodes, feature dimension 1, no cache), so the model tests can
-    /// race submitting threads and inspect exactly what each worker
-    /// receives.
+    /// nodes, feature dimension 1, no cache, no engines — so nothing
+    /// can be claimed inline), so the model tests can race submitting
+    /// threads and inspect exactly what each worker receives.
     pub fn without_workers(
         workers: usize,
         seed_nodes: usize,
         queue_cap: usize,
     ) -> (Self, Vec<WorkerInbox>) {
-        let cfg = ServeConfig {
-            workers,
-            queue_cap,
-            ..ServeConfig::default()
-        };
-        let shared = Arc::new(Shared::new(&cfg));
         let info = ServiceInfo {
             shards: workers,
             feature_dim: 1,
             k: 1,
             seed_nodes,
         };
-        let (txs, inboxes) = (0..workers)
+        Self::over_inboxes(Vec::new(), info, InferenceConfig::fixed(1), queue_cap)
+    }
+
+    /// [`Self::without_workers`] over real engine replicas (no cache),
+    /// whose inboxes run batches through the worker's own code
+    /// ([`WorkerInbox::serve_queued`]).
+    pub fn with_worker_inboxes(
+        engines: Vec<StreamingEngine>,
+        infer_cfg: InferenceConfig,
+        queue_cap: usize,
+    ) -> (Self, Vec<WorkerInbox>) {
+        let info = ServiceInfo {
+            shards: engines.len(),
+            feature_dim: engines[0].graph().feature_dim(),
+            k: engines[0].k(),
+            seed_nodes: engines[0].graph().num_nodes(),
+        };
+        Self::over_inboxes(engines, info, infer_cfg, queue_cap)
+    }
+
+    fn over_inboxes(
+        engines: Vec<StreamingEngine>,
+        info: ServiceInfo,
+        infer_cfg: InferenceConfig,
+        queue_cap: usize,
+    ) -> (Self, Vec<WorkerInbox>) {
+        let cfg = ServeConfig {
+            workers: info.shards,
+            queue_cap,
+            ..ServeConfig::default()
+        };
+        let shared = Arc::new(Shared::new(&cfg, engines));
+        let (txs, inboxes) = (0..info.shards)
             .map(|worker| {
                 let (tx, rx) = mpsc::channel();
                 let shared = Arc::clone(&shared);
-                (tx, WorkerInbox { worker, rx, shared })
+                let inbox = WorkerInbox {
+                    worker,
+                    rx,
+                    shared,
+                    infer_cfg,
+                    cfg,
+                };
+                (tx, inbox)
             })
             .unzip();
         let service = Self {
@@ -1635,9 +1958,20 @@ impl NaiService {
             shared,
             info,
             cfg,
+            infer_cfg,
             threads: Mutex::new(Vec::new()),
         };
         (service, inboxes)
+    }
+
+    /// Submits one request as the reactor does: a read may be answered
+    /// on this thread by a claimed replica. Returns the ticket (already
+    /// resolved when answered here) and whether it was.
+    ///
+    /// # Errors
+    /// As [`Self::submit`].
+    pub fn submit_inline(&self, req: Request) -> Result<(Ticket, bool), ServeError> {
+        self.submit_one(req, true)
     }
 }
 
@@ -1670,6 +2004,24 @@ impl WorkerInbox {
         }
         seqs
     }
+
+    /// Runs every batch already queued for this worker as its thread
+    /// would (the replica locked per merged batch), without blocking.
+    pub fn serve_queued(&self) {
+        while let Ok(batch) = self.rx.try_recv() {
+            let served = serve_batch(
+                self.worker,
+                batch,
+                &self.rx,
+                &self.shared,
+                &self.infer_cfg,
+                &self.cfg,
+            );
+            if !matches!(served, Served::Done) {
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1701,7 +2053,7 @@ mod tests {
     }
 
     fn bare_shared(workers: usize, with_cache: bool) -> Shared {
-        Shared::new(&ServeConfig {
+        let cfg = ServeConfig {
             workers,
             queue_cap: 4,
             cache: if with_cache {
@@ -1710,7 +2062,8 @@ mod tests {
                 CacheConfig::off()
             },
             ..ServeConfig::default()
-        })
+        };
+        Shared::new(&cfg, crate::tests::engine_shards(20, workers, 4))
     }
 
     fn poison<T>(m: &Mutex<T>) {
@@ -1740,19 +2093,21 @@ mod tests {
         assert_eq!(snap.queue_depth, 0);
     }
 
-    /// `into_engines` drains `returned` through the same recovery: a
-    /// replica handed back before another worker's panic poisoned the
-    /// lock is not lost.
+    /// `into_engines` never recovers a replica behind a poisoned lock:
+    /// its engine may be mid-update. The other replicas still come
+    /// back, in worker order.
     #[test]
-    fn take_returned_survives_a_poisoned_lock() {
-        let shared = bare_shared(1, false);
-        poison(&shared.returned);
-        assert!(shared.take_returned().is_empty());
+    fn take_engines_skips_a_poisoned_replica() {
+        let shared = bare_shared(2, false);
+        poison(&shared.replicas[0]);
+        assert_eq!(shared.take_engines().len(), 1);
+        assert!(shared.take_engines().is_empty(), "engines are taken once");
     }
 
     /// The whole observability path — histograms, MACs cell, and the
     /// admission counters — stays scrapeable when every recoverable
-    /// lock is poisoned at once.
+    /// lock is poisoned at once, and a scrape never touches a replica
+    /// lock.
     #[test]
     fn snapshot_survives_every_poisoned_lock_at_once() {
         let shared = bare_shared(1, true);
@@ -1764,7 +2119,7 @@ mod tests {
         };
         shared.worker_macs[0].publish(&macs);
         poison(&shared.worker_macs[0].0);
-        poison(&shared.returned);
+        poison(&shared.replicas[0]);
         let snap = shared.snapshot();
         assert_eq!(snap.macs, macs);
         assert_eq!(snap.cache_hits, 0);

@@ -24,6 +24,10 @@
 //! 6. **Sequencing** — threads submitting mutations at the same time
 //!    leave every worker channel in strictly increasing, gap-free
 //!    sequence order, and every admission slot is answered once.
+//! 7. **Inline claim** — a read the reactor answers itself never runs
+//!    on a replica that has not applied every sequenced mutation, even
+//!    while that replica's worker is applying one, and every admission
+//!    slot is answered once whichever path the read takes.
 //!
 //! Plus the satellite-1 regression pinning why `worker_macs` moved
 //! from four `Relaxed` stores to a mutex ([`nai_serve::MacsCell`]):
@@ -35,11 +39,16 @@
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::{Builder, Stats};
+use nai_core::config::InferenceConfig;
+use nai_models::{DepthClassifier, ModelKind};
 use nai_serve::{
     AdmissionLedger, CompletionQueue, ConnGate, Invalidation, MacsCell, NaiService, Op, Reply,
     Request, VersionedCache,
 };
-use nai_stream::MacsBreakdown;
+use nai_stream::{DynamicGraph, MacsBreakdown, StreamingEngine};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::atomic::AtomicUsize;
 use std::time::Duration;
 
 fn dfs(bound: usize) -> Builder {
@@ -356,6 +365,122 @@ fn concurrent_submitters_keep_every_worker_channel_in_sequence_order() {
         })
         .expect("sequencing must keep channels ordered on every schedule");
     assert!(stats.exhausted);
+}
+
+/// A four-node path graph with one feature and a depth-1 classifier:
+/// the smallest real replica, built the same way on every call.
+fn tiny_engine() -> StreamingEngine {
+    let mut graph = DynamicGraph::new(1);
+    for v in 0..4u32 {
+        let neighbors: Vec<u32> = v.checked_sub(1).into_iter().collect();
+        graph.add_node(&[v as f32 * 0.5], &neighbors);
+    }
+    let classifier = DepthClassifier::new(
+        ModelKind::Sgc,
+        1,
+        1,
+        2,
+        &[2],
+        0.0,
+        &mut StdRng::seed_from_u64(7),
+    );
+    StreamingEngine::with_lambda2(graph, vec![classifier], None, 0.5, 0.9)
+}
+
+/// Invariant 7: the reactor reads the node an ingest creates while
+/// replica 0's worker applies that ingest (sequence 1; replica 1
+/// answers it, so replica 0 only holds the broadcast copy). The claim
+/// takes replica 0 only once it is unlocked with `applied_seq == 1`;
+/// a replica behind the sequencer would answer "out of range".
+/// Otherwise the read falls back to the worker channel, behind the
+/// mutation. On every schedule the read finds the node at sequence
+/// point 1, each request is answered exactly once, and every
+/// admission slot comes back. Both paths must occur across the
+/// explored schedules, or the check proved nothing.
+#[test]
+fn inline_reads_never_run_on_a_replica_behind_the_sequencer() {
+    let inline_runs = std::sync::Arc::new(AtomicUsize::new(0));
+    let fallbacks = std::sync::Arc::new(AtomicUsize::new(0));
+    let (inline_seen, fallback_seen) = (inline_runs.clone(), fallbacks.clone());
+    let stats = dfs(2)
+        .check_quiet(move || {
+            let (service, mut inboxes) = NaiService::with_worker_inboxes(
+                vec![tiny_engine(), tiny_engine()],
+                InferenceConfig::fixed(1),
+                4,
+            );
+            let service = Arc::new(service);
+            let worker1 = inboxes.pop().unwrap();
+            let worker0 = inboxes.pop().unwrap();
+            let ingest = service
+                .submit(Request {
+                    op: Op::Ingest {
+                        features: vec![0.5],
+                        neighbors: vec![0],
+                    },
+                    shard: Some(1),
+                })
+                .expect("admitted");
+            let applying = loom::thread::spawn(move || {
+                worker0.serve_queued();
+                worker0
+            });
+            let s = service.clone();
+            let reader = loom::thread::spawn(move || {
+                s.submit_inline(Request {
+                    op: Op::Infer { nodes: vec![4] },
+                    shard: None,
+                })
+                .expect("admitted")
+            });
+            let (read, inline) = reader.join().unwrap();
+            let worker0 = applying.join().unwrap();
+            // Whatever is still queued (the fallback read, replica 1's
+            // share of the ingest) runs now.
+            worker0.serve_queued();
+            worker1.serve_queued();
+            match read.wait(Duration::from_secs(1)) {
+                Ok(Reply::Infer {
+                    shard,
+                    applied_seq,
+                    results,
+                }) => {
+                    assert_eq!(applied_seq, 1, "read ran behind the sequencer");
+                    assert_eq!(results[0].node, 4);
+                    if inline {
+                        assert_eq!(shard, 0, "only replica 0 can have caught up");
+                    }
+                }
+                other => panic!("read of the ingested node failed: {other:?}"),
+            }
+            let ingested = ingest.wait(Duration::from_secs(1));
+            assert!(
+                matches!(
+                    ingested,
+                    Ok(Reply::Ingest {
+                        node: 4,
+                        applied_seq: 1,
+                        ..
+                    })
+                ),
+                "{ingested:?}"
+            );
+            assert_eq!(service.queue_depth(), 0, "admission slot leaked");
+            let seen = if inline { &inline_seen } else { &fallback_seen };
+            // Relaxed: a tally read after the checker returns.
+            seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        })
+        .expect("an inline read must never run behind the sequencer");
+    assert!(stats.exhausted, "bounded DFS must cover the whole tree");
+    // Relaxed: the checker has joined every execution.
+    let (inline, fallback) = (
+        inline_runs.load(std::sync::atomic::Ordering::Relaxed),
+        fallbacks.load(std::sync::atomic::Ordering::Relaxed),
+    );
+    assert!(
+        inline > 0 && fallback > 0,
+        "inline {inline}, fallback {fallback}"
+    );
 }
 
 /// The pre-refactor `worker_macs` pattern: four per-stage counters

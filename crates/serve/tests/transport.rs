@@ -13,7 +13,11 @@
 //!   burst still answers every request of the burst before the
 //!   reactor closes the connection and exits;
 //! * **protocol edges** — HTTP/1.0 defaults to close, oversized
-//!   bodies are rejected with 400 without killing the server.
+//!   bodies are rejected with 400 without killing the server;
+//! * **inline reads** — reads the reactor answers itself on a claimed
+//!   replica see every write a client has seen acknowledged, as reads
+//!   handed to a worker do, and an engine panic on the reactor thread
+//!   retires that replica without taking the server down.
 #![cfg(not(nai_model))]
 
 use nai_core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
@@ -530,4 +534,160 @@ fn http_10_and_oversized_bodies_follow_the_protocol_edges() {
     let (status, _) = nai_serve::http_call(addr, "GET", "/healthz", None).unwrap();
     assert_eq!(status, 200);
     server.shutdown();
+}
+
+/// One `/v1` reply line, checked `ok`.
+fn ok_reply(status: u16, body: &str) -> Json {
+    assert_eq!(status, 200, "body: {body}");
+    let reply = Json::parse(body.trim()).unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply}"
+    );
+    reply
+}
+
+fn metric(addr: std::net::SocketAddr, name: &str) -> u64 {
+    let (status, body) = nai_serve::http_call(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let metrics = Json::parse(body.trim()).unwrap();
+    metrics.get(name).and_then(Json::as_u64).unwrap()
+}
+
+/// Read-your-writes on both read paths, over two replicas. Each round
+/// pipelines an ingest and two reads of the id it will be given (the
+/// seed node count plus the ingests so far): one group holding a
+/// mutation, which the workers answer. A lone read of the same id then
+/// follows in its own group, which the reactor answers inline whenever
+/// an idle replica has caught up, and hands to a worker otherwise.
+/// Either way every read must find the node, at a sequence point no
+/// older than the ingest's.
+#[test]
+fn reads_of_fresh_ingests_see_them_inline_and_through_the_workers() {
+    let cfg = ServeConfig {
+        workers: 2,
+        ..serve_cfg()
+    };
+    let service = NaiService::new(vec![engine(), engine()], infer_cfg(), cfg).unwrap();
+    let server = Server::start(Arc::new(service), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut client = HttpClient::connect(addr).unwrap();
+    let mut rng = StdRng::seed_from_u64(4711);
+    let check_read = |status: u16, body: &str, fresh: u32, ingest_seq: u64| {
+        let reply = ok_reply(status, body);
+        let applied = reply.get("applied_seq").and_then(Json::as_u64).unwrap();
+        assert!(
+            applied >= ingest_seq,
+            "read at {applied} misses ingest {ingest_seq}"
+        );
+        let results = reply.get("results").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            results[0].get("node").and_then(Json::as_u64),
+            Some(fresh as u64)
+        );
+    };
+    for ingests in 0..40u32 {
+        let fresh = SEED_NODES as u32 + ingests;
+        let burst = [
+            Op::Ingest {
+                features: (0..F).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                neighbors: vec![rng.gen_range(0..fresh)],
+            },
+            Op::Infer { nodes: vec![fresh] },
+            Op::Infer {
+                nodes: vec![fresh, rng.gen_range(0..fresh)],
+            },
+        ];
+        let bodies: Vec<String> = burst.iter().map(render_line).collect();
+        let refs: Vec<&str> = bodies.iter().map(String::as_str).collect();
+        let replies = client.pipeline("POST", "/v1", &refs).unwrap();
+        let ingest = ok_reply(replies[0].0, &replies[0].1);
+        assert_eq!(
+            ingest.get("node").and_then(Json::as_u64),
+            Some(fresh as u64)
+        );
+        let ingest_seq = ingest.get("applied_seq").and_then(Json::as_u64).unwrap();
+        for (status, body) in &replies[1..] {
+            check_read(*status, body, fresh, ingest_seq);
+        }
+        if ingests % 10 == 9 {
+            // Let both replicas go idle, so the lone read below is
+            // certainly claimable.
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (status, body) = client
+            .request(
+                "POST",
+                "/v1",
+                Some(&render_line(&Op::Infer { nodes: vec![fresh] })),
+            )
+            .unwrap();
+        check_read(status, &body, fresh, ingest_seq);
+    }
+    let (batches, inline) = (metric(addr, "batches"), metric(addr, "inline_batches"));
+    assert!(
+        inline >= 4,
+        "lone reads after an idle spell run inline ({inline})"
+    );
+    assert!(batches > inline, "the ingest bursts ran on the workers");
+    server.shutdown();
+}
+
+/// Gate-mode inference without trained gates panics inside the engine.
+/// The first read claims the idle replica, so it panics on the reactor
+/// thread: the reactor must survive, answer that read and every later
+/// one with a typed error (never a hang), keep `/healthz` up, and give
+/// every admission slot back.
+#[test]
+fn an_engine_panic_during_an_inline_read_retires_the_replica_not_the_reactor() {
+    let service = Arc::new(
+        NaiService::new(vec![engine()], InferenceConfig::gate(1, K), serve_cfg()).unwrap(),
+    );
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let mut client = HttpClient::connect(addr).unwrap();
+    let read = render_line(&Op::Infer { nodes: vec![0] });
+    for i in 0..4 {
+        let (status, body) = client.request("POST", "/v1", Some(&read)).unwrap();
+        assert_eq!(status, 200, "body: {body}");
+        let reply = Json::parse(body.trim()).unwrap();
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{reply}"
+        );
+        let message = reply.get("message").and_then(Json::as_str).unwrap();
+        if i == 0 {
+            assert_eq!(message, "shard 0 worker is gone");
+        } else {
+            assert!(
+                message.contains("worker is gone") || message.contains("no live shard"),
+                "{message}"
+            );
+        }
+        let (status, health) = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "the reactor must keep serving: {health}");
+    }
+    assert_eq!(
+        metric(addr, "inline_batches"),
+        1,
+        "the panicking read ran inline"
+    );
+    assert_eq!(
+        metric(addr, "queue_depth"),
+        0,
+        "every admission slot came back"
+    );
+    assert_eq!(service.queue_depth(), 0);
+    drop(client);
+    server.shutdown();
+    server.join();
+    let service = Arc::try_unwrap(service)
+        .ok()
+        .expect("the server let go of the service");
+    assert!(
+        service.into_engines().is_empty(),
+        "the retired replica is not handed back"
+    );
 }
