@@ -40,32 +40,50 @@ release_oracles() {
 step "read-kernel oracles (--release)" \
   release_oracles
 
-# The three load-shed tests submit their burst as one group, so the
-# worker that closes the burst's batch sees all of it in flight on every
-# schedule. Rerun them 20 times oversubscribed — 16 test threads on a
-# 2-core box, beside a busy-loop sibling process — and fail on the
-# first red run.
-shed_stress() {
-  local spin="" i log
+# Reruns named tests of one nai-serve test target RUNS times
+# oversubscribed — 16 test threads on a 2-core box, beside a busy-loop
+# sibling process — and fails on the first red run.
+#   oversubscribed RUNS TARGET TEST...   (TARGET: "--lib", "--test NAME")
+oversubscribed() {
+  local runs="$1" target="$2" spin="" i log
+  shift 2
   log=$(mktemp)
   trap 'trap - RETURN; [ -n "${spin:-}" ] && kill "$spin" 2>/dev/null; rm -f "$log"; true' RETURN
-  cargo test -q -p nai-serve --lib --no-run
+  # $target is split on purpose: "--test NAME" is two arguments.
+  cargo test -q -p nai-serve $target --no-run
   ( while :; do :; done ) &
   spin=$!
-  for i in $(seq 1 20); do
-    if ! cargo test -q -p nai-serve --lib -- --test-threads 16 \
-      load_shed_caps_depth_under_pressure \
-      load_shed_engages_under_pressure_and_recovers_after_drain \
-      degraded_predictions_are_never_cached_as_full_depth_answers \
+  for i in $(seq 1 "$runs"); do
+    if ! cargo test -q -p nai-serve $target -- --test-threads 16 "$@" \
       > "$log" 2>&1; then
-      echo "load-shed tests failed on run $i:"; cat "$log"
+      echo "$* failed on run $i:"; cat "$log"
       return 1
     fi
   done
 }
 
+# The three load-shed tests submit their burst as one group, so the
+# worker that closes the burst's batch sees all of it in flight on every
+# schedule.
+shed_stress() {
+  oversubscribed 20 --lib \
+    load_shed_caps_depth_under_pressure \
+    load_shed_engages_under_pressure_and_recovers_after_drain \
+    degraded_predictions_are_never_cached_as_full_depth_answers
+}
+
 step "load-shed tests ×20, oversubscribed (fail on first red)" \
   shed_stress
+
+# The eviction test floods a peer that never reads and asserts the
+# reactor drops it. It used to fail about half the time.
+eviction_stress() {
+  oversubscribed 10 "--test transport" \
+    non_reading_peer_is_evicted_despite_write_backlog
+}
+
+step "non-reading-peer eviction test ×10, oversubscribed (fail on first red)" \
+  eviction_stress
 
 step "cargo clippy --all-targets (-D warnings)" \
   cargo clippy --all-targets --quiet -- -D warnings
@@ -149,6 +167,10 @@ serve_smoke() {
     echo "serve never came up:"; cat "$dir/serve.log"
     return 1
   fi
+  # Cold start is explained in the banner: the deploy time, and no λ₂
+  # estimate under the default NAP_d, which never reads it.
+  grep -Eq "deployed in [0-9]+ ms" "$dir/serve.log"
+  grep -q "not read by distance" "$dir/serve.log"
   curl -sf "http://$addr/healthz" | grep -q '"status":"ok"'
   curl -sf -X POST --data '{"op":"infer","nodes":[1,2,3]}' "http://$addr/v1" \
     | grep -q '"ok":true'

@@ -760,7 +760,7 @@ fn mean_depth(hist: &[u64]) -> f64 {
     weighted as f64 / total as f64
 }
 
-fn nap_name(cfg: &InferenceConfig) -> &'static str {
+pub(crate) fn nap_name(cfg: &InferenceConfig) -> &'static str {
     match cfg.nap {
         NapMode::Fixed => "fixed",
         NapMode::Distance { .. } => "distance",

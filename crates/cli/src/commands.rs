@@ -18,7 +18,7 @@ use nai_stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// CLI failures with user-readable messages.
 #[derive(Debug)]
@@ -378,7 +378,8 @@ pub fn stream(args: &ParsedArgs) -> CliResult {
 
 /// `nai serve`: boots the online inference service over a checkpoint.
 ///
-/// Prints `nai-serve listening on HOST:PORT` once ready, then blocks
+/// Prints `nai-serve listening on HOST:PORT` once ready — with the
+/// deploy time and whether λ₂ was estimated — then blocks
 /// until a `POST /shutdown` arrives (scripts grep the line for the
 /// ephemeral port when `--port 0`).
 pub fn serve(args: &ParsedArgs) -> CliResult {
@@ -432,6 +433,7 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
         read_timeout: Duration::from_secs_f64(read_timeout_ms / 1000.0),
         ..nai_serve::TransportConfig::default()
     };
+    let deploy_start = Instant::now();
     let service = NaiService::from_checkpoint(
         &ckpt,
         &DynamicGraph::from_graph(&graph),
@@ -439,6 +441,12 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
         serve_cfg,
     )
     .map_err(CliError::Other)?;
+    let deploy_ms = deploy_start.elapsed().as_secs_f64() * 1e3;
+    // `NaiService` estimates λ₂ at deploy exactly when NAP_u reads it.
+    let lambda2 = match infer_cfg.nap {
+        NapMode::UpperBound { .. } => "estimated".to_string(),
+        _ => format!("not read by {}", crate::bench::nap_name(&infer_cfg)),
+    };
     let server = Server::start_with(
         std::sync::Arc::new(service),
         ("127.0.0.1", port),
@@ -452,7 +460,8 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
     };
     println!(
         "nai-serve listening on {} ({} k={} on {name}; shards {}, max_batch {}, \
-         queue_cap {}, shed at {:.0}% → t_max {}, cache {cache_desc})",
+         queue_cap {}, shed at {:.0}% → t_max {}, cache {cache_desc}; \
+         deployed in {deploy_ms:.0} ms, λ₂ {lambda2})",
         server.local_addr(),
         ckpt.kind.name(),
         ckpt.k,

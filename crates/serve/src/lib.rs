@@ -106,7 +106,39 @@ mod tests {
         n_shards: usize,
         seed: u64,
     ) -> Vec<StreamingEngine> {
-        let g = nai_graph::generators::generate(
+        let seed_graph = DynamicGraph::from_graph(&graph(n_nodes, seed));
+        (0..n_shards)
+            .map(|_| {
+                // Every replica (and the oracle the tests peel off) gets
+                // bit-identical weights.
+                StreamingEngine::with_lambda2(seed_graph.clone(), classifiers(seed), None, 0.5, 0.9)
+            })
+            .collect()
+    }
+
+    /// [`engine_shards`]' model and seed graph as a checkpoint, for
+    /// deploying through `NaiService::from_checkpoint`.
+    pub(crate) fn checkpoint(
+        n_nodes: usize,
+        seed: u64,
+    ) -> (nai_core::checkpoint::ModelCheckpoint, DynamicGraph) {
+        use nai_graph::{normalized_adjacency, Convolution};
+        let g = graph(n_nodes, seed);
+        let engine = nai_core::inference::NaiEngine::new(
+            &g,
+            normalized_adjacency(&g.adj, Convolution::Symmetric),
+            nai_core::stationary::StationaryState::compute(&g.adj, &g.features, 0.5),
+            classifiers(seed),
+            None,
+        );
+        (
+            nai_core::checkpoint::ModelCheckpoint::from_engine(&engine, 0.5),
+            DynamicGraph::from_graph(&g),
+        )
+    }
+
+    fn graph(n_nodes: usize, seed: u64) -> nai_graph::Graph {
+        nai_graph::generators::generate(
             &nai_graph::generators::GeneratorConfig {
                 num_nodes: n_nodes,
                 num_classes: CLASSES,
@@ -115,20 +147,14 @@ mod tests {
                 ..Default::default()
             },
             &mut StdRng::seed_from_u64(seed),
-        );
-        let seed_graph = DynamicGraph::from_graph(&g);
-        (0..n_shards)
-            .map(|_| {
-                // Re-seeded per shard: every replica (and the oracle the
-                // tests peel off) gets bit-identical weights.
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xC1A55);
-                let classifiers: Vec<DepthClassifier> = (1..=K)
-                    .map(|d| {
-                        DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[8], 0.0, &mut rng)
-                    })
-                    .collect();
-                StreamingEngine::with_lambda2(seed_graph.clone(), classifiers, None, 0.5, 0.9)
-            })
+        )
+    }
+
+    /// Depth `1..=K` classifiers with weights drawn from `seed` alone.
+    fn classifiers(seed: u64) -> Vec<DepthClassifier> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC1A55);
+        (1..=K)
+            .map(|d| DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[8], 0.0, &mut rng))
             .collect()
     }
 

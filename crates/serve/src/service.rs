@@ -862,6 +862,15 @@ impl NaiService {
                 return Err("engine shards must start from the same seed graph".to_string());
             }
         }
+        // Only NAP_u reads λ₂. Force it here, not on the first read; load
+        // shedding caps depth but never changes the mode, so no other
+        // mode ever pays for the estimate. Replicas from one
+        // `shard_replicas` call share the cell: one estimate in all.
+        if matches!(infer_cfg.nap, NapMode::UpperBound { .. }) {
+            for e in &engines {
+                e.lambda2();
+            }
+        }
         let info = ServiceInfo {
             shards: cfg.workers,
             feature_dim,
@@ -869,7 +878,8 @@ impl NaiService {
             seed_nodes,
         };
         // The sequencer's invalidation mirror must be cloned before the
-        // engines move into their replica slots.
+        // engines move into their replica slots. The clone shares the
+        // replicas' frozen seed; only adjacency lists are copied.
         let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
             mirror: engines[0].graph().clone(),
             // Only fixed-depth propagation is a purely local function
@@ -910,8 +920,8 @@ impl NaiService {
     }
 
     /// Deploys over `cfg.workers` shard replicas built from one
-    /// checkpoint and seed graph (λ₂ estimated once — see
-    /// [`StreamingEngine::shard_replicas`]).
+    /// checkpoint and seed graph, sharing its frozen seed and one λ₂
+    /// cell (see [`StreamingEngine::shard_replicas`]).
     ///
     /// # Errors
     /// As [`Self::new`].
@@ -2049,6 +2059,78 @@ mod tests {
                 assert_ne!(name, "nai-serve-batcher");
                 assert!(name.starts_with("nai-serve-worker-"), "{name}");
             }
+        }
+    }
+
+    /// One deploy freezes one seed: every replica and the cache mirror
+    /// hold that allocation, and replicated growth never copies it.
+    #[test]
+    fn replicas_and_cache_mirror_share_one_seed() {
+        let (ckpt, seed) = crate::tests::checkpoint(60, 4);
+        let cfg = ServeConfig {
+            workers: 3,
+            cache: CacheConfig::on(16),
+            ..ServeConfig::default()
+        };
+        let service =
+            NaiService::from_checkpoint(&ckpt, &seed, InferenceConfig::fixed(2), cfg).unwrap();
+        let features = vec![0.1; seed.feature_dim()];
+        for i in 0..20 {
+            let op = Op::Ingest {
+                features: features.clone(),
+                neighbors: vec![i, i + 1],
+            };
+            service.call(Request { op, shard: None }).unwrap();
+        }
+        {
+            let sequencer = lock_recover(&service.sequencer);
+            let inv = sequencer.as_ref().unwrap().invalidator.as_ref().unwrap();
+            assert!(inv.mirror.shares_seed(&seed));
+            assert_eq!(inv.mirror.num_nodes(), 80);
+        }
+        let engines = service.into_engines();
+        assert_eq!(engines.len(), 3);
+        for e in &engines {
+            assert!(e.graph().shares_seed(&seed));
+            assert_eq!(e.graph().num_nodes(), 80);
+        }
+    }
+
+    /// A NAP_u deploy estimates λ₂ once, over the seed, bit-equal to the
+    /// eager estimate replicas used to make at construction, and
+    /// answers exactly as an engine handed that estimate.
+    #[test]
+    fn nap_u_deploy_answers_as_with_the_eager_lambda2() {
+        use nai_graph::{normalized_adjacency, Convolution};
+        let (ckpt, seed) = crate::tests::checkpoint(80, 9);
+        let eager = normalized_adjacency(&seed.snapshot_csr(), Convolution::Gamma(ckpt.gamma))
+            .lambda2_estimate(100, 0x57e4)
+            .min(0.999);
+        let nap_u = InferenceConfig::upper_bound(0.5, 1, 2);
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let service = NaiService::from_checkpoint(&ckpt, &seed, nap_u, cfg).unwrap();
+        let (classifiers, gates) = (ckpt.build_classifiers(), ckpt.build_gates());
+        let mut oracle = StreamingEngine::with_lambda2(seed, classifiers, gates, ckpt.gamma, eager);
+        let nodes: Vec<u32> = (0..80).collect();
+        let want = oracle.infer_nodes(&nodes, &nap_u);
+        for shard in [Some(0), Some(1)] {
+            let op = Op::Infer {
+                nodes: nodes.clone(),
+            };
+            match service.call(Request { op, shard }).unwrap() {
+                Reply::Infer { results, .. } => {
+                    let got: Vec<(usize, usize)> =
+                        results.iter().map(|r| (r.prediction, r.depth)).collect();
+                    assert_eq!(got, want, "shard {shard:?}");
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        for e in service.into_engines() {
+            assert_eq!(e.lambda2().to_bits(), eager.to_bits());
         }
     }
 

@@ -5,11 +5,61 @@
 //! lists, and the streaming engine caches each node's normalization
 //! factors and refreshes them when a mutation changes that node's
 //! degree, so an arrival never invalidates a stored matrix.
+//!
+//! A graph splits into a frozen **seed** and what grew after it. The
+//! seed is the graph as deployed — its feature rows and its adjacency
+//! as sorted CSR structure — behind an [`Arc`]: [`Clone`] shares it,
+//! so every engine replica and mirror of one deployment holds the same
+//! seed allocation. Arrivals' feature rows go to a per-graph
+//! append-only tail, so growth never copies or moves seed rows. The
+//! adjacency lists are per graph (built from the seed CSR), since every
+//! mutation may touch any row.
 
+use crate::sync::Arc;
 use nai_graph::{CsrMatrix, Graph};
 use nai_linalg::DenseMatrix;
 
-/// Growable undirected graph: adjacency lists + row-major features.
+/// The immutable graph a [`DynamicGraph`] was deployed from.
+#[derive(Debug)]
+struct Seed {
+    /// Row-major feature rows of the seed nodes.
+    features: Vec<f32>,
+    /// CSR row pointers: node `i`'s neighbours are
+    /// `indices[offsets[i]..offsets[i + 1]]`, sorted ascending.
+    offsets: Vec<usize>,
+    indices: Vec<u32>,
+    num_edges: usize,
+}
+
+impl Seed {
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.indices[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// Materializes sorted adjacency rows as a [`CsrMatrix`], one edge per
+/// `i < j` pair in row order.
+fn csr_of<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>, num_edges: usize) -> CsrMatrix {
+    let n = rows.len();
+    let mut edges = Vec::with_capacity(num_edges);
+    for (i, neighbors) in rows.enumerate() {
+        for &j in neighbors {
+            if (i as u32) < j {
+                edges.push((i as u32, j));
+            }
+        }
+    }
+    // nai-lint: allow(hot-path-panic) -- edges are read out of our own
+    // adjacency rows, so every endpoint is < num_nodes by construction.
+    CsrMatrix::undirected_adjacency(n, &edges).expect("valid dynamic graph")
+}
+
+/// Growable undirected graph: a shared frozen seed, per-graph
+/// adjacency lists, and an append-only tail of arrivals' features.
 ///
 /// Every adjacency row is kept **sorted ascending** as an invariant, so
 /// edge-existence checks ([`Self::has_edge`], and the duplicate scan
@@ -19,8 +69,12 @@ use nai_linalg::DenseMatrix;
 /// every shard replica) the linear probe is the hot path.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
+    seed: Arc<Seed>,
+    /// `seed.num_nodes()`, kept inline for the [`Self::feature`] branch.
+    seed_nodes: usize,
     adj: Vec<Vec<u32>>,
-    features: Vec<f32>,
+    /// Feature rows of the nodes added after the seed, in id order.
+    tail: Vec<f32>,
     feature_dim: usize,
     num_edges: usize,
 }
@@ -32,32 +86,100 @@ impl DynamicGraph {
     /// Panics if `feature_dim` is zero.
     pub fn new(feature_dim: usize) -> Self {
         assert!(feature_dim > 0, "feature_dim must be positive");
-        Self {
-            adj: Vec::new(),
-            features: Vec::new(),
+        Self::from_seed(
+            Seed {
+                features: Vec::new(),
+                offsets: vec![0],
+                indices: Vec::new(),
+                num_edges: 0,
+            },
             feature_dim,
-            num_edges: 0,
-        }
+        )
     }
 
     /// Seeds a dynamic graph from a static one (the observed training
-    /// graph in the inductive protocol).
+    /// graph in the inductive protocol). The feature rows are copied
+    /// once, into the frozen seed that clones of this graph share.
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.num_nodes();
-        let mut adj = vec![Vec::new(); n];
-        for (i, neighbors) in adj.iter_mut().enumerate() {
-            neighbors.extend(g.adj.row_indices(i));
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(g.adj.nnz());
+        offsets.push(0);
+        for i in 0..n {
+            let start = indices.len();
+            indices.extend(g.adj.row_indices(i));
             // CSR rows are already ascending; sorting here makes the
             // invariant independent of how the source graph was built
             // (one-time seed cost, nearly free on sorted input).
-            neighbors.sort_unstable();
+            indices[start..].sort_unstable();
+            offsets.push(indices.len());
         }
+        Self::from_seed(
+            Seed {
+                features: g.features.as_slice().to_vec(),
+                offsets,
+                indices,
+                num_edges: g.num_edges(),
+            },
+            g.feature_dim(),
+        )
+    }
+
+    fn from_seed(seed: Seed, feature_dim: usize) -> Self {
+        let seed_nodes = seed.num_nodes();
         Self {
-            adj,
-            features: g.features.as_slice().to_vec(),
-            feature_dim: g.feature_dim(),
-            num_edges: g.num_edges(),
+            adj: (0..seed_nodes).map(|i| seed.row(i).to_vec()).collect(),
+            num_edges: seed.num_edges,
+            seed: Arc::new(seed),
+            seed_nodes,
+            tail: Vec::new(),
+            feature_dim,
         }
+    }
+
+    /// Whether this graph and `other` hold the same frozen seed
+    /// allocation (clones of one graph do, however either has grown).
+    pub fn shares_seed(&self, other: &DynamicGraph) -> bool {
+        Arc::ptr_eq(&self.seed, &other.seed)
+    }
+
+    /// Whether a node or edge was added since the seed was frozen. The
+    /// graph only grows, so equal counts mean nothing changed.
+    pub(crate) fn grown_since_seed(&self) -> bool {
+        self.num_nodes() != self.seed_nodes || self.num_edges != self.seed.num_edges
+    }
+
+    /// Makes the current graph the seed: one copy of every feature row
+    /// and adjacency row into a new, unshared seed.
+    pub(crate) fn freeze(&mut self) {
+        let features = self.all_features();
+        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let mut indices = Vec::with_capacity(2 * self.num_edges);
+        offsets.push(0);
+        for row in &self.adj {
+            indices.extend_from_slice(row);
+            offsets.push(indices.len());
+        }
+        self.seed_nodes = self.adj.len();
+        self.seed = Arc::new(Seed {
+            features,
+            offsets,
+            indices,
+            num_edges: self.num_edges,
+        });
+        self.tail = Vec::new();
+    }
+
+    /// Every feature row, seed then tail, in one row-major copy.
+    fn all_features(&self) -> Vec<f32> {
+        [self.seed.features.as_slice(), &self.tail].concat()
+    }
+
+    /// Materializes the frozen seed's adjacency as a [`CsrMatrix`] —
+    /// what [`Self::snapshot_csr`] returned before the graph grew.
+    pub(crate) fn seed_csr(&self) -> CsrMatrix {
+        let seed = &self.seed;
+        csr_of((0..seed.num_nodes()).map(|i| seed.row(i)), seed.num_edges)
     }
 
     /// Node count.
@@ -97,10 +219,16 @@ impl DynamicGraph {
         self.adj[u as usize].binary_search(&v).is_ok()
     }
 
-    /// Feature row of `v`.
+    /// Feature row of `v`: a seed row or a tail row, never copied.
+    #[inline]
     pub fn feature(&self, v: u32) -> &[f32] {
-        let f = self.feature_dim;
-        &self.features[v as usize * f..(v as usize + 1) * f]
+        let (f, v) = (self.feature_dim, v as usize);
+        if v < self.seed_nodes {
+            &self.seed.features[v * f..(v + 1) * f]
+        } else {
+            let t = v - self.seed_nodes;
+            &self.tail[t * f..(t + 1) * f]
+        }
     }
 
     /// `2m + n`, the Eq. (7) normalizer of the current graph.
@@ -131,7 +259,7 @@ impl DynamicGraph {
                 self.adj.len()
             );
         }
-        self.features.extend_from_slice(features);
+        self.tail.extend_from_slice(features);
         self.adj.push(uniq.clone()); // sorted by construction
         for &u in &uniq {
             // `v` is the largest id in the graph, so appending keeps the
@@ -224,19 +352,9 @@ impl DynamicGraph {
     }
 
     /// Materializes the current adjacency as a [`CsrMatrix`]
-    /// (equivalence tests and λ₂ estimation).
+    /// (equivalence tests and snapshots).
     pub fn snapshot_csr(&self) -> CsrMatrix {
-        let mut edges = Vec::with_capacity(self.num_edges);
-        for (i, neighbors) in self.adj.iter().enumerate() {
-            for &j in neighbors {
-                if (i as u32) < j {
-                    edges.push((i as u32, j));
-                }
-            }
-        }
-        // nai-lint: allow(hot-path-panic) -- edges are read out of our own
-        // adjacency lists, so every endpoint is < num_nodes by construction.
-        CsrMatrix::undirected_adjacency(self.adj.len(), &edges).expect("valid dynamic graph")
+        csr_of(self.adj.iter().map(Vec::as_slice), self.num_edges)
     }
 
     /// Materializes a static [`Graph`] with the supplied labels.
@@ -246,7 +364,7 @@ impl DynamicGraph {
     pub fn snapshot_graph(&self, labels: Vec<u32>, num_classes: usize) -> Graph {
         assert_eq!(labels.len(), self.num_nodes(), "one label per node");
         let features =
-            DenseMatrix::from_vec(self.num_nodes(), self.feature_dim, self.features.clone());
+            DenseMatrix::from_vec(self.num_nodes(), self.feature_dim, self.all_features());
         Graph::new(self.snapshot_csr(), features, labels, num_classes)
             // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
             // (documented # Panics); label arity is checked two lines up.
@@ -452,6 +570,92 @@ mod tests {
         assert!(d.k_hop_frontier(&[0], 1, 16).is_none());
         // A leaf's 1-hop ball is {leaf, hub}: cheap.
         assert_eq!(d.k_hop_frontier(&[7], 1, 16).unwrap().len(), 2);
+    }
+
+    /// Applies `steps` seeded mutations to `d`: every other step an
+    /// arrival wired to three existing nodes, else an edge (duplicates
+    /// and self-loops skipped).
+    fn grow(d: &mut DynamicGraph, steps: u32, seed: u64) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for step in 0..steps {
+            let n = d.num_nodes() as u32;
+            if step % 2 == 0 {
+                let feats: Vec<f32> = (0..d.feature_dim())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                let nbrs: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
+                d.add_node(&feats, &nbrs);
+            } else {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    d.add_edge(u, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_seed_and_growth_never_copies_it() {
+        let g = seed_graph(200);
+        let base = DynamicGraph::from_graph(&g);
+        let mut grown = base.clone();
+        let other = base.clone();
+        assert!(grown.shares_seed(&base) && other.shares_seed(&base));
+        grow(&mut grown, 1000, 5);
+        assert!(grown.num_nodes() >= 700, "500 arrivals");
+        assert!(grown.shares_seed(&base), "growth keeps the seed");
+        assert!(grown.grown_since_seed() && !other.grown_since_seed());
+        assert_eq!(
+            (other.num_nodes(), other.num_edges()),
+            (200, g.num_edges()),
+            "a clone's growth is invisible to its siblings"
+        );
+        for v in 0..200u32 {
+            assert_eq!(other.neighbors(v), base.neighbors(v));
+        }
+
+        // Every read agrees with a graph rebuilt from scratch.
+        let labels: Vec<u32> = (0..grown.num_nodes() as u32).map(|i| i % 3).collect();
+        let snap = grown.snapshot_graph(labels.clone(), 3);
+        let rebuilt = DynamicGraph::from_graph(&snap);
+        assert_eq!(rebuilt.num_edges(), grown.num_edges());
+        for v in 0..grown.num_nodes() as u32 {
+            assert_eq!(grown.feature(v), rebuilt.feature(v), "feature {v}");
+            assert_eq!(grown.neighbors(v), rebuilt.neighbors(v), "neighbors {v}");
+        }
+        let (a, b) = (grown.snapshot_csr(), rebuilt.snapshot_csr());
+        assert_eq!(a.nnz(), b.nnz());
+        for i in 0..grown.num_nodes() {
+            assert_eq!(a.row_indices(i), b.row_indices(i), "csr row {i}");
+        }
+        let again = rebuilt.snapshot_graph(labels, 3);
+        assert_eq!(snap.features.as_slice(), again.features.as_slice());
+        let nodes: Vec<u32> = (0..grown.num_nodes() as u32).step_by(7).collect();
+        assert_eq!(
+            grown.gather_features(&nodes).as_slice(),
+            rebuilt.gather_features(&nodes).as_slice()
+        );
+    }
+
+    #[test]
+    fn freeze_makes_the_grown_graph_the_seed() {
+        let g = seed_graph(60);
+        let base = DynamicGraph::from_graph(&g);
+        assert_eq!(base.seed_csr().nnz(), base.snapshot_csr().nnz());
+        let mut d = base.clone();
+        grow(&mut d, 40, 9);
+        let before = d.clone();
+        d.freeze();
+        assert!(!d.shares_seed(&base) && !d.grown_since_seed());
+        let (seed, snap) = (d.seed_csr(), before.snapshot_csr());
+        assert_eq!(seed.nnz(), snap.nnz());
+        for i in 0..d.num_nodes() {
+            assert_eq!(seed.row_indices(i), snap.row_indices(i), "row {i}");
+            assert_eq!(d.feature(i as u32), before.feature(i as u32), "feature {i}");
+        }
+        // The old seed is untouched: its clones still see the seed graph.
+        assert_eq!(base.seed_csr().nnz(), g.adj.nnz());
     }
 
     #[test]

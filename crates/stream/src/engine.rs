@@ -26,8 +26,10 @@ use crate::dynamic::DynamicGraph;
 use crate::stationary::IncrementalStationary;
 use crate::stats::{LatencyStats, MacsBreakdown, StageTimes};
 use crate::sync::time::Instant;
+use crate::sync::{Arc, OnceLock};
 use nai_core::active::EngineScratch;
-use nai_core::config::InferenceConfig;
+use nai_core::checkpoint::ModelCheckpoint;
+use nai_core::config::{InferenceConfig, NapMode};
 use nai_core::gates::GateSet;
 use nai_core::kernel::{GraphView, Heads, ReadKernel, Tally};
 use nai_graph::normalized_adjacency;
@@ -75,7 +77,10 @@ pub struct StreamingEngine {
     classifiers: Vec<DepthClassifier>,
     gates: Option<GateSet>,
     gamma: f32,
-    lambda2: f32,
+    /// λ₂ of the deployed seed's normalized adjacency. Only NAP_u reads
+    /// it, so it is estimated on first need; the replicas of one
+    /// deployment share the cell, so at most one of them pays.
+    lambda2: Arc<OnceLock<f32>>,
     /// Per-node Eq. (1) factors, kept in step with the graph's degrees
     /// by every mutation.
     norm: Vec<NormFactors>,
@@ -92,9 +97,13 @@ pub struct StreamingEngine {
 impl StreamingEngine {
     /// Deploys trained classifiers (and optional gates) over a seed graph.
     ///
-    /// λ₂ is estimated once from the seed graph and treated as a
-    /// deployment constant thereafter (it drifts only with large
-    /// topology changes; re-deploy to refresh it).
+    /// λ₂ is a deployment constant of the seed graph (it drifts only
+    /// with large topology changes; re-deploy to refresh it). It is
+    /// estimated the first time NAP_u or [`Self::lambda2`] reads it,
+    /// never at construction: the other NAP modes do not read it. A
+    /// `graph` that grew after its seed was frozen is re-frozen here
+    /// (one copy), so the estimate always comes from the graph as
+    /// deployed.
     ///
     /// # Panics
     /// Panics if no classifiers are supplied, they are not ordered by
@@ -105,15 +114,12 @@ impl StreamingEngine {
         gates: Option<GateSet>,
         gamma: f32,
     ) -> Self {
-        let lambda2 = Self::estimate_lambda2(&graph, gamma);
-        Self::with_lambda2(graph, classifiers, gates, gamma, lambda2)
+        Self::deploy(graph, classifiers, gates, gamma, Arc::default())
     }
 
-    /// [`Self::new`] with a precomputed λ₂ — the shard hand-off path:
-    /// when many engine replicas are deployed from one checkpoint (e.g.
-    /// the `nai-serve` worker pool), λ₂ is estimated once on the seed
-    /// graph and handed to every shard instead of being re-estimated
-    /// per replica.
+    /// [`Self::new`] with a known λ₂ — for a caller that already holds
+    /// the estimate (or wants a fixed one): it fills the engine's λ₂
+    /// cell, so nothing is estimated.
     ///
     /// # Panics
     /// Panics if no classifiers are supplied or they are not ordered by
@@ -125,14 +131,41 @@ impl StreamingEngine {
         gamma: f32,
         lambda2: f32,
     ) -> Self {
+        Self::deploy(graph, classifiers, gates, gamma, Arc::new(lambda2.into()))
+    }
+
+    fn deploy(
+        mut graph: DynamicGraph,
+        classifiers: Vec<DepthClassifier>,
+        gates: Option<GateSet>,
+        gamma: f32,
+        lambda2: Arc<OnceLock<f32>>,
+    ) -> Self {
         assert!(!classifiers.is_empty(), "need at least one classifier");
         for (i, c) in classifiers.iter().enumerate() {
             assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
+        }
+        if graph.grown_since_seed() {
+            graph.freeze();
         }
         let stationary = IncrementalStationary::from_dynamic(&graph, gamma);
         let norm = (0..graph.num_nodes() as u32)
             .map(|v| NormFactors::of(graph.degree(v), gamma))
             .collect();
+        Self::assemble(graph, stationary, norm, classifiers, gates, gamma, lambda2)
+    }
+
+    /// An engine over already-derived graph state, with nothing pending
+    /// and zeroed counters.
+    fn assemble(
+        graph: DynamicGraph,
+        stationary: IncrementalStationary,
+        norm: Vec<NormFactors>,
+        classifiers: Vec<DepthClassifier>,
+        gates: Option<GateSet>,
+        gamma: f32,
+        lambda2: Arc<OnceLock<f32>>,
+    ) -> Self {
         Self {
             graph,
             stationary,
@@ -149,26 +182,13 @@ impl StreamingEngine {
         }
     }
 
-    fn estimate_lambda2(graph: &DynamicGraph, gamma: f32) -> f32 {
-        if graph.num_nodes() >= 2 {
-            let csr = graph.snapshot_csr();
-            let norm = normalized_adjacency(&csr, Convolution::Gamma(gamma));
-            norm.lambda2_estimate(100, 0x57e4).min(0.999)
-        } else {
-            0.9
-        }
-    }
-
-    /// Deploys a [`nai_core::checkpoint::ModelCheckpoint`] over a seed
-    /// graph.
+    /// Deploys a [`ModelCheckpoint`] over a seed graph (λ₂ as in
+    /// [`Self::new`]).
     ///
     /// # Panics
     /// Panics if the graph's feature dimension disagrees with the
     /// checkpoint.
-    pub fn from_checkpoint(
-        ckpt: &nai_core::checkpoint::ModelCheckpoint,
-        graph: DynamicGraph,
-    ) -> Self {
+    pub fn from_checkpoint(ckpt: &ModelCheckpoint, graph: DynamicGraph) -> Self {
         assert_eq!(
             graph.feature_dim(),
             ckpt.feature_dim,
@@ -182,54 +202,40 @@ impl StreamingEngine {
         )
     }
 
-    /// [`Self::from_checkpoint`] with a precomputed λ₂ (see
-    /// [`Self::with_lambda2`]).
-    ///
-    /// # Panics
-    /// Panics if the graph's feature dimension disagrees with the
-    /// checkpoint.
-    pub fn from_checkpoint_with_lambda2(
-        ckpt: &nai_core::checkpoint::ModelCheckpoint,
-        graph: DynamicGraph,
-        lambda2: f32,
-    ) -> Self {
-        assert_eq!(
-            graph.feature_dim(),
-            ckpt.feature_dim,
-            "graph feature dim must match checkpoint"
-        );
-        Self::with_lambda2(
-            graph,
-            ckpt.build_classifiers(),
-            ckpt.build_gates(),
-            ckpt.gamma,
-            lambda2,
-        )
-    }
-
-    /// Builds `n` independent engine replicas ("shards") from one
-    /// checkpoint and seed graph: λ₂ is estimated once, then every
-    /// shard gets its own graph copy, stationary accumulators, and
-    /// scratch. Shards share no state at runtime; the `nai-serve`
-    /// layer keeps them convergent by broadcasting every mutation to
-    /// every replica in one global sequence order (see
-    /// [`Self::apply_replicated_ingest`] /
+    /// Builds `n` engine replicas ("shards") from one checkpoint and
+    /// seed graph. The replicas share what never changes: the frozen
+    /// seed's feature rows (see [`DynamicGraph`]) and one λ₂ cell,
+    /// which stays empty unless NAP_u or [`Self::lambda2`] reads it.
+    /// Each gets its own adjacency lists, stationary accumulators,
+    /// normalization factors and scratch, copied from the first
+    /// replica rather than recomputed. Replicas share no mutable state
+    /// at runtime; the `nai-serve` layer keeps them convergent by
+    /// broadcasting every mutation to every replica in one global
+    /// sequence order (see [`Self::apply_replicated_ingest`] /
     /// [`Self::apply_replicated_edge`]), so any replica can serve any
     /// node.
     ///
     /// # Panics
     /// Panics if `n == 0` or the graph's feature dimension disagrees
     /// with the checkpoint.
-    pub fn shard_replicas(
-        ckpt: &nai_core::checkpoint::ModelCheckpoint,
-        seed: &DynamicGraph,
-        n: usize,
-    ) -> Vec<Self> {
+    pub fn shard_replicas(ckpt: &ModelCheckpoint, seed: &DynamicGraph, n: usize) -> Vec<Self> {
         assert!(n > 0, "need at least one shard");
-        let lambda2 = Self::estimate_lambda2(seed, ckpt.gamma);
-        (0..n)
-            .map(|_| Self::from_checkpoint_with_lambda2(ckpt, seed.clone(), lambda2))
-            .collect()
+        let first = Self::from_checkpoint(ckpt, seed.clone());
+        let mut shards: Vec<Self> = (1..n)
+            .map(|_| {
+                Self::assemble(
+                    first.graph.clone(),
+                    first.stationary.clone(),
+                    first.norm.clone(),
+                    ckpt.build_classifiers(),
+                    ckpt.build_gates(),
+                    first.gamma,
+                    Arc::clone(&first.lambda2),
+                )
+            })
+            .collect();
+        shards.insert(0, first);
+        shards
     }
 
     /// Highest trained depth `k`.
@@ -267,9 +273,19 @@ impl StreamingEngine {
         self.stage_times
     }
 
-    /// λ₂ estimated (or handed over) at deployment.
+    /// λ₂ of the deployed seed graph, estimated on the first call (or
+    /// handed over at construction) and shared with every replica of
+    /// the deployment.
     pub fn lambda2(&self) -> f32 {
-        self.lambda2
+        *self.lambda2.get_or_init(|| {
+            let csr = self.graph.seed_csr();
+            if csr.n() >= 2 {
+                let norm = normalized_adjacency(&csr, Convolution::Gamma(self.gamma));
+                norm.lambda2_estimate(100, 0x57e4).min(0.999)
+            } else {
+                0.9
+            }
+        })
     }
 
     /// Clears accumulated latency statistics.
@@ -301,9 +317,8 @@ impl StreamingEngine {
     /// replica (the one holding the client's reply handle) pays for the
     /// prediction; every other replica only needs the state. The op was
     /// validated once when it was sequenced, so this path adds no
-    /// checks beyond the graph's structural assertions, and no per-shard
-    /// λ₂ work (λ₂ is a deployment constant handed over at
-    /// [`Self::shard_replicas`] time).
+    /// checks beyond the graph's structural assertions, and no λ₂ work
+    /// (λ₂ is a constant of the seed graph, see [`Self::lambda2`]).
     ///
     /// # Panics
     /// Panics on wrong feature length or unknown neighbor ids.
@@ -315,17 +330,21 @@ impl StreamingEngine {
         let mut uniq: Vec<u32> = neighbors.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
-        let old: Vec<(usize, Vec<f32>)> = uniq
-            .iter()
-            .map(|&u| (self.graph.degree(u), self.graph.feature(u).to_vec()))
-            .collect();
+        let old_degrees: Vec<usize> = uniq.iter().map(|&u| self.graph.degree(u)).collect();
         let id = self.graph.add_node(features, &uniq);
         self.norm.push(NormFactors::of(uniq.len(), self.gamma));
         for &u in &uniq {
             self.refresh_norm(u);
         }
-        let old_refs: Vec<(usize, &[f32])> = old.iter().map(|(d, x)| (*d, x.as_slice())).collect();
-        self.stationary.on_add_node(features, &old_refs);
+        // Feature rows never change, so the neighbours' rows are read
+        // in place after the append.
+        let graph = &self.graph;
+        let old: Vec<(usize, &[f32])> = uniq
+            .iter()
+            .zip(old_degrees)
+            .map(|(&u, d)| (d, graph.feature(u)))
+            .collect();
+        self.stationary.on_add_node(features, &old);
         // One weighted row for the arrival plus one degree-delta
         // correction per touched neighbor, each O(f).
         self.macs.replication += (uniq.len() as u64 + 1) * self.graph.feature_dim() as u64;
@@ -343,15 +362,12 @@ impl StreamingEngine {
             return false;
         }
         let (du, dv) = (self.graph.degree(u), self.graph.degree(v));
-        let (xu, xv) = (
-            self.graph.feature(u).to_vec(),
-            self.graph.feature(v).to_vec(),
-        );
         let added = self.graph.add_edge(u, v);
         debug_assert!(added);
         self.refresh_norm(u);
         self.refresh_norm(v);
-        self.stationary.on_add_edge(&xu, du, &xv, dv);
+        self.stationary
+            .on_add_edge(self.graph.feature(u), du, self.graph.feature(v), dv);
         // Two endpoint degree-delta corrections, each O(f).
         self.macs.replication += 2 * self.graph.feature_dim() as u64;
         true
@@ -409,7 +425,12 @@ impl StreamingEngine {
     /// # Panics
     /// Panics on invalid config, missing gates, or unknown node ids.
     pub fn infer_nodes(&mut self, nodes: &[u32], cfg: &InferenceConfig) -> Vec<(usize, usize)> {
-        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), self.lambda2);
+        // λ₂ is read by NAP_u only; no other mode forces the estimate.
+        let lambda2 = match cfg.nap {
+            NapMode::UpperBound { .. } => self.lambda2(),
+            _ => 0.0,
+        };
+        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), lambda2);
         if nodes.is_empty() {
             return Vec::new();
         }
@@ -846,6 +867,131 @@ mod tests {
         shards[0].ingest(&[0.1; 8], &[0, 1]);
         assert_eq!(shards[1].graph().num_nodes(), before);
         assert_eq!(shards[0].graph().num_nodes(), before + 1);
+    }
+
+    /// λ₂ as the engine estimated it eagerly at construction before the
+    /// estimate became lazy: over the whole graph it is deployed on.
+    fn eager_lambda2(g: &DynamicGraph, gamma: f32) -> f32 {
+        let norm = normalized_adjacency(&g.snapshot_csr(), Convolution::Gamma(gamma));
+        norm.lambda2_estimate(100, 0x57e4).min(0.999)
+    }
+
+    #[test]
+    fn lambda2_is_estimated_only_when_nap_u_reads_it() {
+        let (g, split, t) = trained(200, 3);
+        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let seed = DynamicGraph::from_graph(&g);
+        let mut engines = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
+        engines.push(StreamingEngine::from_checkpoint(&ckpt, seed.clone()));
+        engines.push(StreamingEngine::new(
+            seed,
+            ckpt.build_classifiers(),
+            ckpt.build_gates(),
+            0.5,
+        ));
+        for se in &mut engines {
+            for cfg in [
+                InferenceConfig::fixed(3),
+                InferenceConfig::distance(0.5, 1, 3),
+                InferenceConfig::gate(1, 3),
+            ] {
+                se.infer_nodes(&split.test, &cfg);
+            }
+            se.ingest(&[0.1; 8], &[0, 1]);
+            se.observe_edge(2, 199);
+            se.flush(&InferenceConfig::distance(0.5, 1, 3));
+            assert!(se.lambda2.get().is_none(), "estimated without a reader");
+        }
+        // A NAP_u read through one replica fills the cell all three
+        // share; the other deployments keep their own, still empty.
+        engines[1].infer_nodes(&split.test, &InferenceConfig::upper_bound(0.5, 1, 3));
+        for (i, se) in engines.iter().enumerate() {
+            assert_eq!(se.lambda2.get().is_some(), i < 3, "engine {i}");
+        }
+    }
+
+    #[test]
+    fn forced_lambda2_is_bit_identical_to_the_eager_estimate() {
+        let g = generate(
+            &GeneratorConfig {
+                num_nodes: 2000,
+                num_classes: 3,
+                feature_dim: 8,
+                avg_degree: 8.0,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(41),
+        );
+        let classifiers = || {
+            let mut rng = StdRng::seed_from_u64(42);
+            (1..=2)
+                .map(|d| DepthClassifier::new(ModelKind::Sgc, d, 8, 3, &[8], 0.0, &mut rng))
+                .collect::<Vec<_>>()
+        };
+        let seed = DynamicGraph::from_graph(&g);
+        let want = eager_lambda2(&seed, 0.5);
+        // Growth after deploy never moves the estimate: it is the seed's.
+        let mut se = StreamingEngine::new(seed.clone(), classifiers(), None, 0.5);
+        for i in 0..50u32 {
+            se.ingest(&[0.1; 8], &[i, 3 * i + 1]);
+        }
+        assert!(se.observe_edge(0, 2049));
+        assert_eq!(se.lambda2().to_bits(), want.to_bits());
+
+        // A graph that grew before deploy is re-frozen, so the estimate
+        // is over the graph as deployed, as the eager one was.
+        let mut grown = seed.clone();
+        for i in 0..50u32 {
+            grown.add_node(&[0.2; 8], &[i, 5 * i + 3]);
+        }
+        grown.add_edge(1, 2040);
+        let se = StreamingEngine::new(grown.clone(), classifiers(), None, 0.5);
+        assert!(!se.graph().shares_seed(&grown), "re-frozen at deploy");
+        assert_eq!(se.lambda2().to_bits(), eager_lambda2(&grown, 0.5).to_bits());
+        // Replicas of the grown graph share the one re-frozen seed.
+        let ckpt = ModelCheckpoint::from_engine(&trained(60, 2).2.engine, 0.5);
+        let shards = StreamingEngine::shard_replicas(&ckpt, &grown, 3);
+        assert!(!shards[0].graph().shares_seed(&grown));
+        assert!(shards
+            .iter()
+            .all(|s| s.graph().shares_seed(shards[0].graph())));
+        assert_eq!(
+            shards[2].lambda2().to_bits(),
+            eager_lambda2(&grown, 0.5).to_bits()
+        );
+    }
+
+    #[test]
+    fn shard_replicas_share_one_seed_through_growth() {
+        let (g, _, t) = trained(150, 2);
+        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let seed = DynamicGraph::from_graph(&g);
+        let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
+        assert!(shards.iter().all(|s| s.graph().shares_seed(&seed)));
+        let mut rng = StdRng::seed_from_u64(17);
+        for step in 0..1000 {
+            let n = shards[0].graph().num_nodes() as u32;
+            if step % 2 == 0 {
+                let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let nbrs: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
+                shards[0].apply_replicated_ingest(&feats, &nbrs);
+            } else {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    shards[0].apply_replicated_edge(u, v);
+                }
+            }
+        }
+        assert_eq!(shards[0].graph().num_nodes(), 650);
+        assert!(
+            shards[0].graph().shares_seed(&seed),
+            "growth keeps the seed"
+        );
+        for s in &shards[1..] {
+            assert!(s.graph().shares_seed(&seed));
+            assert_eq!(s.graph().num_nodes(), 150, "siblings untouched");
+            assert_eq!(s.graph().num_edges(), g.num_edges(), "siblings untouched");
+        }
     }
 
     #[test]

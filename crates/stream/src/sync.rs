@@ -8,10 +8,15 @@
 //! with a CI grep lint).
 
 #[cfg(not(nai_model))]
-pub use std::sync::{Mutex, MutexGuard};
+pub use std::sync::{Arc, Mutex, MutexGuard};
 
 #[cfg(nai_model)]
-pub use loom::sync::{Mutex, MutexGuard};
+pub use loom::sync::{Arc, Mutex, MutexGuard};
+
+/// A write-once cell. The model checker has no counterpart, and needs
+/// none: a cell is filled by a pure function of immutable data, so
+/// every interleaving of racing fills stores the same value.
+pub use std::sync::OnceLock;
 
 /// Monotonic time, routed through the facade so the whole crate stays
 /// free of direct `std::time::Instant` references (model-checked builds
