@@ -13,6 +13,7 @@ use nai_datasets::{load, DatasetId, Scale};
 use nai_graph::io::{load_graph, load_split, save_graph, save_split};
 use nai_graph::{Graph, InductiveSplit};
 use nai_models::ModelKind;
+use nai_obs::LogHistogram;
 use nai_serve::{NaiService, Server};
 use nai_stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
@@ -350,30 +351,78 @@ pub fn stream(args: &ParsedArgs) -> CliResult {
          micro-batch {} ...",
         cfg.batch_size
     );
-    let mut served = 0usize;
+    let run = RunSummary::default();
+    let start = Instant::now();
     for _ in 0..arrivals {
         let feats: Vec<f32> = (0..f).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let n = engine.graph().num_nodes();
         let nbrs: Vec<u32> = (0..degree).map(|_| rng.gen_range(0..n) as u32).collect();
         engine.ingest(&feats, &nbrs);
         if engine.pending().len() >= cfg.batch_size {
-            served += engine.flush(&cfg).len();
+            run.record_all(&engine.flush(&cfg));
         }
     }
-    served += engine.flush(&cfg).len();
-    let s = engine.stats();
+    run.record_all(&engine.flush(&cfg));
     println!(
-        "served {served} | p50 {:?} | p95 {:?} | p99 {:?} | max {:?} | \
-         mean depth {:.2} | throughput {:.0}/s | total MACs {:.1}M",
-        s.p50(),
-        s.p95(),
-        s.p99(),
-        s.max(),
-        s.mean_depth(),
-        s.throughput(),
+        "served {} | {} | total MACs {:.1}M",
+        run.count(),
+        run.line(start.elapsed()),
         engine.macs_total() as f64 / 1e6,
     );
     Ok(())
+}
+
+/// What `nai stream` and `nai loadgen` report about a run: the latency
+/// and exit depth of every completed prediction or op, in two
+/// lock-free histograms (`loadgen`'s client threads share one).
+#[derive(Default)]
+struct RunSummary {
+    latency_ns: LogHistogram,
+    depth: LogHistogram,
+}
+
+impl RunSummary {
+    fn record(&self, latency: Duration, depth: usize) {
+        self.latency_ns
+            .record(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        self.depth.record(depth as u64);
+    }
+
+    /// Each prediction's latency is that of the micro-batch it rode in.
+    fn record_all(&self, preds: &[nai_stream::StreamPrediction]) {
+        for p in preds {
+            self.record(p.latency, p.depth);
+        }
+    }
+
+    fn count(&self) -> u64 {
+        self.latency_ns.snapshot().count()
+    }
+
+    /// `p50 … | p95 … | p99 … | max … | mean depth … | throughput …/s`.
+    /// Throughput is completions per second of `wall`, the run's wall
+    /// clock: recorded latencies overlap (a micro-batch's latency is
+    /// recorded once per prediction in it, concurrent clients wait at
+    /// the same time), so their sum is no measure of elapsed time.
+    fn line(&self, wall: Duration) -> String {
+        let lat = self.latency_ns.snapshot();
+        let q = |q: f64| Duration::from_nanos(lat.quantile(q));
+        let secs = wall.as_secs_f64();
+        let throughput = if secs > 0.0 {
+            lat.count() as f64 / secs
+        } else {
+            0.0
+        };
+        format!(
+            "p50 {:?} | p95 {:?} | p99 {:?} | max {:?} | mean depth {:.2} | \
+             throughput {throughput:.0}/s",
+            q(0.5),
+            q(0.95),
+            q(0.99),
+            Duration::from_nanos(lat.max()),
+            self.depth.snapshot().mean(),
+        )
+    }
 }
 
 /// `nai serve`: boots the online inference service over a checkpoint.
@@ -445,7 +494,7 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
     // `NaiService` estimates λ₂ at deploy exactly when NAP_u reads it.
     let lambda2 = match infer_cfg.nap {
         NapMode::UpperBound { .. } => "estimated".to_string(),
-        _ => format!("not read by {}", crate::bench::nap_name(&infer_cfg)),
+        _ => format!("not read by {}", nap_name(&infer_cfg)),
     };
     let server = Server::start_with(
         std::sync::Arc::new(service),
@@ -476,9 +525,19 @@ pub fn serve(args: &ParsedArgs) -> CliResult {
     Ok(())
 }
 
+/// The name `--nap` takes for `cfg`'s NAP mode.
+fn nap_name(cfg: &InferenceConfig) -> &'static str {
+    match cfg.nap {
+        NapMode::Fixed => "fixed",
+        NapMode::Distance { .. } => "distance",
+        NapMode::Gate => "gate",
+        NapMode::UpperBound { .. } => "upper",
+    }
+}
+
 /// Builds the [`nai_serve::WorkloadSpec`] a loadgen invocation drives:
 /// `--mode` picks the read/mutation mix, `--sampling`/`--zipf-s` the
-/// node-id distribution — one shared code path with `nai bench` (no
+/// node-id distribution, sampled by `nai_serve::WorkloadSampler` (no
 /// loadgen-local RNG plumbing).
 pub fn loadgen_workload(args: &ParsedArgs) -> Result<nai_serve::WorkloadSpec, CliError> {
     let mode = args.get_or("mode", "infer");
@@ -516,7 +575,6 @@ pub fn loadgen_workload(args: &ParsedArgs) -> Result<nai_serve::WorkloadSpec, Cl
         sampling,
         nodes_per_read: args.get_parse_or("nodes-per-request", 1usize)?.max(1),
         ingest_degree: 3,
-        arrivals: nai_serve::Arrivals::Closed,
     };
     spec.validate().map_err(CliError::Other)?;
     Ok(spec)
@@ -590,22 +648,23 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
         workload.name, workload.sampling,
     );
 
-    let counters = std::sync::Mutex::new((nai_stream::LatencyStats::new(), 0u64, 0u64, 0u64));
+    let run = RunSummary::default();
+    let counters = std::sync::Mutex::new((0u64, 0u64, 0u64));
+    let start = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..clients {
             let share = total / clients + usize::from(c < total % clients);
-            let (addr, workload, counters) = (&addr, &workload, &counters);
+            let (addr, workload, counters, run) = (&addr, &workload, &counters, &run);
             scope.spawn(move || {
                 let mut sampler = nai_serve::WorkloadSampler::new(
                     workload.clone(),
                     seed ^ (c as u64).wrapping_mul(0x9E37),
                 );
-                let mut local = nai_stream::LatencyStats::new();
                 let (mut ok, mut overloaded, mut failed) = (0u64, 0u64, 0u64);
                 let mut client = match nai_serve::HttpClient::connect(addr.as_str()) {
                     Ok(cl) => cl,
                     Err(_) => {
-                        counters.lock().unwrap().3 += share as u64;
+                        counters.lock().unwrap().2 += share as u64;
                         return;
                     }
                 };
@@ -678,7 +737,7 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
                                             })
                                             .and_then(nai_serve::Json::as_u64)
                                             .unwrap_or(0);
-                                        local.record(elapsed, depth as usize);
+                                        run.record(elapsed, depth as usize);
                                         ok += 1;
                                     }
                                     Ok(v)
@@ -698,7 +757,7 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
                                 match nai_serve::HttpClient::connect(addr.as_str()) {
                                     Ok(cl) => client = cl,
                                     Err(_) => {
-                                        counters.lock().unwrap().3 += (share - sent) as u64;
+                                        counters.lock().unwrap().2 += (share - sent) as u64;
                                         break;
                                     }
                                 }
@@ -707,23 +766,17 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
                     }
                 }
                 let mut agg = counters.lock().unwrap();
-                agg.0.merge(&local);
-                agg.1 += ok;
-                agg.2 += overloaded;
-                agg.3 += failed;
+                agg.0 += ok;
+                agg.1 += overloaded;
+                agg.2 += failed;
             });
         }
     });
-    let (stats, ok, overloaded, failed) = counters.into_inner().unwrap();
+    let wall = start.elapsed();
+    let (ok, overloaded, failed) = counters.into_inner().unwrap();
     println!(
-        "ok {ok} | overloaded {overloaded} | failed {failed} | p50 {:?} | p95 {:?} | \
-         p99 {:?} | max {:?} | mean depth {:.2} | throughput {:.0}/s",
-        stats.p50(),
-        stats.p95(),
-        stats.p99(),
-        stats.max(),
-        stats.mean_depth(),
-        stats.throughput(),
+        "ok {ok} | overloaded {overloaded} | failed {failed} | {}",
+        run.line(wall)
     );
     // Server-side batch anatomy and stage spans for this deployment
     // (cumulative since boot, not per-run deltas). Best-effort: a
@@ -955,6 +1008,26 @@ mod tests {
             ]))
             .is_err(),
             "invalid exponent rejected by WorkloadSpec::validate"
+        );
+    }
+
+    #[test]
+    fn summary_throughput_counts_completions_per_wall_second() {
+        // Two micro-batches of 32, each taking 1 ms, over 2 ms of wall
+        // clock: 32,000 predictions per second. The sum of recorded
+        // latencies (64 ms) would read 1,000/s.
+        let run = RunSummary::default();
+        for _ in 0..64 {
+            run.record(Duration::from_millis(1), 2);
+        }
+        assert_eq!(run.count(), 64);
+        let line = run.line(Duration::from_millis(2));
+        assert!(line.contains("throughput 32000/s"), "{line}");
+        assert!(line.contains("mean depth 2.00"), "{line}");
+        let empty = RunSummary::default().line(Duration::ZERO);
+        assert!(
+            empty.contains("p50 0ns") && empty.contains("throughput 0/s"),
+            "{empty}"
         );
     }
 

@@ -12,7 +12,6 @@
 //! ```
 
 mod args;
-mod bench;
 mod commands;
 mod lint;
 
@@ -50,16 +49,6 @@ COMMANDS:
              --mode infer|ingest|mixed, --sampling uniform|zipf, --zipf-s F,
              --nodes-per-request N, --seed N, --cache (print server cache
              counters after the run), --shutdown
-  bench      Scenario-matrix benchmark → machine-readable JSON report
-             --json PATH, --scale test|bench,
-             --topologies power-law,sbm-homophilous,sbm-heterophilous,
-                          small-world,hub-star (comma list; default all),
-             --workloads uniform-read,zipf-read,mixed-mutation,bursty-zipf
-                          (comma list; default all),
-             --requests N, --clients N, --workers N, --model-kind KIND,
-             --k N, --epochs N, --hidden N, --nap ..., --seed N,
-             --queue-cap N, --max-batch N,
-             --shed-at F, --shed-tmax N, --cache, --cache-cap N
   lint       Token-aware static analysis of the project invariants
              --workspace (lint every member crate of the enclosing
              workspace), or bare PATHS (files, directories, or crate
@@ -86,7 +75,6 @@ fn main() {
         "stream" => commands::stream(&parsed),
         "serve" => commands::serve(&parsed),
         "loadgen" => commands::loadgen(&parsed),
-        "bench" => bench::bench(&parsed),
         "lint" => lint::lint(&parsed),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");

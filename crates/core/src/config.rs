@@ -1,9 +1,7 @@
 //! Configuration types for training and inference.
 
-use serde::{Deserialize, Serialize};
-
 /// Which Node-Adaptive Propagation module controls early exits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NapMode {
     /// No adaptivity: every node propagates to `t_max` ("NAI w/o NAP" in
     /// Table VII; equivalent to the vanilla base model when
@@ -28,7 +26,7 @@ pub enum NapMode {
 }
 
 /// Inference-time knobs of Algorithm 1.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct InferenceConfig {
     /// Minimum propagation depth `T_min` (no exits before this depth).
     pub t_min: usize,
@@ -135,7 +133,7 @@ impl InferenceConfig {
 /// *degraded* [`InferenceConfig`] whose depth budget is capped at
 /// `t_max_cap` — every node exits by that depth, trading accuracy for
 /// drain rate instead of queueing (or rejecting) further work.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LoadShedPolicy {
     /// Queue-pressure trigger as a fraction of the admission bound
     /// (`0.0..=1.0`); shedding engages when
@@ -187,7 +185,7 @@ impl LoadShedPolicy {
 /// frontier would exceed `frontier_budget` visited nodes — or the NAP
 /// mode depends on global (stationary) state, where no local frontier
 /// is sound — the whole cache is conservatively flushed instead.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Whether reads consult the cache at all.
     pub enabled: bool,
@@ -228,7 +226,7 @@ impl CacheConfig {
 
 /// Serving-layer knobs for `nai-serve`: batching, admission control,
 /// and sharding over engine replicas.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker count — engine shards, each owning one replica and its
     /// amortized scratch.
@@ -288,7 +286,7 @@ impl ServeConfig {
 }
 
 /// Inception Distillation hyper-parameters (Tables III–IV of the paper).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DistillConfig {
     /// Single-scale temperature `T_single`.
     pub t_single: f32,
@@ -318,7 +316,7 @@ impl Default for DistillConfig {
 }
 
 /// End-to-end training configuration for the NAI pipeline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Highest propagation depth `k` (one classifier per depth `1..=k`).
     pub k: usize,

@@ -7,10 +7,8 @@
 //! covers propagation + NAP checks + stationary state, matching the
 //! paper's split between FP MACs and total MACs.
 
-use serde::{Deserialize, Serialize};
-
 /// MACs split by pipeline stage.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MacsBreakdown {
     /// Feature propagation (SpMM over the supporting frontier).
     pub propagation: u64,

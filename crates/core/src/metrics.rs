@@ -2,11 +2,10 @@
 //! averaged inference time and averaged feature-processing time.
 
 use crate::macs::MacsBreakdown;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Aggregated result of an inference run over a test set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InferenceReport {
     /// Number of test nodes evaluated.
     pub num_nodes: usize,

@@ -8,8 +8,8 @@
 //! deterministic recipe per topology family, all funneled through the
 //! same attributed-graph machinery as the paper-proxy datasets
 //! ([`crate::load`] itself builds its SBM proxies through a
-//! [`TopologySpec`]), so `nai bench` can sweep a (topology × workload)
-//! matrix with no per-family special cases.
+//! [`TopologySpec`]), so tests can sweep every topology with no
+//! per-family special cases.
 
 use crate::Scale;
 use nai_graph::generators::{

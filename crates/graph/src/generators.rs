@@ -15,8 +15,8 @@
 //!    propagated features are strong, reproducing the accuracy-vs-depth
 //!    curves of the paper.
 //!
-//! Beyond the SBM, the scenario harness (`nai-datasets::TopologySpec`,
-//! `nai bench`) draws on three further *edge-list* generators covering
+//! Beyond the SBM, the scenario topologies (`nai-datasets::TopologySpec`)
+//! draw on three further *edge-list* generators covering
 //! the topology axes the NAP policies are sensitive to:
 //!
 //! * [`rmat_edges`] — recursive-matrix (R-MAT) power-law graphs, the

@@ -60,6 +60,7 @@ pub use nai_graph as graph;
 pub use nai_linalg as linalg;
 pub use nai_models as models;
 pub use nai_nn as nn;
+pub use nai_obs as obs;
 pub use nai_serve as serve;
 pub use nai_stream as stream;
 

@@ -1,15 +1,12 @@
 //! Lock-free log-bucketed concurrent histogram (HDR-style).
 //!
 //! The serve path records one latency sample per prediction at full
-//! throughput, and `/metrics` scrapes quantiles concurrently. The
-//! previous design (`LatencyStats` behind a mutex, an unbounded
-//! `Vec<Duration>` restarted every 2^18 samples) bought exact quantiles
-//! at the cost of a lock on the hot path, a re-sort on every scrape,
-//! and a window restart that forgot history. This histogram inverts the
-//! trade: recording is a wait-free pair of `fetch_add`s, the footprint
-//! is a fixed ~15 KiB regardless of sample count, nothing is ever
-//! dropped — and quantiles are approximate, within a documented
-//! relative-error bound.
+//! throughput, and `/metrics` scrapes quantiles concurrently. Exact
+//! quantiles would need every sample kept and sorted under a lock.
+//! This histogram makes the opposite trade: recording is a wait-free
+//! pair of `fetch_add`s, the footprint is a fixed ~15 KiB regardless
+//! of sample count, nothing is ever dropped — and quantiles are
+//! approximate, within a documented relative-error bound.
 //!
 //! # Bucketing scheme
 //!
@@ -187,10 +184,10 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Nearest-rank quantile (the same convention as
-    /// `LatencyStats::quantile`, the exact-sort oracle it is tested
-    /// against), reconstructed as the owning bucket's midpoint: within
-    /// [`RELATIVE_ERROR`] of the exact answer. `0` when empty.
+    /// Nearest-rank quantile (the convention of the exact-sort oracle
+    /// it is tested against), reconstructed as the owning bucket's
+    /// midpoint: within [`RELATIVE_ERROR`] of the exact answer. `0`
+    /// when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -245,9 +242,8 @@ impl HistogramSnapshot {
 
     /// The exact small-value prefix: counts of values `0..2^SUB_BITS`,
     /// trimmed of trailing zeros. For small-domain data (exit depths,
-    /// batch sizes ≤ 31) this *is* the exact histogram, in the same
-    /// `hist[value] = count` shape `LatencyStats::depth_histogram`
-    /// exposed.
+    /// batch sizes ≤ 31) this *is* the exact histogram, in
+    /// `hist[value] = count` shape.
     pub fn exact_small_counts(&self) -> Vec<u64> {
         let prefix = &self.counts[..SUB.min(self.counts.len())];
         let len = prefix.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);

@@ -30,109 +30,49 @@ use crate::reactor::{Reactor, TransportConfig};
 use crate::service::NaiService;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::thread::{self, JoinHandle};
-use crate::sync::{lock_recover, Arc, Condvar, Mutex};
+use crate::sync::Arc;
 use nai_obs::{PromWriter, Stage, TraceRecord};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
 
 /// Content type of every JSON body.
 pub(crate) const CT_JSON: &str = "application/json";
 /// Content type of the Prometheus text exposition format.
 const CT_PROM: &str = "text/plain; version=0.0.4";
 
-/// Shutdown gate for the connection pool: a stop flag plus a counted
-/// set of active connections with a condition variable for the drain.
-///
-/// This replaced a `stop: AtomicBool` + `active_conns: AtomicUsize`
-/// pair whose join path slept in a 5 ms poll loop: the count now lives
-/// under a mutex with [`Self::end_conn`] signalling the last exit, so
-/// [`Self::await_drained`] wakes exactly when the pool empties (or the
-/// grace deadline fires) — no poll latency, no schedule where the
-/// notify is lost. `tests/model.rs` checks under `--cfg nai_model`
-/// that stop/begin/end/await interleavings never hang and never strand
-/// an accepted connection uncounted.
-pub struct ConnGate {
-    stop: AtomicBool,
-    active: Mutex<usize>,
-    drained: Condvar,
-}
+/// The server's stop switch, latched by [`Server::shutdown`] or a
+/// POST `/shutdown` and read by the reactor on every loop turn. The
+/// reactor itself tracks its live connections and bounds the drain
+/// with `drain_grace`, so stopping needs no count here.
+/// `tests/model.rs` checks under `--cfg nai_model` that racing stoppers
+/// see exactly one first transition, so exactly one wakes the reactor.
+#[derive(Default)]
+pub struct StopLatch(AtomicBool);
 
-impl ConnGate {
-    /// An open gate with no active connections.
-    pub fn new() -> Self {
-        Self {
-            stop: AtomicBool::new(false),
-            active: Mutex::new(0),
-            drained: Condvar::new(),
-        }
-    }
-
-    /// Whether shutdown has been requested. Acquire: pairs with the
-    /// AcqRel swap in [`Self::request_stop`], so a connection accepted
-    /// after the observing load sees everything the stopper did first.
-    pub fn stopping(&self) -> bool {
-        // Acquire: pairs with request_stop's AcqRel swap (see doc).
-        self.stop.load(Ordering::Acquire)
+impl StopLatch {
+    /// Whether stop has been requested. Acquire: pairs with the AcqRel
+    /// swap in [`Self::set`], so a loop turn that observes the stop
+    /// sees everything the stopper did first.
+    pub fn is_set(&self) -> bool {
+        // Acquire: pairs with set's AcqRel swap (see doc).
+        self.0.load(Ordering::Acquire)
     }
 
     /// Latches the stop flag; returns whether this call was the first
     /// (the swap makes concurrent stop requests race-free: exactly one
     /// caller performs the reactor-waking side effect).
-    pub fn request_stop(&self) -> bool {
+    pub fn set(&self) -> bool {
         // AcqRel: exactly one winner, and the winner's prior writes
-        // are visible to every later stopping() load.
-        !self.stop.swap(true, Ordering::AcqRel)
-    }
-
-    /// Counts a connection in (poison-recovering: the count is a plain
-    /// integer a panic cannot leave half-updated).
-    pub fn begin_conn(&self) {
-        *lock_recover(&self.active) += 1;
-    }
-
-    /// Counts a connection out, waking the drain waiter when the pool
-    /// empties.
-    pub fn end_conn(&self) {
-        let mut active = lock_recover(&self.active);
-        debug_assert!(*active > 0, "end_conn without begin_conn");
-        *active = active.saturating_sub(1);
-        if *active == 0 {
-            self.drained.notify_all();
-        }
-    }
-
-    /// Blocks until every counted connection has ended, or `grace` has
-    /// elapsed; returns whether the pool drained. Loops only on real
-    /// wakeups — one timeout ends the wait (re-arming would extend the
-    /// grace unboundedly under repeated spurious wakeups).
-    pub fn await_drained(&self, grace: Duration) -> bool {
-        let mut active = lock_recover(&self.active);
-        while *active > 0 {
-            let (guard, timeout) = self
-                .drained
-                .wait_timeout(active, grace)
-                .unwrap_or_else(|p| p.into_inner());
-            active = guard;
-            if timeout.timed_out() {
-                return *active == 0;
-            }
-        }
-        true
-    }
-}
-
-impl Default for ConnGate {
-    fn default() -> Self {
-        Self::new()
+        // are visible to every later is_set() load.
+        !self.0.swap(true, Ordering::AcqRel)
     }
 }
 
 pub(crate) struct ServerState {
     pub(crate) service: Arc<NaiService>,
     pub(crate) addr: SocketAddr,
-    pub(crate) gate: ConnGate,
+    pub(crate) stop: StopLatch,
     /// Write end of the reactor's wake pipe: one byte makes the
     /// reactor leave `Poller::wait` and re-check the stop flag and the
     /// completion queue. Non-blocking — a full pipe means a wake is
@@ -142,7 +82,7 @@ pub(crate) struct ServerState {
 
 impl ServerState {
     pub(crate) fn request_stop(&self) {
-        if self.gate.request_stop() {
+        if self.stop.set() {
             self.wake();
         }
     }
@@ -187,7 +127,7 @@ impl Server {
         let state = Arc::new(ServerState {
             service,
             addr: local,
-            gate: ConnGate::new(),
+            stop: StopLatch::default(),
             waker,
         });
         let reactor = Reactor::new(listener, wake_rx, Arc::clone(&state), cfg)?;
@@ -214,16 +154,13 @@ impl Server {
     }
 
     /// Blocks until the reactor has drained and stopped (after
-    /// [`Server::shutdown`] or a POST `/shutdown`), then shuts the
-    /// service itself down (draining every admitted request).
+    /// [`Server::shutdown`] or a POST `/shutdown`; the reactor closes
+    /// whatever is still open once `drain_grace` has passed), then
+    /// shuts the service itself down (draining every admitted request).
     pub fn join(mut self) {
         if let Some(handle) = self.reactor.take() {
             let _ = handle.join();
         }
-        // The reactor counts every connection out before exiting, so
-        // this returns immediately; it stays as a guard on the gate's
-        // invariant (and would bound the wait if that ever broke).
-        let _ = self.state.gate.await_drained(Duration::from_secs(2));
         self.state.service.shutdown();
     }
 }

@@ -39,9 +39,8 @@
 //! * [`client::HttpClient`] — the tiny blocking client used by
 //!   `nai loadgen` and the end-to-end tests;
 //! * [`workload`] — [`WorkloadSpec`] traffic shapes (read/mutation mix,
-//!   Zipf vs. uniform node sampling, open-loop bursts) and the shared
-//!   [`WorkloadSampler`] that `nai loadgen` and the `nai bench`
-//!   scenario matrix both draw their op streams from.
+//!   Zipf vs. uniform node sampling) and the shared [`WorkloadSampler`]
+//!   that `nai loadgen` draws its op stream from.
 //!
 //! ```text
 //! clients ──HTTP──▶ Server ──submit──▶ NaiService ──batches──▶ shard engines
@@ -70,7 +69,7 @@ pub mod workload;
 pub use admission::AdmissionLedger;
 pub use cache::{CacheCounters, Invalidation, PredictionCache, VersionedCache};
 pub use client::{http_call, HttpClient};
-pub use http::{ConnGate, Server};
+pub use http::{Server, StopLatch};
 pub use json::Json;
 pub use obs::ServeObs;
 pub use proto::{NodeResult, Op, Reply, Request};
@@ -78,7 +77,7 @@ pub use reactor::TransportConfig;
 pub use service::{
     CompletionQueue, MacsCell, MetricsSnapshot, NaiService, ServeError, ServiceInfo, Ticket,
 };
-pub use workload::{zipf_rank, Arrivals, Sampling, WorkloadSampler, WorkloadSpec};
+pub use workload::{zipf_rank, Sampling, WorkloadSampler, WorkloadSpec};
 
 #[cfg(nai_model)]
 pub use service::WorkerInbox;

@@ -8,13 +8,9 @@
 //! `/metrics` and `/debug/slow` read point-in-time snapshots without
 //! ever re-sorting samples or blocking a recorder.
 //!
-//! This replaced the per-worker `Mutex<LatencyStats>` accumulators: the
-//! exact-sort `LatencyStats` stored every sample (restarting each 2^18
-//! to stay bounded, forgetting history at each restart) and re-sorted
-//! under its mutex on every scrape. The log-bucketed histograms record
-//! lock-free, keep a fixed footprint forever, and answer quantiles
-//! within `nai_obs::RELATIVE_ERROR`; `LatencyStats` remains in
-//! `nai-stream` as the exact oracle for unit tests and benches.
+//! The log-bucketed histograms record lock-free, keep a fixed footprint
+//! however many samples arrive, and answer quantiles within
+//! `nai_obs::RELATIVE_ERROR`, so no scrape ever sorts samples.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use nai_obs::{

@@ -531,7 +531,7 @@ impl Reactor {
         let mut events: Vec<Event> = Vec::new();
         loop {
             let now = Instant::now();
-            if self.state.gate.stopping() && !self.draining {
+            if self.state.stop.is_set() && !self.draining {
                 self.begin_drain(now);
             }
             if self.draining {
@@ -562,7 +562,7 @@ impl Reactor {
             self.drain_completions();
             self.expire(Instant::now());
         }
-        // Teardown: close the stragglers so the gate drains.
+        // Teardown: close the stragglers.
         for slot in 0..self.conns.len() {
             self.close_conn(slot);
         }
@@ -602,7 +602,7 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.state.gate.stopping() {
+                    if self.state.stop.is_set() {
                         // Drain the accept queue so stragglers get a
                         // reset instead of a hang.
                         drop(stream);
@@ -629,7 +629,6 @@ impl Reactor {
                         self.free.push(slot);
                         continue;
                     }
-                    self.state.gate.begin_conn();
                     let gen = self.next_gen;
                     self.next_gen += 1;
                     self.conns[slot] = Some(Conn::new(stream, gen));
@@ -1017,7 +1016,6 @@ impl Reactor {
         // drop instead of dangling in the map forever.
         self.tokens.retain(|_, d| !(d.slot == slot && d.gen == gen));
         self.free.push(slot);
-        self.state.gate.end_conn();
     }
 
     /// Routes completed engine replies into their batch slots. Guards

@@ -568,16 +568,12 @@ impl Shared {
     }
 
     /// After a batch ran cleanly on `worker`'s replica: publish its
-    /// MACs and drop the engine's own latency samples.
-    fn finish_batch(&self, worker: usize, engine: &mut StreamingEngine) {
+    /// MACs.
+    fn finish_batch(&self, worker: usize, engine: &StreamingEngine) {
         // One atomic publish of all four stages: a scrape sees either
         // the pre-batch or the post-batch breakdown, never a mix (the
         // old 4×`Relaxed`-store pattern tore — see `MacsCell`).
         self.worker_macs[worker].publish(&engine.macs_breakdown());
-        // The service keeps its own (queue-inclusive) latency samples;
-        // drop the engine's internal per-flush copy so a long-lived
-        // replica does not accumulate a second unbounded sample vector.
-        engine.reset_stats();
     }
 
     /// Answers every job `batch` owns with the typed error of a
@@ -1101,7 +1097,7 @@ impl NaiService {
                     applied_seq,
                     shared,
                 );
-                shared.finish_batch(worker, &mut replica.engine);
+                shared.finish_batch(worker, &replica.engine);
             })
         }));
         if !matches!(ran, Ok(Some(()))) {
@@ -1699,7 +1695,7 @@ fn serve_batch(
     let answered_before = shared.admission.answered_by(worker);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         process_shard_batch(worker, replica, batch, &run, shared);
-        shared.finish_batch(worker, &mut replica.engine);
+        shared.finish_batch(worker, &replica.engine);
     }));
     match outcome {
         Ok(()) => Served::Done,

@@ -83,7 +83,7 @@ pub mod time {
 /// the facade and the `sync-facade` lint forbids naming `polling::…`
 /// anywhere else in the crate. Like [`time::Instant`], both builds use
 /// the real implementation: loom has no readiness model, and the model
-/// tests exercise the reactor's shared state (gate, completion queue)
+/// tests exercise the reactor's shared state (stop latch, completion queue)
 /// directly without ever constructing a poller.
 pub mod poll {
     pub use polling::{Event, Interest, Poller};

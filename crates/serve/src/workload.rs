@@ -2,17 +2,15 @@
 //!
 //! NAP's serving win depends on *traffic shape* as much as graph shape:
 //! Zipf-skewed reads concentrate on hot (often high-degree) nodes that
-//! exit early, mutation-heavy mixes exercise sequenced replication, and
-//! open-loop bursts exercise admission control and load shedding. A
-//! [`WorkloadSpec`] names one such shape; [`WorkloadSampler`] turns it
-//! into a deterministic stream of wire [`Op`]s. Both `nai loadgen` and
-//! the `nai bench` scenario matrix consume this module, so Zipf/uniform
-//! node sampling is one code path.
+//! exit early, and mutation-heavy mixes exercise sequenced replication.
+//! A [`WorkloadSpec`] names one such shape; [`WorkloadSampler`] turns it
+//! into a deterministic stream of wire [`Op`]s. `nai loadgen` and the
+//! cache oracle tests consume this module, so Zipf/uniform node
+//! sampling is one code path.
 
 use crate::proto::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
 
 /// How node ids are drawn from the population `0..n`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,28 +26,10 @@ pub enum Sampling {
     },
 }
 
-/// How requests are paced.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Arrivals {
-    /// Closed loop: each client issues its next request when the
-    /// previous reply lands, so offered load tracks service rate.
-    Closed,
-    /// Open loop: requests fire on a fixed schedule regardless of
-    /// replies — `burst` back-to-back requests every `period`. Offered
-    /// load does *not* back off, so queue pressure (and shedding) is
-    /// reachable.
-    Open {
-        /// Requests issued back-to-back at each schedule point.
-        burst: usize,
-        /// Time between schedule points.
-        period: Duration,
-    },
-}
-
-/// One named traffic shape for the scenario matrix.
+/// One named traffic shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
-    /// Cell label in bench reports (e.g. `"zipf-read"`).
+    /// Label (e.g. `"zipf-read"`).
     pub name: String,
     /// Fraction of requests that are reads (`Op::Infer`); the rest are
     /// mutations.
@@ -64,8 +44,6 @@ pub struct WorkloadSpec {
     pub nodes_per_read: usize,
     /// Neighbors attached per ingest.
     pub ingest_degree: usize,
-    /// Arrival pacing.
-    pub arrivals: Arrivals,
 }
 
 impl WorkloadSpec {
@@ -74,58 +52,28 @@ impl WorkloadSpec {
     /// # Errors
     /// Returns the list of known names when `name` is unknown.
     pub fn named(name: &str) -> Result<WorkloadSpec, String> {
-        let base = |name: &str, read_fraction, edge_fraction, sampling, arrivals| WorkloadSpec {
+        let base = |name: &str, read_fraction, edge_fraction, sampling| WorkloadSpec {
             name: name.to_string(),
             read_fraction,
             edge_fraction,
             sampling,
             nodes_per_read: 2,
             ingest_degree: 3,
-            arrivals,
         };
         match name {
             // Pure reads, uniform over the population: the baseline.
-            "uniform-read" => Ok(base(name, 1.0, 0.0, Sampling::Uniform, Arrivals::Closed)),
+            "uniform-read" => Ok(base(name, 1.0, 0.0, Sampling::Uniform)),
             // Pure reads, hub-heavy: the traffic shape where adaptive
             // depth pays off the most (§V's hot-node argument).
-            "zipf-read" => Ok(base(
-                name,
-                1.0,
-                0.0,
-                Sampling::Zipf { exponent: 1.1 },
-                Arrivals::Closed,
-            )),
+            "zipf-read" => Ok(base(name, 1.0, 0.0, Sampling::Zipf { exponent: 1.1 })),
             // A third of requests mutate the graph (ingests + edges):
             // exercises sequenced replication alongside reads.
-            "mixed-mutation" => Ok(base(name, 0.67, 0.3, Sampling::Uniform, Arrivals::Closed)),
-            // Open-loop bursts of hub-heavy reads with some mutations:
-            // offered load ignores replies, so admission control and
-            // the load-shed policy actually engage.
-            "bursty-zipf" => Ok(base(
-                name,
-                0.9,
-                0.25,
-                Sampling::Zipf { exponent: 1.2 },
-                Arrivals::Open {
-                    burst: 8,
-                    period: Duration::from_millis(1),
-                },
-            )),
+            "mixed-mutation" => Ok(base(name, 0.67, 0.3, Sampling::Uniform)),
             other => Err(format!(
                 "unknown workload `{other}` (expected uniform-read | zipf-read | \
-                 mixed-mutation | bursty-zipf)"
+                 mixed-mutation)"
             )),
         }
-    }
-
-    /// The default workload matrix, in bench-report order.
-    pub fn matrix() -> Vec<WorkloadSpec> {
-        ["uniform-read", "zipf-read", "mixed-mutation", "bursty-zipf"]
-            .iter()
-            // nai-lint: allow(hot-path-panic) -- the array above lists exactly
-            // the names `named` accepts; a typo fails every bench test.
-            .map(|n| Self::named(n).expect("matrix names are known"))
-            .collect()
     }
 
     /// Validates fractions and counts.
@@ -154,11 +102,6 @@ impl WorkloadSpec {
         }
         if self.nodes_per_read == 0 {
             return Err("nodes_per_read must be ≥ 1".to_string());
-        }
-        if let Arrivals::Open { burst, .. } = self.arrivals {
-            if burst == 0 {
-                return Err("open-loop burst must be ≥ 1".to_string());
-            }
         }
         Ok(())
     }
@@ -283,11 +226,10 @@ mod tests {
 
     #[test]
     fn presets_parse_and_validate() {
-        let matrix = WorkloadSpec::matrix();
-        assert!(matrix.len() >= 3, "bench needs ≥ 3 workloads");
-        for spec in &matrix {
+        for name in ["uniform-read", "zipf-read", "mixed-mutation"] {
+            let spec = WorkloadSpec::named(name).unwrap();
             spec.validate().unwrap();
-            assert_eq!(&WorkloadSpec::named(&spec.name).unwrap(), spec);
+            assert_eq!(spec.name, name);
         }
         assert!(WorkloadSpec::named("firehose").is_err());
         let mut bad = WorkloadSpec::named("uniform-read").unwrap();

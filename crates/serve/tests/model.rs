@@ -16,9 +16,8 @@
 //! 3. **Cache versioning** — a worker insert racing a sequenced
 //!    mutation never produces a hit that mixes the old prediction
 //!    with the new sequence point.
-//! 4. **Shutdown gate** — stop / begin / end / drain interleavings
-//!    terminate under every schedule (a lost wakeup would surface as
-//!    a detected deadlock) and never lose a counted connection.
+//! 4. **Shutdown latch** — racing stoppers see exactly one first
+//!    transition, so exactly one of them wakes the reactor.
 //! 5. **Completion mailbox** — a reply pushed while the reactor drains
 //!    is never stranded without a wake.
 //! 6. **Sequencing** — threads submitting mutations at the same time
@@ -42,8 +41,8 @@ use loom::{Builder, Stats};
 use nai_core::config::InferenceConfig;
 use nai_models::{DepthClassifier, ModelKind};
 use nai_serve::{
-    AdmissionLedger, CompletionQueue, ConnGate, Invalidation, MacsCell, NaiService, Op, Reply,
-    Request, VersionedCache,
+    AdmissionLedger, CompletionQueue, Invalidation, MacsCell, NaiService, Op, Reply, Request,
+    StopLatch, VersionedCache,
 };
 use nai_stream::{DynamicGraph, MacsBreakdown, StreamingEngine};
 use rand::rngs::StdRng;
@@ -196,61 +195,21 @@ fn untouched_entries_survive_a_sequence_advance_consistently() {
     });
 }
 
-/// Invariant 4: stop / begin / end / drain interleavings terminate on
-/// every schedule (loom reports a deadlock if the drain can miss its
-/// wakeup) and the gate never loses a counted connection — once every
-/// conn ended, the gate must report drained.
+/// Invariant 4: the stop latch fires its side effect (waking the
+/// reactor) exactly once however many threads race `/shutdown`.
 #[test]
-fn conn_gate_drain_terminates_and_counts_every_conn() {
-    let stats = dfs(2)
-        .check_quiet(|| {
-            let gate = Arc::new(ConnGate::new());
-            // Accept loop counts the connection in before its thread
-            // exists (as http.rs does), then the conn thread counts out.
-            gate.begin_conn();
-            let g = gate.clone();
-            let conn = loom::thread::spawn(move || {
-                g.end_conn();
-            });
-            let g = gate.clone();
-            let stopper = loom::thread::spawn(move || {
-                g.request_stop();
-            });
-            // May time out before the conn ends (grace expired — the
-            // model explores the timeout branch) but must never hang.
-            let drained = gate.await_drained(Duration::from_secs(2));
-            conn.join().unwrap();
-            stopper.join().unwrap();
-            assert!(gate.stopping());
-            // Every conn has ended: the gate must agree immediately.
-            assert!(
-                gate.await_drained(Duration::from_millis(1)),
-                "connection lost by the gate"
-            );
-            if drained {
-                // A positive drain answer is a real guarantee, not a
-                // race artifact: nothing was active when it returned.
-                assert!(gate.await_drained(Duration::from_millis(1)));
-            }
-        })
-        .expect("shutdown gate must terminate on every schedule");
-    assert!(stats.exhausted);
-}
-
-/// The stop latch fires its side effect (unblocking the accept loop)
-/// exactly once however many threads race `/shutdown`.
-#[test]
-fn conn_gate_stop_latches_exactly_once() {
+fn stop_latch_latches_exactly_once() {
     dfs(2).check(|| {
-        let gate = Arc::new(ConnGate::new());
-        let g = gate.clone();
-        let h = loom::thread::spawn(move || g.request_stop());
-        let mine = gate.request_stop();
+        let stop = Arc::new(StopLatch::default());
+        let s = stop.clone();
+        let h = loom::thread::spawn(move || s.set());
+        let mine = stop.set();
         let theirs = h.join().unwrap();
         assert!(
             mine ^ theirs,
             "exactly one stopper may observe the first transition"
         );
+        assert!(stop.is_set());
     });
 }
 

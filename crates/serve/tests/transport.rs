@@ -11,7 +11,8 @@
 //!   traffic;
 //! * **drain semantics** — `/shutdown` racing an in-flight pipelined
 //!   burst still answers every request of the burst before the
-//!   reactor closes the connection and exits;
+//!   reactor closes the connection and exits, and peers that idle or
+//!   never read cannot hold `join` past `drain_grace`;
 //! * **protocol edges** — HTTP/1.0 defaults to close, oversized
 //!   bodies are rejected with 400 without killing the server;
 //! * **inline reads** — reads the reactor answers itself on a claimed
@@ -500,6 +501,73 @@ fn shutdown_races_a_pipelined_burst_without_losing_responses() {
         joined.elapsed() < Duration::from_secs(5),
         "reactor failed to exit after drain"
     );
+}
+
+/// Shutdown is bounded by `drain_grace` alone: the reactor closes an
+/// idle keep-alive client at once and drops a peer that never reads
+/// its pipelined burst when the grace runs out, so `join` returns well
+/// before `read_timeout` would have evicted either, and the service is
+/// shut down behind it.
+#[test]
+fn join_returns_within_drain_grace_despite_idle_and_non_reading_peers() {
+    let drain_grace = Duration::from_millis(500);
+    let service = Arc::new(NaiService::new(vec![engine()], infer_cfg(), serve_cfg()).unwrap());
+    let server = Server::start_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        TransportConfig {
+            read_timeout: Duration::from_secs(60),
+            drain_grace,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // An idle keep-alive client: one exchange, then silence.
+    let mut idle = HttpClient::connect(addr).unwrap();
+    assert_eq!(idle.request("GET", "/healthz", None).unwrap().0, 200);
+
+    // A peer that writes a pipelined burst and never reads: write until
+    // the server's backpressure stalls us, so responses are pinned in
+    // the reactor's write backlog when the stop arrives.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    shrink_rcvbuf(&stalled);
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let burst = b"GET /metrics HTTP/1.1\r\n\r\n".repeat(64);
+    let mut written = 0usize;
+    while written < 8 * 1024 * 1024 {
+        match stalled.write(&burst) {
+            Ok(n) if n > 0 => written += n,
+            _ => break,
+        }
+    }
+    assert!(
+        written > 16 * 1024,
+        "burst never got going: {written} bytes"
+    );
+
+    server.shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        server.join();
+        done_tx.send(()).unwrap();
+    });
+    let slack = Duration::from_millis(1500);
+    done_rx
+        .recv_timeout(drain_grace + slack)
+        .expect("join must return within drain_grace plus slack");
+    joiner.join().unwrap();
+    let after = service.submit(Request {
+        op: Op::Infer { nodes: vec![0] },
+        shard: None,
+    });
+    assert!(
+        matches!(after, Err(nai_serve::ServeError::ShuttingDown)),
+        "join must shut the service down"
+    );
+    drop((idle, stalled));
 }
 
 #[test]

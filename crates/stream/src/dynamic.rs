@@ -249,18 +249,18 @@ impl DynamicGraph {
             "feature length must match graph dimension"
         );
         let v = self.adj.len() as u32;
+        // The one copy of `neighbors`: sorted and deduplicated here, it
+        // becomes the new node's adjacency row.
         let mut uniq: Vec<u32> = neighbors.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
-        for &u in &uniq {
+        if let Some(&u) = uniq.last() {
             assert!(
-                (u as usize) < self.adj.len(),
-                "neighbor {u} must already exist (graph has {} nodes)",
-                self.adj.len()
+                u < v,
+                "neighbor {u} must already exist (graph has {v} nodes)"
             );
         }
         self.tail.extend_from_slice(features);
-        self.adj.push(uniq.clone()); // sorted by construction
         for &u in &uniq {
             // `v` is the largest id in the graph, so appending keeps the
             // neighbor's row sorted.
@@ -268,6 +268,7 @@ impl DynamicGraph {
             self.adj[u as usize].push(v);
         }
         self.num_edges += uniq.len();
+        self.adj.push(uniq);
         v
     }
 
@@ -440,6 +441,32 @@ mod tests {
         assert!(d.neighbors(7).contains(&v));
         assert_eq!(d.num_edges(), g.num_edges() + 3);
         assert_eq!(d.feature(v), &[1.0, 2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn add_node_with_unsorted_duplicates_matches_a_rebuild() {
+        let g = seed_graph(30);
+        let mut d = DynamicGraph::from_graph(&g);
+        let nbrs = [17u32, 3, 29, 3, 0, 17, 8];
+        let v = d.add_node(&[0.5; 4], &nbrs);
+        // The same graph built from scratch: the seed's edges plus the
+        // arrival's, duplicates and all, through the CSR builder.
+        let mut edges: Vec<(u32, u32)> = (0..30u32)
+            .flat_map(|i| g.adj.row_indices(i as usize).iter().map(move |&j| (i, j)))
+            .collect();
+        edges.extend(nbrs.iter().map(|&u| (v, u)));
+        let csr = CsrMatrix::undirected_adjacency(31, &edges).unwrap();
+        let mut feats = g.features.as_slice().to_vec();
+        feats.extend_from_slice(&[0.5; 4]);
+        let rebuilt = Graph::new(csr, DenseMatrix::from_vec(31, 4, feats), vec![0; 31], 3)
+            .map(|g| DynamicGraph::from_graph(&g))
+            .unwrap();
+        assert_eq!(d.num_edges(), rebuilt.num_edges());
+        for u in 0..31u32 {
+            assert_eq!(d.neighbors(u), rebuilt.neighbors(u), "row {u}");
+            assert_eq!(d.degree(u), rebuilt.degree(u), "degree {u}");
+        }
+        assert_eq!(d.neighbors(v), &[0, 3, 8, 17, 29]);
     }
 
     #[test]

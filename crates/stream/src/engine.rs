@@ -24,7 +24,7 @@
 
 use crate::dynamic::DynamicGraph;
 use crate::stationary::IncrementalStationary;
-use crate::stats::{LatencyStats, MacsBreakdown, StageTimes};
+use crate::stats::{MacsBreakdown, StageTimes};
 use crate::sync::time::Instant;
 use crate::sync::{Arc, OnceLock};
 use nai_core::active::EngineScratch;
@@ -85,7 +85,6 @@ pub struct StreamingEngine {
     /// by every mutation.
     norm: Vec<NormFactors>,
     pending: Vec<u32>,
-    stats: LatencyStats,
     macs: MacsBreakdown,
     stage_times: StageTimes,
     /// Shared active-set workspace (same engine layer as
@@ -175,7 +174,6 @@ impl StreamingEngine {
             lambda2,
             norm,
             pending: Vec::new(),
-            stats: LatencyStats::new(),
             macs: MacsBreakdown::default(),
             stage_times: StageTimes::default(),
             scratch: EngineScratch::new(),
@@ -248,11 +246,6 @@ impl StreamingEngine {
         &self.graph
     }
 
-    /// Latency statistics over everything flushed so far.
-    pub fn stats(&self) -> &LatencyStats {
-        &self.stats
-    }
-
     /// Cumulative propagation + NAP + classification MACs.
     pub fn macs_total(&self) -> u64 {
         self.macs.total()
@@ -266,9 +259,9 @@ impl StreamingEngine {
 
     /// Cumulative wall time split by pipeline stage, attributed at the
     /// same sites as [`Self::macs_breakdown`]. Like the MAC counters
-    /// this is monotone and survives [`Self::reset_stats`]: the serving
-    /// layer snapshots it around each coalesced call and diffs with
-    /// [`StageTimes::since`] to cost the batch it just ran.
+    /// this is monotone: the serving layer snapshots it around each
+    /// coalesced call and diffs with [`StageTimes::since`] to cost the
+    /// batch it just ran.
     pub fn stage_times(&self) -> StageTimes {
         self.stage_times
     }
@@ -286,11 +279,6 @@ impl StreamingEngine {
                 0.9
             }
         })
-    }
-
-    /// Clears accumulated latency statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = LatencyStats::new();
     }
 
     /// Ids queued for the next [`Self::flush`].
@@ -327,27 +315,25 @@ impl StreamingEngine {
     }
 
     fn apply_node_arrival(&mut self, features: &[f32], neighbors: &[u32]) -> u32 {
-        let mut uniq: Vec<u32> = neighbors.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        let old_degrees: Vec<usize> = uniq.iter().map(|&u| self.graph.degree(u)).collect();
-        let id = self.graph.add_node(features, &uniq);
+        let id = self.graph.add_node(features, neighbors);
+        // The arrival's row is the sorted, deduplicated neighbour list,
+        // and each of those neighbours gained exactly one edge (to `id`).
+        let graph = &self.graph;
+        let uniq = graph.neighbors(id);
         self.norm.push(NormFactors::of(uniq.len(), self.gamma));
-        for &u in &uniq {
-            self.refresh_norm(u);
+        for &u in uniq {
+            self.norm[u as usize] = NormFactors::of(graph.degree(u), self.gamma);
         }
         // Feature rows never change, so the neighbours' rows are read
         // in place after the append.
-        let graph = &self.graph;
         let old: Vec<(usize, &[f32])> = uniq
             .iter()
-            .zip(old_degrees)
-            .map(|(&u, d)| (d, graph.feature(u)))
+            .map(|&u| (graph.degree(u) - 1, graph.feature(u)))
             .collect();
         self.stationary.on_add_node(features, &old);
         // One weighted row for the arrival plus one degree-delta
         // correction per touched neighbor, each O(f).
-        self.macs.replication += (uniq.len() as u64 + 1) * self.graph.feature_dim() as u64;
+        self.macs.replication += (uniq.len() as u64 + 1) * graph.feature_dim() as u64;
         id
     }
 
@@ -389,7 +375,8 @@ impl StreamingEngine {
     }
 
     /// Runs node-adaptive inference on all pending arrivals in micro-
-    /// batches of `cfg.batch_size`, recording per-arrival latency.
+    /// batches of `cfg.batch_size`; each prediction carries its
+    /// micro-batch's latency.
     ///
     /// # Panics
     /// Panics if the config fails validation or requests gates the engine
@@ -403,7 +390,6 @@ impl StreamingEngine {
             let elapsed = start.elapsed();
             for (t, &node) in chunk.iter().enumerate() {
                 let (prediction, depth) = results[t];
-                self.stats.record(elapsed, depth);
                 out.push(StreamPrediction {
                     node,
                     prediction,
@@ -679,7 +665,6 @@ mod tests {
             assert!(p.prediction < 3);
             assert!((1..=3).contains(&p.depth));
         }
-        assert_eq!(se.stats().count(), 20);
         assert!(se.macs_total() > 0);
     }
 
@@ -791,7 +776,6 @@ mod tests {
         let mut se = engine_from(&t, &g);
         let preds = se.flush(&InferenceConfig::fixed(2));
         assert!(preds.is_empty());
-        assert_eq!(se.stats().count(), 0);
     }
 
     #[test]
@@ -1063,18 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
-        let (g, _, t) = trained(100, 2);
-        let mut se = engine_from(&t, &g);
-        se.ingest(&[0.1; 8], &[0, 1]);
-        se.flush(&InferenceConfig::fixed(2));
-        assert_eq!(se.stats().count(), 1);
-        assert!(se.stats().mean_depth() > 0.0);
-        se.reset_stats();
-        assert_eq!(se.stats().count(), 0);
-    }
-
-    #[test]
     fn stage_times_accumulate_and_survive_reset() {
         let (g, split, t) = trained(200, 3);
         let mut se = engine_from(&t, &g);
@@ -1094,8 +1066,5 @@ mod tests {
         let second = se.stage_times();
         assert!(second.total() >= first.total());
         assert_eq!(second.since(&first).total(), second.total() - first.total());
-        // Cumulative like MACs: reset_stats clears latencies, not this.
-        se.reset_stats();
-        assert_eq!(se.stage_times(), second);
     }
 }

@@ -16,9 +16,11 @@
 //!   update instead of `O(n·f)` recomputation;
 //! * [`engine::StreamingEngine`] — per-arrival Algorithm 1: ingest a node,
 //!   flush a micro-batch, get back predictions with personalized depths
-//!   and per-arrival latency;
-//! * [`stats::LatencyStats`] — p50/p95/p99 latency and throughput
-//!   accounting for the streaming benches.
+//!   and the latency of the micro-batch that served each one;
+//! * [`stats::MacsBreakdown`] / [`stats::StageTimes`] — cumulative MACs
+//!   and wall time per pipeline stage. Latency distributions are the
+//!   caller's to keep: fold `StreamPrediction::latency` into an
+//!   `nai_obs` histogram.
 //!
 //! The static [`nai_core::inference::NaiEngine`] and this engine run the
 //! same read kernel ([`nai_core::kernel`]) over two graph views. On the
@@ -38,4 +40,4 @@ pub mod sync;
 pub use dynamic::DynamicGraph;
 pub use engine::{StreamPrediction, StreamingEngine};
 pub use stationary::IncrementalStationary;
-pub use stats::{LatencyStats, MacsBreakdown, StageTimes};
+pub use stats::{MacsBreakdown, StageTimes};

@@ -1,4 +1,4 @@
-//! Sync facade: the one place in `nai-stream` that names a mutex type.
+//! Sync facade: the one place in `nai-stream` that names `std::sync`.
 //!
 //! Normal builds re-export `std::sync`; under `--cfg nai_model` the types
 //! come from the workspace's `loom` model checker instead, so concurrency
@@ -8,10 +8,10 @@
 //! with a CI grep lint).
 
 #[cfg(not(nai_model))]
-pub use std::sync::{Arc, Mutex, MutexGuard};
+pub use std::sync::Arc;
 
 #[cfg(nai_model)]
-pub use loom::sync::{Arc, Mutex, MutexGuard};
+pub use loom::sync::Arc;
 
 /// A write-once cell. The model checker has no counterpart, and needs
 /// none: a cell is filled by a pure function of immutable data, so
@@ -23,11 +23,4 @@ pub use std::sync::OnceLock;
 /// must not branch on real elapsed time).
 pub mod time {
     pub use std::time::Instant;
-}
-
-/// Lock, recovering from poison: a mutex poisoned by a panicking thread
-/// still yields its data. Callers use this on observability paths that must
-/// keep working after a worker dies mid-operation.
-pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }

@@ -185,7 +185,7 @@ proptest! {
 /// bit-equality property above while being dead weight.
 #[test]
 fn zipf_reads_hit_the_cache_and_still_match_the_oracle() {
-    use nai::serve::{Arrivals, Sampling, WorkloadSampler, WorkloadSpec};
+    use nai::serve::{Sampling, WorkloadSampler, WorkloadSpec};
     let spec = WorkloadSpec {
         name: "zipf-read-only".into(),
         read_fraction: 1.0,
@@ -193,7 +193,6 @@ fn zipf_reads_hit_the_cache_and_still_match_the_oracle() {
         sampling: Sampling::Zipf { exponent: 1.1 },
         nodes_per_read: 2,
         ingest_degree: 3,
-        arrivals: Arrivals::Closed,
     };
     spec.validate().unwrap();
     let mut sampler = WorkloadSampler::new(spec, 0x5EED);

@@ -109,8 +109,6 @@ fn streaming_deployment_survives_growth_and_stays_sane() {
     }
     served += engine.flush(&cfg).len();
     assert_eq!(served, 35);
-    assert_eq!(engine.stats().count(), 35);
-    assert!(engine.stats().p99() >= engine.stats().p50());
     // The deployment graph grew by exactly the arrivals.
     assert_eq!(engine.graph().num_nodes(), ds.graph.num_nodes() + 35);
 }

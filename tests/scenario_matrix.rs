@@ -90,8 +90,8 @@ fn streaming_and_batch_engines_agree_on_every_scenario_topology() {
             let (preds, depths): (Vec<usize>, Vec<usize>) = stream.into_iter().unzip();
             assert_eq!(stat.predictions.len(), preds.len());
 
-            // The static report's histogram is indexed by depth−1; the
-            // scenario harness (LatencyStats) indexes by depth.
+            // The static report's histogram is indexed by depth−1;
+            // `depth_histogram` indexes by depth.
             let mut report_hist = vec![0u64; 1];
             report_hist.extend(stat.report.depth_histogram.iter().map(|&c| c as u64));
             let stream_hist = depth_histogram(&depths);
