@@ -22,16 +22,22 @@ step() {
   echo "    [${name}: $((t1 - t0))s]"
 }
 
-step "cargo build --release (tier-1, all targets incl. benches)" \
-  cargo build --release --all-targets
+# Tier-1 builds only what runs optimised: the libraries and binaries
+# (the `nai` CLI drives the lint and smoke steps below). Every other
+# target is still compiled later: `cargo test` builds the tests and
+# examples, the release-oracle step its two test binaries, and
+# `cargo clippy --all-targets` checks the benches.
+step "cargo build --release (tier-1)" \
+  cargo build --release
 
 step "cargo test -q (tier-1)" \
   cargo test -q
 
 # Tier-1 runs the two byte-identity oracles of the read kernel in debug
 # builds only; perfbench and the server run optimised code. Run both
-# again with --release, so an optimisation-sensitive change to either
-# graph view's arithmetic (the summation order of Eq. (1)) shows here.
+# again with --release, so an optimisation-sensitive change to the
+# kernel's arithmetic (the one summation order of Eq. (1) both graph
+# views share, or the exact stationary state) shows here.
 release_oracles() {
   cargo test -q --release -p nai-core --test active_regression
   cargo test -q --release -p nai-stream --test read_path_regression

@@ -494,7 +494,7 @@ impl ModelCheckpoint {
             self.feature_dim,
             "graph feature dim must match checkpoint"
         );
-        let norm = normalized_adjacency(&graph.adj, Convolution::Symmetric);
+        let norm = normalized_adjacency(&graph.adj, Convolution::Gamma(self.gamma));
         let st = StationaryState::compute(&graph.adj, &graph.features, self.gamma);
         NaiEngine::new(
             graph,

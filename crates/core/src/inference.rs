@@ -21,6 +21,7 @@ use crate::kernel::{GraphView, Heads, ReadKernel, Tally};
 use crate::macs::MacsBreakdown;
 use crate::metrics::InferenceReport;
 use crate::stationary::StationaryState;
+use crate::upper_bound;
 use nai_graph::{CsrMatrix, Graph};
 use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
@@ -53,8 +54,6 @@ pub struct NaiEngine {
     classifiers: Vec<DepthClassifier>,
     /// Gates for NAP_g (depths `1..k−1`).
     gates: Option<GateSet>,
-    /// `2m + n` of the deployment graph (Eq. 7/10 normalizer).
-    total_tilde_degree: f64,
     /// Cached λ₂ estimate of `Â` (NAP_u; computed on first use).
     lambda2: std::sync::OnceLock<f32>,
     /// Idle workspaces; holds at most as many as calls ever ran at once.
@@ -91,7 +90,6 @@ impl NaiEngine {
         for (i, c) in classifiers.iter().enumerate() {
             assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
         }
-        let total_tilde_degree = (graph.adj.nnz() + graph.adj.n()) as f64;
         Self {
             adj: graph.adj.clone(),
             norm_adj,
@@ -99,24 +97,22 @@ impl NaiEngine {
             stationary,
             classifiers,
             gates,
-            total_tilde_degree,
             lambda2: std::sync::OnceLock::new(),
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
-    /// λ₂ estimate of the normalized adjacency, cached after the first
-    /// call (NAP_u treats it as a deployment constant, like the stationary
-    /// component sums).
+    /// λ₂ of the normalized adjacency ([`upper_bound::lambda2`]), cached
+    /// after the first call (NAP_u treats it as a deployment constant).
     pub fn lambda2(&self) -> f32 {
         *self
             .lambda2
-            .get_or_init(|| self.norm_adj.lambda2_estimate(100, 0x1a2b).min(0.999))
+            .get_or_init(|| upper_bound::lambda2(&self.norm_adj))
     }
 
     /// `2m + n` of the deployment graph.
     pub fn total_tilde_degree(&self) -> f64 {
-        self.total_tilde_degree
+        (self.adj.nnz() + self.adj.n()) as f64
     }
 
     /// Highest trained depth `k`.
@@ -447,10 +443,6 @@ impl GraphView for NaiEngine {
         self.features.cols()
     }
 
-    fn degree(&self, v: u32) -> usize {
-        self.adj.row_nnz(v as usize)
-    }
-
     fn neighbors(&self, v: u32) -> &[u32] {
         self.adj.row_indices(v as usize)
     }
@@ -460,7 +452,7 @@ impl GraphView for NaiEngine {
     }
 
     fn total_tilde_degree(&self) -> f64 {
-        self.total_tilde_degree
+        NaiEngine::total_tilde_degree(self)
     }
 
     /// Sums `Â`'s row `i` in column order, the self-loop at its sorted

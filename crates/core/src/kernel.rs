@@ -53,11 +53,13 @@ pub trait GraphView: Sync {
     /// Feature dimension `f`.
     fn feature_dim(&self) -> usize;
 
-    /// Neighbour count of `v` (raw adjacency, no self-loop).
-    fn degree(&self, v: u32) -> usize;
-
     /// Neighbours of `v` (raw adjacency, no self-loop), for BFS.
     fn neighbors(&self, v: u32) -> &[u32];
+
+    /// Neighbour count of `v`.
+    fn degree(&self, v: u32) -> usize {
+        self.neighbors(v).len()
+    }
 
     /// Raw feature row `X^(0)_v`, read in place.
     fn feature(&self, v: u32) -> &[f32];
@@ -67,9 +69,9 @@ pub trait GraphView: Sync {
 
     /// Adds `Σ_j Â_ij · src_row(j)` over `j ∈ N(i) ∪ {i}` into `out`.
     ///
-    /// Each view fixes its own summation order, and the order is part of
-    /// its answer: float addition does not associate, so two views that
-    /// sum the same terms in different orders can differ in the last bits.
+    /// Every view sums in `Â`'s column order, the self-loop at its sorted
+    /// place: float addition does not associate, so the order is part of
+    /// the answer, and exits decided on its last bits depend on it.
     fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]);
 }
 

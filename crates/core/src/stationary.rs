@@ -1,4 +1,5 @@
-//! The stationary feature state `X^(∞)` (Eq. 6–7).
+//! The stationary feature state `X^(∞)` (Eq. 6–7), static and under
+//! arrivals.
 //!
 //! As depth grows, `Â^k X` converges (per connected component, with
 //! self-loops preventing bipartite oscillation) to
@@ -11,31 +12,176 @@
 //! which matches Eq. (7): `Â^(∞)_ij = (d_i+1)^γ (d_j+1)^(1−γ) / (2m+n)`
 //! on a connected graph, where `S_c = 2m + n`. The paper presents the
 //! global normalizer because its datasets are dominated by one giant
-//! component; we keep the per-component sums so the fixed-point property
-//! holds exactly on disconnected graphs too.
+//! component; we keep per-component sums so the fixed-point property
+//! holds on disconnected graphs too.
 //!
-//! Materializing `Â^(∞)` would cost `O(n²f)` (the Table I accounting);
-//! the rank-1 structure lets us precompute component sums once in
-//! `O(n·f)` and emit any node's stationary row in `O(f)` — the accounting
-//! used by [`crate::macs`] and documented in EXPERIMENTS.md.
+//! NAP_d and NAP_g exit on the last bits of a row, so the state is a
+//! function of the graph alone, whatever order it was built in. Components
+//! live under a union-find (edges only merge them). Node `j` adds `t_j =
+//! f32(d̃_j^(1−γ) · x_j)`, rounded once, to its component's exact sum; the
+//! mass `S_c` is an exact integer. A mutation swaps each touched node's
+//! term exactly. A component caches its sum rounded once to `f64` over
+//! `S_c`; a row is that times `d̃_i^γ`: `O(n·f)` to build, `O(f)` a row.
 
-use nai_graph::components::{connected_components, Components};
 use nai_graph::CsrMatrix;
 use nai_linalg::DenseMatrix;
 
-/// Precomputed stationary state for one graph.
+/// Limbs of an [`ExactSum`], from bit `2^LSB_EXP` (the least `f32`
+/// subnormal) to `2^171`: past `f32::MAX < 2^128`, room for `2^31` terms.
+const LIMBS: usize = 10;
+const LSB_EXP: i32 = -149;
+
+/// The exact sum of a multiset of `f32` terms, in fixed point.
+///
+/// Limbs carry 32 bits each, carries deferred: a term adds under `2^32`
+/// to a limb, so `i64` limbs hold `2^31` terms between normalizations.
+/// A non-finite term (`d̃^(1−γ) · x` overflowed) counts as `±2^128`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ExactSum([i64; LIMBS]);
+
+impl ExactSum {
+    /// Adds `m` mantissas with an `f32`'s sign and exponent bits
+    /// `sign_exp`: one term `t` is `add_bin(mantissa(t), t >> 23)`.
+    #[inline]
+    fn add_bin(&mut self, m: u64, sign_exp: u32) {
+        // The lowest mantissa bit sits `shift` bits above 2^-149; each
+        // half of `m` is negated branch-free and split `hi · 2^32 + lo`.
+        let shift = (sign_exp & 0xff).max(1) - 1;
+        let neg = -i64::from(sign_exp >> 8);
+        for (half, k) in [(m & 0xffff_ffff, shift / 32), (m >> 32, shift / 32 + 1)] {
+            let wide = (((half as i64) << (shift % 32)) ^ neg) - neg;
+            let k = (k as usize).min(LIMBS - 2);
+            self.0[k] += wide & 0xffff_ffff;
+            self.0[k + 1] += wide >> 32;
+        }
+    }
+
+    /// Propagates carries, leaving the one representation of the value:
+    /// limbs below the top in `[0, 2^32)`, the sign in the top limb.
+    fn normalize(&mut self) {
+        for k in 0..LIMBS - 1 {
+            let carry = self.0[k] >> 32;
+            self.0[k] -= carry << 32;
+            self.0[k + 1] += carry;
+        }
+    }
+
+    /// The value rounded once to the nearest `f64` (ties to even); the
+    /// sum must be normalized.
+    fn to_f64(self) -> f64 {
+        // Above `top` the limbs only extend the sign (all zeros or ones);
+        // masks of the limbs that do not, and of the non-zero ones.
+        let sign = self.0[LIMBS - 1] >> 63;
+        let (mut own, mut nonzero) = (1u32, 0u32);
+        for (k, &l) in self.0.iter().enumerate() {
+            own |= u32::from(l != sign & if k + 1 < LIMBS { 0xffff_ffff } else { -1 }) << k;
+            nonzero |= u32::from(l != 0) << k;
+        }
+        let top = 31 - own.leading_zeros() as usize;
+        // The value over 2^(32·base) rounded down, doubled, plus 1 for a
+        // non-zero rest: at ≥ 65 bits that odd stand-in rounds like it.
+        let base = top.saturating_sub(2);
+        let above = if base + 3 < LIMBS { sign } else { 0 };
+        let window = (base..base + 3)
+            .rev()
+            .fold(i128::from(above), |w, k| (w << 32) + i128::from(self.0[k]));
+        let x = 2 * window + i128::from(nonzero & ((1 << base) - 1) != 0);
+        // 63 bits and a sticky bit 0: one exact `i64 → f64` rounding.
+        let mag = x.unsigned_abs();
+        let drop = 65u32.saturating_sub(mag.leading_zeros());
+        let kept = (mag >> drop) as i64 | i64::from(mag & ((1 << drop) - 1) != 0);
+        let exp = 32 * base as i32 + drop as i32 - 1 + LSB_EXP;
+        x.signum() as f64 * kept as f64 * f64::from_bits(((1023 + exp) as u64) << 52)
+    }
+}
+
+/// The significand of an `f32` as an integer, implicit bit included.
+fn mantissa(bits: u32) -> u32 {
+    (bits & 0x7f_ffff) | u32::from(bits & 0x7f80_0000 != 0) << 23
+}
+
+/// Bins per coordinate: one per sign and exponent, plus one so that
+/// coordinates do not alias in the cache.
+const BIN_STRIDE: usize = 513;
+
+/// Adds a node's terms `f32(w · x)` into per-coordinate bins that sum
+/// their integer mantissas by sign and exponent: a few integer operations
+/// a term, how [`StationaryState::build`] sweeps large components.
+fn add_binned(bins: &mut [u64], w: f32, x: &[f32]) {
+    for (bins, &x) in bins.chunks_exact_mut(BIN_STRIDE).zip(x) {
+        let bits = (w * x).to_bits();
+        bins[(bits >> 23) as usize] += u64::from(mantissa(bits));
+    }
+}
+
+/// The weight `d̃^(1−γ)` of a node's term.
+fn weight(degree: u32, gamma: f32) -> f32 {
+    (degree as f32 + 1.0).powf(1.0 - gamma)
+}
+
+/// Adds a node's terms `f32(w · x)` into `sums`; `-w` removes them.
+fn add_terms(sums: &mut [ExactSum], w: f32, x: &[f32]) {
+    for (s, &x) in sums.iter_mut().zip(x) {
+        let bits = (w * x).to_bits();
+        s.add_bin(u64::from(mantissa(bits)), bits >> 23);
+    }
+}
+
+/// The root of `v` in a union-find forest, halving the path on the way.
+fn find_halving(parent: &mut [u32], mut v: u32) -> u32 {
+    while parent[v as usize] != v {
+        parent[v as usize] = parent[parent[v as usize] as usize];
+        v = parent[v as usize];
+    }
+    v
+}
+
+/// One connected component, owned by union-find root `root`.
+#[derive(Debug, Clone)]
+struct Component {
+    root: u32,
+    /// `S_c = Σ_j d̃_j`.
+    mass: u64,
+    /// Per coordinate, the exact `Σ_j t_j`; none for a lone edgeless node.
+    sums: Vec<ExactSum>,
+    /// Per coordinate, `Σ_j t_j` rounded once to `f64`, over `S_c`.
+    mean: Vec<f64>,
+}
+
+impl Component {
+    /// A lone edgeless node: `d̃ = 1`, so its mean is its feature row.
+    fn single(root: u32, x: &[f32]) -> Self {
+        let mean = x.iter().map(|&v| f64::from(v)).collect();
+        Component {
+            root,
+            mass: 1,
+            sums: Vec::new(),
+            mean,
+        }
+    }
+
+    /// Re-derives `mean` from the exact sums.
+    fn refresh(&mut self) {
+        for (m, s) in self.mean.iter_mut().zip(&mut self.sums) {
+            s.normalize();
+            *m = s.to_f64() / self.mass as f64;
+        }
+    }
+}
+
+/// The stationary state of one graph: static, or kept in step with a
+/// growing graph by [`Self::add_node`] / [`Self::add_edge`].
 #[derive(Debug, Clone)]
 pub struct StationaryState {
-    components: Components,
-    /// Per component: `Σ_j (d_j+1)^(1−γ) x_j`, an `f`-vector.
-    weighted_sums: Vec<Vec<f64>>,
-    /// Per component: `Σ_j (d_j+1)`.
-    masses: Vec<f64>,
-    /// Per node: `(d_i+1)^γ`.
-    left_coef: Vec<f32>,
+    gamma: f32,
     feature_dim: usize,
-    /// MACs spent in precomputation (`≈ n·f`).
-    precompute_macs: u64,
+    /// Union-find parent per node; a root is its own parent.
+    parent: Vec<u32>,
+    /// Per root, the index of its component in `components`.
+    slot: Vec<u32>,
+    /// Per node, the raw degree (no self-loop).
+    degree: Vec<u32>,
+    components: Vec<Component>,
 }
 
 impl StationaryState {
@@ -46,55 +192,169 @@ impl StationaryState {
     /// Panics if `features.rows() != adj.n()`.
     pub fn compute(adj: &CsrMatrix, features: &DenseMatrix, gamma: f32) -> Self {
         assert_eq!(features.rows(), adj.n(), "feature rows must match graph");
-        let n = adj.n();
-        let f = features.cols();
-        let components = connected_components(adj);
-        let deg = adj.degrees();
-        let mut weighted_sums = vec![vec![0.0f64; f]; components.count];
-        let mut masses = vec![0.0f64; components.count];
-        let mut left_coef = vec![0.0f32; n];
-        for i in 0..n {
-            let dt = deg[i] + 1.0;
-            let comp = components.labels[i] as usize;
-            masses[comp] += dt as f64;
-            left_coef[i] = dt.powf(gamma);
-            let right = dt.powf(1.0 - gamma) as f64;
-            let acc = &mut weighted_sums[comp];
-            for (a, &x) in acc.iter_mut().zip(features.row(i)) {
-                *a += right * x as f64;
+        let neighbors = |v: u32| adj.row_indices(v as usize);
+        Self::build(adj.n(), features.cols(), gamma, neighbors, |v| {
+            features.row(v as usize)
+        })
+    }
+
+    /// [`Self::compute`] over any adjacency: `neighbors(v)` lists `v`'s
+    /// neighbours (undirected, no self-loop), `feature(v)` its row.
+    pub fn build<'g>(
+        num_nodes: usize,
+        feature_dim: usize,
+        gamma: f32,
+        neighbors: impl Fn(u32) -> &'g [u32],
+        feature: impl Fn(u32) -> &'g [f32],
+    ) -> Self {
+        // Link each edge's endpoint roots, the larger id under the
+        // smaller: parents then point to lower ids, so one forward pass
+        // leaves every node's parent its root.
+        let mut parent: Vec<u32> = (0..num_nodes as u32).collect();
+        let mut degree = vec![0u32; num_nodes];
+        for u in 0..num_nodes as u32 {
+            degree[u as usize] = neighbors(u).len() as u32;
+            let mut root = find_halving(&mut parent, u);
+            for &v in neighbors(u).iter().filter(|&&v| v > u) {
+                let other = find_halving(&mut parent, v);
+                parent[root.max(other) as usize] = root.min(other);
+                root = root.min(other);
             }
         }
+        let (mut slot, mut components) = (vec![u32::MAX; num_nodes], Vec::new());
+        for v in 0..num_nodes {
+            let root = parent[parent[v] as usize];
+            parent[v] = root;
+            if root == v as u32 {
+                slot[v] = components.len() as u32;
+                let single = Component::single(root, feature(root));
+                components.push(Component { mass: 0, ..single });
+            }
+            components[slot[root as usize] as usize].mass += u64::from(degree[v]) + 1;
+        }
+        // Large components sum through bins, small ones straight into
+        // their limbs; a lone node needs neither.
+        let mut bins: Vec<Vec<u64>> = components
+            .iter_mut()
+            .map(|comp| {
+                comp.sums = vec![ExactSum::default(); usize::from(comp.mass > 1) * feature_dim];
+                vec![0; usize::from(comp.mass > 4096) * BIN_STRIDE * feature_dim]
+            })
+            .collect();
+        // The one sweep over the feature rows, one `powf` per degree.
+        let max_degree = degree.iter().copied().max().unwrap_or(0);
+        let weights: Vec<f32> = (0..=max_degree).map(|d| weight(d, gamma)).collect();
+        for (v, &root) in parent.iter().enumerate() {
+            let s = slot[root as usize] as usize;
+            let (w, x) = (weights[degree[v] as usize], feature(v as u32));
+            if bins[s].is_empty() {
+                add_terms(&mut components[s].sums, w, x);
+            } else {
+                add_binned(&mut bins[s], w, x);
+            }
+        }
+        for (comp, bins) in components.iter_mut().zip(&bins) {
+            for (sum, bins) in comp.sums.iter_mut().zip(bins.chunks_exact(BIN_STRIDE)) {
+                for (sign_exp, &m) in bins.iter().enumerate().filter(|&(_, &m)| m != 0) {
+                    sum.add_bin(m, sign_exp as u32);
+                }
+            }
+            comp.refresh();
+        }
         Self {
+            gamma,
+            feature_dim,
+            parent,
+            slot,
+            degree,
             components,
-            weighted_sums,
-            masses,
-            left_coef,
-            feature_dim: f,
-            precompute_macs: (n * f) as u64,
         }
     }
 
-    /// Feature dimensionality.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
-    }
-
-    /// MACs spent by [`Self::compute`].
+    /// MACs of computing the state over the graph it covers (`n·f`).
     pub fn precompute_macs(&self) -> u64 {
-        self.precompute_macs
+        (self.parent.len() * self.feature_dim) as u64
     }
 
-    /// Writes `X^(∞)_node` into `out`.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != feature_dim` or `node` is out of range.
-    pub fn write_row(&self, node: u32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.feature_dim, "output buffer size");
-        let comp = self.components.labels[node as usize] as usize;
-        let scale = self.left_coef[node as usize] as f64 / self.masses[comp].max(f64::MIN_POSITIVE);
-        for (o, &s) in out.iter_mut().zip(self.weighted_sums[comp].iter()) {
-            *o = (scale * s) as f32;
+    /// Records the arrival of the next node id with edges to the distinct
+    /// existing `neighbors`. Call it once the graph holds the node:
+    /// `feature(v)` reads any node's row, the arrival's included.
+    pub fn add_node<'g>(&mut self, neighbors: &[u32], feature: impl Fn(u32) -> &'g [f32]) {
+        let v = self.parent.len() as u32;
+        self.parent.push(v);
+        self.slot.push(self.components.len() as u32);
+        self.degree.push(0);
+        self.components.push(Component::single(v, feature(v)));
+        self.connect(v, neighbors, feature);
+    }
+
+    /// Records a new edge between the existing, not yet adjacent `u` and
+    /// `v`; `feature` as in [`Self::add_node`].
+    pub fn add_edge<'g>(&mut self, u: u32, v: u32, feature: impl Fn(u32) -> &'g [f32]) {
+        self.connect(u, &[v], feature);
+    }
+
+    /// `v` gains one edge to each of `others`, and each of them one to
+    /// `v`: their components merge, and every touched node's term moves
+    /// to its new degree.
+    fn connect<'g>(&mut self, v: u32, others: &[u32], feature: impl Fn(u32) -> &'g [f32]) {
+        if others.is_empty() {
+            return;
         }
+        let mut root = self.find(v);
+        for &u in others {
+            let other = self.find(u);
+            if other != root {
+                root = self.union(root, other);
+            }
+        }
+        let comp = &mut self.components[self.slot[root as usize] as usize];
+        let touched =
+            std::iter::once((v, others.len() as u32)).chain(others.iter().map(|&u| (u, 1)));
+        for (w, gained) in touched {
+            // A lone node's term is in no sum yet; `union` leaves it out.
+            let degree = &mut self.degree[w as usize];
+            if *degree > 0 {
+                add_terms(&mut comp.sums, -weight(*degree, self.gamma), feature(w));
+            }
+            *degree += gained;
+            add_terms(&mut comp.sums, weight(*degree, self.gamma), feature(w));
+        }
+        comp.mass += 2 * others.len() as u64;
+        comp.refresh();
+    }
+
+    /// Merges the components rooted at `a` and `b`, the lighter under the
+    /// heavier (so a tree's depth stays below `log2` of its mass);
+    /// returns the surviving root. A lone node's term is left to `connect`.
+    fn union(&mut self, a: u32, b: u32) -> u32 {
+        let mass = |r: u32| self.components[self.slot[r as usize] as usize].mass;
+        let (root, child) = if mass(a) >= mass(b) { (a, b) } else { (b, a) };
+        let gone = self.slot[child as usize] as usize;
+        let absorbed = self.components.swap_remove(gone);
+        if let Some(moved) = self.components.get(gone) {
+            self.slot[moved.root as usize] = gone as u32;
+        }
+        self.parent[child as usize] = root;
+        let comp = &mut self.components[self.slot[root as usize] as usize];
+        // Only two lone nodes merging start a sum (by mass, a lone node
+        // is never the root otherwise).
+        if comp.sums.is_empty() {
+            comp.sums = vec![ExactSum::default(); self.feature_dim];
+        }
+        for (s, o) in comp.sums.iter_mut().zip(&absorbed.sums) {
+            s.0.iter_mut().zip(o.0).for_each(|(a, b)| *a += b);
+        }
+        comp.mass += absorbed.mass;
+        root
+    }
+
+    /// The root of `v`'s component.
+    fn find(&self, mut v: u32) -> u32 {
+        while self.parent[v as usize] != v {
+            v = self.parent[v as usize];
+        }
+        v
     }
 
     /// Stationary rows for a set of nodes (`nodes.len() × f`). Costs
@@ -111,14 +371,17 @@ impl StationaryState {
     pub fn rows_into(&self, nodes: &[u32], out: &mut DenseMatrix) {
         out.reset_zeroed(nodes.len(), self.feature_dim);
         for (t, &node) in nodes.iter().enumerate() {
-            self.write_row(node, out.row_mut(t));
+            let comp = &self.components[self.slot[self.find(node) as usize] as usize];
+            let left = f64::from((self.degree[node as usize] as f32 + 1.0).powf(self.gamma));
+            for (o, &m) in out.row_mut(t).iter_mut().zip(&comp.mean) {
+                *o = (left * m) as f32;
+            }
         }
     }
 
     /// Full `n × f` stationary matrix (tests / diagnostics).
     pub fn full(&self) -> DenseMatrix {
-        let n = self.components.labels.len();
-        let nodes: Vec<u32> = (0..n as u32).collect();
+        let nodes: Vec<u32> = (0..self.parent.len() as u32).collect();
         self.rows(&nodes)
     }
 
@@ -131,10 +394,17 @@ impl StationaryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExactSum {
+        fn add(&mut self, t: f32) {
+            add_terms(std::slice::from_mut(self), 1.0, &[t]);
+        }
+    }
     use nai_graph::generators::{generate, path_graph, GeneratorConfig};
-    use nai_graph::{normalized_adjacency, Convolution};
+    use nai_graph::{normalized_adjacency, Convolution, Graph};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Brute-force reference: propagate many times.
     fn brute_force(
@@ -259,5 +529,321 @@ mod tests {
         let full = st.full();
         assert_eq!(full.row(0), x.row(0));
         assert_eq!(full.row(1), x.row(1));
+    }
+
+    /// A graph grown by arrivals beside the state that follows it.
+    struct Grown {
+        adj: Vec<Vec<u32>>,
+        x: Vec<f32>,
+        f: usize,
+        state: StationaryState,
+    }
+
+    impl Grown {
+        fn seed(g: &Graph, gamma: f32) -> Self {
+            Grown {
+                adj: (0..g.num_nodes())
+                    .map(|i| g.adj.row_indices(i).to_vec())
+                    .collect(),
+                x: g.features.as_slice().to_vec(),
+                f: g.feature_dim(),
+                state: StationaryState::compute(&g.adj, &g.features, gamma),
+            }
+        }
+
+        /// Appends a node; `neighbors` are distinct and existing.
+        fn add_node(&mut self, row: &[f32], neighbors: &[u32]) {
+            let v = self.adj.len() as u32;
+            for &u in neighbors {
+                self.adj[u as usize].push(v);
+            }
+            self.adj.push(neighbors.to_vec());
+            self.x.extend_from_slice(row);
+            let (x, f) = (&self.x, self.f);
+            self.state
+                .add_node(neighbors, |w| &x[w as usize * f..][..f]);
+        }
+
+        /// Adds `(u, v)` unless it is a loop or already present.
+        fn add_edge(&mut self, u: u32, v: u32) -> bool {
+            if u == v || self.adj[u as usize].contains(&v) {
+                return false;
+            }
+            self.adj[u as usize].push(v);
+            self.adj[v as usize].push(u);
+            let (x, f) = (&self.x, self.f);
+            self.state.add_edge(u, v, |w| &x[w as usize * f..][..f]);
+            true
+        }
+
+        /// The state [`StationaryState::compute`] gives the grown graph.
+        fn recompute(&self) -> StationaryState {
+            let edges: Vec<(u32, u32)> = (0..self.adj.len() as u32)
+                .flat_map(|i| {
+                    self.adj[i as usize]
+                        .iter()
+                        .filter(move |&&j| i < j)
+                        .map(move |&j| (i, j))
+                })
+                .collect();
+            let adj = CsrMatrix::undirected_adjacency(self.adj.len(), &edges).unwrap();
+            let x = DenseMatrix::from_vec(self.adj.len(), self.f, self.x.clone());
+            StationaryState::compute(&adj, &x, self.state.gamma)
+        }
+    }
+
+    fn bits(st: &StationaryState) -> Vec<u32> {
+        st.full().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn seed_graph(n: usize, seed: u64) -> Graph {
+        generate(
+            &GeneratorConfig {
+                num_nodes: n,
+                num_classes: 3,
+                feature_dim: 6,
+                avg_degree: 6.0,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
+    #[test]
+    fn node_arrival_matches_recompute() {
+        let mut g = Grown::seed(&seed_graph(60, 3), 0.5);
+        g.add_node(&[0.5; 6], &[0, 7, 13]);
+        g.add_node(&[-0.25; 6], &[]);
+        assert_eq!(bits(&g.state), bits(&g.recompute()));
+    }
+
+    #[test]
+    fn edge_arrival_matches_recompute() {
+        let mut g = Grown::seed(&seed_graph(60, 4), 0.5);
+        let v = (1..60).find(|&v| !g.adj[0].contains(&v)).unwrap();
+        assert!(g.add_edge(0, v));
+        assert_eq!(bits(&g.state), bits(&g.recompute()));
+    }
+
+    #[test]
+    fn long_arrival_sequence_stays_consistent() {
+        for gamma in [0.0, 0.5, 1.0] {
+            let mut g = Grown::seed(&seed_graph(40, 5), gamma);
+            let mut rng = StdRng::seed_from_u64(17);
+            for step in 0..60 {
+                let n = g.adj.len() as u32;
+                if step % 3 == 0 {
+                    g.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+                } else {
+                    let mut nbrs: Vec<u32> = (0..rng.gen_range(0..4))
+                        .map(|_| rng.gen_range(0..n))
+                        .collect();
+                    nbrs.sort_unstable();
+                    nbrs.dedup();
+                    let row: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    g.add_node(&row, &nbrs);
+                }
+            }
+            assert_eq!(bits(&g.state), bits(&g.recompute()), "gamma {gamma}");
+        }
+    }
+
+    #[test]
+    fn matches_core_stationary_on_connected_graph() {
+        // Built over adjacency lists, as the streaming engine builds it,
+        // the state equals the one computed over the CSR, bit for bit.
+        let g = generate(
+            &GeneratorConfig {
+                num_nodes: 80,
+                num_classes: 3,
+                feature_dim: 6,
+                avg_degree: 10.0,
+                ..Default::default()
+            },
+            &mut StdRng::seed_from_u64(9),
+        );
+        let lists = Grown::seed(&g, 0.5).adj;
+        let built = StationaryState::build(
+            80,
+            6,
+            0.5,
+            |v| &lists[v as usize],
+            |v| g.features.row(v as usize),
+        );
+        assert_eq!(built.components.len(), 1, "connected");
+        assert_eq!(
+            bits(&built),
+            bits(&StationaryState::compute(&g.adj, &g.features, 0.5))
+        );
+    }
+
+    #[test]
+    fn arrival_order_does_not_change_a_bit() {
+        // One disconnected graph, its giant component past the mass that
+        // `build` sums through bins, grown from nothing in two edge
+        // orders, against the static computation.
+        const N: u32 = 1000;
+        let base = seed_graph(N as usize, 9);
+        let mut edges: Vec<(u32, u32)> = (0..N)
+            .flat_map(|i| {
+                base.adj
+                    .row_indices(i as usize)
+                    .iter()
+                    .map(move |&j| (i, j))
+            })
+            .filter(|&(i, j)| i < j && (i % 7 != 0 && j % 7 != 0))
+            .collect();
+        let adj = CsrMatrix::undirected_adjacency(N as usize, &edges).unwrap();
+        let built = StationaryState::compute(&adj, &base.features, 0.5);
+        assert!(built.components.iter().any(|c| c.mass > 4096), "binned");
+        assert!(built.components.iter().any(|c| c.sums.is_empty()), "lone");
+        let want = bits(&built);
+        let empty = CsrMatrix::undirected_adjacency(0, &[]).unwrap();
+        for order in 0..2 {
+            let mut g = Grown {
+                adj: Vec::new(),
+                x: Vec::new(),
+                f: 6,
+                state: StationaryState::compute(&empty, &DenseMatrix::zeros(0, 6), 0.5),
+            };
+            for v in 0..N as usize {
+                g.add_node(base.features.row(v), &[]);
+            }
+            if order == 1 {
+                edges.reverse();
+            }
+            for &(i, j) in &edges {
+                assert!(g.add_edge(i, j));
+            }
+            assert_eq!(bits(&g.state), want, "order {order}");
+        }
+    }
+
+    #[test]
+    fn gamma_zero_weights_only_source_degrees() {
+        // γ = 0 ⇒ left coefficient is 1 for every node: every row of a
+        // component is the same, whatever the node's degree.
+        let g = path_graph(6, 3);
+        let st = StationaryState::compute(&g.adj, &g.features, 0.0);
+        let full = st.full();
+        assert_eq!(full.row(0), full.row(2), "degree 1 vs degree 2");
+    }
+
+    #[test]
+    fn exact_sum_cancels_and_rounds_once() {
+        let sum = |terms: &[f32]| {
+            let mut s = ExactSum::default();
+            for &t in terms {
+                s.add(t);
+            }
+            s.normalize();
+            s.to_f64()
+        };
+        let tiny = f32::from_bits(1); // 2^-149
+        let p = |e: i32| 2f32.powi(e);
+        assert_eq!(sum(&[3e38, 1.0, -3e38]), 1.0);
+        assert_eq!(sum(&[tiny, tiny]), 2f64.powi(-148));
+        assert_eq!(sum(&[f32::MAX, f32::MAX]), 2.0 * f64::from(f32::MAX));
+        assert_eq!(
+            sum(&[-f32::MAX, -f32::MAX, tiny]),
+            -2.0 * f64::from(f32::MAX)
+        );
+        // f64 spacing at 2^60 is 2^8: halfway cases tie to even, and a
+        // far-below bit breaks the tie.
+        let two60 = 2f64.powi(60);
+        assert_eq!(sum(&[p(60), p(7)]), two60);
+        assert_eq!(sum(&[p(60), p(7), p(8)]), two60 + 512.0);
+        assert_eq!(sum(&[p(60), p(7), p(-100)]), two60 + 256.0);
+        assert_eq!(sum(&[-p(60), -p(7), -p(-100)]), -(two60 + 256.0));
+        assert_eq!(sum(&[p(60), -p(60)]), 0.0);
+    }
+
+    /// Finite `f32`s of every scale: any bit pattern, subnormals, and
+    /// terms near `±f32::MAX`.
+    fn term() -> impl Strategy<Value = f32> {
+        prop_oneof![
+            any::<u32>().prop_map(|b| {
+                let x = f32::from_bits(b);
+                if x.is_finite() {
+                    x
+                } else {
+                    f32::from_bits(b & 0xff7f_ffff)
+                }
+            }),
+            any::<u32>().prop_map(|b| f32::from_bits(b & 0x807f_ffff)),
+            prop_oneof![
+                Just(f32::MAX),
+                Just(-f32::MAX),
+                Just(3e38f32),
+                Just(-3e38f32),
+                Just(1.0f32)
+            ],
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The sum depends on the multiset of terms only: not on their
+        /// order, on terms added and removed again, or on merging.
+        #[test]
+        fn exact_sum_ignores_order_and_history(
+            terms in prop::collection::vec(term(), 1..40),
+            extra in prop::collection::vec(term(), 0..20),
+            cut in any::<usize>(),
+        ) {
+            let sum = |ts: &[f32]| {
+                let mut s = ExactSum::default();
+                for &t in ts {
+                    s.add(t);
+                }
+                s.normalize();
+                s
+            };
+            let want = sum(&terms);
+            let mut reordered: Vec<f32> = terms.iter().rev().copied().collect();
+            reordered.rotate_left(cut % terms.len());
+            prop_assert_eq!(sum(&reordered), want);
+
+            let mut s = ExactSum::default();
+            for (i, &t) in reordered.iter().enumerate() {
+                s.add(t);
+                if let Some(&e) = extra.get(i) {
+                    s.add(e);
+                }
+            }
+            for &e in extra.iter().skip(reordered.len()) {
+                s.add(e);
+            }
+            for &e in extra.iter().rev() {
+                s.add(-e);
+            }
+            s.normalize();
+            prop_assert_eq!(s, want);
+            prop_assert_eq!(s.to_f64().to_bits(), want.to_f64().to_bits());
+
+            let (a, b) = terms.split_at(cut % terms.len());
+            let mut merged = sum(a);
+            merged.0.iter_mut().zip(sum(b).0).for_each(|(x, y)| *x += y);
+            merged.normalize();
+            prop_assert_eq!(merged, want);
+        }
+
+        /// On terms an `i128` holds exactly, the rounded sum is the
+        /// reference sum rounded once.
+        #[test]
+        fn exact_sum_rounds_like_an_integer_reference(
+            parts in prop::collection::vec((any::<i32>(), 0u32..60), 1..40),
+        ) {
+            let mut s = ExactSum::default();
+            let mut reference = 0i128;
+            for &(m, e) in &parts {
+                let m = m >> 8; // 24 significant bits: exact in f32
+                s.add(m as f32 * 2f32.powi(e as i32 - 30));
+                reference += i128::from(m) << e;
+            }
+            s.normalize();
+            prop_assert_eq!(s.to_f64(), reference as f64 * 2f64.powi(-30));
+        }
     }
 }

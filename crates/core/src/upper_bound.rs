@@ -10,6 +10,15 @@
 
 use nai_graph::CsrMatrix;
 
+/// λ₂ of a deployment's `Â` as NAP_u reads it, for both engines: 100
+/// power iterations from one seed, capped below 1 (0.9 below two nodes).
+pub fn lambda2(norm_adj: &CsrMatrix) -> f32 {
+    if norm_adj.n() < 2 {
+        return 0.9;
+    }
+    norm_adj.lambda2_estimate(100, 0x57e4).min(0.999)
+}
+
 /// The spectral term of Eq. (10): `log_{λ₂}(T_s · sqrt((d_i+1)/(2m+n)))`.
 ///
 /// Returns `None` when the bound is vacuous (argument of the log ≥ 1, i.e.

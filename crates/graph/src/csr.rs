@@ -146,12 +146,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable entry values (used by normalisation).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
-    }
-
     /// Column indices of row `i`.
     #[inline]
     pub fn row_indices(&self, i: usize) -> &[u32] {

@@ -21,7 +21,6 @@
 //! protocol of §II-A: models only ever see the subgraph induced on
 //! train ∪ val nodes; test nodes stay unseen until inference.
 
-pub mod components;
 pub mod csr;
 pub mod frontier;
 pub mod generators;

@@ -19,9 +19,10 @@
 //!   ([`nai_stream::DynamicGraph::k_hop_frontier`]) and evicts every
 //!   cached node within its own depth bound of the mutation
 //!   ([`PredictionCache::invalidate_frontier`]). When the walk blows
-//!   its budget — or the NAP mode consults *global* state (the
-//!   incremental stationary vector, perturbed by every mutation), where
-//!   no local frontier is sound — the whole cache is flushed
+//!   its budget — or the NAP mode consults state beyond the frontier
+//!   (the stationary row of the node's component, which a mutation
+//!   anywhere in that component changes; NAP_u's global `2m + n`),
+//!   where no local frontier is sound — the whole cache is flushed
 //!   ([`PredictionCache::flush_all`]).
 //!
 //! Hits are therefore bit-identical to a cache-bypass run at the same

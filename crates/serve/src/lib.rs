@@ -110,7 +110,7 @@ mod tests {
             .map(|_| {
                 // Every replica (and the oracle the tests peel off) gets
                 // bit-identical weights.
-                StreamingEngine::with_lambda2(seed_graph.clone(), classifiers(seed), None, 0.5, 0.9)
+                StreamingEngine::new(seed_graph.clone(), classifiers(seed), None, 0.5)
             })
             .collect()
     }

@@ -879,10 +879,11 @@ impl NaiService {
         let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
             mirror: engines[0].graph().clone(),
             // Only fixed-depth propagation is a purely local function
-            // of the t_max-hop neighborhood; distance/gate/upper-bound
-            // NAP consult the incremental stationary state, which every
-            // mutation perturbs globally — no local frontier is sound
-            // there, so those modes flush on every mutation.
+            // of the t_max-hop neighborhood; distance/gate NAP consult
+            // the stationary row of the node's component, which a
+            // mutation anywhere in it changes, and NAP_u the global
+            // 2m + n — no local frontier is sound there, so those modes
+            // flush on every mutation.
             local: matches!(infer_cfg.nap, NapMode::Fixed),
             radius: infer_cfg.t_max,
             budget: cfg.cache.frontier_budget,
@@ -2094,7 +2095,7 @@ mod tests {
 
     /// A NAP_u deploy estimates λ₂ once, over the seed, bit-equal to the
     /// eager estimate replicas used to make at construction, and
-    /// answers exactly as an engine handed that estimate.
+    /// answers exactly as a solo engine with that estimate.
     #[test]
     fn nap_u_deploy_answers_as_with_the_eager_lambda2() {
         use nai_graph::{normalized_adjacency, Convolution};
@@ -2109,7 +2110,8 @@ mod tests {
         };
         let service = NaiService::from_checkpoint(&ckpt, &seed, nap_u, cfg).unwrap();
         let (classifiers, gates) = (ckpt.build_classifiers(), ckpt.build_gates());
-        let mut oracle = StreamingEngine::with_lambda2(seed, classifiers, gates, ckpt.gamma, eager);
+        let mut oracle = StreamingEngine::new(seed, classifiers, gates, ckpt.gamma);
+        assert_eq!(oracle.lambda2().to_bits(), eager.to_bits());
         let nodes: Vec<u32> = (0..80).collect();
         let want = oracle.infer_nodes(&nodes, &nap_u);
         for shard in [Some(0), Some(1)] {

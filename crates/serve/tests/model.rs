@@ -343,7 +343,7 @@ fn tiny_engine() -> StreamingEngine {
         0.0,
         &mut StdRng::seed_from_u64(7),
     );
-    StreamingEngine::with_lambda2(graph, vec![classifier], None, 0.5, 0.9)
+    StreamingEngine::new(graph, vec![classifier], None, 0.5)
 }
 
 /// Invariant 7: the reactor reads the node an ingest creates while

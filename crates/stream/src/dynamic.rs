@@ -371,15 +371,6 @@ impl DynamicGraph {
             // (documented # Panics); label arity is checked two lines up.
             .expect("snapshot is structurally valid")
     }
-
-    /// Gathers feature rows for `nodes`.
-    pub fn gather_features(&self, nodes: &[u32]) -> DenseMatrix {
-        let mut out = DenseMatrix::zeros(nodes.len(), self.feature_dim);
-        for (t, &v) in nodes.iter().enumerate() {
-            out.row_mut(t).copy_from_slice(self.feature(v));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -658,11 +649,6 @@ mod tests {
         }
         let again = rebuilt.snapshot_graph(labels, 3);
         assert_eq!(snap.features.as_slice(), again.features.as_slice());
-        let nodes: Vec<u32> = (0..grown.num_nodes() as u32).step_by(7).collect();
-        assert_eq!(
-            grown.gather_features(&nodes).as_slice(),
-            rebuilt.gather_features(&nodes).as_slice()
-        );
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! normalized-adjacency weight `d̃_i^(γ−1) d̃_j^(−γ)` of Eq. (1) is the
 //! product of two per-node factors the engine caches and refreshes at
 //! mutation time — for an arrival and each of its neighbours, and for
-//! both endpoints of a new edge — so arrivals never invalidate a stored
-//! matrix and propagation computes no powers. The stationary reference
-//! comes from [`IncrementalStationary`] in `O(f)` per arrival.
+//! both endpoints of a new edge — so propagation computes no powers. It
+//! sums in `Â`'s column order and keeps the exact [`StationaryState`]
+//! in step with every mutation: it answers as the static `NaiEngine`.
 //!
 //! The workflow is ingest → flush:
 //!
@@ -23,7 +23,6 @@
 //! latency of its micro-batch (the time-to-answer a caller would see).
 
 use crate::dynamic::DynamicGraph;
-use crate::stationary::IncrementalStationary;
 use crate::stats::{MacsBreakdown, StageTimes};
 use crate::sync::time::Instant;
 use crate::sync::{Arc, OnceLock};
@@ -32,6 +31,8 @@ use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::config::{InferenceConfig, NapMode};
 use nai_core::gates::GateSet;
 use nai_core::kernel::{GraphView, Heads, ReadKernel, Tally};
+use nai_core::stationary::StationaryState;
+use nai_core::upper_bound;
 use nai_graph::normalized_adjacency;
 use nai_graph::Convolution;
 use nai_models::DepthClassifier;
@@ -73,7 +74,7 @@ impl NormFactors {
 /// A deployed NAI model serving a stream of arrivals.
 pub struct StreamingEngine {
     graph: DynamicGraph,
-    stationary: IncrementalStationary,
+    stationary: StationaryState,
     classifiers: Vec<DepthClassifier>,
     gates: Option<GateSet>,
     gamma: f32,
@@ -108,37 +109,10 @@ impl StreamingEngine {
     /// Panics if no classifiers are supplied, they are not ordered by
     /// depth, or dimensions disagree with the graph.
     pub fn new(
-        graph: DynamicGraph,
-        classifiers: Vec<DepthClassifier>,
-        gates: Option<GateSet>,
-        gamma: f32,
-    ) -> Self {
-        Self::deploy(graph, classifiers, gates, gamma, Arc::default())
-    }
-
-    /// [`Self::new`] with a known λ₂ — for a caller that already holds
-    /// the estimate (or wants a fixed one): it fills the engine's λ₂
-    /// cell, so nothing is estimated.
-    ///
-    /// # Panics
-    /// Panics if no classifiers are supplied or they are not ordered by
-    /// depth.
-    pub fn with_lambda2(
-        graph: DynamicGraph,
-        classifiers: Vec<DepthClassifier>,
-        gates: Option<GateSet>,
-        gamma: f32,
-        lambda2: f32,
-    ) -> Self {
-        Self::deploy(graph, classifiers, gates, gamma, Arc::new(lambda2.into()))
-    }
-
-    fn deploy(
         mut graph: DynamicGraph,
         classifiers: Vec<DepthClassifier>,
         gates: Option<GateSet>,
         gamma: f32,
-        lambda2: Arc<OnceLock<f32>>,
     ) -> Self {
         assert!(!classifiers.is_empty(), "need at least one classifier");
         for (i, c) in classifiers.iter().enumerate() {
@@ -147,18 +121,32 @@ impl StreamingEngine {
         if graph.grown_since_seed() {
             graph.freeze();
         }
-        let stationary = IncrementalStationary::from_dynamic(&graph, gamma);
+        let stationary = StationaryState::build(
+            graph.num_nodes(),
+            graph.feature_dim(),
+            gamma,
+            |v| graph.neighbors(v),
+            |v| graph.feature(v),
+        );
         let norm = (0..graph.num_nodes() as u32)
             .map(|v| NormFactors::of(graph.degree(v), gamma))
             .collect();
-        Self::assemble(graph, stationary, norm, classifiers, gates, gamma, lambda2)
+        Self::assemble(
+            graph,
+            stationary,
+            norm,
+            classifiers,
+            gates,
+            gamma,
+            Arc::default(),
+        )
     }
 
     /// An engine over already-derived graph state, with nothing pending
     /// and zeroed counters.
     fn assemble(
         graph: DynamicGraph,
-        stationary: IncrementalStationary,
+        stationary: StationaryState,
         norm: Vec<NormFactors>,
         classifiers: Vec<DepthClassifier>,
         gates: Option<GateSet>,
@@ -204,7 +192,7 @@ impl StreamingEngine {
     /// seed graph. The replicas share what never changes: the frozen
     /// seed's feature rows (see [`DynamicGraph`]) and one λ₂ cell,
     /// which stays empty unless NAP_u or [`Self::lambda2`] reads it.
-    /// Each gets its own adjacency lists, stationary accumulators,
+    /// Each gets its own adjacency lists, stationary state,
     /// normalization factors and scratch, copied from the first
     /// replica rather than recomputed. Replicas share no mutable state
     /// at runtime; the `nai-serve` layer keeps them convergent by
@@ -266,18 +254,13 @@ impl StreamingEngine {
         self.stage_times
     }
 
-    /// λ₂ of the deployed seed graph, estimated on the first call (or
-    /// handed over at construction) and shared with every replica of
-    /// the deployment.
+    /// λ₂ of the deployed seed graph ([`upper_bound::lambda2`]),
+    /// estimated on the first call and shared with every replica of the
+    /// deployment.
     pub fn lambda2(&self) -> f32 {
         *self.lambda2.get_or_init(|| {
             let csr = self.graph.seed_csr();
-            if csr.n() >= 2 {
-                let norm = normalized_adjacency(&csr, Convolution::Gamma(self.gamma));
-                norm.lambda2_estimate(100, 0x57e4).min(0.999)
-            } else {
-                0.9
-            }
+            upper_bound::lambda2(&normalized_adjacency(&csr, Convolution::Gamma(self.gamma)))
         })
     }
 
@@ -287,7 +270,7 @@ impl StreamingEngine {
     }
 
     /// Ingests an arriving node: appends it to the graph, updates the
-    /// stationary accumulators, and queues it for inference. Returns the
+    /// stationary state, and queues it for inference. Returns the
     /// assigned node id.
     ///
     /// # Panics
@@ -300,7 +283,7 @@ impl StreamingEngine {
 
     /// Applies a node arrival replicated from the serving layer's
     /// sequenced mutation broadcast: identical state change to
-    /// [`Self::ingest`] (graph append + stationary accumulator update),
+    /// [`Self::ingest`] (graph append + stationary state update),
     /// but the node is **not** queued for inference — exactly one
     /// replica (the one holding the client's reply handle) pays for the
     /// prediction; every other replica only needs the state. The op was
@@ -324,15 +307,9 @@ impl StreamingEngine {
         for &u in uniq {
             self.norm[u as usize] = NormFactors::of(graph.degree(u), self.gamma);
         }
-        // Feature rows never change, so the neighbours' rows are read
-        // in place after the append.
-        let old: Vec<(usize, &[f32])> = uniq
-            .iter()
-            .map(|&u| (graph.degree(u) - 1, graph.feature(u)))
-            .collect();
-        self.stationary.on_add_node(features, &old);
-        // One weighted row for the arrival plus one degree-delta
-        // correction per touched neighbor, each O(f).
+        // Rows are read in place: one term for the arrival plus one term
+        // swap per touched neighbour, each O(f).
+        self.stationary.add_node(uniq, |v| graph.feature(v));
         self.macs.replication += (uniq.len() as u64 + 1) * graph.feature_dim() as u64;
         id
     }
@@ -347,21 +324,16 @@ impl StreamingEngine {
         if self.graph.has_edge(u, v) {
             return false;
         }
-        let (du, dv) = (self.graph.degree(u), self.graph.degree(v));
         let added = self.graph.add_edge(u, v);
         debug_assert!(added);
-        self.refresh_norm(u);
-        self.refresh_norm(v);
-        self.stationary
-            .on_add_edge(self.graph.feature(u), du, self.graph.feature(v), dv);
-        // Two endpoint degree-delta corrections, each O(f).
+        for w in [u, v] {
+            self.norm[w as usize] = NormFactors::of(self.graph.degree(w), self.gamma);
+        }
+        let graph = &self.graph;
+        self.stationary.add_edge(u, v, |w| graph.feature(w));
+        // Two endpoint term swaps, each O(f).
         self.macs.replication += 2 * self.graph.feature_dim() as u64;
         true
-    }
-
-    /// Recomputes `v`'s cached factors after its degree changed.
-    fn refresh_norm(&mut self, v: u32) {
-        self.norm[v as usize] = NormFactors::of(self.graph.degree(v), self.gamma);
     }
 
     /// [`Self::observe_edge`] under replicated apply — the duplicate
@@ -441,9 +413,9 @@ impl StreamingEngine {
             heads,
             &mut scratch,
             |x_inf| {
-                // O(f) per node thanks to the incremental accumulators;
-                // not charged, like every other incremental update.
-                stationary.rows_into(view.graph, nodes, x_inf);
+                // O(f) per node from the cached component sums; not
+                // charged, like every other incremental update.
+                stationary.rows_into(nodes, x_inf);
                 0
             },
             &mut tally,
@@ -474,10 +446,6 @@ impl GraphView for DynamicView<'_> {
         self.graph.feature_dim()
     }
 
-    fn degree(&self, v: u32) -> usize {
-        self.graph.degree(v)
-    }
-
     fn neighbors(&self, v: u32) -> &[u32] {
         self.graph.neighbors(v)
     }
@@ -490,33 +458,32 @@ impl GraphView for DynamicView<'_> {
         self.graph.total_tilde_degree()
     }
 
-    /// Sums the self-loop term first, then one term per neighbour in
-    /// adjacency-list order, each weight the product of two cached
-    /// factors. This is not `Â`'s column order, so fixed-depth features
-    /// can differ from the static engine's in the last bits.
+    /// Sums in `Â`'s column order, the self-loop at its sorted place
+    /// among the (sorted) neighbours — the frozen view's order — with
+    /// each weight the product of two cached factors, bit-equal to
+    /// `Â`'s entry.
     #[inline]
     fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]) {
         let left = self.norm[i as usize].row;
-        let w_self = left * self.norm[i as usize].col;
-        for (o, &x) in out.iter_mut().zip(src_row(i)) {
-            *o += w_self * x;
-        }
-        for &j in self.graph.neighbors(i) {
+        let neighbors = self.graph.neighbors(i);
+        let (below, above) = neighbors.split_at(neighbors.partition_point(|&j| j < i));
+        below.iter().chain([&i]).chain(above).for_each(|&j| {
             let w = left * self.norm[j as usize].col;
             for (o, &x) in out.iter_mut().zip(src_row(j)) {
                 *o += w * x;
             }
-        }
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nai_core::config::{NapMode, PipelineConfig};
+    use nai_core::config::PipelineConfig;
     use nai_core::pipeline::NaiPipeline;
     use nai_graph::generators::{generate, GeneratorConfig};
     use nai_graph::{Graph, InductiveSplit};
+    use nai_linalg::DenseMatrix;
     use nai_models::ModelKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -557,21 +524,10 @@ mod tests {
 
     #[test]
     fn static_nodes_match_core_engine_across_nap_modes() {
-        // With no arrivals, the streaming engine must agree with the
-        // static NaiEngine on the same graph, for every NAP mode.
-        //
-        // The two graph views sum Eq. (1)'s terms in different orders
-        // (`Â`'s column order vs. self-loop first, then neighbours), so
-        // even fixed-depth features can differ in the last bits; only
-        // fixed-depth predictions and depths are pinned equal. Threshold
-        // modes (distance, gate,
-        // upper-bound) compare against the stationary state, which the
-        // two engines compute by different algorithms (incremental f64
-        // accumulators vs. the per-component direct form — equal only to
-        // ~1e-4, see `IncrementalStationary`). A node whose exit score
-        // sits within float noise of the threshold may therefore exit at
-        // a different layer; such flips must be rare and must always
-        // come with a different depth.
+        // With no arrivals, the streaming engine must answer exactly as
+        // the static NaiEngine on the same graph, in every NAP mode: both
+        // sum Eq. (1) in `Â`'s column order, read one exact stationary
+        // state and estimate λ₂ by one function.
         let (g, split, t) = trained(300, 3);
         let mut se = engine_from(&t, &g);
         for cfg in [
@@ -584,37 +540,8 @@ mod tests {
             let stat = t.engine.infer(&split.test, &g.labels, &cfg);
             let stream = se.infer_nodes(&split.test, &cfg);
             let (preds, depths): (Vec<usize>, Vec<usize>) = stream.into_iter().unzip();
-            assert_eq!(stat.predictions.len(), preds.len(), "{:?}", cfg.nap);
-            if matches!(cfg.nap, NapMode::Fixed) {
-                assert_eq!(stat.predictions, preds, "{:?}", cfg.nap);
-                assert_eq!(stat.depths, depths, "{:?}", cfg.nap);
-                continue;
-            }
-            let mut flips = 0usize;
-            for i in 0..preds.len() {
-                if stat.predictions[i] == preds[i] && stat.depths[i] == depths[i] {
-                    continue;
-                }
-                // A flipped node need not land one layer away: missing a
-                // near-threshold exit at layer l means it continues until
-                // the next layer whose check fires, possibly the forced
-                // exit at t_max. The required signature is only that the
-                // depths differ.
-                assert_ne!(
-                    stat.depths[i], depths[i],
-                    "{:?}: node {i} disagrees on prediction ({} vs {}) without a \
-                     depth flip — not a threshold rounding artifact",
-                    cfg.nap, stat.predictions[i], preds[i],
-                );
-                flips += 1;
-            }
-            let budget = preds.len().div_ceil(50); // ≤ 2% of the batch
-            assert!(
-                flips <= budget,
-                "{:?}: {flips} threshold flips out of {} nodes (budget {budget})",
-                cfg.nap,
-                preds.len(),
-            );
+            assert_eq!(stat.predictions, preds, "{:?}", cfg.nap);
+            assert_eq!(stat.depths, depths, "{:?}", cfg.nap);
         }
     }
 
@@ -670,40 +597,94 @@ mod tests {
 
     #[test]
     fn flushed_arrivals_match_static_engine_on_final_graph() {
-        // Ingest all arrivals, then flush once: predictions must equal a
-        // static engine deployed on the final materialized graph.
+        // A seeded script of arrivals (some neighbourless, so the graph
+        // ends disconnected) and edges, then one flush: every read must
+        // equal a static engine deployed on the final materialized graph.
         let (g, _, t) = trained(250, 3);
         let mut se = engine_from(&t, &g);
         let mut rng = StdRng::seed_from_u64(123);
         let mut arrivals = Vec::new();
-        for _ in 0..15 {
+        let (mut isolated, mut edges) = (0usize, 0usize);
+        for step in 0..40 {
+            let n = se.graph().num_nodes() as u32;
+            if step % 4 == 3 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                edges += usize::from(u != v && se.observe_edge(u, v));
+                continue;
+            }
             let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut nbrs: Vec<u32> = (0..rng.gen_range(1..4))
-                .map(|_| rng.gen_range(0..250u32))
-                .collect();
-            nbrs.sort_unstable();
-            nbrs.dedup();
+            let degree = rng.gen_range(0..4);
+            isolated += usize::from(degree == 0);
+            let nbrs: Vec<u32> = (0..degree).map(|_| rng.gen_range(0..n)).collect();
             arrivals.push(se.ingest(&feats, &nbrs));
         }
-        let cfg = InferenceConfig::distance(0.4, 1, 3);
-        let stream = se.flush(&cfg);
+        assert!(isolated > 0 && edges > 0, "script must include both");
+        let distance = InferenceConfig::distance(0.4, 1, 3);
+        let stream = se.flush(&distance);
 
         // Static replay on the final graph.
         let labels: Vec<u32> = (0..se.graph().num_nodes())
             .map(|i| (i % 3) as u32)
             .collect();
         let final_graph = se.graph().snapshot_graph(labels.clone(), 3);
-        let comps = nai_graph::components::connected_components(&final_graph.adj);
-        if comps.count != 1 {
-            return; // stationary normalizers only comparable when connected
-        }
         let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let static_engine = ckpt.deploy(&final_graph);
-        let stat = static_engine.infer(&arrivals, &labels, &cfg);
+        let stat = static_engine.infer(&arrivals, &labels, &distance);
         let stream_preds: Vec<usize> = stream.iter().map(|p| p.prediction).collect();
         let stream_depths: Vec<usize> = stream.iter().map(|p| p.depth).collect();
         assert_eq!(stat.predictions, stream_preds);
         assert_eq!(stat.depths, stream_depths);
+        let all: Vec<u32> = (0..se.graph().num_nodes() as u32).collect();
+        for cfg in [
+            InferenceConfig::fixed(3),
+            distance,
+            InferenceConfig::gate(1, 3),
+        ] {
+            let stat = static_engine.infer(&all, &labels, &cfg);
+            let want: Vec<(usize, usize)> = stat.predictions.into_iter().zip(stat.depths).collect();
+            assert_eq!(se.infer_nodes(&all, &cfg), want, "{:?}", cfg.nap);
+        }
+        // The propagated features themselves, bit for bit: one summation
+        // order, and weights equal to `Â`'s entries.
+        let bits =
+            |m: &DenseMatrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+        let (want, _, _) = static_engine.propagate_only(&all, 3);
+        for (l, (a, b)) in want.iter().zip(&propagate(&se, &all, 3)).enumerate() {
+            assert_eq!(bits(a), bits(b), "depth {l}");
+        }
+    }
+
+    /// `X^(0..=depth)` of `nodes` through the dynamic view: the kernel at
+    /// fixed depth with a capturing head, as `NaiEngine::propagate_only`.
+    fn propagate(se: &StreamingEngine, nodes: &[u32], depth: usize) -> Vec<DenseMatrix> {
+        let cfg = InferenceConfig {
+            batch_size: nodes.len(),
+            ..InferenceConfig::fixed(depth)
+        };
+        let captured = std::cell::RefCell::new(Vec::new());
+        let capture = |_: usize, feats: &[DenseMatrix]| {
+            *captured.borrow_mut() = feats.to_vec();
+            DenseMatrix::zeros(feats[0].rows(), 1)
+        };
+        let heads = Heads {
+            forward: &capture,
+            macs_per_node: &|_| 0,
+        };
+        let view = DynamicView {
+            graph: &se.graph,
+            norm: &se.norm,
+        };
+        let mut scratch = EngineScratch::new();
+        ReadKernel::new(&cfg, depth, None, 0.0).run(
+            &view,
+            nodes,
+            heads,
+            &mut scratch,
+            |_| 0,
+            &mut Tally::default(),
+            |_, _, _| {},
+        );
+        captured.into_inner()
     }
 
     #[test]
@@ -841,7 +822,7 @@ mod tests {
         let cfg = InferenceConfig::distance(0.5, 1, 2);
         let reference = solo.infer_nodes(&split.test, &cfg);
         for shard in &mut shards {
-            // λ₂ handed over, not re-estimated — bit-equal across shards.
+            // One estimate function over one seed: bit-equal everywhere.
             assert_eq!(shard.lambda2(), solo_l2);
             assert_eq!(shard.infer_nodes(&split.test, &cfg), reference);
         }
@@ -943,6 +924,45 @@ mod tests {
             shards[2].lambda2().to_bits(),
             eager_lambda2(&grown, 0.5).to_bits()
         );
+    }
+
+    #[test]
+    fn shard_replicas_copy_a_stationary_state_equal_to_a_fresh_deploy() {
+        let (g, _, t) = trained(150, 2);
+        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let seed = DynamicGraph::from_graph(&g);
+        let mut engines = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
+        engines.push(StreamingEngine::from_checkpoint(&ckpt, seed));
+        let bits = |se: &StreamingEngine| -> Vec<u32> {
+            let full = se.stationary.full();
+            full.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        let want = bits(&engines[3]);
+        assert!(engines.iter().all(|se| bits(se) == want), "at deploy");
+        // The same mutations keep them equal, and equal to a deploy on
+        // the grown graph.
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..200 {
+            let n = engines[0].graph().num_nodes() as u32;
+            let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let nbrs: Vec<u32> = (0..rng.gen_range(0..3))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            for se in &mut engines {
+                se.apply_replicated_ingest(&feats, &nbrs);
+                if u != v {
+                    se.apply_replicated_edge(u, v);
+                }
+            }
+        }
+        let want = bits(&StreamingEngine::from_checkpoint(
+            &ckpt,
+            engines[0].graph().clone(),
+        ));
+        for (i, se) in engines.iter().enumerate() {
+            assert_eq!(bits(se), want, "engine {i} after growth");
+        }
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   amortized node/edge appends and no stored normalized matrix to go
 //!   stale (the engine keeps per-node normalization factors and refreshes
 //!   them for the nodes each mutation touches);
-//! * [`stationary::IncrementalStationary`] — the rank-1 stationary state
-//!   `X^(∞)` of Eq. (7) maintained under node/edge arrivals in `O(f)` per
-//!   update instead of `O(n·f)` recomputation;
 //! * [`engine::StreamingEngine`] — per-arrival Algorithm 1: ingest a node,
 //!   flush a micro-batch, get back predictions with personalized depths
 //!   and the latency of the micro-batch that served each one;
@@ -22,22 +19,18 @@
 //!   caller's to keep: fold `StreamPrediction::latency` into an
 //!   `nai_obs` histogram.
 //!
-//! The static [`nai_core::inference::NaiEngine`] and this engine run the
-//! same read kernel ([`nai_core::kernel`]) over two graph views. On the
-//! same graph they agree on predictions and depths, up to rare
-//! threshold flips from their differently computed stationary states
-//! (tested in `engine.rs` and the workspace's `tests/scenario_matrix.rs`);
-//! the streaming value is everything before that point: predictions
-//! against the graph *as it existed at arrival time*, without rebuilding
-//! CSR matrices or stationary states.
+//! The static [`nai_core::inference::NaiEngine`] and this engine run one
+//! read kernel ([`nai_core::kernel`]) in one summation order over one
+//! exact [`nai_core::stationary::StationaryState`], so on one graph they
+//! answer bit for bit alike (`engine.rs`, `tests/scenario_matrix.rs`);
+//! the streaming engine answers against the graph *as it existed at
+//! arrival time*, without rebuilding CSR matrices or stationary states.
 
 pub mod dynamic;
 pub mod engine;
-pub mod stationary;
 pub mod stats;
 pub mod sync;
 
 pub use dynamic::DynamicGraph;
 pub use engine::{StreamPrediction, StreamingEngine};
-pub use stationary::IncrementalStationary;
 pub use stats::{MacsBreakdown, StageTimes};

@@ -1,7 +1,8 @@
 //! Property-based invariants for the streaming substrate.
 
+use nai_core::stationary::StationaryState;
 use nai_graph::generators::{generate, GeneratorConfig};
-use nai_stream::{DynamicGraph, IncrementalStationary};
+use nai_stream::DynamicGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +43,19 @@ fn features_from_seed(seed: u64, f: usize) -> Vec<f32> {
     (0..f).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// Applies the script, keeping the incremental stationary in sync.
-fn apply(g: &mut DynamicGraph, inc: &mut IncrementalStationary, script: &[Arrival]) {
+/// The stationary state computed from scratch over `g`.
+fn recompute(g: &DynamicGraph, gamma: f32) -> StationaryState {
+    StationaryState::build(
+        g.num_nodes(),
+        g.feature_dim(),
+        gamma,
+        |v| g.neighbors(v),
+        |v| g.feature(v),
+    )
+}
+
+/// Applies the script, keeping the stationary state in sync.
+fn apply(g: &mut DynamicGraph, st: &mut StationaryState, script: &[Arrival]) {
     for a in script {
         match a {
             Arrival::Node { feat_seed, picks } => {
@@ -54,14 +66,9 @@ fn apply(g: &mut DynamicGraph, inc: &mut IncrementalStationary, script: &[Arriva
                 nbrs.sort_unstable();
                 nbrs.dedup();
                 let feats = features_from_seed(*feat_seed, g.feature_dim());
-                let old: Vec<(usize, Vec<f32>)> = nbrs
-                    .iter()
-                    .map(|&u| (g.degree(u), g.feature(u).to_vec()))
-                    .collect();
                 g.add_node(&feats, &nbrs);
-                let refs: Vec<(usize, &[f32])> =
-                    old.iter().map(|(d, x)| (*d, x.as_slice())).collect();
-                inc.on_add_node(&feats, &refs);
+                let g = &*g;
+                st.add_node(&nbrs, |v| g.feature(v));
             }
             Arrival::Edge { a, b } => {
                 let u = (*a as usize % g.num_nodes()) as u32;
@@ -69,10 +76,9 @@ fn apply(g: &mut DynamicGraph, inc: &mut IncrementalStationary, script: &[Arriva
                 if u == v || g.neighbors(u).contains(&v) {
                     continue;
                 }
-                let (du, dv) = (g.degree(u), g.degree(v));
-                let (xu, xv) = (g.feature(u).to_vec(), g.feature(v).to_vec());
                 g.add_edge(u, v);
-                inc.on_add_edge(&xu, du, &xv, dv);
+                let g = &*g;
+                st.add_edge(u, v, |w| g.feature(w));
             }
         }
     }
@@ -89,8 +95,8 @@ proptest! {
         script in proptest::collection::vec(arrival_strategy(), 0..40)
     ) {
         let mut g = seed_graph(20, 1);
-        let mut inc = IncrementalStationary::from_dynamic(&g, 0.5);
-        apply(&mut g, &mut inc, &script);
+        let mut st = recompute(&g, 0.5);
+        apply(&mut g, &mut st, &script);
 
         let degree_sum: usize = (0..g.num_nodes() as u32).map(|v| g.degree(v)).sum();
         prop_assert_eq!(degree_sum, 2 * g.num_edges());
@@ -115,29 +121,20 @@ proptest! {
         }
     }
 
-    /// The incremental stationary accumulators equal a from-scratch
-    /// recomputation after any arrival script, for multiple γ.
+    /// The stationary state kept in step with any arrival script equals
+    /// a from-scratch recomputation bit for bit, for multiple γ.
     #[test]
     fn incremental_stationary_matches_recompute(
         script in proptest::collection::vec(arrival_strategy(), 0..30),
         gamma in prop_oneof![Just(0.0f32), Just(0.5f32), Just(1.0f32)],
     ) {
         let mut g = seed_graph(15, 2);
-        let mut inc = IncrementalStationary::from_dynamic(&g, gamma);
-        apply(&mut g, &mut inc, &script);
-        let fresh = IncrementalStationary::from_dynamic(&g, gamma);
-        prop_assert!((inc.mass() - fresh.mass()).abs() < 1e-6,
-            "mass {} vs {}", inc.mass(), fresh.mass());
-        let f = g.feature_dim();
-        for v in 0..g.num_nodes() as u32 {
-            let mut a = vec![0.0f32; f];
-            let mut b = vec![0.0f32; f];
-            inc.write_row(g.degree(v), &mut a);
-            fresh.write_row(g.degree(v), &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x - y).abs() < 1e-3, "{} vs {}", x, y);
-            }
-        }
+        let mut st = recompute(&g, gamma);
+        apply(&mut g, &mut st, &script);
+        let bits = |st: &StationaryState| -> Vec<u32> {
+            st.full().as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&st), bits(&recompute(&g, gamma)));
     }
 
     /// Feature rows survive arrivals untouched (no aliasing bugs in the
@@ -149,8 +146,8 @@ proptest! {
         let mut g = seed_graph(10, 3);
         let originals: Vec<Vec<f32>> =
             (0..10u32).map(|v| g.feature(v).to_vec()).collect();
-        let mut inc = IncrementalStationary::from_dynamic(&g, 0.5);
-        apply(&mut g, &mut inc, &script);
+        let mut st = recompute(&g, 0.5);
+        apply(&mut g, &mut st, &script);
         for (v, orig) in originals.iter().enumerate() {
             prop_assert_eq!(g.feature(v as u32), orig.as_slice());
         }

@@ -6,7 +6,7 @@
 //! normalization weight with `powf` from the current degrees, BFS runs to
 //! `t_max` hops, and the depth-0 support's feature rows are copied into
 //! the first propagation buffer. It keeps its own graph and stationary
-//! accumulators and applies the same mutations as the engine, so a factor
+//! state and applies the same mutations as the engine, so a factor
 //! the engine forgot to refresh after a degree change shows up as a
 //! difference. For every NAP mode, `t_max` 1–3 and a sweep of odd batch
 //! sizes, the engine must reproduce predictions, depths and per-stage
@@ -20,13 +20,14 @@ use nai_core::config::{DistillConfig, InferenceConfig, NapMode, PipelineConfig};
 use nai_core::gates::GateSet;
 use nai_core::napd;
 use nai_core::pipeline::NaiPipeline;
+use nai_core::stationary::StationaryState;
 use nai_core::upper_bound::spectral_bound;
 use nai_graph::generators::{generate, GeneratorConfig};
 use nai_graph::InductiveSplit;
 use nai_linalg::ops::{argmax_rows, l2_distance};
 use nai_linalg::DenseMatrix;
 use nai_models::{DepthClassifier, ModelKind};
-use nai_stream::{DynamicGraph, IncrementalStationary, MacsBreakdown, StreamingEngine};
+use nai_stream::{DynamicGraph, MacsBreakdown, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,7 +39,7 @@ const BATCH_SIZES: [usize; 4] = [1, 3, 7, 13];
 /// The earlier read path over its own copy of the engine's state.
 struct Reference {
     graph: DynamicGraph,
-    stationary: IncrementalStationary,
+    stationary: StationaryState,
     classifiers: Vec<DepthClassifier>,
     gates: Option<GateSet>,
     gamma: f32,
@@ -52,13 +53,9 @@ impl Reference {
         let mut uniq: Vec<u32> = neighbors.to_vec();
         uniq.sort_unstable();
         uniq.dedup();
-        let old: Vec<(usize, Vec<f32>)> = uniq
-            .iter()
-            .map(|&u| (self.graph.degree(u), self.graph.feature(u).to_vec()))
-            .collect();
         let id = self.graph.add_node(features, &uniq);
-        let old_refs: Vec<(usize, &[f32])> = old.iter().map(|(d, x)| (*d, x.as_slice())).collect();
-        self.stationary.on_add_node(features, &old_refs);
+        let graph = &self.graph;
+        self.stationary.add_node(&uniq, |v| graph.feature(v));
         id
     }
 
@@ -66,13 +63,9 @@ impl Reference {
         if self.graph.has_edge(u, v) {
             return false;
         }
-        let (du, dv) = (self.graph.degree(u), self.graph.degree(v));
-        let (xu, xv) = (
-            self.graph.feature(u).to_vec(),
-            self.graph.feature(v).to_vec(),
-        );
         assert!(self.graph.add_edge(u, v));
-        self.stationary.on_add_edge(&xu, du, &xv, dv);
+        let graph = &self.graph;
+        self.stationary.add_edge(u, v, |w| graph.feature(w));
         true
     }
 
@@ -93,8 +86,7 @@ impl Reference {
         let f = self.graph.feature_dim();
         let mut results = vec![(usize::MAX, 0usize); nodes.len()];
         scratch.begin_batch(n, nodes, cfg.t_max, f);
-        self.stationary
-            .rows_into(&self.graph, nodes, &mut scratch.x_inf);
+        self.stationary.rows_into(nodes, &mut scratch.x_inf);
 
         let assigned: Vec<usize> = match cfg.nap {
             NapMode::UpperBound { ts } => {
@@ -229,7 +221,8 @@ impl Reference {
     }
 
     /// One propagation step with two `powf` per gathered term, from the
-    /// degrees the graph has now.
+    /// degrees the graph has now, summed in column order with the
+    /// self-loop at its sorted place (the order of `Â`'s CSR rows).
     fn propagate_step_into(
         &self,
         support_l: &[u32],
@@ -247,15 +240,13 @@ impl Reference {
             let orow = out.row_mut(t);
             let di = (self.graph.degree(gi) + 1) as f32;
             let left = di.powf(gamma - 1.0);
-            let self_local = col_map[gi as usize] as usize;
-            let w_self = left * di.powf(-gamma);
-            for (o, &x) in orow
-                .iter_mut()
-                .zip(&prev[self_local * f..(self_local + 1) * f])
-            {
-                *o += w_self * x;
-            }
-            for &j in self.graph.neighbors(gi) {
+            let neighbors = self.graph.neighbors(gi);
+            let split = neighbors.partition_point(|&j| j < gi);
+            let columns = neighbors[..split]
+                .iter()
+                .chain([&gi])
+                .chain(&neighbors[split..]);
+            for &j in columns {
                 let local = col_map[j as usize] as usize;
                 let w = left * ((self.graph.degree(j) + 1) as f32).powf(-gamma);
                 for (o, &x) in orow.iter_mut().zip(&prev[local * f..(local + 1) * f]) {
@@ -299,7 +290,7 @@ fn deploy() -> (StreamingEngine, Reference) {
     let graph = DynamicGraph::from_graph(&g);
     let engine = StreamingEngine::from_checkpoint(&ckpt, graph.clone());
     let reference = Reference {
-        stationary: IncrementalStationary::from_dynamic(&graph, ckpt.gamma),
+        stationary: StationaryState::compute(&g.adj, &g.features, ckpt.gamma),
         graph,
         classifiers: ckpt.build_classifiers(),
         gates: ckpt.build_gates(),

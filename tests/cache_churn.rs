@@ -35,12 +35,11 @@ fn hit_rate_collapses_during_mutation_bursts_and_recovers() {
         .build();
     let g = &scenario.graph;
     let engine = || {
-        StreamingEngine::with_lambda2(
+        StreamingEngine::new(
             DynamicGraph::from_graph(g),
             classifiers(g.feature_dim(), g.num_classes),
             None,
             0.5,
-            0.9,
         )
     };
     let infer = InferenceConfig::distance(0.5, 1, K);

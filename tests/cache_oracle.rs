@@ -39,7 +39,7 @@ fn engine() -> StreamingEngine {
     let classifiers: Vec<DepthClassifier> = (1..=K)
         .map(|d| DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[6], 0.0, &mut rng))
         .collect();
-    StreamingEngine::with_lambda2(DynamicGraph::from_graph(&g), classifiers, None, 0.5, 0.9)
+    StreamingEngine::new(DynamicGraph::from_graph(&g), classifiers, None, 0.5)
 }
 
 fn serve_cfg(workers: usize, cache: CacheConfig) -> ServeConfig {
@@ -265,7 +265,7 @@ fn distant_mutations_keep_fixed_nap_entries_hot_nearby_ones_evict() {
                 DepthClassifier::new(ModelKind::Sgc, depth, F, CLASSES, &[6], 0.0, &mut crng)
             })
             .collect();
-        StreamingEngine::with_lambda2(d, classifiers, None, 0.5, 0.9)
+        StreamingEngine::new(d, classifiers, None, 0.5)
     };
     let infer = InferenceConfig::fixed(K);
     let service = NaiService::new(

@@ -48,7 +48,7 @@ fn engine() -> StreamingEngine {
     let classifiers: Vec<DepthClassifier> = (1..=K)
         .map(|d| DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[8], 0.0, &mut rng))
         .collect();
-    StreamingEngine::with_lambda2(DynamicGraph::from_graph(&g), classifiers, None, 0.5, 0.9)
+    StreamingEngine::new(DynamicGraph::from_graph(&g), classifiers, None, 0.5)
 }
 
 const STAGES: [&str; 7] = [

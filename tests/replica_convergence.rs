@@ -51,7 +51,7 @@ fn deploy(graph: DynamicGraph) -> StreamingEngine {
     let classifiers: Vec<DepthClassifier> = (1..=K)
         .map(|d| DepthClassifier::new(ModelKind::Sgc, d, F, CLASSES, &[6], 0.0, &mut rng))
         .collect();
-    StreamingEngine::with_lambda2(graph, classifiers, None, 0.5, 0.9)
+    StreamingEngine::new(graph, classifiers, None, 0.5)
 }
 
 fn infer_cfg() -> InferenceConfig {
