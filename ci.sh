@@ -135,6 +135,9 @@ model_check() {
     cargo test -q -p nai-obs --test model
   timeout 600 env RUSTFLAGS="$flags" CARGO_TARGET_DIR=target/model \
     cargo test -q -p nai-serve --test model
+  # Every serve test target must still compile against the loom facade.
+  timeout 600 env RUSTFLAGS="$flags" CARGO_TARGET_DIR=target/model \
+    cargo check -q -p nai-serve --tests
 }
 
 step "model_check (exhaustive interleaving tests under --cfg nai_model)" \

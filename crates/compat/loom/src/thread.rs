@@ -8,7 +8,26 @@ use std::time::Duration;
 
 pub struct JoinHandle<T> {
     tid: usize,
+    thread: Thread,
     _p: PhantomData<T>,
+}
+
+/// A model thread, as `std::thread::Thread` describes one: by its name.
+#[derive(Debug, Clone)]
+pub struct Thread {
+    name: Option<String>,
+}
+
+impl Thread {
+    pub fn name(&self) -> Option<&str> {
+        self.name.as_deref()
+    }
+}
+
+impl<T> JoinHandle<T> {
+    pub fn thread(&self) -> &Thread {
+        &self.thread
+    }
 }
 
 impl<T: 'static> JoinHandle<T> {
@@ -66,15 +85,17 @@ where
     rt::with_rt(|rt, tid| {
         let child = rt.register_thread(Some(tid), name.clone());
         let rt2 = rt.clone();
+        let os_name = name.clone().unwrap_or_else(|| format!("loom-{child}"));
         let body: Box<dyn FnOnce() -> Box<dyn std::any::Any + Send> + Send> =
             Box::new(move || Box::new(f()) as Box<dyn std::any::Any + Send>);
         let h = std::thread::Builder::new()
-            .name(name.unwrap_or_else(|| format!("loom-{child}")))
+            .name(os_name)
             .spawn(move || rt2.thread_main(child, body))
             .expect("spawn loom thread");
         rt.add_handle(h);
         JoinHandle {
             tid: child,
+            thread: Thread { name },
             _p: PhantomData,
         }
     })

@@ -22,6 +22,8 @@
 //! mass `S_c` is an exact integer. A mutation swaps each touched node's
 //! term exactly. A component caches its sum rounded once to `f64` over
 //! `S_c`; a row is that times `d̃_i^γ`: `O(n·f)` to build, `O(f)` a row.
+//! A mutation only marks its component stale; [`StationaryState::refresh`]
+//! re-rounds the stale ones, once however many mutations came between.
 
 use nai_graph::CsrMatrix;
 use nai_linalg::DenseMatrix;
@@ -34,7 +36,8 @@ const LSB_EXP: i32 = -149;
 /// The exact sum of a multiset of `f32` terms, in fixed point.
 ///
 /// Limbs carry 32 bits each, carries deferred: a term adds under `2^32`
-/// to a limb, so `i64` limbs hold `2^31` terms between normalizations.
+/// to a limb, so `i64` limbs hold `2^31` terms between normalizations
+/// (a normalized sum counts as one).
 /// A non-finite term (`d̃^(1−γ) · x` overflowed) counts as `±2^128`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ExactSum([i64; LIMBS]);
@@ -127,6 +130,11 @@ fn add_terms(sums: &mut [ExactSum], w: f32, x: &[f32]) {
     }
 }
 
+/// Terms a component's sums take before they are normalized: with a
+/// merge of two such components and one mutation's terms on top, well
+/// inside the `2^31` that [`ExactSum`] holds.
+const CARRY_TERMS: u32 = 1 << 29;
+
 /// The root of `v` in a union-find forest, halving the path on the way.
 fn find_halving(parent: &mut [u32], mut v: u32) -> u32 {
     while parent[v as usize] != v {
@@ -144,8 +152,12 @@ struct Component {
     mass: u64,
     /// Per coordinate, the exact `Σ_j t_j`; none for a lone edgeless node.
     sums: Vec<ExactSum>,
+    /// Terms added to `sums` since they were last normalized.
+    terms: u32,
     /// Per coordinate, `Σ_j t_j` rounded once to `f64`, over `S_c`.
     mean: Vec<f64>,
+    /// Whether `sums` or `mass` changed since `mean` was derived.
+    stale: bool,
 }
 
 impl Component {
@@ -156,16 +168,37 @@ impl Component {
             root,
             mass: 1,
             sums: Vec::new(),
+            terms: 0,
             mean,
+            stale: false,
         }
     }
 
-    /// Re-derives `mean` from the exact sums.
+    /// One coordinate's exact sum rounded once to `f64`, over the
+    /// component's mass.
+    fn mean_of(mut sum: ExactSum, mass: u64) -> f64 {
+        sum.normalize();
+        sum.to_f64() / mass as f64
+    }
+
+    /// Counts `n` more terms in `sums`, normalizing them once the count
+    /// reaches [`CARRY_TERMS`].
+    fn count_terms(&mut self, n: u32) {
+        self.terms += n;
+        if self.terms >= CARRY_TERMS {
+            self.sums.iter_mut().for_each(ExactSum::normalize);
+            self.terms = 1;
+        }
+    }
+
+    /// Re-derives `mean` from the exact sums, normalizing them.
     fn refresh(&mut self) {
         for (m, s) in self.mean.iter_mut().zip(&mut self.sums) {
             s.normalize();
-            *m = s.to_f64() / self.mass as f64;
+            *m = Self::mean_of(*s, self.mass);
         }
+        self.terms = 1;
+        self.stale = false;
     }
 }
 
@@ -182,6 +215,9 @@ pub struct StationaryState {
     /// Per node, the raw degree (no self-loop).
     degree: Vec<u32>,
     components: Vec<Component>,
+    /// Nodes whose component a mutation marked stale since the last
+    /// [`Self::refresh`] (each was a root when marked).
+    stale: Vec<u32>,
 }
 
 impl StationaryState {
@@ -268,6 +304,7 @@ impl StationaryState {
             slot,
             degree,
             components,
+            stale: Vec::new(),
         }
     }
 
@@ -281,10 +318,19 @@ impl StationaryState {
     /// `feature(v)` reads any node's row, the arrival's included.
     pub fn add_node<'g>(&mut self, neighbors: &[u32], feature: impl Fn(u32) -> &'g [f32]) {
         let v = self.parent.len() as u32;
-        self.parent.push(v);
-        self.slot.push(self.components.len() as u32);
         self.degree.push(0);
-        self.components.push(Component::single(v, feature(v)));
+        let Some(&first) = neighbors.first() else {
+            self.parent.push(v);
+            self.slot.push(self.components.len() as u32);
+            self.components.push(Component::single(v, feature(v)));
+            return;
+        };
+        // Joins its first neighbour's component straight away: one node
+        // of mass 1, lighter than any root it could hang under.
+        let root = self.find(first);
+        self.parent.push(root);
+        self.slot.push(u32::MAX);
+        self.components[self.slot[root as usize] as usize].mass += 1;
         self.connect(v, neighbors, feature);
     }
 
@@ -295,8 +341,8 @@ impl StationaryState {
     }
 
     /// `v` gains one edge to each of `others`, and each of them one to
-    /// `v`: their components merge, and every touched node's term moves
-    /// to its new degree.
+    /// `v`: their components merge, every touched node's term moves to
+    /// its new degree, and the merged component turns stale.
     fn connect<'g>(&mut self, v: u32, others: &[u32], feature: impl Fn(u32) -> &'g [f32]) {
         if others.is_empty() {
             return;
@@ -309,19 +355,29 @@ impl StationaryState {
             }
         }
         let comp = &mut self.components[self.slot[root as usize] as usize];
+        if comp.sums.is_empty() {
+            comp.sums = vec![ExactSum::default(); self.feature_dim];
+        }
         let touched =
             std::iter::once((v, others.len() as u32)).chain(others.iter().map(|&u| (u, 1)));
+        let mut terms = 0;
         for (w, gained) in touched {
             // A lone node's term is in no sum yet; `union` leaves it out.
             let degree = &mut self.degree[w as usize];
             if *degree > 0 {
                 add_terms(&mut comp.sums, -weight(*degree, self.gamma), feature(w));
+                terms += 1;
             }
             *degree += gained;
             add_terms(&mut comp.sums, weight(*degree, self.gamma), feature(w));
+            terms += 1;
         }
+        comp.count_terms(terms);
         comp.mass += 2 * others.len() as u64;
-        comp.refresh();
+        if !comp.stale {
+            comp.stale = true;
+            self.stale.push(root);
+        }
     }
 
     /// Merges the components rooted at `a` and `b`, the lighter under the
@@ -337,16 +393,31 @@ impl StationaryState {
         }
         self.parent[child as usize] = root;
         let comp = &mut self.components[self.slot[root as usize] as usize];
-        // Only two lone nodes merging start a sum (by mass, a lone node
-        // is never the root otherwise).
         if comp.sums.is_empty() {
-            comp.sums = vec![ExactSum::default(); self.feature_dim];
+            comp.sums = absorbed.sums;
+        } else {
+            for (s, o) in comp.sums.iter_mut().zip(&absorbed.sums) {
+                s.0.iter_mut().zip(o.0).for_each(|(a, b)| *a += b);
+            }
         }
-        for (s, o) in comp.sums.iter_mut().zip(&absorbed.sums) {
-            s.0.iter_mut().zip(o.0).for_each(|(a, b)| *a += b);
-        }
+        comp.count_terms(absorbed.terms);
         comp.mass += absorbed.mass;
         root
+    }
+
+    /// Re-rounds the cached mean of every component a mutation changed
+    /// since the last refresh. Reads are exact without it (a stale
+    /// component is rounded on the fly), but pay `O(f)` a row for it.
+    pub fn refresh(&mut self) {
+        let mut stale = std::mem::take(&mut self.stale);
+        for v in stale.drain(..) {
+            let root = self.find(v);
+            let comp = &mut self.components[self.slot[root as usize] as usize];
+            if comp.stale {
+                comp.refresh();
+            }
+        }
+        self.stale = stale;
     }
 
     /// The root of `v`'s component.
@@ -373,8 +444,15 @@ impl StationaryState {
         for (t, &node) in nodes.iter().enumerate() {
             let comp = &self.components[self.slot[self.find(node) as usize] as usize];
             let left = f64::from((self.degree[node as usize] as f32 + 1.0).powf(self.gamma));
-            for (o, &m) in out.row_mut(t).iter_mut().zip(&comp.mean) {
-                *o = (left * m) as f32;
+            let row = out.row_mut(t);
+            if comp.stale {
+                for (o, &s) in row.iter_mut().zip(&comp.sums) {
+                    *o = (left * Component::mean_of(s, comp.mass)) as f32;
+                }
+            } else {
+                for (o, &m) in row.iter_mut().zip(&comp.mean) {
+                    *o = (left * m) as f32;
+                }
             }
         }
     }
@@ -646,6 +724,50 @@ mod tests {
             }
             assert_eq!(bits(&g.state), bits(&g.recompute()), "gamma {gamma}");
         }
+    }
+
+    #[test]
+    fn reads_between_mutations_match_recompute() {
+        // Reads land on components a mutation left stale (rounded on the
+        // fly) and on refreshed ones; arrivals attach to lone nodes, to
+        // pairs of them and to larger components. Every read equals a
+        // fresh computation, bit for bit.
+        let mut g = Grown::seed(&seed_graph(50, 21), 0.5);
+        let mut rng = StdRng::seed_from_u64(23);
+        let row =
+            |rng: &mut StdRng| -> Vec<f32> { (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        for step in 0..120u32 {
+            let n = g.adj.len() as u32;
+            match step % 5 {
+                0 => {
+                    g.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+                }
+                1 | 2 => g.add_node(&row(&mut rng), &[]),
+                // The two lone arrivals before it as neighbours.
+                3 => g.add_node(&row(&mut rng), &[n - 2, n - 1]),
+                _ => {
+                    let mut nbrs = vec![n - 1, rng.gen_range(0..n)];
+                    nbrs.sort_unstable();
+                    nbrs.dedup();
+                    g.add_node(&row(&mut rng), &nbrs);
+                }
+            }
+            if step % 7 == 6 {
+                g.state.refresh();
+                assert!(g.state.components.iter().all(|c| !c.stale), "step {step}");
+            }
+            let n = g.adj.len() as u32;
+            let nodes: Vec<u32> = (0..6).map(|_| rng.gen_range(0..n)).chain([n - 1]).collect();
+            let row_bits =
+                |m: DenseMatrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(
+                row_bits(g.state.rows(&nodes)),
+                row_bits(g.recompute().rows(&nodes)),
+                "step {step}"
+            );
+        }
+        g.state.refresh();
+        assert_eq!(bits(&g.state), bits(&g.recompute()));
     }
 
     #[test]

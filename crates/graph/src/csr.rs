@@ -92,6 +92,39 @@ impl CsrMatrix {
         })
     }
 
+    /// Whether CSR arrays with `n` rows already hold this type's
+    /// invariants, so that [`Self::from_coo`] would return them as they
+    /// are.
+    pub(crate) fn is_canonical(n: usize, indptr: &[usize], indices: &[u32]) -> bool {
+        indptr.len() == n + 1
+            && indptr[0] == 0
+            && indptr[n] == indices.len()
+            && indptr.windows(2).all(|w| {
+                indices.get(w[0]..w[1]).is_some_and(|row| {
+                    row.windows(2).all(|p| p[0] < p[1])
+                        && row.last().is_none_or(|&c| (c as usize) < n)
+                })
+            })
+    }
+
+    /// Adopts arrays for which [`Self::is_canonical`] holds, and
+    /// `values.len() == indices.len()`.
+    pub(crate) fn from_canonical(
+        n: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        debug_assert!(Self::is_canonical(n, &indptr, &indices));
+        debug_assert_eq!(values.len(), indices.len());
+        Self {
+            n,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
     /// Builds an **undirected, unweighted** adjacency matrix from an edge
     /// list. Each `(u, v)` with `u != v` contributes entries in both
     /// directions with value `1.0`; self-edges and duplicates collapse to a

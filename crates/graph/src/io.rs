@@ -86,46 +86,58 @@ pub fn decode_graph(mut data: &[u8]) -> Result<Graph> {
     let entry_bytes = checked(nnz, 4, "entries")?;
 
     need(data, indptr_bytes, "indptr")?;
-    let mut indptr = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        indptr.push(data.get_u64_le() as usize);
-    }
+    let indptr = take_le(&mut data, indptr_bytes, |b| u64::from_le_bytes(b) as usize);
     need(data, entry_bytes, "indices")?;
-    let mut triplets = Vec::with_capacity(nnz);
-    let mut indices = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        indices.push(data.get_u32_le());
-    }
+    let indices = take_le(&mut data, entry_bytes, u32::from_le_bytes);
     need(data, entry_bytes, "values")?;
     for (row, w) in indptr.windows(2).enumerate() {
         if w[1] < w[0] || w[1] > nnz {
             return Err(GraphError::Decode(format!("corrupt indptr at row {row}")));
         }
     }
-    let mut vals = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        vals.push(data.get_f32_le());
-    }
-    for (row, w) in indptr.windows(2).enumerate() {
-        for k in w[0]..w[1] {
-            triplets.push((row as u32, indices[k], vals[k]));
+    let vals = take_le(&mut data, entry_bytes, f32::from_le_bytes);
+    // What `encode_graph` writes is already canonical CSR; anything else
+    // (unsorted or duplicate entries, skipped ranges) is rebuilt through
+    // its triplets.
+    let adj = if CsrMatrix::is_canonical(n, &indptr, &indices) {
+        CsrMatrix::from_canonical(n, indptr, indices, vals)
+    } else {
+        let mut triplets = Vec::with_capacity(nnz);
+        for (row, w) in indptr.windows(2).enumerate() {
+            for k in w[0]..w[1] {
+                triplets.push((row as u32, indices[k], vals[k]));
+            }
         }
-    }
-    let adj = CsrMatrix::from_coo(n, &triplets)?;
+        CsrMatrix::from_coo(n, &triplets)?
+    };
 
     need(data, feature_bytes, "features")?;
-    let mut fdata = Vec::with_capacity(n * f);
-    for _ in 0..n * f {
-        fdata.push(data.get_f32_le());
-    }
-    let features = DenseMatrix::from_vec(n, f, fdata);
+    let features =
+        DenseMatrix::from_vec(n, f, take_le(&mut data, feature_bytes, f32::from_le_bytes));
 
-    need(data, checked(n, 4, "labels")?, "labels")?;
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(data.get_u32_le());
-    }
+    let label_bytes = checked(n, 4, "labels")?;
+    need(data, label_bytes, "labels")?;
+    let labels = take_le(&mut data, label_bytes, u32::from_le_bytes);
     Graph::new(adj, features, labels, c)
+}
+
+/// Converts the first `bytes` bytes of `data` (present, a multiple of
+/// `N`) from little-endian `N`-byte words, and advances past them.
+fn take_le<const N: usize, T>(
+    data: &mut &[u8],
+    bytes: usize,
+    from: impl Fn([u8; N]) -> T,
+) -> Vec<T> {
+    let (words, rest) = data.split_at(bytes);
+    *data = rest;
+    words
+        .chunks_exact(N)
+        .map(|w| {
+            let mut word = [0; N];
+            word.copy_from_slice(w);
+            from(word)
+        })
+        .collect()
 }
 
 const SPLIT_MAGIC: &[u8; 4] = b"NAIS";
@@ -252,9 +264,49 @@ mod tests {
         assert_eq!(back.num_nodes(), g.num_nodes());
         assert_eq!(back.num_classes, g.num_classes);
         assert_eq!(back.labels, g.labels);
-        assert_eq!(back.adj.indices(), g.adj.indices());
-        assert_eq!(back.adj.indptr(), g.adj.indptr());
+        assert_eq!(back.adj, g.adj, "indptr, indices and values");
         assert_eq!(back.features.as_slice(), g.features.as_slice());
+    }
+
+    /// The body of a graph file with 3 nodes, 1 feature and 2 classes.
+    fn raw_file(indptr: &[u64], indices: &[u32], values: &[f32]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(VERSION);
+        for dim in [3, 1, 2, indices.len() as u64] {
+            buf.put_u64_le(dim);
+        }
+        indptr.iter().for_each(|&p| buf.put_u64_le(p));
+        indices.iter().for_each(|&i| buf.put_u32_le(i));
+        values.iter().for_each(|&v| buf.put_f32_le(v));
+        [0.5, -1.0, 2.0].iter().for_each(|&x| buf.put_f32_le(x));
+        [0, 1, 1].iter().for_each(|&l| buf.put_u32_le(l));
+        buf.to_vec()
+    }
+
+    /// A file whose rows are unsorted, repeat an entry or skip part of
+    /// the entry array decodes through its triplets: sorted, duplicates
+    /// summed, skipped entries dropped.
+    #[test]
+    fn non_canonical_file_decodes_through_its_triplets() {
+        // Entry 0 lies before row 0's range; row 0 holds 2, 1, 1; row 2
+        // holds 0.
+        let data = raw_file(&[1, 4, 4, 5], &[1, 2, 1, 1, 0], &[9.0, 1.0, 2.0, 3.0, 4.0]);
+        let g = decode_graph(&data).unwrap();
+        assert_eq!(g.adj.indptr(), &[0, 2, 2, 3]);
+        assert_eq!(g.adj.indices(), &[1, 2, 0]);
+        assert_eq!(g.adj.values(), &[5.0, 1.0, 4.0]);
+        assert_eq!(g.features.as_slice(), &[0.5, -1.0, 2.0]);
+        assert_eq!(g.labels, vec![0, 1, 1]);
+        // An out-of-range column is reported, as before.
+        let data = raw_file(&[0, 1, 1, 1], &[7], &[1.0]);
+        assert!(matches!(
+            decode_graph(&data),
+            Err(GraphError::NodeOutOfRange { node: 7, .. })
+        ));
+        // A decreasing row pointer is corrupt.
+        let data = raw_file(&[0, 2, 1, 2], &[1, 2], &[1.0, 1.0]);
+        assert!(matches!(decode_graph(&data), Err(GraphError::Decode(_))));
     }
 
     #[test]

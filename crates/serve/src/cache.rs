@@ -23,7 +23,8 @@
 //!   (the stationary row of the node's component, which a mutation
 //!   anywhere in that component changes; NAP_u's global `2m + n`),
 //!   where no local frontier is sound — the whole cache is flushed
-//!   ([`PredictionCache::flush_all`]).
+//!   ([`PredictionCache::flush_all`]). Those modes keep no graph mirror
+//!   to walk, so they flush on every mutation, duplicate edges included.
 //!
 //! Hits are therefore bit-identical to a cache-bypass run at the same
 //! sequence point: a surviving entry's inputs (its ≤`depth`-hop
@@ -239,9 +240,9 @@ impl PredictionCache {
 /// (computed by the sequencer's mirror walk, applied by
 /// [`VersionedCache::sequence_mutation`]).
 pub enum Invalidation {
-    /// The graph did not change (duplicate edge) or the mutation
-    /// touched no existing adjacency (isolated arrival): every entry
-    /// survives.
+    /// Under fixed-depth mode, the graph did not change (duplicate
+    /// edge) or the mutation touched no existing adjacency (isolated
+    /// arrival): every entry survives.
     Untouched,
     /// Evict the mutation's dirty frontier (`(node, hop distance)`
     /// pairs from the k-hop walk).

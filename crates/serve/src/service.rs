@@ -63,13 +63,14 @@
 //! path consults a sequence-versioned [`PredictionCache`](crate::cache::PredictionCache) before admission —
 //! a read whose nodes are all cached is answered on the caller's
 //! thread, skipping the queue, the workers, and the engine entirely.
-//! The sequencer keeps its own [`DynamicGraph`] mirror of the
-//! replicated graph and, at the moment it sequences a mutation,
-//! invalidates the mutation's dirty frontier (fixed-depth mode) or
-//! flushes everything (globally-dependent NAP modes, or a walk past its
-//! budget) *before* advancing the cache's sequence point — so workers'
-//! later inserts are version-guarded against the mutation, and a hit is
-//! bit-identical to a cache-bypass run at the same sequence point.
+//! At the moment it sequences a mutation, the sequencer invalidates
+//! the mutation's dirty frontier (fixed-depth mode, walked over its own
+//! [`DynamicGraph`] mirror of the replicated graph) or flushes
+//! everything (globally-dependent NAP modes, which keep no mirror, or a
+//! walk past its budget) *before* advancing the cache's sequence point
+//! — so workers' later inserts are version-guarded against the
+//! mutation, and a hit is bit-identical to a cache-bypass run at the
+//! same sequence point.
 //! Results computed under a degraded (load-shed) depth budget are never
 //! inserted.
 
@@ -873,18 +874,16 @@ impl NaiService {
             k,
             seed_nodes,
         };
-        // The sequencer's invalidation mirror must be cloned before the
-        // engines move into their replica slots. The clone shares the
-        // replicas' frozen seed; only adjacency lists are copied.
+        // Only fixed-depth propagation is a purely local function of
+        // the t_max-hop neighborhood; distance/gate NAP consult the
+        // stationary row of the node's component, which a mutation
+        // anywhere in it changes, and NAP_u the global 2m + n — no local
+        // frontier is sound there, so those modes keep no mirror and
+        // flush on every mutation. The mirror must be cloned before the
+        // engines move into their replica slots; the clone shares the
+        // replicas' frozen seed and owns no adjacency row.
         let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
-            mirror: engines[0].graph().clone(),
-            // Only fixed-depth propagation is a purely local function
-            // of the t_max-hop neighborhood; distance/gate NAP consult
-            // the stationary row of the node's component, which a
-            // mutation anywhere in it changes, and NAP_u the global
-            // 2m + n — no local frontier is sound there, so those modes
-            // flush on every mutation.
-            local: matches!(infer_cfg.nap, NapMode::Fixed),
+            mirror: matches!(infer_cfg.nap, NapMode::Fixed).then(|| engines[0].graph().clone()),
             radius: infer_cfg.t_max,
             budget: cfg.cache.frontier_budget,
         });
@@ -1288,12 +1287,12 @@ impl Drop for NaiService {
 /// replicated graph, kept in lockstep with sequenced mutations, plus
 /// the dirty-frontier walk parameters.
 struct CacheInvalidator {
-    mirror: DynamicGraph,
-    /// Whether a mutation's effect on predictions is local to its
+    /// Present iff a mutation's effect on predictions is local to its
     /// `radius`-hop neighborhood (fixed-depth propagation). All other
-    /// NAP modes consult globally-perturbed stationary state and must
-    /// flush the cache on every mutation.
-    local: bool,
+    /// NAP modes consult globally-perturbed stationary state: they flush
+    /// the cache on every mutation, duplicate edges included, and keep
+    /// no mirror.
+    mirror: Option<DynamicGraph>,
     /// Walk radius: the base (undegraded) `t_max`, the largest depth
     /// bound any cached entry can carry.
     radius: usize,
@@ -1488,6 +1487,8 @@ impl Sequencer {
     /// dirty-frontier eviction (or conservative flush), then the
     /// sequence-point advance — all before any worker can have applied
     /// the mutation, so the version guard on inserts is airtight.
+    /// Without a mirror (every mode but fixed-depth) each mutation
+    /// flushes.
     ///
     /// The walk runs on the *post-mutation* mirror: edge additions only
     /// shrink hop distances, so the new adjacency reaches every node
@@ -1496,33 +1497,38 @@ impl Sequencer {
         let (Some(inv), Some(cache)) = (self.invalidator.as_mut(), cache) else {
             return;
         };
-        // `None` = the graph did not change (duplicate edge): nothing
-        // to invalidate in any mode. Otherwise the touched nodes.
-        let seeds: Option<Vec<u32>> = match op {
-            Op::Ingest {
-                features,
-                neighbors,
-            } => {
+        let action = match inv.mirror.as_mut() {
+            None => Invalidation::Flush,
+            Some(mirror) => {
                 // Already validated: ids in range, features well-formed.
-                inv.mirror.add_node(features, neighbors);
-                // The arrival itself cannot be cached yet; only its
-                // attachment points change existing adjacency/degrees.
-                Some(neighbors.clone())
+                // The touched nodes; `None` when the graph did not
+                // change (a duplicate edge). An arrival cannot be cached
+                // yet: only its attachment points change.
+                let edge: [u32; 2];
+                let seeds = match op {
+                    Op::Ingest {
+                        features,
+                        neighbors,
+                    } => {
+                        mirror.add_node(features, neighbors);
+                        Some(neighbors.as_slice())
+                    }
+                    Op::ObserveEdge { u, v } => {
+                        edge = [*u, *v];
+                        mirror.add_edge(*u, *v).then_some(&edge[..])
+                    }
+                    Op::Infer { .. } => unreachable!("reads are not sequenced"),
+                };
+                match seeds {
+                    // Nothing changed, or an isolated arrival touched no
+                    // existing adjacency.
+                    None | Some([]) => Invalidation::Untouched,
+                    Some(seeds) => match mirror.k_hop_frontier(seeds, inv.radius, inv.budget) {
+                        Some(frontier) => Invalidation::Frontier(frontier),
+                        None => Invalidation::Flush,
+                    },
+                }
             }
-            Op::ObserveEdge { u, v } => inv.mirror.add_edge(*u, *v).then(|| vec![*u, *v]),
-            Op::Infer { .. } => unreachable!("reads are not sequenced"),
-        };
-        let action = match seeds {
-            // `None` = the graph did not change (duplicate edge);
-            // an empty seed list = an isolated arrival under
-            // fixed-depth mode, touching no existing adjacency.
-            None => Invalidation::Untouched,
-            Some(_) if !inv.local => Invalidation::Flush,
-            Some(seeds) if seeds.is_empty() => Invalidation::Untouched,
-            Some(seeds) => match inv.mirror.k_hop_frontier(&seeds, inv.radius, inv.budget) {
-                Some(frontier) => Invalidation::Frontier(frontier),
-                None => Invalidation::Flush,
-            },
         };
         // One lock acquisition for eviction + advance: a worker insert
         // can land before or after this mutation, never in between.
@@ -2082,8 +2088,9 @@ mod tests {
         {
             let sequencer = lock_recover(&service.sequencer);
             let inv = sequencer.as_ref().unwrap().invalidator.as_ref().unwrap();
-            assert!(inv.mirror.shares_seed(&seed));
-            assert_eq!(inv.mirror.num_nodes(), 80);
+            let mirror = inv.mirror.as_ref().unwrap();
+            assert!(mirror.shares_seed(&seed));
+            assert_eq!(mirror.num_nodes(), 80);
         }
         let engines = service.into_engines();
         assert_eq!(engines.len(), 3);
@@ -2091,6 +2098,42 @@ mod tests {
             assert!(e.graph().shares_seed(&seed));
             assert_eq!(e.graph().num_nodes(), 80);
         }
+    }
+
+    /// Outside fixed-depth mode no mutation's effect is local: a cached
+    /// NAP_d deploy keeps no graph mirror, and every mutation flushes the
+    /// cache, a duplicate edge included.
+    #[test]
+    fn nap_d_cache_keeps_no_mirror_and_flushes_on_every_mutation() {
+        let (ckpt, seed) = crate::tests::checkpoint(60, 4);
+        let cfg = ServeConfig {
+            workers: 2,
+            cache: CacheConfig::on(16),
+            ..ServeConfig::default()
+        };
+        let infer = InferenceConfig::distance(0.5, 1, 2);
+        let service = NaiService::from_checkpoint(&ckpt, &seed, infer, cfg).unwrap();
+        {
+            let sequencer = lock_recover(&service.sequencer);
+            let inv = sequencer.as_ref().unwrap().invalidator.as_ref().unwrap();
+            assert!(inv.mirror.is_none());
+        }
+        let call = |op: Op| service.call(Request { op, shard: None }).unwrap();
+        let read = || call(Op::Infer { nodes: vec![1, 2] });
+        read();
+        read();
+        assert_eq!(service.metrics().cache_hits, 1, "the second read hits");
+        let u = seed.neighbors(1)[0];
+        let reply = call(Op::ObserveEdge { u: 1, v: u });
+        assert!(matches!(reply, Reply::Edge { added: false, .. }));
+        read();
+        let m = service.metrics();
+        assert_eq!(
+            (m.cache_hits, m.cache_misses),
+            (1, 2),
+            "the duplicate flushed"
+        );
+        assert_eq!(m.cache_invalidated, 2);
     }
 
     /// A NAP_u deploy estimates λ₂ once, over the seed, bit-equal to the

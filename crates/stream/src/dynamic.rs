@@ -2,18 +2,21 @@
 //!
 //! [`nai_graph::CsrMatrix`] is immutable by design (compressed storage
 //! cannot absorb appends); streaming workloads instead keep adjacency
-//! lists, and the streaming engine caches each node's normalization
-//! factors and refreshes them when a mutation changes that node's
-//! degree, so an arrival never invalidates a stored matrix.
+//! rows they can grow, and the streaming engine caches each node's
+//! normalization factors and refreshes them when a mutation changes that
+//! node's degree, so an arrival never invalidates a stored matrix.
 //!
 //! A graph splits into a frozen **seed** and what grew after it. The
 //! seed is the graph as deployed — its feature rows and its adjacency
 //! as sorted CSR structure — behind an [`Arc`]: [`Clone`] shares it,
 //! so every engine replica and mirror of one deployment holds the same
 //! seed allocation. Arrivals' feature rows go to a per-graph
-//! append-only tail, so growth never copies or moves seed rows. The
-//! adjacency lists are per graph (built from the seed CSR), since every
-//! mutation may touch any row.
+//! append-only tail, so growth never copies or moves seed rows.
+//! Adjacency is copy-on-write over the seed CSR: an untouched seed
+//! node's row is read in place, and a graph owns a row only once a
+//! mutation writes to it (plus every arrival's row). A graph's own
+//! adjacency is two `u32`s per node (where its row lives) plus the rows
+//! it owns, so a clone of a deployed graph copies no row.
 
 use crate::sync::Arc;
 use nai_graph::{CsrMatrix, Graph};
@@ -58,8 +61,28 @@ fn csr_of<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>, num_edges: usize) 
     CsrMatrix::undirected_adjacency(n, &edges).expect("valid dynamic graph")
 }
 
-/// Growable undirected graph: a shared frozen seed, per-graph
-/// adjacency lists, and an append-only tail of arrivals' features.
+/// [`RowRef::start`] of a row the graph owns.
+const OWNED: u32 = u32::MAX;
+
+/// Where one node's adjacency row lives: `len` entries of the seed's
+/// `indices` from `start`, read in place, or — when `start` is
+/// [`OWNED`] — the graph's own row `owned[len]`. One random load finds
+/// either.
+#[derive(Debug, Clone, Copy)]
+struct RowRef {
+    start: u32,
+    len: u32,
+}
+
+/// Growable undirected graph: a shared frozen seed, copy-on-write
+/// adjacency rows over the seed CSR, and an append-only tail of
+/// arrivals' features.
+///
+/// A seed node's row is read in place from the seed CSR until a
+/// mutation first writes to it; that write copies the row into the
+/// graph's own rows, where it grows from then on. Arrivals' rows are
+/// always the graph's own. Siblings sharing the seed never see each
+/// other's writes.
 ///
 /// Every adjacency row is kept **sorted ascending** as an invariant, so
 /// edge-existence checks ([`Self::has_edge`], and the duplicate scan
@@ -72,7 +95,11 @@ pub struct DynamicGraph {
     seed: Arc<Seed>,
     /// `seed.num_nodes()`, kept inline for the [`Self::feature`] branch.
     seed_nodes: usize,
-    adj: Vec<Vec<u32>>,
+    /// Per node, where its adjacency row lives.
+    rows: Vec<RowRef>,
+    /// The rows this graph owns: seed rows a mutation wrote to, and
+    /// arrivals' rows.
+    owned: Vec<Vec<u32>>,
     /// Feature rows of the nodes added after the seed, in id order.
     tail: Vec<f32>,
     feature_dim: usize,
@@ -98,8 +125,12 @@ impl DynamicGraph {
     }
 
     /// Seeds a dynamic graph from a static one (the observed training
-    /// graph in the inductive protocol). The feature rows are copied
-    /// once, into the frozen seed that clones of this graph share.
+    /// graph in the inductive protocol). The feature rows and the CSR
+    /// adjacency are copied once, into the frozen seed that clones of
+    /// this graph share.
+    ///
+    /// # Panics
+    /// Panics if the graph holds `u32::MAX` or more adjacency entries.
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -125,10 +156,25 @@ impl DynamicGraph {
         )
     }
 
+    /// # Panics
+    /// Panics if the seed holds `u32::MAX` or more adjacency entries.
     fn from_seed(seed: Seed, feature_dim: usize) -> Self {
         let seed_nodes = seed.num_nodes();
+        assert!(
+            seed.indices.len() < OWNED as usize,
+            "seed adjacency must fit u32 offsets"
+        );
+        let rows = seed
+            .offsets
+            .windows(2)
+            .map(|w| RowRef {
+                start: w[0] as u32,
+                len: (w[1] - w[0]) as u32,
+            })
+            .collect();
         Self {
-            adj: (0..seed_nodes).map(|i| seed.row(i).to_vec()).collect(),
+            rows,
+            owned: Vec::new(),
             num_edges: seed.num_edges,
             seed: Arc::new(seed),
             seed_nodes,
@@ -149,25 +195,34 @@ impl DynamicGraph {
         self.num_nodes() != self.seed_nodes || self.num_edges != self.seed.num_edges
     }
 
+    /// How many adjacency rows this graph owns rather than reads from
+    /// the seed: its arrivals plus the distinct seed rows written to.
+    #[cfg(test)]
+    pub(crate) fn owned_rows(&self) -> usize {
+        self.owned.len()
+    }
+
     /// Makes the current graph the seed: one copy of every feature row
     /// and adjacency row into a new, unshared seed.
     pub(crate) fn freeze(&mut self) {
         let features = self.all_features();
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
+        let n = self.num_nodes();
+        let mut offsets = Vec::with_capacity(n + 1);
         let mut indices = Vec::with_capacity(2 * self.num_edges);
         offsets.push(0);
-        for row in &self.adj {
-            indices.extend_from_slice(row);
+        for v in 0..n as u32 {
+            indices.extend_from_slice(self.neighbors(v));
             offsets.push(indices.len());
         }
-        self.seed_nodes = self.adj.len();
-        self.seed = Arc::new(Seed {
-            features,
-            offsets,
-            indices,
-            num_edges: self.num_edges,
-        });
-        self.tail = Vec::new();
+        *self = Self::from_seed(
+            Seed {
+                features,
+                offsets,
+                indices,
+                num_edges: self.num_edges,
+            },
+            self.feature_dim,
+        );
     }
 
     /// Every feature row, seed then tail, in one row-major copy.
@@ -184,7 +239,7 @@ impl DynamicGraph {
 
     /// Node count.
     pub fn num_nodes(&self) -> usize {
-        self.adj.len()
+        self.rows.len()
     }
 
     /// Undirected edge count (each edge counted once).
@@ -202,12 +257,39 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if `v` is out of range.
     pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
+        self.neighbors(v).len()
     }
 
-    /// Neighbors of `v`, sorted ascending.
+    /// Neighbors of `v`, sorted ascending: the seed's row, read in
+    /// place, until a mutation first writes to it.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.adj[v as usize]
+        let RowRef { start, len } = self.rows[v as usize];
+        if start == OWNED {
+            &self.owned[len as usize]
+        } else {
+            &self.seed.indices[start as usize..(start + len) as usize]
+        }
+    }
+
+    /// `v`'s row for writing, copied out of the seed on the first write.
+    fn row_mut(&mut self, v: u32) -> &mut Vec<u32> {
+        let row = &mut self.rows[v as usize];
+        if row.start != OWNED {
+            let seed_row = &self.seed.indices[row.start as usize..(row.start + row.len) as usize];
+            // Room for the write about to happen.
+            let mut own = Vec::with_capacity(seed_row.len() + 1);
+            own.extend_from_slice(seed_row);
+            *row = RowRef {
+                start: OWNED,
+                len: self.owned.len() as u32,
+            };
+            self.owned.push(own);
+        }
+        &mut self.owned[row.len as usize]
     }
 
     /// Whether the undirected edge `(u, v)` exists — an `O(log d)`
@@ -216,7 +298,7 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if `u` is out of range.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
-        self.adj[u as usize].binary_search(&v).is_ok()
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
     /// Feature row of `v`: a seed row or a tail row, never copied.
@@ -248,7 +330,7 @@ impl DynamicGraph {
             self.feature_dim,
             "feature length must match graph dimension"
         );
-        let v = self.adj.len() as u32;
+        let v = self.num_nodes() as u32;
         // The one copy of `neighbors`: sorted and deduplicated here, it
         // becomes the new node's adjacency row.
         let mut uniq: Vec<u32> = neighbors.to_vec();
@@ -264,11 +346,16 @@ impl DynamicGraph {
         for &u in &uniq {
             // `v` is the largest id in the graph, so appending keeps the
             // neighbor's row sorted.
-            debug_assert!(self.adj[u as usize].last().is_none_or(|&last| last < v));
-            self.adj[u as usize].push(v);
+            let row = self.row_mut(u);
+            debug_assert!(row.last().is_none_or(|&last| last < v));
+            row.push(v);
         }
         self.num_edges += uniq.len();
-        self.adj.push(uniq);
+        self.rows.push(RowRef {
+            start: OWNED,
+            len: self.owned.len() as u32,
+        });
+        self.owned.push(uniq);
         v
     }
 
@@ -281,17 +368,18 @@ impl DynamicGraph {
     /// in the `Ã` normalization and never stored).
     pub fn add_edge(&mut self, u: u32, v: u32) -> bool {
         assert!(u != v, "explicit self-loops are not representable");
-        assert!((u as usize) < self.adj.len(), "node {u} out of range");
-        assert!((v as usize) < self.adj.len(), "node {v} out of range");
-        let pos_u = match self.adj[u as usize].binary_search(&v) {
+        assert!((u as usize) < self.num_nodes(), "node {u} out of range");
+        assert!((v as usize) < self.num_nodes(), "node {v} out of range");
+        let pos_u = match self.neighbors(u).binary_search(&v) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        let pos_v = self.adj[v as usize]
+        let pos_v = self
+            .neighbors(v)
             .binary_search(&u)
             .expect_err("adjacency must stay symmetric");
-        self.adj[u as usize].insert(pos_u, v);
-        self.adj[v as usize].insert(pos_v, u);
+        self.row_mut(u).insert(pos_u, v);
+        self.row_mut(v).insert(pos_v, u);
         self.num_edges += 1;
         true
     }
@@ -324,7 +412,7 @@ impl DynamicGraph {
         let mut dist: HashMap<u32, usize> = HashMap::new();
         let mut order: Vec<(u32, usize)> = Vec::new();
         for &s in seeds {
-            assert!((s as usize) < self.adj.len(), "seed {s} out of range");
+            assert!((s as usize) < self.num_nodes(), "seed {s} out of range");
             if dist.insert(s, 0).is_none() {
                 if order.len() >= budget {
                     return None;
@@ -355,7 +443,10 @@ impl DynamicGraph {
     /// Materializes the current adjacency as a [`CsrMatrix`]
     /// (equivalence tests and snapshots).
     pub fn snapshot_csr(&self) -> CsrMatrix {
-        csr_of(self.adj.iter().map(Vec::as_slice), self.num_edges)
+        csr_of(
+            (0..self.num_nodes() as u32).map(|v| self.neighbors(v)),
+            self.num_edges,
+        )
     }
 
     /// Materializes a static [`Graph`] with the supplied labels.
@@ -377,6 +468,7 @@ impl DynamicGraph {
 mod tests {
     use super::*;
     use nai_graph::generators::{generate, GeneratorConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -620,6 +712,11 @@ mod tests {
         let mut grown = base.clone();
         let other = base.clone();
         assert!(grown.shares_seed(&base) && other.shares_seed(&base));
+        assert_eq!(
+            (base.owned_rows(), grown.owned_rows(), other.owned_rows()),
+            (0, 0, 0),
+            "a deployed graph and its clones read every row from the seed"
+        );
         grow(&mut grown, 1000, 5);
         assert!(grown.num_nodes() >= 700, "500 arrivals");
         assert!(grown.shares_seed(&base), "growth keeps the seed");
@@ -629,6 +726,7 @@ mod tests {
             (200, g.num_edges()),
             "a clone's growth is invisible to its siblings"
         );
+        assert_eq!(other.owned_rows(), 0, "a sibling's writes copy no row here");
         for v in 0..200u32 {
             assert_eq!(other.neighbors(v), base.neighbors(v));
         }
@@ -681,5 +779,100 @@ mod tests {
         assert_eq!(snap.num_nodes(), 26);
         assert_eq!(snap.labels, labels);
         assert_eq!(snap.features.row(25), &[9.0; 4]);
+    }
+
+    /// One mutation of a script, applied to a clone of a deployed graph.
+    #[derive(Debug, Clone)]
+    enum Write {
+        /// An arrival wired to these picks (duplicates and all; none is
+        /// a neighbourless arrival).
+        Node(Vec<u16>),
+        /// An edge between two picks (a self-loop pick is skipped; a
+        /// repeated edge is a duplicate).
+        Edge(u16, u16),
+    }
+
+    fn write_strategy() -> impl Strategy<Value = Write> {
+        prop_oneof![
+            prop::collection::vec(any::<u16>(), 0..5).prop_map(Write::Node),
+            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Write::Edge(a, b)),
+            // Both ends among the first 40 nodes: an edge between two
+            // seed rows, often one already present.
+            (0u16..40, 0u16..40).prop_map(|(a, b)| Write::Edge(a, b)),
+        ]
+    }
+
+    /// Applies `script` to `d`; returns the seed rows it wrote to.
+    fn apply_writes(d: &mut DynamicGraph, script: &[Write]) -> std::collections::BTreeSet<u32> {
+        let seed_nodes = d.seed_nodes as u32;
+        let mut touched = std::collections::BTreeSet::new();
+        for w in script {
+            let n = d.num_nodes();
+            match w {
+                Write::Node(picks) => {
+                    let nbrs: Vec<u32> = picks.iter().map(|&p| (p as usize % n) as u32).collect();
+                    touched.extend(nbrs.iter().filter(|&&u| u < seed_nodes));
+                    d.add_node(&[0.25; 4], &nbrs);
+                }
+                Write::Edge(a, b) => {
+                    let (u, v) = ((*a as usize % n) as u32, (*b as usize % n) as u32);
+                    if u != v && d.add_edge(u, v) {
+                        touched.extend([u, v].into_iter().filter(|&x| x < seed_nodes));
+                    }
+                }
+            }
+        }
+        touched
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Three clones of one deployed graph, each driven by its own
+        /// script: every clone's rows equal a from-scratch rebuild, stay
+        /// sorted and symmetric, and it owns exactly its arrivals' rows
+        /// plus the seed rows it wrote to; the seed and the siblings see
+        /// none of its writes.
+        #[test]
+        fn copy_on_write_clones_stay_independent(
+            scripts in prop::collection::vec(prop::collection::vec(write_strategy(), 0..30), 3..=3),
+        ) {
+            let g = seed_graph(60);
+            let base = DynamicGraph::from_graph(&g);
+            let seed_rows: Vec<Vec<u32>> =
+                (0..60u32).map(|v| base.neighbors(v).to_vec()).collect();
+            let mut clones = [base.clone(), base.clone(), base.clone()];
+            let mut wrote = Vec::new();
+            for (d, script) in clones.iter_mut().zip(&scripts) {
+                wrote.push(apply_writes(d, script));
+            }
+            for (c, d) in clones.iter().enumerate() {
+                let arrivals = d.num_nodes() - 60;
+                prop_assert_eq!(d.owned_rows(), arrivals + wrote[c].len(), "clone {}", c);
+                let labels = vec![0; d.num_nodes()];
+                let rebuilt = DynamicGraph::from_graph(&d.snapshot_graph(labels, 3));
+                prop_assert_eq!(rebuilt.num_edges(), d.num_edges());
+                for v in 0..d.num_nodes() as u32 {
+                    let row = d.neighbors(v);
+                    prop_assert_eq!(row, rebuilt.neighbors(v), "clone {} row {}", c, v);
+                    prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} sorted", v);
+                    for &u in row {
+                        prop_assert!(u != v && d.has_edge(u, v), "symmetric {}-{}", u, v);
+                    }
+                }
+            }
+            // Each clone's seed rows that it never wrote are still the
+            // seed's; the seed graph itself is untouched.
+            for (c, d) in clones.iter().enumerate() {
+                for v in (0..60u32).filter(|v| !wrote[c].contains(v)) {
+                    prop_assert_eq!(d.neighbors(v), seed_rows[v as usize].as_slice());
+                }
+            }
+            prop_assert_eq!((base.num_nodes(), base.num_edges(), base.owned_rows()),
+                (60, g.num_edges(), 0));
+            for v in 0..60u32 {
+                prop_assert_eq!(base.neighbors(v), seed_rows[v as usize].as_slice());
+            }
+        }
     }
 }

@@ -192,13 +192,14 @@ impl StreamingEngine {
     /// seed graph. The replicas share what never changes: the frozen
     /// seed's feature rows (see [`DynamicGraph`]) and one λ₂ cell,
     /// which stays empty unless NAP_u or [`Self::lambda2`] reads it.
-    /// Each gets its own adjacency lists, stationary state,
-    /// normalization factors and scratch, copied from the first
-    /// replica rather than recomputed. Replicas share no mutable state
-    /// at runtime; the `nai-serve` layer keeps them convergent by
-    /// broadcasting every mutation to every replica in one global
-    /// sequence order (see [`Self::apply_replicated_ingest`] /
-    /// [`Self::apply_replicated_edge`]), so any replica can serve any
+    /// Each gets its own stationary state, normalization factors and
+    /// scratch, copied from the first replica rather than recomputed,
+    /// and its own copy-on-write adjacency: at deploy it owns no row
+    /// and reads every one from the shared seed CSR. Replicas share no
+    /// mutable state at runtime; the `nai-serve` layer keeps them
+    /// convergent by broadcasting every mutation to every replica in
+    /// one global sequence order (see [`Self::apply_replicated_ingest`]
+    /// / [`Self::apply_replicated_edge`]), so any replica can serve any
     /// node.
     ///
     /// # Panics
@@ -392,6 +393,9 @@ impl StreamingEngine {
         if nodes.is_empty() {
             return Vec::new();
         }
+        // Mutations since the last read only marked their components
+        // stale: re-round each once here, not once per mutation.
+        self.stationary.refresh();
         let classifiers = &self.classifiers;
         let heads = Heads {
             forward: &|l, feats| classifiers[l - 1].forward(feats),
@@ -972,17 +976,23 @@ mod tests {
         let seed = DynamicGraph::from_graph(&g);
         let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
         assert!(shards.iter().all(|s| s.graph().shares_seed(&seed)));
+        assert!(
+            shards.iter().all(|s| s.graph().owned_rows() == 0),
+            "replicas read every adjacency row from the seed"
+        );
         let mut rng = StdRng::seed_from_u64(17);
+        let mut touched = std::collections::BTreeSet::new();
         for step in 0..1000 {
             let n = shards[0].graph().num_nodes() as u32;
             if step % 2 == 0 {
                 let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let nbrs: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
                 shards[0].apply_replicated_ingest(&feats, &nbrs);
+                touched.extend(nbrs.into_iter().filter(|&u| u < 150));
             } else {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if u != v {
-                    shards[0].apply_replicated_edge(u, v);
+                if u != v && shards[0].apply_replicated_edge(u, v) {
+                    touched.extend([u, v].into_iter().filter(|&w| w < 150));
                 }
             }
         }
@@ -991,8 +1001,15 @@ mod tests {
             shards[0].graph().shares_seed(&seed),
             "growth keeps the seed"
         );
+        assert!(touched.len() < 150, "some seed rows are never written");
+        assert_eq!(
+            shards[0].graph().owned_rows(),
+            500 + touched.len(),
+            "the arrivals' rows plus one per seed row written"
+        );
         for s in &shards[1..] {
             assert!(s.graph().shares_seed(&seed));
+            assert_eq!(s.graph().owned_rows(), 0);
             assert_eq!(s.graph().num_nodes(), 150, "siblings untouched");
             assert_eq!(s.graph().num_edges(), g.num_edges(), "siblings untouched");
         }
