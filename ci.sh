@@ -33,13 +33,15 @@ step "cargo build --release (tier-1)" \
 step "cargo test -q (tier-1)" \
   cargo test -q
 
-# Tier-1 runs the two byte-identity oracles of the read kernel in debug
-# builds only; perfbench and the server run optimised code. Run both
+# Tier-1 runs the byte-identity oracles of the read kernel in debug
+# builds only; perfbench and the server run optimised code. Run them
 # again with --release, so an optimisation-sensitive change to the
-# kernel's arithmetic (the one summation order of Eq. (1) both graph
-# views share, or the exact stationary state) shows here.
+# kernel's arithmetic (the one summation order of Eq. (1), against the
+# offline propagation the classifiers were trained on, or the exact
+# stationary state) shows here.
 release_oracles() {
   cargo test -q --release -p nai-core --test active_regression
+  cargo test -q --release -p nai-core --test offline_oracle
   cargo test -q --release -p nai-stream --test read_path_regression
 }
 

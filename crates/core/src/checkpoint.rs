@@ -4,7 +4,7 @@
 //! A checkpoint stores the *model* — per-depth classifier weights, optional
 //! gate weights, and the architecture needed to rebuild them — but **not**
 //! the graph: the deployment graph is supplied at load time and the engine
-//! recomputes its normalized adjacency and stationary state. This matches
+//! derives its normalization factors and stationary state. This matches
 //! the paper's inductive protocol, where the model trained on `G_train` is
 //! deployed on the full graph containing unseen nodes, and lets one
 //! checkpoint serve a stream of growing graphs (see `nai-stream`).
@@ -35,9 +35,8 @@
 
 use crate::gates::GateSet;
 use crate::inference::NaiEngine;
-use crate::stationary::StationaryState;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use nai_graph::{normalized_adjacency, Convolution, Graph};
+use nai_graph::{DynamicGraph, Graph};
 use nai_models::classifier::ClassifierSnapshot;
 use nai_models::{DepthClassifier, ModelKind};
 use rand::rngs::StdRng;
@@ -89,7 +88,7 @@ pub struct ModelCheckpoint {
     pub num_classes: usize,
     /// Hidden widths of every classifier MLP.
     pub hidden: Vec<usize>,
-    /// Convolution coefficient γ used for the stationary state.
+    /// Convolution coefficient γ of the deployment's `Â` and stationary state.
     pub gamma: f32,
     classifier_snaps: Vec<ClassifierSnapshot>,
     gate_snaps: Option<Vec<(Vec<f32>, Vec<f32>)>>,
@@ -482,8 +481,8 @@ impl ModelCheckpoint {
         })
     }
 
-    /// Deploys the checkpointed model against `graph`: recomputes the
-    /// normalized adjacency and stationary state and assembles an engine.
+    /// Deploys the checkpointed model against `graph` under the
+    /// checkpoint's γ ([`NaiEngine::new`] derives the graph's state).
     ///
     /// # Panics
     /// Panics if the graph's feature dimension disagrees with the
@@ -494,14 +493,11 @@ impl ModelCheckpoint {
             self.feature_dim,
             "graph feature dim must match checkpoint"
         );
-        let norm = normalized_adjacency(&graph.adj, Convolution::Gamma(self.gamma));
-        let st = StationaryState::compute(&graph.adj, &graph.features, self.gamma);
         NaiEngine::new(
-            graph,
-            norm,
-            st,
+            DynamicGraph::from_graph(graph),
             self.build_classifiers(),
             self.build_gates(),
+            self.gamma,
         )
     }
 }

@@ -1,9 +1,9 @@
-//! The static NAI deployment: Algorithm 1 over a frozen graph.
+//! The static NAI deployment: Algorithm 1 over a graph that does not grow.
 //!
-//! [`NaiEngine`] holds a trained deployment (adjacency, normalized
-//! adjacency `Â`, features, stationary state, per-depth classifiers,
-//! optional gates) and is the frozen [`GraphView`] the read kernel
-//! ([`crate::kernel::ReadKernel`]) runs over. Every entry point goes
+//! [`NaiEngine`] holds a trained deployment — a [`GraphState`] (the graph
+//! store with its normalization factors, stationary state and λ₂ cell,
+//! the view the read kernel [`crate::kernel::ReadKernel`] runs over),
+//! per-depth classifiers and optional gates. Every entry point goes
 //! through one private batch loop that cuts the test nodes into
 //! `batch_size` batches, runs the kernel on each, and assembles the
 //! report: feature-processing time and total time (the paper's "FP Time"
@@ -17,12 +17,11 @@
 use crate::active::EngineScratch;
 use crate::config::{InferenceConfig, NapMode};
 use crate::gates::GateSet;
-use crate::kernel::{GraphView, Heads, ReadKernel, Tally};
+use crate::graph_state::GraphState;
+use crate::kernel::{Heads, ReadKernel, Tally};
 use crate::macs::MacsBreakdown;
 use crate::metrics::InferenceReport;
-use crate::stationary::StationaryState;
-use crate::upper_bound;
-use nai_graph::{CsrMatrix, Graph};
+use nai_graph::DynamicGraph;
 use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
 use std::sync::{Mutex, PoisonError};
@@ -39,23 +38,15 @@ pub struct InferenceResult {
     pub report: InferenceReport,
 }
 
-/// A trained NAI deployment: full-graph adjacency, per-depth classifiers,
-/// optional gates, and the stationary state.
+/// A trained NAI deployment: the full graph's state, per-depth
+/// classifiers and optional gates.
 pub struct NaiEngine {
-    /// Raw adjacency of the full graph (BFS frontier discovery).
-    adj: CsrMatrix,
-    /// Normalized adjacency `Â` of the full graph (online propagation).
-    norm_adj: CsrMatrix,
-    /// Raw features `X^(0)` of the full graph.
-    features: DenseMatrix,
-    /// Stationary state of the full graph.
-    stationary: StationaryState,
+    /// The full graph and what Algorithm 1 derives from it.
+    state: GraphState,
     /// `classifiers[l−1]` serves exit depth `l`.
     classifiers: Vec<DepthClassifier>,
     /// Gates for NAP_g (depths `1..k−1`).
     gates: Option<GateSet>,
-    /// Cached λ₂ estimate of `Â` (NAP_u; computed on first use).
-    lambda2: std::sync::OnceLock<f32>,
     /// Idle workspaces; holds at most as many as calls ever ran at once.
     scratch_pool: Mutex<Vec<EngineScratch>>,
 }
@@ -67,52 +58,40 @@ struct ChunkOut {
 }
 
 impl NaiEngine {
-    /// Assembles an engine.
+    /// Deploys trained classifiers (and optional gates) over `graph`
+    /// under convolution coefficient `gamma`, deriving its state once
+    /// ([`GraphState::new`]).
     ///
     /// # Panics
-    /// Panics if no classifiers are supplied or shapes disagree, including
-    /// a `norm_adj` that is not `Ã = A + I` in structure.
+    /// Panics if no classifiers are supplied or they are not ordered by
+    /// depth.
     pub fn new(
-        graph: &Graph,
-        norm_adj: CsrMatrix,
-        stationary: StationaryState,
+        graph: DynamicGraph,
         classifiers: Vec<DepthClassifier>,
         gates: Option<GateSet>,
+        gamma: f32,
     ) -> Self {
         assert!(!classifiers.is_empty(), "need at least one classifier");
-        assert_eq!(norm_adj.n(), graph.num_nodes(), "normalized adjacency size");
-        // The kernel charges `degree + 1` terms per propagated row.
-        assert_eq!(
-            norm_adj.nnz(),
-            graph.adj.nnz() + graph.adj.n(),
-            "normalized adjacency must have the structure of A + I"
-        );
         for (i, c) in classifiers.iter().enumerate() {
             assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
         }
         Self {
-            adj: graph.adj.clone(),
-            norm_adj,
-            features: graph.features.clone(),
-            stationary,
+            state: GraphState::new(graph, gamma),
             classifiers,
             gates,
-            lambda2: std::sync::OnceLock::new(),
             scratch_pool: Mutex::new(Vec::new()),
         }
     }
 
-    /// λ₂ of the normalized adjacency ([`upper_bound::lambda2`]), cached
-    /// after the first call (NAP_u treats it as a deployment constant).
+    /// λ₂ of the deployment's `Â` ([`GraphState::lambda2`]), estimated on
+    /// the first call (NAP_u treats it as a deployment constant).
     pub fn lambda2(&self) -> f32 {
-        *self
-            .lambda2
-            .get_or_init(|| upper_bound::lambda2(&self.norm_adj))
+        self.state.lambda2()
     }
 
     /// `2m + n` of the deployment graph.
     pub fn total_tilde_degree(&self) -> f64 {
-        (self.adj.nnz() + self.adj.n()) as f64
+        self.state.graph().total_tilde_degree()
     }
 
     /// Highest trained depth `k`.
@@ -137,7 +116,7 @@ impl NaiEngine {
 
     /// Feature dimensionality `f` of the deployment graph.
     pub fn feature_dim(&self) -> usize {
-        self.features.cols()
+        self.state.graph().feature_dim()
     }
 
     /// Runs Algorithm 1 over `test_nodes`, comparing predictions against
@@ -234,7 +213,7 @@ impl NaiEngine {
         assert!(depth >= 1, "depth must be positive");
         let start = Instant::now();
         if batch.is_empty() {
-            let f = self.features.cols();
+            let f = self.feature_dim();
             let levels = vec![DenseMatrix::zeros(0, f); depth + 1];
             return (levels, MacsBreakdown::default(), start.elapsed());
         }
@@ -260,8 +239,7 @@ impl NaiEngine {
         };
         let mut tally = Tally::default();
         // Fixed depth reads no stationary rows, and charges none.
-        ReadKernel::new(&cfg, depth, None, 0.0).run(
-            self,
+        ReadKernel::new(&cfg, depth, None, &self.state).run(
             batch,
             heads,
             scratch,
@@ -286,13 +264,7 @@ impl NaiEngine {
         heads: Option<Heads<'_>>,
     ) -> InferenceResult {
         debug_assert!(threads == 1 || heads.is_none(), "custom heads run inline");
-        // λ₂ is read by NAP_u only; estimating it is a one-off power
-        // iteration the other modes should not pay for.
-        let lambda2 = match cfg.nap {
-            NapMode::UpperBound { .. } => self.lambda2(),
-            _ => 0.0,
-        };
-        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), lambda2);
+        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), &self.state);
         let total_start = Instant::now();
         let forward = |l: usize, feats: &[DenseMatrix]| self.classifiers[l - 1].forward(feats);
         let macs_per_node = |l: usize| self.classifiers[l - 1].macs_per_node();
@@ -349,7 +321,7 @@ impl NaiEngine {
         }
         // Stationary precompute charged once per run (rank-1 structure;
         // see DESIGN.md §5 / EXPERIMENTS.md accounting).
-        tally.macs.stationary += self.stationary.precompute_macs();
+        tally.macs.stationary += self.state.stationary().precompute_macs();
         let total_time = total_start.elapsed();
         let eval: Vec<usize> = (0..test_nodes.len()).collect();
         let label_view: Vec<u32> = test_nodes.iter().map(|&v| labels[v as usize]).collect();
@@ -388,11 +360,11 @@ impl NaiEngine {
         for (b, batch) in nodes.chunks(cfg.batch_size).enumerate() {
             let offset = b * cfg.batch_size;
             let stationary = |x_inf: &mut DenseMatrix| {
-                self.stationary.rows_into(batch, x_inf);
-                batch.len() as u64 * self.stationary.macs_per_row()
+                let st = self.state.stationary();
+                st.rows_into(batch, x_inf);
+                batch.len() as u64 * st.macs_per_row()
             };
             kernel.run(
-                self,
                 batch,
                 heads,
                 &mut scratch,
@@ -432,49 +404,13 @@ impl NaiEngine {
     }
 }
 
-/// The frozen view: BFS and degrees come from the raw adjacency, Eq. (1)
-/// weights from the precomputed `Â`.
-impl GraphView for NaiEngine {
-    fn num_nodes(&self) -> usize {
-        self.adj.n()
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.features.cols()
-    }
-
-    fn neighbors(&self, v: u32) -> &[u32] {
-        self.adj.row_indices(v as usize)
-    }
-
-    fn feature(&self, v: u32) -> &[f32] {
-        self.features.row(v as usize)
-    }
-
-    fn total_tilde_degree(&self) -> f64 {
-        NaiEngine::total_tilde_degree(self)
-    }
-
-    /// Sums `Â`'s row `i` in column order, the self-loop at its sorted
-    /// position: the order of `CsrMatrix::spmm_gather_into` and of the
-    /// offline `propagate_features` the classifiers were trained on.
-    #[inline]
-    fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]) {
-        for (j, w) in self.norm_adj.row_iter(i as usize) {
-            for (o, &x) in out.iter_mut().zip(src_row(j)) {
-                *o += w * x;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::InferenceConfig;
     use nai_graph::generators::{generate, GeneratorConfig};
     use nai_graph::normalize::normalized_adjacency;
-    use nai_graph::Convolution;
+    use nai_graph::{Convolution, Graph};
     use nai_linalg::ops::argmax_rows;
     use nai_models::propagate_features;
     use nai_models::train::train_depth_classifier;
@@ -500,7 +436,6 @@ mod tests {
         );
         let norm = normalized_adjacency(&g.adj, Convolution::Symmetric);
         let feats = propagate_features(&norm, &g.features, k);
-        let st = StationaryState::compute(&g.adj, &g.features, 0.5);
         let train: Vec<u32> = (0..200u32).collect();
         let val: Vec<u32> = (200..250u32).collect();
         let test: Vec<u32> = (250..300u32).collect();
@@ -524,7 +459,7 @@ mod tests {
             );
             classifiers.push(clf);
         }
-        let engine = NaiEngine::new(&g, norm, st, classifiers, None);
+        let engine = NaiEngine::new(DynamicGraph::from_graph(&g), classifiers, None, 0.5);
         (engine, g, test)
     }
 

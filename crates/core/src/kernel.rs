@@ -2,17 +2,18 @@
 //!
 //! The paper has one inference procedure — online propagation with a
 //! per-node exit — whether the graph is frozen or growing. [`ReadKernel`]
-//! is that procedure over one batch of seed nodes, generic over a
-//! [`GraphView`] that says where neighbours, features and edge weights
-//! come from. The static `NaiEngine` runs it over a frozen CSR view,
-//! `nai-stream`'s `StreamingEngine` over its dynamic graph; nothing else
-//! differs between the two.
+//! is that procedure over one batch of seed nodes, over the one view a
+//! deployment has: a [`GraphState`], whose graph store gives neighbours
+//! and features and whose cached factors give Eq. (1)'s weights. The
+//! static `NaiEngine` and `nai-stream`'s `StreamingEngine` both hold one;
+//! nothing else differs between the two.
 //!
 //! Per batch the kernel:
 //!
 //! 1. checks every seed id, then asks the caller for the stationary rows
 //!    `X^(∞)` (line 2) and, under NAP_u, fixes every exit depth from
-//!    Eq. (10) before propagation;
+//!    Eq. (10) before propagation (λ₂, which only NAP_u reads, is
+//!    estimated once per deployment, when the first NAP_u kernel is made);
 //! 2. BFS-collects the supporting hop sets (line 3). Depth 1 reads raw
 //!    feature rows in place from the view, so BFS stops at `t_max − 1`
 //!    hops and `sets[l − 1]` is the support of depth `l`; the widest
@@ -34,46 +35,13 @@
 use crate::active::EngineScratch;
 use crate::config::{InferenceConfig, NapMode};
 use crate::gates::GateSet;
+use crate::graph_state::GraphState;
 use crate::macs::MacsBreakdown;
 use crate::napd;
 use crate::upper_bound;
 use nai_linalg::ops::{argmax_rows, l2_distance};
 use nai_linalg::DenseMatrix;
 use std::time::{Duration, Instant};
-
-/// What Algorithm 1 reads from the graph it serves.
-///
-/// Eq. (1)'s operator is `Â = D̃^(γ−1) (A + I) D̃^(−γ)`, so row `i` of `Â`
-/// has `degree(i) + 1` terms: one per neighbour plus the self-loop. The
-/// kernel charges `(degree(i) + 1) · f` MACs per gathered row.
-pub trait GraphView: Sync {
-    /// Number of nodes; every seed id must be below it.
-    fn num_nodes(&self) -> usize;
-
-    /// Feature dimension `f`.
-    fn feature_dim(&self) -> usize;
-
-    /// Neighbours of `v` (raw adjacency, no self-loop), for BFS.
-    fn neighbors(&self, v: u32) -> &[u32];
-
-    /// Neighbour count of `v`.
-    fn degree(&self, v: u32) -> usize {
-        self.neighbors(v).len()
-    }
-
-    /// Raw feature row `X^(0)_v`, read in place.
-    fn feature(&self, v: u32) -> &[f32];
-
-    /// `2m + n` of the graph (the Eq. (10) normalizer).
-    fn total_tilde_degree(&self) -> f64;
-
-    /// Adds `Σ_j Â_ij · src_row(j)` over `j ∈ N(i) ∪ {i}` into `out`.
-    ///
-    /// Every view sums in `Â`'s column order, the self-loop at its sorted
-    /// place: float addition does not associate, so the order is part of
-    /// the answer, and exits decided on its last bits depend on it.
-    fn gather_row<'s>(&self, i: u32, src_row: impl Fn(u32) -> &'s [f32], out: &mut [f32]);
-}
 
 /// Wall time split by engine pipeline stage, attributed at the same
 /// sites where [`MacsBreakdown`] is charged.
@@ -180,20 +148,24 @@ pub struct Tally {
     pub times: StageTimes,
 }
 
-/// Algorithm 1 under one validated [`InferenceConfig`].
+/// Algorithm 1 under one validated [`InferenceConfig`], over one
+/// deployment's [`GraphState`].
 ///
 /// Construction checks the config once; [`Self::run`] then serves any
-/// number of batches over any [`GraphView`].
+/// number of batches.
 #[derive(Clone, Copy)]
 pub struct ReadKernel<'a> {
     cfg: &'a InferenceConfig,
     gates: Option<&'a GateSet>,
+    state: &'a GraphState,
     lambda2: f32,
 }
 
 impl<'a> ReadKernel<'a> {
     /// A kernel for classifiers trained to depth `k`, with optional NAP_g
-    /// `gates` and the λ₂ estimate NAP_u reads (no other mode reads it).
+    /// `gates`, over `state`. Under NAP_u it reads the state's λ₂ here,
+    /// estimating it on the deployment's first such read; no other mode
+    /// reads it.
     ///
     /// # Panics
     /// Panics if `cfg` fails validation against `k`, or gate NAP is
@@ -202,7 +174,7 @@ impl<'a> ReadKernel<'a> {
         cfg: &'a InferenceConfig,
         k: usize,
         gates: Option<&'a GateSet>,
-        lambda2: f32,
+        state: &'a GraphState,
     ) -> Self {
         // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
         // (documented # Panics): a bad config must abort before inference.
@@ -213,9 +185,14 @@ impl<'a> ReadKernel<'a> {
                 "gate NAP requested but the engine has no trained gates"
             );
         }
+        let lambda2 = match cfg.nap {
+            NapMode::UpperBound { .. } => state.lambda2(),
+            _ => 0.0,
+        };
         Self {
             cfg,
             gates,
+            state,
             lambda2,
         }
     }
@@ -225,7 +202,7 @@ impl<'a> ReadKernel<'a> {
         self.cfg
     }
 
-    /// Runs Algorithm 1 for the seed batch `nodes` over `view`.
+    /// Runs Algorithm 1 for the seed batch `nodes`.
     ///
     /// `stationary(x_inf)` fills the batch's stationary rows (aligned with
     /// `nodes`) and returns the MACs to charge for them. `sink(row,
@@ -234,12 +211,10 @@ impl<'a> ReadKernel<'a> {
     /// `tally`.
     ///
     /// # Panics
-    /// Panics if a seed id is out of range for `view` — before `scratch`
-    /// is touched.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run<V: GraphView>(
+    /// Panics if a seed id is out of range for the graph — before
+    /// `scratch` is touched.
+    pub fn run(
         &self,
-        view: &V,
         nodes: &[u32],
         heads: Heads<'_>,
         scratch: &mut EngineScratch,
@@ -247,7 +222,9 @@ impl<'a> ReadKernel<'a> {
         tally: &mut Tally,
         mut sink: impl FnMut(usize, usize, usize),
     ) {
-        let (cfg, n, f) = (self.cfg, view.num_nodes(), view.feature_dim());
+        let (cfg, state) = (self.cfg, self.state);
+        let graph = state.graph();
+        let (n, f) = (graph.num_nodes(), graph.feature_dim());
         for &v in nodes {
             assert!((v as usize) < n, "node {v} out of range");
         }
@@ -267,11 +244,11 @@ impl<'a> ReadKernel<'a> {
             NapMode::UpperBound { ts } => {
                 macs.nap += nodes.len() as u64 * 4;
                 upper_bound::assign_depths_by(
-                    |v| view.degree(v),
+                    |v| graph.degree(v),
                     nodes,
                     ts,
                     self.lambda2,
-                    view.total_tilde_degree(),
+                    graph.total_tilde_degree(),
                     cfg.t_min,
                     cfg.t_max,
                 )
@@ -281,7 +258,7 @@ impl<'a> ReadKernel<'a> {
         clock.nap();
 
         scratch.bfs.hop_sets_by_into(
-            |u| view.neighbors(u).iter().copied(),
+            |u| graph.neighbors(u).iter().copied(),
             nodes,
             cfg.t_max - 1,
             &mut scratch.plan.sets,
@@ -289,7 +266,7 @@ impl<'a> ReadKernel<'a> {
         for (r, &v) in nodes.iter().enumerate() {
             scratch.history[0]
                 .row_mut(r)
-                .copy_from_slice(view.feature(v));
+                .copy_from_slice(graph.feature(v));
         }
 
         for l in 1..=cfg.t_max {
@@ -298,9 +275,9 @@ impl<'a> ReadKernel<'a> {
             // a monomorphized gather loop.
             macs.propagation += if l == 1 {
                 gather_step(
-                    view,
+                    state,
                     &support,
-                    |j| view.feature(j),
+                    |j| graph.feature(j),
                     &mut scratch.h_next,
                     cfg.parallel_spmm,
                 )
@@ -316,7 +293,7 @@ impl<'a> ReadKernel<'a> {
                     &prev[local * f..(local + 1) * f]
                 };
                 gather_step(
-                    view,
+                    state,
                     &support,
                     prev_row,
                     &mut scratch.h_next,
@@ -406,7 +383,7 @@ impl<'a> ReadKernel<'a> {
                 // the survivors' neighbourhoods, in place.
                 if l < cfg.t_max {
                     scratch.bfs.shrink_hop_sets_by(
-                        |u| view.neighbors(u).iter().copied(),
+                        |u| graph.neighbors(u).iter().copied(),
                         scratch.active.nodes(),
                         &mut scratch.plan.sets[l..cfg.t_max],
                         cfg.t_max - l - 1,
@@ -426,28 +403,30 @@ impl<'a> ReadKernel<'a> {
 }
 
 /// One propagation step `out[t] = Σ_j Â_ij · src_row(j)` for every `i =
-/// support[t]`, each row summed by [`GraphView::gather_row`]; returns
-/// its MACs.
+/// support[t]`, each row summed by [`GraphState::gather_row`]; returns
+/// its MACs: `(degree(i) + 1) · f` per row, one term per neighbour plus
+/// the self-loop.
 ///
 /// When `parallel` is set, output rows are filled concurrently via
 /// `nai_linalg::parallel` (honoring `InferenceConfig::parallel_spmm`).
 /// Each row is an independent reduction, so results and the MAC count
 /// are bit-identical with the serial path; small frontiers fall back to
 /// the serial loop.
-fn gather_step<'s, V: GraphView>(
-    view: &V,
+fn gather_step<'s>(
+    state: &GraphState,
     support: &[u32],
     src_row: impl Fn(u32) -> &'s [f32] + Sync,
     out: &mut DenseMatrix,
     parallel: bool,
 ) -> u64 {
-    let f = view.feature_dim();
+    let graph = state.graph();
+    let f = graph.feature_dim();
     out.reset_zeroed(support.len(), f);
     // Every term is readable via `src_row` by the nesting invariant, so
     // the MAC count is exact without a pass over the features.
     let macs: u64 = support
         .iter()
-        .map(|&i| (view.degree(i) as u64 + 1) * f as u64)
+        .map(|&i| (graph.degree(i) as u64 + 1) * f as u64)
         .sum();
     let avg_cost = (macs as usize / support.len().max(1)).max(1);
     let threads = if parallel && f > 0 && !support.is_empty() {
@@ -457,13 +436,13 @@ fn gather_step<'s, V: GraphView>(
     };
     if threads <= 1 {
         for (t, &i) in support.iter().enumerate() {
-            view.gather_row(i, &src_row, out.row_mut(t));
+            state.gather_row(i, &src_row, out.row_mut(t));
         }
         return macs;
     }
     nai_linalg::parallel::par_rows_mut(out.as_mut_slice(), f, avg_cost, |row0, chunk| {
         for (off, orow) in chunk.chunks_mut(f).enumerate() {
-            view.gather_row(support[row0 + off], &src_row, orow);
+            state.gather_row(support[row0 + off], &src_row, orow);
         }
     });
     macs

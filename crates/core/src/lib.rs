@@ -13,12 +13,14 @@
 //! * [`gates`] — Gate-based NAP: per-depth trained gates with
 //!   Gumbel-softmax relaxation and the inference-time penalty mechanism
 //!   (Eq. 11–13);
+//! * [`graph_state`] — the one deployment state both engines read: the
+//!   graph store plus the normalization factors, stationary state and λ₂
+//!   derived from it, built and mutated in one place;
 //! * [`kernel`] — Algorithm 1, written once: online propagation with
-//!   per-node early exit and shrinking supporting frontiers, generic over
-//!   a [`kernel::GraphView`] (the static and streaming engines are its
-//!   two views);
-//! * [`inference`] — the static deployment [`inference::NaiEngine`]: the
-//!   frozen-CSR view plus the batch loop;
+//!   per-node early exit and shrinking supporting frontiers, over a
+//!   [`graph_state::GraphState`];
+//! * [`inference`] — the static deployment [`inference::NaiEngine`]: a
+//!   graph state that never grows plus the batch loop;
 //! * [`active`] — the allocation-free active-set / frontier-plan
 //!   bookkeeping the kernel runs on;
 //! * [`distill`] — Inception Distillation (Eq. 14–21): Single-Scale KD
@@ -35,6 +37,7 @@ pub mod config;
 pub mod distill;
 pub mod eval;
 pub mod gates;
+pub mod graph_state;
 pub mod inference;
 pub mod kernel;
 pub mod macs;

@@ -7,8 +7,8 @@
 //!
 //! Steps: (1) feature propagation on the training graph → (2) base
 //! classifier `f^(k)` → (3) Single-Scale Distillation → (4) Multi-Scale
-//! Distillation → (optional) gate training → engine assembly with
-//! full-graph adjacency and stationary state.
+//! Distillation → (optional) gate training → engine assembly over the
+//! full graph's state.
 
 use crate::config::PipelineConfig;
 use crate::distill::{self, MultiScaleReport};
@@ -16,7 +16,7 @@ use crate::gates::{GateSet, GateTrainConfig, GateTrainReport};
 use crate::inference::NaiEngine;
 use crate::stationary::StationaryState;
 use nai_graph::split::build_training_view;
-use nai_graph::{normalized_adjacency, Convolution, Graph, InductiveSplit};
+use nai_graph::{normalized_adjacency, Convolution, DynamicGraph, Graph, InductiveSplit};
 use nai_models::{propagate_features, ModelKind};
 use nai_nn::adam::Adam;
 use nai_nn::trainer::{TrainConfig, TrainReport};
@@ -177,10 +177,8 @@ impl NaiPipeline {
             None
         };
 
-        // (6) Full-graph deployment state.
-        let norm_full = normalized_adjacency(&graph.adj, Convolution::Symmetric);
-        let st_full = StationaryState::compute(&graph.adj, &graph.features, 0.5);
-        let engine = NaiEngine::new(graph, norm_full, st_full, classifiers, gates);
+        // (6) Full-graph deployment (symmetric γ = ½, as trained).
+        let engine = NaiEngine::new(DynamicGraph::from_graph(graph), classifiers, gates, 0.5);
 
         TrainedNai {
             engine,

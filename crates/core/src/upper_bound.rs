@@ -5,8 +5,7 @@
 //!
 //! The first term says depth falls with node degree and rises with graph
 //! size/sparsity; the second says neighboring depths differ by at most one.
-//! We expose both terms so tests (and the complexity bench) can verify the
-//! structural properties the paper derives from them.
+//! NAP_u assigns depths from the first term ([`spectral_bound`]).
 
 use nai_graph::CsrMatrix;
 
@@ -68,8 +67,8 @@ pub fn assign_depths(
 
 /// [`assign_depths`] over an arbitrary degree function — `degree(v)` is
 /// the neighbour count of `v` — so graph representations that are not
-/// CSR share the one policy (the read kernel calls it through
-/// `GraphView::degree`).
+/// CSR share the one policy (the read kernel calls it with
+/// `DynamicGraph::degree`).
 ///
 /// # Panics
 /// Panics if `t_min > t_max` (or `degree` panics on an id).
@@ -93,22 +92,6 @@ pub fn assign_depths_by(
             }
         })
         .collect()
-}
-
-/// Verifies the neighbor-Lipschitz property (second term of Eq. 10):
-/// adjacent nodes' personalized depths differ by at most one. Returns the
-/// violating pair if any.
-pub fn check_neighbor_lipschitz(adj: &CsrMatrix, depths: &[usize]) -> Option<(u32, u32)> {
-    for i in 0..adj.n() {
-        for (j, _) in adj.row_iter(i) {
-            let a = depths[i];
-            let b = depths[j as usize];
-            if a > b + 1 || b > a + 1 {
-                return Some((i as u32, j));
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -175,13 +158,6 @@ mod tests {
         // ts huge ⇒ arg ≥ 1 ⇒ bound 0 ⇒ clamped up to t_min.
         let eager = assign_depths(&adj, &[0, 1], 100.0, 0.8, 4.0, 2, 5);
         assert_eq!(eager, vec![2, 2]);
-    }
-
-    #[test]
-    fn lipschitz_checker_finds_violations() {
-        let adj = nai_graph::CsrMatrix::undirected_adjacency(3, &[(0, 1), (1, 2)]).unwrap();
-        assert!(check_neighbor_lipschitz(&adj, &[1, 2, 3]).is_none());
-        assert_eq!(check_neighbor_lipschitz(&adj, &[1, 3, 3]), Some((0, 1)));
     }
 
     #[test]

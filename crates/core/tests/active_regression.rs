@@ -78,7 +78,12 @@ fn engine() -> (NaiEngine, Graph, Vec<u32>) {
             ..GateTrainConfig::default()
         },
     );
-    let engine = NaiEngine::new(&g, norm, st, classifiers, Some(gates));
+    let engine = NaiEngine::new(
+        nai_graph::DynamicGraph::from_graph(&g),
+        classifiers,
+        Some(gates),
+        0.5,
+    );
     (engine, g, test)
 }
 

@@ -4,9 +4,8 @@ use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::eval::{expected_calibration_error, ConfusionMatrix};
 use nai_core::gates::GateSet;
 use nai_core::inference::NaiEngine;
-use nai_core::stationary::StationaryState;
 use nai_graph::generators::{generate, GeneratorConfig};
-use nai_graph::{normalized_adjacency, Convolution};
+use nai_graph::DynamicGraph;
 use nai_linalg::DenseMatrix;
 use nai_models::{DepthClassifier, ModelKind};
 use proptest::prelude::*;
@@ -48,9 +47,7 @@ fn engine_of(
         .map(|l| DepthClassifier::new(kind, l, f, c, hidden, 0.0, &mut rng))
         .collect();
     let gate_set = (gates && k >= 2).then(|| GateSet::new(f, k, &mut rng));
-    let norm = normalized_adjacency(&g.adj, Convolution::Symmetric);
-    let st = StationaryState::compute(&g.adj, &g.features, 0.5);
-    NaiEngine::new(&g, norm, st, classifiers, gate_set)
+    NaiEngine::new(DynamicGraph::from_graph(&g), classifiers, gate_set, 0.5)
 }
 
 proptest! {

@@ -6,9 +6,8 @@
 use nai_core::config::{InferenceConfig, NapMode};
 use nai_core::gates::GateSet;
 use nai_core::inference::{InferenceResult, NaiEngine};
-use nai_core::stationary::StationaryState;
 use nai_graph::generators::{generate, GeneratorConfig};
-use nai_graph::{normalized_adjacency, Convolution, Graph};
+use nai_graph::{DynamicGraph, Graph};
 use nai_linalg::DenseMatrix;
 use nai_models::{DepthClassifier, ModelKind};
 use rand::rngs::StdRng;
@@ -40,13 +39,7 @@ fn deploy(g: &Graph) -> NaiEngine {
         .map(|l| DepthClassifier::new(ModelKind::Sgc, l, F, 3, &[8], 0.0, &mut rng))
         .collect();
     let gates = GateSet::new(F, K, &mut rng);
-    NaiEngine::new(
-        g,
-        normalized_adjacency(&g.adj, Convolution::Symmetric),
-        StationaryState::compute(&g.adj, &g.features, 0.5),
-        classifiers,
-        Some(gates),
-    )
+    NaiEngine::new(DynamicGraph::from_graph(g), classifiers, Some(gates), 0.5)
 }
 
 fn assert_same(got: &InferenceResult, want: &InferenceResult, tag: &str) {

@@ -1,10 +1,11 @@
-//! A growable undirected graph for streaming arrivals.
+//! The one graph store of a deployment: a growable undirected graph.
 //!
-//! [`nai_graph::CsrMatrix`] is immutable by design (compressed storage
-//! cannot absorb appends); streaming workloads instead keep adjacency
-//! rows they can grow, and the streaming engine caches each node's
+//! [`CsrMatrix`] is immutable by design (compressed storage cannot
+//! absorb appends); a deployment instead keeps adjacency rows it can
+//! grow, and `nai-core`'s deployment state caches each node's
 //! normalization factors and refreshes them when a mutation changes that
-//! node's degree, so an arrival never invalidates a stored matrix.
+//! node's degree, so an arrival never invalidates a stored matrix. The
+//! static and the streaming engine both read this store.
 //!
 //! A graph splits into a frozen **seed** and what grew after it. The
 //! seed is the graph as deployed — its feature rows and its adjacency
@@ -18,9 +19,9 @@
 //! adjacency is two `u32`s per node (where its row lives) plus the rows
 //! it owns, so a clone of a deployed graph copies no row.
 
-use crate::sync::Arc;
-use nai_graph::{CsrMatrix, Graph};
+use crate::{CsrMatrix, Graph};
 use nai_linalg::DenseMatrix;
+use std::sync::Arc;
 
 /// The immutable graph a [`DynamicGraph`] was deployed from.
 #[derive(Debug)]
@@ -56,8 +57,8 @@ fn csr_of<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>, num_edges: usize) 
             }
         }
     }
-    // nai-lint: allow(hot-path-panic) -- edges are read out of our own
-    // adjacency rows, so every endpoint is < num_nodes by construction.
+    // Edges are read out of our own adjacency rows, so every endpoint
+    // is < num_nodes by construction.
     CsrMatrix::undirected_adjacency(n, &edges).expect("valid dynamic graph")
 }
 
@@ -191,20 +192,24 @@ impl DynamicGraph {
 
     /// Whether a node or edge was added since the seed was frozen. The
     /// graph only grows, so equal counts mean nothing changed.
-    pub(crate) fn grown_since_seed(&self) -> bool {
+    fn grown_since_seed(&self) -> bool {
         self.num_nodes() != self.seed_nodes || self.num_edges != self.seed.num_edges
     }
 
     /// How many adjacency rows this graph owns rather than reads from
     /// the seed: its arrivals plus the distinct seed rows written to.
     #[cfg(test)]
-    pub(crate) fn owned_rows(&self) -> usize {
+    fn owned_rows(&self) -> usize {
         self.owned.len()
     }
 
-    /// Makes the current graph the seed: one copy of every feature row
-    /// and adjacency row into a new, unshared seed.
-    pub(crate) fn freeze(&mut self) {
+    /// Makes the current graph the seed, if it grew since its seed was
+    /// frozen: one copy of every feature row and adjacency row into a
+    /// new, unshared seed. An ungrown graph keeps (and shares) its seed.
+    pub fn freeze(&mut self) {
+        if !self.grown_since_seed() {
+            return;
+        }
         let features = self.all_features();
         let n = self.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -232,7 +237,7 @@ impl DynamicGraph {
 
     /// Materializes the frozen seed's adjacency as a [`CsrMatrix`] —
     /// what [`Self::snapshot_csr`] returned before the graph grew.
-    pub(crate) fn seed_csr(&self) -> CsrMatrix {
+    pub fn seed_csr(&self) -> CsrMatrix {
         let seed = &self.seed;
         csr_of((0..seed.num_nodes()).map(|i| seed.row(i)), seed.num_edges)
     }
@@ -252,12 +257,19 @@ impl DynamicGraph {
         self.feature_dim
     }
 
-    /// Degree of `v` (neighbor count, self excluded).
+    /// Degree of `v` (neighbor count, self excluded), read from where
+    /// the row lives without slicing it.
     ///
     /// # Panics
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.neighbors(v).len()
+        let RowRef { start, len } = self.rows[v as usize];
+        if start == OWNED {
+            self.owned[len as usize].len()
+        } else {
+            len as usize
+        }
     }
 
     /// Neighbors of `v`, sorted ascending: the seed's row, read in
@@ -458,8 +470,7 @@ impl DynamicGraph {
         let features =
             DenseMatrix::from_vec(self.num_nodes(), self.feature_dim, self.all_features());
         Graph::new(self.snapshot_csr(), features, labels, num_classes)
-            // nai-lint: allow(hot-path-panic) -- deliberate precondition assert
-            // (documented # Panics); label arity is checked two lines up.
+            // Label arity is checked two lines up.
             .expect("snapshot is structurally valid")
     }
 }
@@ -467,7 +478,7 @@ impl DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nai_graph::generators::{generate, GeneratorConfig};
+    use crate::generators::{generate, GeneratorConfig};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -854,6 +865,7 @@ mod tests {
                 prop_assert_eq!(rebuilt.num_edges(), d.num_edges());
                 for v in 0..d.num_nodes() as u32 {
                     let row = d.neighbors(v);
+                    prop_assert_eq!(d.degree(v), row.len(), "clone {} degree {}", c, v);
                     prop_assert_eq!(row, rebuilt.neighbors(v), "clone {} row {}", c, v);
                     prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} sorted", v);
                     for &u in row {

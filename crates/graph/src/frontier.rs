@@ -232,12 +232,6 @@ impl BfsScratch {
     }
 }
 
-/// Total nnz over the rows of `nodes` — the SpMM cost of propagating one
-/// step for this frontier (in multiply-accumulates per feature column).
-pub fn frontier_nnz(adj: &CsrMatrix, nodes: &[u32]) -> u64 {
-    nodes.iter().map(|&u| adj.row_nnz(u as usize) as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,13 +370,6 @@ mod tests {
         let mut bfs = BfsScratch::new(5);
         let mut sets = bfs.hop_sets(&adj, &[0], 3);
         bfs.shrink_hop_sets(&adj, &[0], &mut sets[..], 2);
-    }
-
-    #[test]
-    fn frontier_nnz_counts_degrees() {
-        let adj = path5();
-        assert_eq!(frontier_nnz(&adj, &[0, 2]), 1 + 2);
-        assert_eq!(frontier_nnz(&adj, &[]), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sparse graph substrate for the NAI reproduction.
 //!
-//! The paper's entire pipeline runs on top of four graph primitives, all
+//! The paper's entire pipeline runs on top of five graph primitives, all
 //! implemented here from scratch:
 //!
 //! * [`csr::CsrMatrix`] — compressed sparse row matrix with parallel
@@ -12,6 +12,9 @@
 //! * [`frontier`] — k-hop supporting-node discovery (BFS with reusable
 //!   stamp marks), the inductive-inference "sample supporting nodes" step
 //!   of Algorithm 1;
+//! * [`dynamic::DynamicGraph`] — the graph store a deployment serves
+//!   from: the frozen seed's CSR read in place, copy-on-write rows for
+//!   what mutations touch, and an append-only tail of arrivals;
 //! * [`generators`] — degree-corrected stochastic block models with
 //!   power-law degrees and class-correlated noisy features, used to build
 //!   the dataset proxies described in DESIGN.md.
@@ -22,6 +25,7 @@
 //! train ∪ val nodes; test nodes stay unseen until inference.
 
 pub mod csr;
+pub mod dynamic;
 pub mod frontier;
 pub mod generators;
 pub mod graph;
@@ -30,6 +34,7 @@ pub mod normalize;
 pub mod split;
 
 pub use csr::CsrMatrix;
+pub use dynamic::DynamicGraph;
 pub use graph::Graph;
 pub use normalize::{normalized_adjacency, Convolution};
 pub use split::InductiveSplit;

@@ -65,11 +65,6 @@ pub fn normalized_adjacency(adj: &CsrMatrix, conv: Convolution) -> CsrMatrix {
     CsrMatrix::from_coo(n, &triplets).expect("indices verified by construction")
 }
 
-/// Degrees-plus-one vector `d̃` used by the stationary-state formula.
-pub fn tilde_degrees(adj: &CsrMatrix) -> Vec<f32> {
-    adj.degrees().iter().map(|&d| d + 1.0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,11 +143,6 @@ mod tests {
             .unwrap();
         assert!((w - 1.0).abs() < 1e-6);
         assert_eq!(norm.row_nnz(0), 1);
-    }
-
-    #[test]
-    fn tilde_degrees_are_deg_plus_one() {
-        assert_eq!(tilde_degrees(&path4()), vec![2.0, 3.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -121,18 +121,12 @@ mod tests {
         n_nodes: usize,
         seed: u64,
     ) -> (nai_core::checkpoint::ModelCheckpoint, DynamicGraph) {
-        use nai_graph::{normalized_adjacency, Convolution};
-        let g = graph(n_nodes, seed);
-        let engine = nai_core::inference::NaiEngine::new(
-            &g,
-            normalized_adjacency(&g.adj, Convolution::Symmetric),
-            nai_core::stationary::StationaryState::compute(&g.adj, &g.features, 0.5),
-            classifiers(seed),
-            None,
-        );
+        let seed_graph = DynamicGraph::from_graph(&graph(n_nodes, seed));
+        let engine =
+            nai_core::inference::NaiEngine::new(seed_graph.clone(), classifiers(seed), None, 0.5);
         (
             nai_core::checkpoint::ModelCheckpoint::from_engine(&engine, 0.5),
-            DynamicGraph::from_graph(&g),
+            seed_graph,
         )
     }
 

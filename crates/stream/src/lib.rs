@@ -7,10 +7,11 @@
 //! prediction now. This crate supplies the substrate the paper assumes but
 //! never spells out:
 //!
-//! * [`dynamic::DynamicGraph`] — a growable undirected graph with O(1)
-//!   amortized node/edge appends and no stored normalized matrix to go
-//!   stale (the engine keeps per-node normalization factors and refreshes
-//!   them for the nodes each mutation touches);
+//! * [`DynamicGraph`] — re-exported from `nai-graph`: the growable
+//!   undirected graph store every deployment serves from, with no stored
+//!   normalized matrix to go stale (the deployment state in `nai-core`
+//!   keeps per-node normalization factors and refreshes them for the
+//!   nodes each mutation touches);
 //! * [`engine::StreamingEngine`] — per-arrival Algorithm 1: ingest a node,
 //!   flush a micro-batch, get back predictions with personalized depths
 //!   and the latency of the micro-batch that served each one;
@@ -19,18 +20,17 @@
 //!   caller's to keep: fold `StreamPrediction::latency` into an
 //!   `nai_obs` histogram.
 //!
-//! The static [`nai_core::inference::NaiEngine`] and this engine run one
-//! read kernel ([`nai_core::kernel`]) in one summation order over one
-//! exact [`nai_core::stationary::StationaryState`], so on one graph they
-//! answer bit for bit alike (`engine.rs`, `tests/scenario_matrix.rs`);
-//! the streaming engine answers against the graph *as it existed at
-//! arrival time*, without rebuilding CSR matrices or stationary states.
+//! The static [`nai_core::inference::NaiEngine`] and this engine hold one
+//! kind of state ([`nai_core::graph_state::GraphState`]) and run one read
+//! kernel ([`nai_core::kernel`]) over it, so on one graph they answer bit
+//! for bit alike (`engine.rs`, `tests/scenario_matrix.rs`); the streaming
+//! engine answers against the graph *as it existed at arrival time*,
+//! without rebuilding CSR matrices or stationary states.
 
-pub mod dynamic;
 pub mod engine;
 pub mod stats;
 pub mod sync;
 
-pub use dynamic::DynamicGraph;
 pub use engine::{StreamPrediction, StreamingEngine};
+pub use nai_graph::DynamicGraph;
 pub use stats::{MacsBreakdown, StageTimes};

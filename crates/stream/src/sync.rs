@@ -1,22 +1,7 @@
-//! Sync facade: the one place in `nai-stream` that names `std::sync`.
-//!
-//! Normal builds re-export `std::sync`; under `--cfg nai_model` the types
-//! come from the workspace's `loom` model checker instead, so concurrency
-//! tests can exhaustively explore interleavings of code that uses these
-//! primitives. Code in this crate must import sync primitives from here,
-//! never from `std::sync` directly (the serve crate enforces the same rule
-//! with a CI grep lint).
-
-#[cfg(not(nai_model))]
-pub use std::sync::Arc;
-
-#[cfg(nai_model)]
-pub use loom::sync::Arc;
-
-/// A write-once cell. The model checker has no counterpart, and needs
-/// none: a cell is filled by a pure function of immutable data, so
-/// every interleaving of racing fills stores the same value.
-pub use std::sync::OnceLock;
+//! Sync facade: the one place in `nai-stream` that names `std::sync` or
+//! `std::time::Instant`. Code in this crate must import such primitives
+//! from here, never from `std` directly (the workspace linter's
+//! `sync-facade` rule enforces it).
 
 /// Monotonic time, routed through the facade so the whole crate stays
 /// free of direct `std::time::Instant` references (model-checked builds

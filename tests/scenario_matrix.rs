@@ -14,9 +14,7 @@
 
 use nai::core::config::InferenceConfig;
 use nai::core::inference::NaiEngine;
-use nai::core::stationary::StationaryState;
 use nai::datasets::{Scale, TopologySpec};
-use nai::graph::{normalized_adjacency, Convolution};
 use nai::models::{DepthClassifier, ModelKind};
 use nai::stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
@@ -47,11 +45,10 @@ fn streaming_and_batch_engines_agree_on_every_scenario_topology() {
         let scenario = spec.build();
         let g = &scenario.graph;
         let static_engine = NaiEngine::new(
-            g,
-            normalized_adjacency(&g.adj, Convolution::Symmetric),
-            StationaryState::compute(&g.adj, &g.features, 0.5),
+            DynamicGraph::from_graph(g),
             classifiers(g.feature_dim(), g.num_classes),
             None,
+            0.5,
         );
         let mut streaming = StreamingEngine::new(
             DynamicGraph::from_graph(g),
