@@ -42,7 +42,7 @@ step "cargo test -q (tier-1)" \
 release_oracles() {
   cargo test -q --release -p nai-core --test active_regression
   cargo test -q --release -p nai-core --test offline_oracle
-  cargo test -q --release -p nai-stream --test read_path_regression
+  cargo test -q --release -p nai-core --test read_path_regression
 }
 
 step "read-kernel oracles (--release)" \
@@ -120,7 +120,7 @@ lint_selftest() {
 step "lint_selftest (bad fixture crate must produce findings + exit 1)" \
   lint_selftest
 
-# Deterministic concurrency model check: rebuilds the serve/stream sync
+# Deterministic concurrency model check: rebuilds the serve/obs sync
 # facades against the in-tree loom model checker (--cfg nai_model, its
 # own target dir so normal builds stay cached) and exhaustively explores
 # thread interleavings of the serve core's admission / panic-repair /

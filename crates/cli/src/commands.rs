@@ -6,16 +6,16 @@ use nai_core::config::{
     CacheConfig, DistillConfig, InferenceConfig, LoadShedPolicy, NapMode, PipelineConfig,
     ServeConfig,
 };
+use nai_core::engine::{StreamPrediction, StreamingEngine};
 use nai_core::eval::ConfusionMatrix;
 use nai_core::inference::InferenceResult;
 use nai_core::pipeline::NaiPipeline;
 use nai_datasets::{load, DatasetId, Scale};
 use nai_graph::io::{load_graph, load_split, save_graph, save_split};
-use nai_graph::{Graph, InductiveSplit};
+use nai_graph::{DynamicGraph, Graph, InductiveSplit};
 use nai_models::ModelKind;
 use nai_obs::LogHistogram;
 use nai_serve::{NaiService, Server};
-use nai_stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -389,7 +389,7 @@ impl RunSummary {
     }
 
     /// Each prediction's latency is that of the micro-batch it rode in.
-    fn record_all(&self, preds: &[nai_stream::StreamPrediction]) {
+    fn record_all(&self, preds: &[StreamPrediction]) {
         for p in preds {
             self.record(p.latency, p.depth);
         }

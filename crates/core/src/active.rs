@@ -19,7 +19,8 @@
 //!   above plus the BFS scratch, feature ping-pong buffers, and the
 //!   per-depth history pool. After the first batch warms it up, a batch
 //!   performs no `O(n)` work and no per-depth allocations. `NaiEngine`
-//!   pools them across calls; `StreamingEngine` owns one.
+//!   pools them across its batch-loop calls; a `StreamingEngine` owns
+//!   one and passes it to every read.
 //!
 //! The frontier-shrink invariant the kernel relies on — `N(sets[l+1]) ⊆
 //! sets[l]`, preserved by `BfsScratch::shrink_hop_sets` — is documented

@@ -7,7 +7,7 @@
 //! derives its normalization factors and stationary state. This matches
 //! the paper's inductive protocol, where the model trained on `G_train` is
 //! deployed on the full graph containing unseen nodes, and lets one
-//! checkpoint serve a stream of growing graphs (see `nai-stream`).
+//! checkpoint serve a stream of growing graphs (see [`crate::engine`]).
 //!
 //! The format is the same little-endian, magic-and-version style as
 //! `nai-graph::io` (magic `NAIC`). Checkpoints are deployment artifacts:
@@ -488,13 +488,22 @@ impl ModelCheckpoint {
     /// Panics if the graph's feature dimension disagrees with the
     /// checkpoint.
     pub fn deploy(&self, graph: &Graph) -> NaiEngine {
+        self.deploy_dynamic(DynamicGraph::from_graph(graph))
+    }
+
+    /// [`Self::deploy`] over a graph store: the one deploy path, shared
+    /// with `StreamingEngine::from_checkpoint`.
+    ///
+    /// # Panics
+    /// As [`Self::deploy`].
+    pub(crate) fn deploy_dynamic(&self, graph: DynamicGraph) -> NaiEngine {
         assert_eq!(
             graph.feature_dim(),
             self.feature_dim,
             "graph feature dim must match checkpoint"
         );
         NaiEngine::new(
-            DynamicGraph::from_graph(graph),
+            graph,
             self.build_classifiers(),
             self.build_gates(),
             self.gamma,

@@ -37,8 +37,8 @@ pub struct InferenceConfig {
     /// Test-batch size (the paper's default is 500).
     pub batch_size: usize,
     /// Parallelize each propagation SpMM over the frontier's rows
-    /// (`nai_linalg::parallel`), honored by both the static engine and
-    /// the streaming engine. Results are bit-identical either way —
+    /// (`nai_linalg::parallel`), honored by every read of the engine,
+    /// batch or streaming. Results are bit-identical either way —
     /// every output row is an independent reduction — so this purely
     /// trades threads for intra-batch latency. Off by default: batch-level
     /// parallelism (`NaiEngine::infer_parallel`) usually scales better

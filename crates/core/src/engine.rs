@@ -1,15 +1,14 @@
 //! Per-arrival node-adaptive inference over a growing graph.
 //!
-//! [`StreamingEngine`] runs Algorithm 1 — the one read kernel of
-//! [`nai_core::kernel`] — over its own [`GraphState`]: the deployment's
-//! graph store plus the per-node Eq. (1) factors, exact
-//! [`nai_core::stationary::StationaryState`] and λ₂ cell derived from
-//! it. Every mutation goes through the state, which refreshes the
-//! factors of the nodes whose degree changed — an arrival and each of
-//! its neighbours, both endpoints of a new edge — and keeps the
-//! stationary state in step, so propagation computes no powers. The
-//! static `NaiEngine` holds the same state and runs the same kernel: on
-//! one graph the two answer alike, bit for bit.
+//! [`StreamingEngine`] is a [`NaiEngine`] plus what only a stream needs:
+//! the queue of pending arrivals, cumulative MAC and stage-time counters,
+//! and one scratch. Every mutation goes through the inner engine's
+//! [`crate::graph_state::GraphState`], which refreshes the factors of
+//! the nodes whose degree changed — an arrival and each of its
+//! neighbours, both endpoints of a new edge — and keeps the stationary
+//! state in step, so propagation computes no powers. Reads run the inner
+//! engine's per-batch read: on one graph the two answer alike, bit for
+//! bit.
 //!
 //! The workflow is ingest → flush:
 //!
@@ -23,17 +22,16 @@
 //! each prediction carries the personalized depth and the wall-clock
 //! latency of its micro-batch (the time-to-answer a caller would see).
 
-use crate::stats::{MacsBreakdown, StageTimes};
-use crate::sync::time::Instant;
-use nai_core::active::EngineScratch;
-use nai_core::checkpoint::ModelCheckpoint;
-use nai_core::config::InferenceConfig;
-use nai_core::gates::GateSet;
-use nai_core::graph_state::GraphState;
-use nai_core::kernel::{Heads, ReadKernel, Tally};
+use crate::active::EngineScratch;
+use crate::checkpoint::ModelCheckpoint;
+use crate::config::InferenceConfig;
+use crate::gates::GateSet;
+use crate::inference::NaiEngine;
+use crate::kernel::{ReadKernel, StageTimes, Tally};
+use crate::macs::MacsBreakdown;
 use nai_graph::DynamicGraph;
 use nai_models::DepthClassifier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One streaming prediction.
 #[derive(Debug, Clone)]
@@ -48,62 +46,44 @@ pub struct StreamPrediction {
     pub latency: Duration,
 }
 
-/// A deployed NAI model serving a stream of arrivals.
+/// A deployed NAI model serving a stream of arrivals: a [`NaiEngine`]
+/// whose state it mutates, plus the arrival queue.
 pub struct StreamingEngine {
-    state: GraphState,
-    classifiers: Vec<DepthClassifier>,
-    gates: Option<GateSet>,
+    engine: NaiEngine,
     pending: Vec<u32>,
-    macs: MacsBreakdown,
-    stage_times: StageTimes,
-    /// Shared active-set workspace (same engine layer as
-    /// `nai_core::inference::NaiEngine`); grows with the graph and is
-    /// reused across flushes.
+    /// Cumulative MACs and wall time of every read and mutation. Reads
+    /// charge no stationary rows: each is an `O(f)` read of cached
+    /// component sums, like the updates charged under `replication`
+    /// that keep them.
+    tally: Tally,
+    /// The stream's own workspace, reused across reads; it grows with the
+    /// graph. Reads never touch the inner engine's pool, so they take no
+    /// lock.
     scratch: EngineScratch,
 }
 
 impl StreamingEngine {
-    /// Deploys trained classifiers (and optional gates) over a seed graph,
-    /// deriving its state once ([`GraphState::new`]).
-    ///
-    /// λ₂ is a deployment constant of the seed graph (it drifts only
-    /// with large topology changes; re-deploy to refresh it). It is
-    /// estimated the first time NAP_u or [`Self::lambda2`] reads it,
-    /// never at construction: the other NAP modes do not read it. A
-    /// `graph` that grew after its seed was frozen is re-frozen here
-    /// (one copy), so the estimate always comes from the graph as
-    /// deployed.
+    /// Deploys trained classifiers (and optional gates) over a seed graph
+    /// ([`NaiEngine::new`]; λ₂ as in [`Self::lambda2`]).
     ///
     /// # Panics
-    /// Panics if no classifiers are supplied, they are not ordered by
-    /// depth, or dimensions disagree with the graph.
+    /// Panics if no classifiers are supplied or they are not ordered by
+    /// depth.
     pub fn new(
         graph: DynamicGraph,
         classifiers: Vec<DepthClassifier>,
         gates: Option<GateSet>,
         gamma: f32,
     ) -> Self {
-        assert!(!classifiers.is_empty(), "need at least one classifier");
-        for (i, c) in classifiers.iter().enumerate() {
-            assert_eq!(c.depth(), i + 1, "classifiers must be ordered by depth");
-        }
-        Self::assemble(GraphState::new(graph, gamma), classifiers, gates)
+        Self::serve(NaiEngine::new(graph, classifiers, gates, gamma))
     }
 
-    /// An engine over an already-derived state, with nothing pending and
-    /// zeroed counters.
-    fn assemble(
-        state: GraphState,
-        classifiers: Vec<DepthClassifier>,
-        gates: Option<GateSet>,
-    ) -> Self {
+    /// A stream over `engine`, with nothing pending and zeroed counters.
+    fn serve(engine: NaiEngine) -> Self {
         Self {
-            state,
-            classifiers,
-            gates,
+            engine,
             pending: Vec::new(),
-            macs: MacsBreakdown::default(),
-            stage_times: StageTimes::default(),
+            tally: Tally::default(),
             scratch: EngineScratch::new(),
         }
     }
@@ -115,31 +95,16 @@ impl StreamingEngine {
     /// Panics if the graph's feature dimension disagrees with the
     /// checkpoint.
     pub fn from_checkpoint(ckpt: &ModelCheckpoint, graph: DynamicGraph) -> Self {
-        assert_eq!(
-            graph.feature_dim(),
-            ckpt.feature_dim,
-            "graph feature dim must match checkpoint"
-        );
-        Self::new(
-            graph,
-            ckpt.build_classifiers(),
-            ckpt.build_gates(),
-            ckpt.gamma,
-        )
+        Self::serve(ckpt.deploy_dynamic(graph))
     }
 
     /// Builds `n` engine replicas ("shards") from one checkpoint and
-    /// seed graph. The replicas share what never changes: the frozen
-    /// seed (see [`DynamicGraph`]) and one λ₂ cell, which stays empty
-    /// unless NAP_u or [`Self::lambda2`] reads it. Each gets its own
-    /// [`GraphState`], cloned from the first replica's rather than
-    /// derived again — stationary state, normalization factors and a
-    /// copy-on-write adjacency that at deploy owns no row and reads
-    /// every one from the shared seed CSR — and its own scratch.
-    /// Replicas share no mutable state at runtime; the `nai-serve` layer
-    /// keeps them convergent by broadcasting every mutation to every
-    /// replica in one global sequence order (see
-    /// [`Self::apply_replicated_ingest`] /
+    /// seed graph. Every replica after the first is copied from it, not
+    /// derived again, so all share the frozen seed (see [`DynamicGraph`])
+    /// and one λ₂ cell; each gets its own scratch. Replicas share no
+    /// mutable state at runtime; the `nai-serve` layer keeps them convergent by
+    /// broadcasting every mutation to every replica in one global
+    /// sequence order (see [`Self::apply_replicated_ingest`] /
     /// [`Self::apply_replicated_edge`]), so any replica can serve any
     /// node.
     ///
@@ -148,39 +113,33 @@ impl StreamingEngine {
     /// with the checkpoint.
     pub fn shard_replicas(ckpt: &ModelCheckpoint, seed: &DynamicGraph, n: usize) -> Vec<Self> {
         assert!(n > 0, "need at least one shard");
-        let first = Self::from_checkpoint(ckpt, seed.clone());
-        let mut shards: Vec<Self> = (1..n)
-            .map(|_| {
-                Self::assemble(
-                    first.state.clone(),
-                    ckpt.build_classifiers(),
-                    ckpt.build_gates(),
-                )
-            })
-            .collect();
-        shards.insert(0, first);
+        let mut shards = vec![Self::from_checkpoint(ckpt, seed.clone())];
+        for _ in 1..n {
+            let replica = shards[0].engine.replica();
+            shards.push(Self::serve(replica));
+        }
         shards
     }
 
     /// Highest trained depth `k`.
     pub fn k(&self) -> usize {
-        self.classifiers.len()
+        self.engine.k()
     }
 
     /// The current graph state.
     pub fn graph(&self) -> &DynamicGraph {
-        self.state.graph()
+        self.engine.state.graph()
     }
 
-    /// Cumulative propagation + NAP + classification MACs.
+    /// Cumulative propagation + NAP + classification + replication MACs.
     pub fn macs_total(&self) -> u64 {
-        self.macs.total()
+        self.tally.macs.total()
     }
 
     /// Cumulative MACs split by pipeline stage (exported per worker by
-    /// the serving layer's `/metrics`).
+    /// the serving layer's `/metrics`); `stationary` stays 0.
     pub fn macs_breakdown(&self) -> MacsBreakdown {
-        self.macs
+        self.tally.macs
     }
 
     /// Cumulative wall time split by pipeline stage, attributed at the
@@ -189,14 +148,14 @@ impl StreamingEngine {
     /// coalesced call and diffs with [`StageTimes::since`] to cost the
     /// batch it just ran.
     pub fn stage_times(&self) -> StageTimes {
-        self.stage_times
+        self.tally.times
     }
 
-    /// λ₂ of the deployed seed graph ([`GraphState::lambda2`]),
-    /// estimated on the first call and shared with every replica of the
-    /// deployment.
+    /// λ₂ of the deployed seed graph ([`NaiEngine::lambda2`]): estimated
+    /// the first time NAP_u or this method reads it, never at
+    /// construction, and shared with every replica of the deployment.
     pub fn lambda2(&self) -> f32 {
-        self.state.lambda2()
+        self.engine.lambda2()
     }
 
     /// Ids queued for the next [`Self::flush`].
@@ -211,7 +170,7 @@ impl StreamingEngine {
     /// # Panics
     /// Panics on wrong feature length or unknown neighbor ids.
     pub fn ingest(&mut self, features: &[f32], neighbors: &[u32]) -> u32 {
-        let id = self.apply_node_arrival(features, neighbors);
+        let id = self.apply_replicated_ingest(features, neighbors);
         self.pending.push(id);
         id
     }
@@ -229,15 +188,12 @@ impl StreamingEngine {
     /// # Panics
     /// Panics on wrong feature length or unknown neighbor ids.
     pub fn apply_replicated_ingest(&mut self, features: &[f32], neighbors: &[u32]) -> u32 {
-        self.apply_node_arrival(features, neighbors)
-    }
-
-    fn apply_node_arrival(&mut self, features: &[f32], neighbors: &[u32]) -> u32 {
-        let id = self.state.add_node(features, neighbors);
+        let state = &mut self.engine.state;
+        let id = state.add_node(features, neighbors);
         // One stationary term for the arrival plus one term swap per
         // distinct neighbour, each O(f).
-        let graph = self.state.graph();
-        self.macs.replication += (graph.degree(id) as u64 + 1) * graph.feature_dim() as u64;
+        let graph = state.graph();
+        self.tally.macs.replication += (graph.degree(id) as u64 + 1) * graph.feature_dim() as u64;
         id
     }
 
@@ -248,11 +204,11 @@ impl StreamingEngine {
     /// # Panics
     /// Panics on out-of-range ids or a self-loop.
     pub fn observe_edge(&mut self, u: u32, v: u32) -> bool {
-        if !self.state.add_edge(u, v) {
+        if !self.engine.state.add_edge(u, v) {
             return false;
         }
         // Two endpoint term swaps, each O(f).
-        self.macs.replication += 2 * self.state.graph().feature_dim() as u64;
+        self.tally.macs.replication += 2 * self.engine.feature_dim() as u64;
         true
     }
 
@@ -272,82 +228,87 @@ impl StreamingEngine {
     ///
     /// # Panics
     /// Panics if the config fails validation or requests gates the engine
-    /// does not have.
+    /// does not have; every arrival then stays pending.
     pub fn flush(&mut self, cfg: &InferenceConfig) -> Vec<StreamPrediction> {
+        // Mutations since the last read only marked their components
+        // stale: re-round each once per read, not once per mutation. The
+        // kernel validates `cfg` before the queue is taken.
+        self.engine.state.refresh();
+        let kernel = self.engine.kernel(cfg);
         let pending = std::mem::take(&mut self.pending);
         let mut out = Vec::with_capacity(pending.len());
-        for chunk in pending.chunks(cfg.batch_size.max(1)) {
+        for chunk in pending.chunks(cfg.batch_size) {
             let start = Instant::now();
-            let results = self.infer_nodes(chunk, cfg);
-            let elapsed = start.elapsed();
-            for (t, &node) in chunk.iter().enumerate() {
-                let (prediction, depth) = results[t];
-                out.push(StreamPrediction {
-                    node,
-                    prediction,
-                    depth,
-                    latency: elapsed,
-                });
-            }
+            let results = read(
+                &self.engine,
+                &kernel,
+                chunk,
+                &mut self.scratch,
+                &mut self.tally,
+            );
+            let latency = start.elapsed();
+            out.extend(
+                chunk
+                    .iter()
+                    .zip(results)
+                    .map(|(&node, (prediction, depth))| StreamPrediction {
+                        node,
+                        prediction,
+                        depth,
+                        latency,
+                    }),
+            );
         }
         out
     }
 
     /// Algorithm 1 over the current graph for explicit `nodes` (they must
-    /// already be in the graph). Returns `(prediction, depth)` per node.
-    ///
-    /// Runs the same read kernel over the same kind of state as the static
-    /// `NaiEngine`: BFS walks the adjacency rows, weights come from the
-    /// cached per-node factors, and depth 1 reads raw features in place.
+    /// already be in the graph), as one kernel batch whatever
+    /// `cfg.batch_size` is. Returns `(prediction, depth)` per node.
     ///
     /// # Panics
     /// Panics on invalid config, missing gates, or unknown node ids.
     pub fn infer_nodes(&mut self, nodes: &[u32], cfg: &InferenceConfig) -> Vec<(usize, usize)> {
-        // Mutations since the last read only marked their components
-        // stale: re-round each once here, not once per mutation.
-        self.state.refresh();
-        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), &self.state);
-        if nodes.is_empty() {
-            return Vec::new();
-        }
-        let classifiers = &self.classifiers;
-        let heads = Heads {
-            forward: &|l, feats| classifiers[l - 1].forward(feats),
-            macs_per_node: &|l| classifiers[l - 1].macs_per_node(),
-        };
-        let stationary = self.state.stationary();
-        let mut results = vec![(usize::MAX, 0usize); nodes.len()];
-        let mut tally = Tally::default();
-        // Detached for the call: if the kernel panics, the scratch (its
-        // column map possibly still stamped) is dropped, not reused.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        kernel.run(
+        self.engine.state.refresh();
+        let kernel = self.engine.kernel(cfg);
+        read(
+            &self.engine,
+            &kernel,
             nodes,
-            heads,
-            &mut scratch,
-            |x_inf| {
-                // O(f) per node from the cached component sums; not
-                // charged, like every other incremental update.
-                stationary.rows_into(nodes, x_inf);
-                0
-            },
-            &mut tally,
-            |row, prediction, depth| results[row] = (prediction, depth),
-        );
-        self.scratch = scratch;
-        self.macs.propagation += tally.macs.propagation;
-        self.macs.nap += tally.macs.nap;
-        self.macs.classification += tally.macs.classification;
-        self.stage_times.merge(&tally.times);
-        results
+            &mut self.scratch,
+            &mut self.tally,
+        )
     }
+}
+
+/// One kernel batch of `nodes` through `engine` on the stream's
+/// `scratch`, charged to its cumulative `tally`. Returns
+/// `(prediction, depth)` per node.
+fn read(
+    engine: &NaiEngine,
+    kernel: &ReadKernel<'_>,
+    nodes: &[u32],
+    scratch: &mut EngineScratch,
+    tally: &mut Tally,
+) -> Vec<(usize, usize)> {
+    let mut results = vec![(usize::MAX, 0usize); nodes.len()];
+    // Detached for the call: if the kernel panics, the scratch (its
+    // column map possibly still stamped) is dropped, not reused.
+    let mut detached = std::mem::take(scratch);
+    engine.read_batch(kernel, None, nodes, &mut detached, tally, |row, p, d| {
+        results[row] = (p, d)
+    });
+    *scratch = detached;
+    // A stream charges no stationary rows (see `StreamingEngine::tally`).
+    tally.macs.stationary = 0;
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nai_core::config::PipelineConfig;
-    use nai_core::pipeline::NaiPipeline;
+    use crate::config::PipelineConfig;
+    use crate::pipeline::NaiPipeline;
     use nai_graph::generators::{generate, GeneratorConfig};
     use nai_graph::{normalized_adjacency, Convolution, Graph, InductiveSplit};
     use nai_linalg::DenseMatrix;
@@ -355,7 +316,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn trained(n: usize, k: usize) -> (Graph, InductiveSplit, nai_core::pipeline::TrainedNai) {
+    fn trained(n: usize, k: usize) -> (Graph, InductiveSplit, crate::pipeline::TrainedNai) {
         let g = generate(
             &GeneratorConfig {
                 num_nodes: n,
@@ -373,7 +334,7 @@ mod tests {
             epochs: 25,
             patience: 8,
             gate_epochs: 8,
-            distill: nai_core::config::DistillConfig {
+            distill: crate::config::DistillConfig {
                 epochs: 8,
                 ensemble_r: 2,
                 ..Default::default()
@@ -384,8 +345,8 @@ mod tests {
         (g, split, t)
     }
 
-    fn engine_from(t: &nai_core::pipeline::TrainedNai, g: &Graph) -> StreamingEngine {
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+    fn engine_from(t: &crate::pipeline::TrainedNai, g: &Graph) -> StreamingEngine {
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         StreamingEngine::from_checkpoint(&ckpt, DynamicGraph::from_graph(g))
     }
 
@@ -487,20 +448,25 @@ mod tests {
         }
         assert!(isolated > 0 && edges > 0, "script must include both");
         let distance = InferenceConfig::distance(0.4, 1, 3);
-        let stream = se.flush(&distance);
-
-        // Static replay on the final graph.
+        // The read-only handle, before the flush refreshes the stale
+        // stationary components: the same bits as the refreshed read.
         let labels: Vec<u32> = (0..se.graph().num_nodes())
             .map(|i| (i % 3) as u32)
             .collect();
+        let handle = se.engine.infer(&arrivals, &labels, &distance);
+        let stream = se.flush(&distance);
+
+        // Static replay on the final graph.
         let final_graph = se.graph().snapshot_graph(labels.clone(), 3);
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let static_engine = ckpt.deploy(&final_graph);
         let stat = static_engine.infer(&arrivals, &labels, &distance);
         let stream_preds: Vec<usize> = stream.iter().map(|p| p.prediction).collect();
         let stream_depths: Vec<usize> = stream.iter().map(|p| p.depth).collect();
         assert_eq!(stat.predictions, stream_preds);
         assert_eq!(stat.depths, stream_depths);
+        assert_eq!(handle.predictions, stream_preds);
+        assert_eq!(handle.depths, stream_depths);
         let all: Vec<u32> = (0..se.graph().num_nodes() as u32).collect();
         for cfg in [
             InferenceConfig::fixed(3),
@@ -516,37 +482,10 @@ mod tests {
         let bits =
             |m: &DenseMatrix| -> Vec<u32> { m.as_slice().iter().map(|x| x.to_bits()).collect() };
         let (want, _, _) = static_engine.propagate_only(&all, 3);
-        for (l, (a, b)) in want.iter().zip(&propagate(&se, &all, 3)).enumerate() {
+        let (got, _, _) = se.engine.propagate_only(&all, 3);
+        for (l, (a, b)) in want.iter().zip(&got).enumerate() {
             assert_eq!(bits(a), bits(b), "depth {l}");
         }
-    }
-
-    /// `X^(0..=depth)` of `nodes` over the engine's state: the kernel at
-    /// fixed depth with a capturing head, as `NaiEngine::propagate_only`.
-    fn propagate(se: &StreamingEngine, nodes: &[u32], depth: usize) -> Vec<DenseMatrix> {
-        let cfg = InferenceConfig {
-            batch_size: nodes.len(),
-            ..InferenceConfig::fixed(depth)
-        };
-        let captured = std::cell::RefCell::new(Vec::new());
-        let capture = |_: usize, feats: &[DenseMatrix]| {
-            *captured.borrow_mut() = feats.to_vec();
-            DenseMatrix::zeros(feats[0].rows(), 1)
-        };
-        let heads = Heads {
-            forward: &capture,
-            macs_per_node: &|_| 0,
-        };
-        let mut scratch = EngineScratch::new();
-        ReadKernel::new(&cfg, depth, None, &se.state).run(
-            nodes,
-            heads,
-            &mut scratch,
-            |_| 0,
-            &mut Tally::default(),
-            |_, _, _| {},
-        );
-        captured.into_inner()
     }
 
     #[test]
@@ -599,18 +538,25 @@ mod tests {
     #[test]
     fn gate_mode_without_gates_panics_in_stream_too() {
         let (g, _, t) = trained(100, 2);
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let mut se = StreamingEngine::new(
             DynamicGraph::from_graph(&g),
             ckpt.build_classifiers(),
             None,
             0.5,
         );
-        se.ingest(&[0.0; 8], &[0]);
+        let id = se.ingest(&[0.0; 8], &[0]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             se.flush(&InferenceConfig::gate(1, 2))
         }));
         assert!(result.is_err());
+        // The rejected flush dequeued nothing: the arrival is still
+        // pending, and the next valid flush answers it.
+        assert_eq!(se.pending(), &[id]);
+        let preds = se.flush(&InferenceConfig::distance(0.5, 1, 2));
+        assert_eq!(preds.len(), 1);
+        assert_eq!(preds[0].node, id);
+        assert!(se.pending().is_empty());
     }
 
     #[test]
@@ -675,7 +621,7 @@ mod tests {
     #[test]
     fn shard_replicas_share_lambda2_and_agree_with_solo_engine() {
         let (g, split, t) = trained(200, 2);
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let seed = DynamicGraph::from_graph(&g);
         let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
         assert_eq!(shards.len(), 3);
@@ -757,12 +703,12 @@ mod tests {
     #[test]
     fn shard_replicas_copy_a_stationary_state_equal_to_a_fresh_deploy() {
         let (g, _, t) = trained(150, 2);
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let seed = DynamicGraph::from_graph(&g);
         let mut engines = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
         engines.push(StreamingEngine::from_checkpoint(&ckpt, seed));
         let bits = |se: &StreamingEngine| -> Vec<u32> {
-            let full = se.state.stationary().full();
+            let full = se.engine.state.stationary().full();
             full.as_slice().iter().map(|x| x.to_bits()).collect()
         };
         let want = bits(&engines[3]);
@@ -796,7 +742,7 @@ mod tests {
     #[test]
     fn shard_replicas_share_one_seed_through_growth() {
         let (g, _, t) = trained(150, 2);
-        let ckpt = nai_core::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
+        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let seed = DynamicGraph::from_graph(&g);
         let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
         assert!(shards.iter().all(|s| s.graph().shares_seed(&seed)));
@@ -889,7 +835,7 @@ mod tests {
     fn macs_breakdown_sums_to_total_and_covers_stages() {
         let (g, split, t) = trained(200, 3);
         let mut se = engine_from(&t, &g);
-        assert_eq!(se.macs_breakdown(), crate::stats::MacsBreakdown::default());
+        assert_eq!(se.macs_breakdown(), MacsBreakdown::default());
         se.infer_nodes(&split.test, &InferenceConfig::distance(0.5, 1, 3));
         let b = se.macs_breakdown();
         assert_eq!(b.total(), se.macs_total());

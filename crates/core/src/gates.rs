@@ -39,7 +39,7 @@ pub const PENALTY_MU: f32 = 1000.0;
 pub const PENALTY_PHI: f32 = 1000.0;
 
 /// Trainable gates for depths `1..=k−1`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GateSet {
     gates: Vec<Linear>,
     feature_dim: usize,

@@ -1,4 +1,4 @@
-//! The deployment state both engines read, built and mutated in one place.
+//! The deployment state every read runs over, built and mutated in one place.
 //!
 //! A [`GraphState`] is one graph store — a [`DynamicGraph`]: the frozen
 //! seed's CSR read in place, copy-on-write rows for what mutations touch
@@ -7,8 +7,8 @@
 //! estimated λ₂ of the deployed seed. [`GraphState::new`] derives them
 //! once; [`GraphState::add_node`] and [`GraphState::add_edge`] are the
 //! one place a mutation reaches the rows, the factors and the stationary
-//! state together. The static `NaiEngine` deploys one and never mutates
-//! it; `nai-stream`'s `StreamingEngine` mutates its own, and its
+//! state together. A `NaiEngine` holds one and only reads it; the
+//! `StreamingEngine` around it mutates it in place, and its
 //! `shard_replicas` clone one instead of deriving it again.
 //!
 //! It is also the one view the read kernel runs over: BFS and degrees

@@ -1,13 +1,15 @@
-//! The static NAI deployment: Algorithm 1 over a graph that does not grow.
+//! The NAI deployment: Algorithm 1 over one graph state.
 //!
 //! [`NaiEngine`] holds a trained deployment — a [`GraphState`] (the graph
 //! store with its normalization factors, stationary state and λ₂ cell,
 //! the view the read kernel [`crate::kernel::ReadKernel`] runs over),
-//! per-depth classifiers and optional gates. Every entry point goes
-//! through one private batch loop that cuts the test nodes into
-//! `batch_size` batches, runs the kernel on each, and assembles the
-//! report: feature-processing time and total time (the paper's "FP Time"
-//! / "Time" columns) and [`MacsBreakdown`] MACs.
+//! per-depth classifiers and optional gates. Its public API only reads
+//! that state; the streaming engine ([`crate::engine::StreamingEngine`])
+//! wraps one, mutates the state in place and reads it through the same
+//! per-batch read as the batch loop here. That loop cuts the test nodes
+//! into `batch_size` batches, reads each, and assembles the report:
+//! feature-processing time and total time (the paper's "FP Time" /
+//! "Time" columns) and [`MacsBreakdown`] MACs.
 //!
 //! Workspaces come from a small pool, so a call costs `O(touched)`
 //! rather than `O(n)` setup: a scratch is taken per call (per thread
@@ -15,7 +17,7 @@
 //! normally.
 
 use crate::active::EngineScratch;
-use crate::config::{InferenceConfig, NapMode};
+use crate::config::InferenceConfig;
 use crate::gates::GateSet;
 use crate::graph_state::GraphState;
 use crate::kernel::{Heads, ReadKernel, Tally};
@@ -24,7 +26,7 @@ use crate::metrics::InferenceReport;
 use nai_graph::DynamicGraph;
 use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-node outcome of an inference run, aligned with the input order.
@@ -41,20 +43,15 @@ pub struct InferenceResult {
 /// A trained NAI deployment: the full graph's state, per-depth
 /// classifiers and optional gates.
 pub struct NaiEngine {
-    /// The full graph and what Algorithm 1 derives from it.
-    state: GraphState,
+    /// The full graph and what Algorithm 1 derives from it; the
+    /// streaming engine mutates it in place.
+    pub(crate) state: GraphState,
     /// `classifiers[l−1]` serves exit depth `l`.
     classifiers: Vec<DepthClassifier>,
     /// Gates for NAP_g (depths `1..k−1`).
     gates: Option<GateSet>,
     /// Idle workspaces; holds at most as many as calls ever ran at once.
     scratch_pool: Mutex<Vec<EngineScratch>>,
-}
-
-/// What one thread of the batch loop accumulated over its batches.
-struct ChunkOut {
-    tally: Tally,
-    histogram: Vec<usize>,
 }
 
 impl NaiEngine {
@@ -81,6 +78,54 @@ impl NaiEngine {
             gates,
             scratch_pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// A replica of this deployment: its state cloned (sharing the frozen
+    /// seed and the λ₂ cell, see [`GraphState`]), its classifiers and
+    /// gates copied, and an empty scratch pool.
+    pub(crate) fn replica(&self) -> Self {
+        Self {
+            state: self.state.clone(),
+            classifiers: self.classifiers.clone(),
+            gates: self.gates.clone(),
+            scratch_pool: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The read kernel under `cfg` over this deployment.
+    ///
+    /// # Panics
+    /// As [`ReadKernel::new`].
+    pub(crate) fn kernel<'a>(&'a self, cfg: &'a InferenceConfig) -> ReadKernel<'a> {
+        ReadKernel::new(cfg, self.k(), self.gates.as_ref(), &self.state)
+    }
+
+    /// One batch of Algorithm 1 on a caller-owned scratch: `kernel` (made
+    /// by [`Self::kernel`]) over `batch` with `heads`, or with the
+    /// engine's classifiers when `None`. Charges the batch's stationary
+    /// rows into `tally`; `sink` receives each answer as in
+    /// [`ReadKernel::run`].
+    pub(crate) fn read_batch(
+        &self,
+        kernel: &ReadKernel<'_>,
+        heads: Option<Heads<'_>>,
+        batch: &[u32],
+        scratch: &mut EngineScratch,
+        tally: &mut Tally,
+        sink: impl FnMut(usize, usize, usize),
+    ) {
+        let forward = |l: usize, feats: &[DenseMatrix]| self.classifiers[l - 1].forward(feats);
+        let macs_per_node = |l: usize| self.classifiers[l - 1].macs_per_node();
+        let heads = heads.unwrap_or(Heads {
+            forward: &forward,
+            macs_per_node: &macs_per_node,
+        });
+        let st = self.state.stationary();
+        let stationary = |x_inf: &mut DenseMatrix| {
+            st.rows_into(batch, x_inf);
+            batch.len() as u64 * st.macs_per_row()
+        };
+        kernel.run(batch, heads, scratch, stationary, tally, sink);
     }
 
     /// λ₂ of the deployment's `Â` ([`GraphState::lambda2`]), estimated on
@@ -218,11 +263,8 @@ impl NaiEngine {
             return (levels, MacsBreakdown::default(), start.elapsed());
         }
         let cfg = InferenceConfig {
-            t_min: depth,
-            t_max: depth,
-            nap: NapMode::Fixed,
             batch_size: batch.len(),
-            parallel_spmm: false,
+            ..InferenceConfig::fixed(depth)
         };
         // At fixed depth every node exits together at `depth`, so the
         // capturing head observes exactly `X^(0..=depth)` aligned with
@@ -264,11 +306,8 @@ impl NaiEngine {
         heads: Option<Heads<'_>>,
     ) -> InferenceResult {
         debug_assert!(threads == 1 || heads.is_none(), "custom heads run inline");
-        let kernel = ReadKernel::new(cfg, self.k(), self.gates.as_ref(), &self.state);
+        let kernel = self.kernel(cfg);
         let total_start = Instant::now();
-        let forward = |l: usize, feats: &[DenseMatrix]| self.classifiers[l - 1].forward(feats);
-        let macs_per_node = |l: usize| self.classifiers[l - 1].macs_per_node();
-        let (forward, macs_per_node) = (&forward, &macs_per_node);
 
         let mut predictions = vec![usize::MAX; test_nodes.len()];
         let mut depths = vec![0usize; test_nodes.len()];
@@ -280,11 +319,7 @@ impl NaiEngine {
             .chunks(per_chunk)
             .zip(predictions.chunks_mut(per_chunk))
             .zip(depths.chunks_mut(per_chunk));
-        let outs: Vec<ChunkOut> = if test_nodes.len() <= per_chunk {
-            let heads = heads.unwrap_or(Heads {
-                forward,
-                macs_per_node,
-            });
+        let tallies: Vec<Tally> = if test_nodes.len() <= per_chunk {
             chunks
                 .map(|((nodes, p), d)| self.run_chunk(&kernel, heads, nodes, p, d))
                 .collect()
@@ -292,13 +327,7 @@ impl NaiEngine {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = chunks
                     .map(|((nodes, p), d)| {
-                        scope.spawn(move || {
-                            let heads = Heads {
-                                forward,
-                                macs_per_node,
-                            };
-                            self.run_chunk(&kernel, heads, nodes, p, d)
-                        })
+                        scope.spawn(move || self.run_chunk(&kernel, None, nodes, p, d))
                     })
                     .collect();
                 handles
@@ -311,13 +340,9 @@ impl NaiEngine {
         };
 
         let mut tally = Tally::default();
-        let mut histogram = vec![0usize; cfg.t_max];
-        for o in &outs {
-            tally.macs.add(&o.tally.macs);
-            tally.times.merge(&o.tally.times);
-            for (h, v) in histogram.iter_mut().zip(&o.histogram) {
-                *h += v;
-            }
+        for t in &tallies {
+            tally.macs.add(&t.macs);
+            tally.times.merge(&t.times);
         }
         // Stationary precompute charged once per run (rank-1 structure;
         // see DESIGN.md §5 / EXPERIMENTS.md accounting).
@@ -326,6 +351,10 @@ impl NaiEngine {
         let eval: Vec<usize> = (0..test_nodes.len()).collect();
         let label_view: Vec<u32> = test_nodes.iter().map(|&v| labels[v as usize]).collect();
         let accuracy = nai_linalg::ops::accuracy(&predictions, &label_view, &eval);
+        let mut histogram = vec![0usize; cfg.t_max];
+        for &d in &depths {
+            histogram[d - 1] += 1;
+        }
         InferenceResult {
             report: InferenceReport {
                 num_nodes: test_nodes.len(),
@@ -341,44 +370,28 @@ impl NaiEngine {
         }
     }
 
-    /// Runs the kernel over `nodes` in `batch_size` batches on one pooled
-    /// scratch, writing answers into the aligned `predictions`/`depths`.
+    /// Reads `nodes` in `batch_size` batches on one pooled scratch,
+    /// writing answers into the aligned `predictions`/`depths`.
     fn run_chunk(
         &self,
         kernel: &ReadKernel<'_>,
-        heads: Heads<'_>,
+        heads: Option<Heads<'_>>,
         nodes: &[u32],
         predictions: &mut [usize],
         depths: &mut [usize],
-    ) -> ChunkOut {
-        let cfg = kernel.config();
-        let mut out = ChunkOut {
-            tally: Tally::default(),
-            histogram: vec![0usize; cfg.t_max],
-        };
+    ) -> Tally {
+        let size = kernel.config().batch_size;
+        let mut tally = Tally::default();
         let mut scratch = self.take_scratch();
-        for (b, batch) in nodes.chunks(cfg.batch_size).enumerate() {
-            let offset = b * cfg.batch_size;
-            let stationary = |x_inf: &mut DenseMatrix| {
-                let st = self.state.stationary();
-                st.rows_into(batch, x_inf);
-                batch.len() as u64 * st.macs_per_row()
+        for (b, batch) in nodes.chunks(size).enumerate() {
+            let sink = |row, prediction, depth| {
+                predictions[b * size + row] = prediction;
+                depths[b * size + row] = depth;
             };
-            kernel.run(
-                batch,
-                heads,
-                &mut scratch,
-                stationary,
-                &mut out.tally,
-                |row, prediction, depth| {
-                    predictions[offset + row] = prediction;
-                    depths[offset + row] = depth;
-                    out.histogram[depth - 1] += 1;
-                },
-            );
+            self.read_batch(kernel, heads, batch, &mut scratch, &mut tally, sink);
         }
         self.recycle(scratch);
-        out
+        tally
     }
 
     /// An idle pooled scratch, or a fresh one. Return it with
@@ -386,21 +399,19 @@ impl NaiEngine {
     /// a scratch a panic unwound through may still hold a stamped column
     /// map, so it is dropped instead of reused.
     fn take_scratch(&self) -> EngineScratch {
-        // The pool is a plain stack no code panics while holding, and it
-        // stays consistent even if one did: recover a poisoned lock.
-        let mut pool = self
-            .scratch_pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        pool.pop().unwrap_or_default()
+        self.pool().pop().unwrap_or_default()
     }
 
     fn recycle(&self, scratch: EngineScratch) {
-        let mut pool = self
-            .scratch_pool
+        self.pool().push(scratch);
+    }
+
+    /// The pool is a plain stack no code panics while holding, and it
+    /// stays consistent even if one did: recover a poisoned lock.
+    fn pool(&self) -> MutexGuard<'_, Vec<EngineScratch>> {
+        self.scratch_pool
             .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        pool.push(scratch);
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

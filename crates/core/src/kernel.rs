@@ -1,12 +1,13 @@
-//! Algorithm 1, written once: the read kernel both engines run.
+//! Algorithm 1, written once: the read kernel every engine read runs.
 //!
 //! The paper has one inference procedure — online propagation with a
 //! per-node exit — whether the graph is frozen or growing. [`ReadKernel`]
 //! is that procedure over one batch of seed nodes, over the one view a
 //! deployment has: a [`GraphState`], whose graph store gives neighbours
-//! and features and whose cached factors give Eq. (1)'s weights. The
-//! static `NaiEngine` and `nai-stream`'s `StreamingEngine` both hold one;
-//! nothing else differs between the two.
+//! and features and whose cached factors give Eq. (1)'s weights.
+//! `NaiEngine`'s per-batch read runs it for the batch loop and for the
+//! `StreamingEngine` alike; `propagate_only` runs it at fixed depth with
+//! a capturing head.
 //!
 //! Per batch the kernel:
 //!
@@ -46,7 +47,7 @@ use std::time::{Duration, Instant};
 /// Wall time split by engine pipeline stage, attributed at the same
 /// sites where [`MacsBreakdown`] is charged.
 ///
-/// `nai-stream` accumulates it per engine and the serving layer
+/// `StreamingEngine` accumulates it per engine and the serving layer
 /// snapshots it before and after each coalesced engine call, taking
 /// [`StageTimes::since`] to attribute the call's wall time to the batch
 /// it processed.
@@ -446,4 +447,39 @@ fn gather_step<'s>(
         }
     });
     macs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stage_times_merge_and_since() {
+        let ms = Duration::from_millis;
+        let mut a = StageTimes {
+            propagation: ms(10),
+            nap: ms(2),
+            classification: ms(3),
+        };
+        assert_eq!(a.total(), ms(15));
+        let earlier = a;
+        a.merge(&StageTimes {
+            propagation: ms(5),
+            nap: ms(1),
+            classification: ms(0),
+        });
+        let delta = a.since(&earlier);
+        assert_eq!(
+            delta,
+            StageTimes {
+                propagation: ms(5),
+                nap: ms(1),
+                classification: ms(0),
+            }
+        );
+        // `since` against a newer snapshot saturates instead of
+        // panicking — a torn pair of reads must not take metrics down.
+        assert_eq!(earlier.since(&a).total(), Duration::ZERO);
+        assert_eq!(StageTimes::default().total(), Duration::ZERO);
+    }
 }

@@ -13,14 +13,16 @@
 //! * [`gates`] — Gate-based NAP: per-depth trained gates with
 //!   Gumbel-softmax relaxation and the inference-time penalty mechanism
 //!   (Eq. 11–13);
-//! * [`graph_state`] — the one deployment state both engines read: the
-//!   graph store plus the normalization factors, stationary state and λ₂
-//!   derived from it, built and mutated in one place;
+//! * [`graph_state`] — the one deployment state: the graph store plus
+//!   the normalization factors, stationary state and λ₂ derived from it,
+//!   built and mutated in one place;
 //! * [`kernel`] — Algorithm 1, written once: online propagation with
 //!   per-node early exit and shrinking supporting frontiers, over a
 //!   [`graph_state::GraphState`];
-//! * [`inference`] — the static deployment [`inference::NaiEngine`]: a
-//!   graph state that never grows plus the batch loop;
+//! * [`inference`] — the deployment [`inference::NaiEngine`]: a graph
+//!   state read through the per-batch read and the batch loop;
+//! * [`engine`] — [`engine::StreamingEngine`], a `NaiEngine` plus an
+//!   arrival queue: per-arrival Algorithm 1 over a graph that grows;
 //! * [`active`] — the allocation-free active-set / frontier-plan
 //!   bookkeeping the kernel runs on;
 //! * [`distill`] — Inception Distillation (Eq. 14–21): Single-Scale KD
@@ -35,6 +37,7 @@ pub mod active;
 pub mod checkpoint;
 pub mod config;
 pub mod distill;
+pub mod engine;
 pub mod eval;
 pub mod gates;
 pub mod graph_state;

@@ -18,12 +18,17 @@ pub struct MacsBreakdown {
     pub nap: u64,
     /// Multi-depth combination + classifier MLPs.
     pub classification: u64,
+    /// Graph-mutation application: the incremental stationary updates of
+    /// a streaming ingest or edge arrival. Every shard replica performs
+    /// identical work here, so the serving layer reports this stage once
+    /// (max over replicas) instead of summing it. Static runs leave it 0.
+    pub replication: u64,
 }
 
 impl MacsBreakdown {
     /// Total MACs across all stages.
     pub fn total(&self) -> u64 {
-        self.propagation + self.stationary + self.nap + self.classification
+        self.propagation + self.stationary + self.nap + self.classification + self.replication
     }
 
     /// Feature-processing MACs (everything except classification) — the
@@ -38,16 +43,7 @@ impl MacsBreakdown {
         self.stationary += other.stationary;
         self.nap += other.nap;
         self.classification += other.classification;
-    }
-
-    /// Mega-MACs (the paper reports `#mMACs`).
-    pub fn total_mmacs(&self) -> f64 {
-        self.total() as f64 / 1e6
-    }
-
-    /// Feature-processing mega-MACs.
-    pub fn fp_mmacs(&self) -> f64 {
-        self.feature_processing() as f64 / 1e6
+        self.replication += other.replication;
     }
 }
 
@@ -92,10 +88,10 @@ mod tests {
             stationary: 10,
             nap: 5,
             classification: 50,
+            replication: 7,
         };
-        assert_eq!(m.total(), 165);
+        assert_eq!(m.total(), 172);
         assert_eq!(m.feature_processing(), 115);
-        assert!((m.total_mmacs() - 165e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -106,10 +102,13 @@ mod tests {
             stationary: 2,
             nap: 3,
             classification: 4,
+            replication: 5,
         };
         a.add(&b);
         a.add(&b);
-        assert_eq!(a.total(), 20);
+        assert_eq!(a.total(), 30);
+        assert_eq!(a.replication, 10);
+        assert_eq!(MacsBreakdown::default().total(), 0);
     }
 
     #[test]

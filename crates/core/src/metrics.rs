@@ -77,6 +77,7 @@ mod tests {
                 stationary: 1_000_000,
                 nap: 500_000,
                 classification: 2_500_000,
+                replication: 0,
             },
             total_time: Duration::from_millis(800),
             feature_time: Duration::from_millis(600),

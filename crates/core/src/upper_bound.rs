@@ -9,7 +9,7 @@
 
 use nai_graph::CsrMatrix;
 
-/// λ₂ of a deployment's `Â` as NAP_u reads it, for both engines: 100
+/// λ₂ of a deployment's `Â` as NAP_u reads it: 100
 /// power iterations from one seed, capped below 1 (0.9 below two nodes).
 pub fn lambda2(norm_adj: &CsrMatrix) -> f32 {
     if norm_adj.n() < 2 {

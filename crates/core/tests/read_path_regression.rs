@@ -17,17 +17,18 @@
 use nai_core::active::EngineScratch;
 use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::config::{DistillConfig, InferenceConfig, NapMode, PipelineConfig};
+use nai_core::engine::StreamingEngine;
 use nai_core::gates::GateSet;
+use nai_core::macs::MacsBreakdown;
 use nai_core::napd;
 use nai_core::pipeline::NaiPipeline;
 use nai_core::stationary::StationaryState;
 use nai_core::upper_bound::spectral_bound;
 use nai_graph::generators::{generate, GeneratorConfig};
-use nai_graph::InductiveSplit;
+use nai_graph::{DynamicGraph, InductiveSplit};
 use nai_linalg::ops::{argmax_rows, l2_distance};
 use nai_linalg::DenseMatrix;
 use nai_models::{DepthClassifier, ModelKind};
-use nai_stream::{DynamicGraph, MacsBreakdown, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -333,6 +334,7 @@ fn assert_reads_match(engine: &mut StreamingEngine, reference: &mut Reference, n
                 let after = engine.macs_breakdown();
                 let step = MacsBreakdown {
                     propagation: after.propagation - before.propagation,
+                    stationary: after.stationary - before.stationary,
                     nap: after.nap - before.nap,
                     classification: after.classification - before.classification,
                     replication: after.replication - before.replication,

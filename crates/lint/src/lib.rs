@@ -18,7 +18,7 @@
 //!
 //! | rule id              | scope                                   | what it enforces |
 //! |----------------------|-----------------------------------------|------------------|
-//! | `sync-facade`        | `src/` of nai-serve, nai-obs, nai-stream | no `std::sync` / `std::thread` / `std::time::Instant` outside `src/sync.rs` |
+//! | `sync-facade`        | `src/` of nai-serve, nai-obs            | no `std::sync` / `std::thread` / `std::time::Instant` outside `src/sync.rs` |
 //! | `ordering-invariant` | same                                    | every `Ordering::{Relaxed,…,SeqCst}` site carries an invariant comment |
 //! | `lock-hygiene`       | same                                    | no `.lock().unwrap()` / `.lock().expect(…)` — use `sync::lock_recover` |
 //! | `hot-path-panic`     | + nai-core, non-test code only          | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`dbg!`/`println!`/`eprintln!` |

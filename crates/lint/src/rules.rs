@@ -20,11 +20,11 @@ use std::collections::BTreeSet;
 /// Crates whose `src/` must route concurrency and clock primitives
 /// through their `crate::sync` facade (swapped for the loom model
 /// checker under `--cfg nai_model`).
-pub const FACADE_CRATES: [&str; 3] = ["nai-serve", "nai-obs", "nai-stream"];
+pub const FACADE_CRATES: [&str; 2] = ["nai-serve", "nai-obs"];
 
 /// Crates whose non-test library code must not contain panic paths or
 /// debug printing (the serving hot path plus the inference core).
-pub const PANIC_CRATES: [&str; 4] = ["nai-serve", "nai-obs", "nai-stream", "nai-core"];
+pub const PANIC_CRATES: [&str; 3] = ["nai-serve", "nai-obs", "nai-core"];
 
 /// Atomic orderings that demand an invariant comment at the use site.
 const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];

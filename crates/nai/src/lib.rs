@@ -47,10 +47,10 @@
 //! | [`graph`] | CSR, normalized adjacency, BFS frontiers, generators |
 //! | [`nn`] | MLPs with explicit backprop, Adam, KD losses, Gumbel, INT8 |
 //! | [`models`] | SGC / SIGN / S²GC / GAMLP per-depth classifiers |
-//! | [`core`] | stationary state, NAP_d, NAP_g, NAP_u, Algorithm 1, distillation, checkpoints |
+//! | [`core`] | stationary state, NAP_d, NAP_g, NAP_u, Algorithm 1, distillation, checkpoints, the streaming engine |
 //! | [`baselines`] | GLNN, NOSMOG, TinyGNN, Quantization, PPRGo |
 //! | [`datasets`] | Flickr / Ogbn-arxiv / Ogbn-products proxies |
-//! | [`stream`] | dynamic graphs + per-arrival streaming inference |
+//! | [`stream`] | dynamic graphs + per-arrival streaming inference (re-exported from `core` and `graph`) |
 //! | [`serve`] | online inference service: batching shard workers, HTTP |
 
 pub use nai_baselines as baselines;
@@ -62,20 +62,28 @@ pub use nai_models as models;
 pub use nai_nn as nn;
 pub use nai_obs as obs;
 pub use nai_serve as serve;
-pub use nai_stream as stream;
+
+/// Per-arrival streaming inference over a growing graph: the
+/// [`StreamingEngine`](nai_core::engine::StreamingEngine) of `nai-core`
+/// and the [`DynamicGraph`](nai_graph::DynamicGraph) store it mutates.
+pub mod stream {
+    pub use nai_core::engine::{StreamPrediction, StreamingEngine};
+    pub use nai_graph::DynamicGraph;
+}
 
 /// One-stop imports for applications.
 pub mod prelude {
     pub use nai_core::checkpoint::ModelCheckpoint;
     pub use nai_core::config::{DistillConfig, InferenceConfig, NapMode, PipelineConfig};
+    pub use nai_core::engine::StreamingEngine;
     pub use nai_core::eval::ConfusionMatrix;
     pub use nai_core::inference::{InferenceResult, NaiEngine};
     pub use nai_core::metrics::InferenceReport;
     pub use nai_core::pipeline::{NaiPipeline, TrainedNai};
+    pub use nai_graph::DynamicGraph;
     pub use nai_graph::{Graph, InductiveSplit};
     pub use nai_linalg::DenseMatrix;
     pub use nai_models::ModelKind;
-    pub use nai_stream::{DynamicGraph, StreamingEngine};
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! * **Mutation invalidation** — under fixed-depth propagation a
 //!   mutation can only change predictions within `t_max` hops of the
 //!   touched nodes, so the sequencer walks that frontier
-//!   ([`nai_stream::DynamicGraph::k_hop_frontier`]) and evicts every
+//!   ([`nai_graph::DynamicGraph::k_hop_frontier`]) and evicts every
 //!   cached node within its own depth bound of the mutation
 //!   ([`PredictionCache::invalidate_frontier`]). When the walk blows
 //!   its budget — or the NAP mode consults state beyond the frontier
@@ -334,7 +334,7 @@ impl VersionedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nai_stream::DynamicGraph;
+    use nai_graph::DynamicGraph;
 
     /// A path 0 − 1 − … − (n−1): exact hop distances for the walk.
     fn path_graph(n: usize) -> DynamicGraph {

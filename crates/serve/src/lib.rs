@@ -2,7 +2,7 @@
 //!
 //! The paper motivates node-adaptive propagation with *online*
 //! inference: nodes arrive as requests and must be answered within a
-//! latency budget. [`nai_stream::StreamingEngine`] supplies the
+//! latency budget. [`nai_core::engine::StreamingEngine`] supplies the
 //! per-arrival algorithm; this crate supplies the serving system around
 //! it, std-only (the workspace has no crates.io access):
 //!
@@ -51,7 +51,7 @@
 //! for a closed-loop request sequence — mutations and reads freely
 //! interleaved, dispatched round-robin over any number of shards with
 //! no routing hints — replies are identical to a single-threaded
-//! [`nai_stream::StreamingEngine`] fed the same sequence, and after a
+//! [`nai_core::engine::StreamingEngine`] fed the same sequence, and after a
 //! drain every replica holds the identical graph.
 
 pub mod admission;
@@ -87,8 +87,9 @@ mod tests {
     use super::*;
     use crate::sync::Arc;
     use nai_core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
+    use nai_core::engine::StreamingEngine;
+    use nai_graph::DynamicGraph;
     use nai_models::{DepthClassifier, ModelKind};
-    use nai_stream::{DynamicGraph, StreamingEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Duration;

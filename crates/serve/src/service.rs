@@ -85,10 +85,13 @@ use crate::sync::time::Instant;
 use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
 use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::config::{InferenceConfig, NapMode, ServeConfig};
+use nai_core::engine::StreamingEngine;
+use nai_core::kernel::StageTimes;
+use nai_core::macs::MacsBreakdown;
+use nai_graph::DynamicGraph;
 use nai_obs::{
     CloseReason, HistogramSnapshot, Stage, StageBreakdown, TraceRecord, STAGE_COUNT, TRACE_NODE_CAP,
 };
-use nai_stream::{DynamicGraph, MacsBreakdown, StageTimes, StreamingEngine};
 use std::cell::OnceCell;
 use std::time::Duration;
 
@@ -2239,6 +2242,7 @@ mod tests {
             nap: 3,
             classification: 2,
             replication: 1,
+            ..MacsBreakdown::default()
         };
         shared.worker_macs[0].publish(&macs);
         poison(&shared.worker_macs[0].0);

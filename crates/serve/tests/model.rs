@@ -39,12 +39,14 @@ use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::Arc;
 use loom::{Builder, Stats};
 use nai_core::config::InferenceConfig;
+use nai_core::engine::StreamingEngine;
+use nai_core::macs::MacsBreakdown;
+use nai_graph::DynamicGraph;
 use nai_models::{DepthClassifier, ModelKind};
 use nai_serve::{
     AdmissionLedger, CompletionQueue, Invalidation, MacsCell, NaiService, Op, Reply, Request,
     StopLatch, VersionedCache,
 };
-use nai_stream::{DynamicGraph, MacsBreakdown, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::AtomicUsize;
@@ -516,6 +518,7 @@ fn macs_cell_snapshot_never_tears() {
                     nap: 1,
                     classification: 1,
                     replication: 1,
+                    ..MacsBreakdown::default()
                 });
             });
             let b = cell.snapshot();
@@ -527,6 +530,7 @@ fn macs_cell_snapshot_never_tears() {
                         nap: 1,
                         classification: 1,
                         replication: 1,
+                        ..MacsBreakdown::default()
                     },
                 "torn snapshot: {b:?}"
             );

@@ -22,9 +22,10 @@
 #![cfg(not(nai_model))]
 
 use nai_core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
+use nai_core::engine::StreamingEngine;
+use nai_graph::DynamicGraph;
 use nai_models::{DepthClassifier, ModelKind};
 use nai_serve::{proto, HttpClient, Json, NaiService, Op, Request, Server, TransportConfig};
-use nai_stream::{DynamicGraph, StreamingEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
