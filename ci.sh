@@ -124,8 +124,11 @@ step "lint_selftest (bad fixture crate must produce findings + exit 1)" \
 # facades against the in-tree loom model checker (--cfg nai_model, its
 # own target dir so normal builds stay cached) and exhaustively explores
 # thread interleavings of the serve core's admission / panic-repair /
-# cache-versioning / shutdown protocols plus the obs histogram, within
-# the default preemption bound. The loom crate's own self-tests
+# cache-versioning / shutdown protocols, the store protocol (one writer
+# applies each group of mutations under the engine's write lock while
+# readers share its read lock: no read sees a half-applied group, and a
+# read after an ingest's reply finds the node), plus the obs histogram,
+# within the default preemption bound. The loom crate's own self-tests
 # run first. Time-boxed: each suite is bounded by loom's per-test
 # iteration/duration budget; `timeout` is a hard backstop against a
 # scheduler bug hanging CI.
@@ -183,10 +186,10 @@ serve_smoke() {
   curl -sf "http://$addr/healthz" | grep -q '"status":"ok"'
   curl -sf -X POST --data '{"op":"infer","nodes":[1,2,3]}' "http://$addr/v1" \
     | grep -q '"ok":true'
-  # Sequenced replication: ingest a node (no shard routing) and read it
-  # straight back; round-robin dispatch over the 2 workers means the
-  # reads land on different replicas than the ingest, and every one
-  # must know the new id — never an "out of range" error.
+  # One engine: ingest a node (no shard routing) and read it straight
+  # back; round-robin dispatch over the 2 workers means the reads land
+  # on different workers than the ingest, and every one must find the
+  # new id — never an "out of range" error.
   local fdim feats node read
   fdim=$(curl -sf "http://$addr/healthz" | sed -n 's/.*"feature_dim":\([0-9]*\).*/\1/p')
   [ -n "$fdim" ]
@@ -310,8 +313,8 @@ obs_smoke() {
   # JSON scrape: per-stage spans and batch anatomy ride along.
   curl -sf "http://$addr/metrics" | grep -q '"queue_wait"'
   curl -sf "http://$addr/metrics" | grep -q '"closed_on_idle"'
-  # The traffic has drained, so a lone read finds an idle replica that
-  # has applied every mutation: the reactor answers it inline.
+  # A lone read that names no worker is always answered by the reactor
+  # inline.
   curl -sf -X POST --data '{"op":"infer","nodes":[1]}' "http://$addr/v1" \
     | grep -q '"ok":true'
   curl -sf "http://$addr/metrics" | grep -Eq '"inline_batches":[1-9]'

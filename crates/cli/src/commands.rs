@@ -583,7 +583,7 @@ pub fn loadgen_workload(args: &ParsedArgs) -> Result<nai_serve::WorkloadSpec, Cl
 /// `nai loadgen`: closed-loop load driver against a running server.
 ///
 /// Requests carry no `shard` routing — mutations are sequenced and
-/// replicated server-side, so each client simply reads back any node
+/// applied server-side to one engine, so each client simply reads back any node
 /// id it has learned about, including the ids of its own ingests
 /// (read-your-writes with no client routing contract).
 pub fn loadgen(args: &ParsedArgs) -> CliResult {
@@ -670,7 +670,7 @@ pub fn loadgen(args: &ParsedArgs) -> CliResult {
                 };
                 // Exclusive bound of the node ids this client knows to
                 // exist: the seed graph plus every ingest it has had
-                // acknowledged — any replica must serve all of them.
+                // acknowledged — any worker must serve all of them.
                 let mut known_nodes = seed_nodes;
                 let mut sent = 0usize;
                 while sent < share {

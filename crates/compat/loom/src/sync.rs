@@ -1,8 +1,9 @@
-//! Model `Mutex`, `Condvar`, and `mpsc` channels. All establish full
-//! happens-before edges the way their std counterparts do: the mutex carries
-//! a clock from unlocker to next locker, a received message carries the
-//! sender's clock, and `Condvar` inherits its edge from the mutex
-//! re-acquisition.
+//! Model `Mutex`, `RwLock`, `Condvar`, and `mpsc` channels. All establish
+//! full happens-before edges the way their std counterparts do: the mutex
+//! carries a clock from unlocker to next locker, the rwlock from a writer to
+//! every later locker and from its readers to the next writer, a received
+//! message carries the sender's clock, and `Condvar` inherits its edge from
+//! the mutex re-acquisition.
 
 use crate::rt::{self, VClock};
 use std::cell::UnsafeCell;
@@ -194,6 +195,199 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         self.lock.release();
+    }
+}
+
+// --------------------------------------------------------------- RwLock
+
+struct RwState {
+    readers: usize,
+    writer: bool,
+    poisoned: bool,
+    /// Clock of the last write unlocker, joined by every later locker.
+    clock: VClock,
+    /// Join of the read unlockers' clocks, joined by the next writer: a
+    /// writer happens after every read it excluded.
+    read_clock: VClock,
+    waiters: Vec<usize>,
+}
+
+/// Model reader-writer lock: any number of readers, or one writer. Like
+/// std, a writer that panics poisons it and a reader that panics does not.
+pub struct RwLock<T: ?Sized> {
+    s: StdMutex<RwState>,
+    cell: UnsafeCell<T>,
+}
+
+unsafe impl<T: ?Sized + Send> Send for RwLock<T> {}
+unsafe impl<T: ?Sized + Send + Sync> Sync for RwLock<T> {}
+
+pub struct RwLockReadGuard<'a, T: ?Sized> {
+    lock: &'a RwLock<T>,
+}
+
+pub struct RwLockWriteGuard<'a, T: ?Sized> {
+    lock: &'a RwLock<T>,
+}
+
+impl<T> RwLock<T> {
+    pub fn new(t: T) -> Self {
+        RwLock {
+            s: StdMutex::new(RwState {
+                readers: 0,
+                writer: false,
+                poisoned: false,
+                clock: VClock::default(),
+                read_clock: VClock::default(),
+                waiters: Vec::new(),
+            }),
+            cell: UnsafeCell::new(t),
+        }
+    }
+
+    pub fn into_inner(self) -> LockResult<T> {
+        let poisoned = self.rwstate(|m| m.poisoned);
+        let v = self.cell.into_inner();
+        if poisoned {
+            Err(PoisonError::new(v))
+        } else {
+            Ok(v)
+        }
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    fn rwstate<R>(&self, f: impl FnOnce(&mut RwState) -> R) -> R {
+        let mut g = self.s.lock().unwrap_or_else(|e| e.into_inner());
+        f(&mut g)
+    }
+
+    /// Blocks until `grab` takes the lock, then joins the clocks `join`
+    /// picks; returns whether the lock is poisoned.
+    fn acquire(
+        &self,
+        grab: impl Fn(&mut RwState) -> bool,
+        join: impl Fn(&RwState) -> VClock,
+    ) -> bool {
+        rt::schedule_point();
+        rt::with_rt(|rt, tid| loop {
+            let grabbed = self.rwstate(|m| {
+                let ok = grab(m);
+                if !ok {
+                    m.waiters.push(tid);
+                }
+                ok
+            });
+            if grabbed {
+                let clock = self.rwstate(|m| join(m));
+                rt.join_clock(tid, &clock);
+                return self.rwstate(|m| m.poisoned);
+            }
+            rt.block(tid, false);
+        })
+    }
+
+    /// Releases a read (`write == false`) or the write lock.
+    fn release(&self, write: bool) {
+        rt::try_with_rt(|rt, tid| {
+            let clock = rt.bump_clock(tid);
+            let waiters = self.rwstate(|m| {
+                if write {
+                    m.writer = false;
+                    m.clock = clock.clone();
+                    if std::thread::panicking() {
+                        m.poisoned = true;
+                    }
+                } else {
+                    m.readers -= 1;
+                    m.read_clock.join(&clock);
+                }
+                std::mem::take(&mut m.waiters)
+            });
+            for w in waiters {
+                rt.unblock(w);
+            }
+        });
+    }
+
+    pub fn read(&self) -> LockResult<RwLockReadGuard<'_, T>> {
+        let poisoned = self.acquire(
+            |m| {
+                let free = !m.writer;
+                m.readers += usize::from(free);
+                free
+            },
+            |m| m.clock.clone(),
+        );
+        let guard = RwLockReadGuard { lock: self };
+        if poisoned {
+            Err(PoisonError::new(guard))
+        } else {
+            Ok(guard)
+        }
+    }
+
+    pub fn write(&self) -> LockResult<RwLockWriteGuard<'_, T>> {
+        let poisoned = self.acquire(
+            |m| {
+                let free = !m.writer && m.readers == 0;
+                m.writer |= free;
+                free
+            },
+            |m| {
+                let mut c = m.clock.clone();
+                c.join(&m.read_clock);
+                c
+            },
+        );
+        let guard = RwLockWriteGuard { lock: self };
+        if poisoned {
+            Err(PoisonError::new(guard))
+        } else {
+            Ok(guard)
+        }
+    }
+
+    pub fn is_poisoned(&self) -> bool {
+        self.rwstate(|m| m.poisoned)
+    }
+}
+
+impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RwLock(model)")
+    }
+}
+
+impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        unsafe { &*self.lock.cell.get() }
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
+    fn drop(&mut self) {
+        self.lock.release(false);
+    }
+}
+
+impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        unsafe { &*self.lock.cell.get() }
+    }
+}
+
+impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        unsafe { &mut *self.lock.cell.get() }
+    }
+}
+
+impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+    fn drop(&mut self) {
+        self.lock.release(true);
     }
 }
 

@@ -4,7 +4,7 @@
 //! reports must replay deterministically from its recorded schedule.
 
 use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use loom::sync::{mpsc, Arc, Condvar, Mutex};
+use loom::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use loom::{Builder, Failure, Stats};
 use std::collections::HashSet;
 use std::sync::Mutex as StdMutex;
@@ -277,5 +277,107 @@ fn mutex_poisoning_is_modeled() {
         assert!(m.is_poisoned());
         let v = m.lock().unwrap_or_else(|p| p.into_inner());
         assert_eq!(*v, 5, "poison must not lose the data");
+    });
+}
+
+/// Readers share the lock: one reader holds it while waiting for a
+/// second reader's message. Were readers exclusive, the schedule where
+/// the waiting reader locks first would deadlock.
+#[test]
+fn rwlock_readers_share() {
+    let stats = dfs(2)
+        .check_quiet(|| {
+            let lock = Arc::new(RwLock::new(5usize));
+            let (tx, rx) = mpsc::channel();
+            let l2 = lock.clone();
+            let h = loom::thread::spawn(move || {
+                let g = l2.read().unwrap();
+                rx.recv().unwrap();
+                *g
+            });
+            let g = lock.read().unwrap();
+            tx.send(*g).unwrap();
+            drop(g);
+            assert_eq!(h.join().unwrap(), 5);
+        })
+        .expect("two readers must hold the lock at once");
+    assert!(stats.exhausted);
+}
+
+/// A writer excludes everyone: two writers update a pair in two steps
+/// with a scheduling point between them, and a reader never sees the
+/// pair half-updated, nor does either writer lose the other's update.
+#[test]
+fn rwlock_writer_excludes_readers_and_writers() {
+    let stats = dfs(2)
+        .check_quiet(|| {
+            let lock = Arc::new(RwLock::new((0usize, 0usize)));
+            let step = Arc::new(AtomicUsize::new(0));
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (lock, step) = (lock.clone(), step.clone());
+                    loom::thread::spawn(move || {
+                        let mut g = lock.write().unwrap();
+                        g.0 += 1;
+                        step.fetch_add(1, Ordering::Relaxed);
+                        g.1 += 1;
+                    })
+                })
+                .collect();
+            let g = lock.read().unwrap();
+            assert_eq!(g.0, g.1, "a reader saw a half-done write");
+            drop(g);
+            for h in writers {
+                h.join().unwrap();
+            }
+            assert_eq!(*lock.read().unwrap(), (2, 2), "a write was lost");
+        })
+        .expect("a writer must exclude readers and writers");
+    assert!(stats.exhausted);
+}
+
+/// Write unlock → next read lock is a happens-before edge: a reader that
+/// sees the writer's flag sees the Relaxed store made before it.
+#[test]
+fn rwlock_write_unlock_publishes_to_the_next_reader() {
+    dfs(2).check(|| {
+        let data = Arc::new(AtomicUsize::new(0));
+        let lock = Arc::new(RwLock::new(false));
+        let (d, l) = (data.clone(), lock.clone());
+        let h = loom::thread::spawn(move || {
+            d.store(42, Ordering::Relaxed);
+            *l.write().unwrap() = true;
+        });
+        if *lock.read().unwrap() {
+            assert_eq!(data.load(Ordering::Relaxed), 42, "stale data");
+        }
+        h.join().unwrap();
+    });
+}
+
+/// A writer that panics poisons the lock; a reader that panics does not.
+/// Poison keeps the data reachable through `into_inner`.
+#[test]
+fn rwlock_poisoning_is_modeled() {
+    dfs(2).check(|| {
+        let lock = Arc::new(RwLock::new(5usize));
+        let l2 = lock.clone();
+        let h = loom::thread::spawn(move || {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _g = l2.read().unwrap();
+                panic!("die holding a read lock");
+            }));
+            assert!(!l2.is_poisoned(), "a panicking reader must not poison");
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _g = l2.write().unwrap();
+                panic!("die holding the write lock");
+            }));
+        });
+        h.join().unwrap();
+        assert!(lock.is_poisoned());
+        assert!(lock.read().is_err());
+        let lock = Arc::try_unwrap(lock).expect("sole owner");
+        let v = lock.into_inner().unwrap_err().into_inner();
+        assert_eq!(v, 5, "poison must not lose the data");
     });
 }

@@ -179,7 +179,7 @@ impl LoadShedPolicy {
 ///
 /// The service remembers `(prediction, depth)` per node, stamped with
 /// the mutation sequence number it was computed under, and answers
-/// repeat reads without touching an engine replica. Every sequenced
+/// repeat reads without touching the engine. Every sequenced
 /// mutation invalidates the entries its k-hop neighborhood could have
 /// changed (see `nai-serve`'s `PredictionCache`); when the dirtied
 /// frontier would exceed `frontier_budget` visited nodes — or the NAP
@@ -224,12 +224,13 @@ impl CacheConfig {
     }
 }
 
-/// Serving-layer knobs for `nai-serve`: batching, admission control,
-/// and sharding over engine replicas.
+/// Serving-layer knobs for `nai-serve`: reader threads, batching,
+/// admission control and the prediction cache.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Worker count — engine shards, each owning one replica and its
-    /// amortized scratch.
+    /// Reader (worker) thread count. Every worker reads the service's
+    /// one shared engine, on its own amortized scratch; a shard hint
+    /// names the worker that answers.
     pub workers: usize,
     /// A worker stops merging queued requests into one engine batch
     /// once it holds this many (the Fig. 5 batch-size dial at the

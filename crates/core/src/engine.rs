@@ -21,6 +21,13 @@
 //! `flush` processes pending arrivals in `cfg.batch_size` micro-batches;
 //! each prediction carries the personalized depth and the wall-clock
 //! latency of its micro-batch (the time-to-answer a caller would see).
+//!
+//! A server shares one engine between threads instead: one writer
+//! applies mutations ([`StreamingEngine::apply_replicated_ingest`],
+//! [`StreamingEngine::observe_edge`]) and calls
+//! [`StreamingEngine::refresh`], and any number of readers run
+//! [`StreamingEngine::read_nodes`] through `&self`, each on its own
+//! scratch and tally.
 
 use crate::active::EngineScratch;
 use crate::checkpoint::ModelCheckpoint;
@@ -51,8 +58,9 @@ pub struct StreamPrediction {
 pub struct StreamingEngine {
     engine: NaiEngine,
     pending: Vec<u32>,
-    /// Cumulative MACs and wall time of every read and mutation. Reads
-    /// charge no stationary rows: each is an `O(f)` read of cached
+    /// Cumulative MACs and wall time of every mutation and of the reads
+    /// the engine runs on its own scratch (`infer_nodes`, `flush`).
+    /// Reads charge no stationary rows: each is an `O(f)` read of cached
     /// component sums, like the updates charged under `replication`
     /// that keep them.
     tally: Tally,
@@ -98,29 +106,6 @@ impl StreamingEngine {
         Self::serve(ckpt.deploy_dynamic(graph))
     }
 
-    /// Builds `n` engine replicas ("shards") from one checkpoint and
-    /// seed graph. Every replica after the first is copied from it, not
-    /// derived again, so all share the frozen seed (see [`DynamicGraph`])
-    /// and one λ₂ cell; each gets its own scratch. Replicas share no
-    /// mutable state at runtime; the `nai-serve` layer keeps them convergent by
-    /// broadcasting every mutation to every replica in one global
-    /// sequence order (see [`Self::apply_replicated_ingest`] /
-    /// [`Self::apply_replicated_edge`]), so any replica can serve any
-    /// node.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or the graph's feature dimension disagrees
-    /// with the checkpoint.
-    pub fn shard_replicas(ckpt: &ModelCheckpoint, seed: &DynamicGraph, n: usize) -> Vec<Self> {
-        assert!(n > 0, "need at least one shard");
-        let mut shards = vec![Self::from_checkpoint(ckpt, seed.clone())];
-        for _ in 1..n {
-            let replica = shards[0].engine.replica();
-            shards.push(Self::serve(replica));
-        }
-        shards
-    }
-
     /// Highest trained depth `k`.
     pub fn k(&self) -> usize {
         self.engine.k()
@@ -136,8 +121,10 @@ impl StreamingEngine {
         self.tally.macs.total()
     }
 
-    /// Cumulative MACs split by pipeline stage (exported per worker by
-    /// the serving layer's `/metrics`); `stationary` stays 0.
+    /// Cumulative MACs split by pipeline stage; `stationary` stays 0.
+    /// Reads through [`Self::read_nodes`] charge their caller's tally
+    /// instead, so a shared engine's own breakdown holds only its
+    /// mutations (the serving layer's `replication` stage).
     pub fn macs_breakdown(&self) -> MacsBreakdown {
         self.tally.macs
     }
@@ -153,7 +140,7 @@ impl StreamingEngine {
 
     /// λ₂ of the deployed seed graph ([`NaiEngine::lambda2`]): estimated
     /// the first time NAP_u or this method reads it, never at
-    /// construction, and shared with every replica of the deployment.
+    /// construction.
     pub fn lambda2(&self) -> f32 {
         self.engine.lambda2()
     }
@@ -175,15 +162,14 @@ impl StreamingEngine {
         id
     }
 
-    /// Applies a node arrival replicated from the serving layer's
-    /// sequenced mutation broadcast: identical state change to
-    /// [`Self::ingest`] (graph append + stationary state update),
-    /// but the node is **not** queued for inference — exactly one
-    /// replica (the one holding the client's reply handle) pays for the
-    /// prediction; every other replica only needs the state. The op was
-    /// validated once when it was sequenced, so this path adds no
-    /// checks beyond the graph's structural assertions, and no λ₂ work
-    /// (λ₂ is a constant of the seed graph, see [`Self::lambda2`]).
+    /// Applies a node arrival as the serving layer's sequencer does:
+    /// identical state change to [`Self::ingest`] (graph append +
+    /// stationary state update), but the node is **not** queued — the
+    /// sequencer answers the arrival with a read of its new id, routed
+    /// like any other read. The op was validated when it was sequenced,
+    /// so this path adds no checks beyond the graph's structural
+    /// assertions, and no λ₂ work (λ₂ is a constant of the seed graph,
+    /// see [`Self::lambda2`]).
     ///
     /// # Panics
     /// Panics on wrong feature length or unknown neighbor ids.
@@ -212,14 +198,20 @@ impl StreamingEngine {
         true
     }
 
-    /// [`Self::observe_edge`] under replicated apply — the duplicate
-    /// probe must run on every replica (all replicas hold identical
-    /// state, so the `added` outcome agrees everywhere), which makes
-    /// the replicated path the same as the direct one; the distinct
-    /// name documents intent at the serving call sites.
+    /// [`Self::observe_edge`] as the serving layer's sequencer applies
+    /// it: the same path, named for symmetry with
+    /// [`Self::apply_replicated_ingest`].
     #[inline]
     pub fn apply_replicated_edge(&mut self, u: u32, v: u32) -> bool {
         self.observe_edge(u, v)
+    }
+
+    /// Re-rounds the stationary components that mutations since the last
+    /// refresh marked stale. Reads are exact either way (a stale
+    /// component is rounded on the fly); refreshing once after a run of
+    /// mutations saves every later read that work.
+    pub fn refresh(&mut self) {
+        self.engine.state.refresh();
     }
 
     /// Runs node-adaptive inference on all pending arrivals in micro-
@@ -233,7 +225,7 @@ impl StreamingEngine {
         // Mutations since the last read only marked their components
         // stale: re-round each once per read, not once per mutation. The
         // kernel validates `cfg` before the queue is taken.
-        self.engine.state.refresh();
+        self.refresh();
         let kernel = self.engine.kernel(cfg);
         let pending = std::mem::take(&mut self.pending);
         let mut out = Vec::with_capacity(pending.len());
@@ -269,7 +261,7 @@ impl StreamingEngine {
     /// # Panics
     /// Panics on invalid config, missing gates, or unknown node ids.
     pub fn infer_nodes(&mut self, nodes: &[u32], cfg: &InferenceConfig) -> Vec<(usize, usize)> {
-        self.engine.state.refresh();
+        self.refresh();
         let kernel = self.engine.kernel(cfg);
         read(
             &self.engine,
@@ -279,10 +271,33 @@ impl StreamingEngine {
             &mut self.tally,
         )
     }
+
+    /// [`Self::infer_nodes`] through a shared reference, on the caller's
+    /// `scratch` and charged to the caller's `tally` — so any number of
+    /// threads may read one engine at once. Bit-equal to
+    /// [`Self::infer_nodes`] whether or not the engine was refreshed.
+    ///
+    /// # Panics
+    /// As [`Self::infer_nodes`].
+    pub fn read_nodes(
+        &self,
+        nodes: &[u32],
+        cfg: &InferenceConfig,
+        scratch: &mut EngineScratch,
+        tally: &mut Tally,
+    ) -> Vec<(usize, usize)> {
+        read(
+            &self.engine,
+            &self.engine.kernel(cfg),
+            nodes,
+            scratch,
+            tally,
+        )
+    }
 }
 
-/// One kernel batch of `nodes` through `engine` on the stream's
-/// `scratch`, charged to its cumulative `tally`. Returns
+/// One kernel batch of `nodes` through `engine` on `scratch`, charged to
+/// the cumulative `tally`. Returns
 /// `(prediction, depth)` per node.
 fn read(
     engine: &NaiEngine,
@@ -618,30 +633,6 @@ mod tests {
         assert_eq!(preds.len(), 2);
     }
 
-    #[test]
-    fn shard_replicas_share_lambda2_and_agree_with_solo_engine() {
-        let (g, split, t) = trained(200, 2);
-        let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
-        let seed = DynamicGraph::from_graph(&g);
-        let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
-        assert_eq!(shards.len(), 3);
-        let mut solo = StreamingEngine::from_checkpoint(&ckpt, seed);
-        let solo_l2 = solo.lambda2();
-        let cfg = InferenceConfig::distance(0.5, 1, 2);
-        let reference = solo.infer_nodes(&split.test, &cfg);
-        for shard in &mut shards {
-            // One estimate function over one seed: bit-equal everywhere.
-            assert_eq!(shard.lambda2(), solo_l2);
-            assert_eq!(shard.infer_nodes(&split.test, &cfg), reference);
-        }
-        // Shards are independent: a mutation on one is invisible to the
-        // others.
-        let before = shards[1].graph().num_nodes();
-        shards[0].ingest(&[0.1; 8], &[0, 1]);
-        assert_eq!(shards[1].graph().num_nodes(), before);
-        assert_eq!(shards[0].graph().num_nodes(), before + 1);
-    }
-
     /// λ₂ as the engine estimated it eagerly at construction before the
     /// estimate became lazy: over the whole graph it is deployed on.
     fn eager_lambda2(g: &DynamicGraph, gamma: f32) -> f32 {
@@ -687,98 +678,108 @@ mod tests {
         let se = StreamingEngine::new(grown.clone(), classifiers(), None, 0.5);
         assert!(!se.graph().shares_seed(&grown), "re-frozen at deploy");
         assert_eq!(se.lambda2().to_bits(), eager_lambda2(&grown, 0.5).to_bits());
-        // Replicas of the grown graph share the one re-frozen seed.
-        let ckpt = ModelCheckpoint::from_engine(&trained(60, 2).2.engine, 0.5);
-        let shards = StreamingEngine::shard_replicas(&ckpt, &grown, 3);
-        assert!(!shards[0].graph().shares_seed(&grown));
-        assert!(shards
-            .iter()
-            .all(|s| s.graph().shares_seed(shards[0].graph())));
-        assert_eq!(
-            shards[2].lambda2().to_bits(),
-            eager_lambda2(&grown, 0.5).to_bits()
-        );
     }
 
     #[test]
-    fn shard_replicas_copy_a_stationary_state_equal_to_a_fresh_deploy() {
+    fn growth_keeps_the_stationary_state_equal_to_a_fresh_deploy() {
         let (g, _, t) = trained(150, 2);
         let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
-        let seed = DynamicGraph::from_graph(&g);
-        let mut engines = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
-        engines.push(StreamingEngine::from_checkpoint(&ckpt, seed));
+        let mut se = StreamingEngine::from_checkpoint(&ckpt, DynamicGraph::from_graph(&g));
         let bits = |se: &StreamingEngine| -> Vec<u32> {
             let full = se.engine.state.stationary().full();
             full.as_slice().iter().map(|x| x.to_bits()).collect()
         };
-        let want = bits(&engines[3]);
-        assert!(engines.iter().all(|se| bits(se) == want), "at deploy");
-        // The same mutations keep them equal, and equal to a deploy on
-        // the grown graph.
         let mut rng = StdRng::seed_from_u64(29);
         for _ in 0..200 {
-            let n = engines[0].graph().num_nodes() as u32;
+            let n = se.graph().num_nodes() as u32;
             let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let nbrs: Vec<u32> = (0..rng.gen_range(0..3))
                 .map(|_| rng.gen_range(0..n))
                 .collect();
             let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            for se in &mut engines {
-                se.apply_replicated_ingest(&feats, &nbrs);
-                if u != v {
-                    se.apply_replicated_edge(u, v);
-                }
+            se.apply_replicated_ingest(&feats, &nbrs);
+            if u != v {
+                se.apply_replicated_edge(u, v);
             }
         }
-        let want = bits(&StreamingEngine::from_checkpoint(
-            &ckpt,
-            engines[0].graph().clone(),
-        ));
-        for (i, se) in engines.iter().enumerate() {
-            assert_eq!(bits(se), want, "engine {i} after growth");
-        }
+        se.refresh();
+        let fresh = StreamingEngine::from_checkpoint(&ckpt, se.graph().clone());
+        assert_eq!(bits(&se), bits(&fresh), "after growth");
     }
 
     #[test]
-    fn shard_replicas_share_one_seed_through_growth() {
+    fn growth_keeps_the_seed_and_owns_only_the_rows_it_writes() {
         let (g, _, t) = trained(150, 2);
         let ckpt = crate::checkpoint::ModelCheckpoint::from_engine(&t.engine, 0.5);
         let seed = DynamicGraph::from_graph(&g);
-        let mut shards = StreamingEngine::shard_replicas(&ckpt, &seed, 3);
-        assert!(shards.iter().all(|s| s.graph().shares_seed(&seed)));
+        let mut se = StreamingEngine::from_checkpoint(&ckpt, seed.clone());
+        assert!(se.graph().shares_seed(&seed));
         let mut rng = StdRng::seed_from_u64(17);
         let mut touched = std::collections::BTreeSet::new();
         for step in 0..1000 {
-            let n = shards[0].graph().num_nodes() as u32;
+            let n = se.graph().num_nodes() as u32;
             if step % 2 == 0 {
                 let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 let nbrs: Vec<u32> = (0..3).map(|_| rng.gen_range(0..n)).collect();
-                shards[0].apply_replicated_ingest(&feats, &nbrs);
+                se.apply_replicated_ingest(&feats, &nbrs);
                 touched.extend(nbrs.into_iter().filter(|&u| u < 150));
             } else {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                if u != v && shards[0].apply_replicated_edge(u, v) {
+                if u != v && se.apply_replicated_edge(u, v) {
                     touched.extend([u, v].into_iter().filter(|&w| w < 150));
                 }
             }
         }
-        assert_eq!(shards[0].graph().num_nodes(), 650);
-        assert!(
-            shards[0].graph().shares_seed(&seed),
-            "growth keeps the seed"
-        );
+        assert_eq!(se.graph().num_nodes(), 650);
+        assert!(se.graph().shares_seed(&seed), "growth keeps the seed");
         assert!(touched.len() < 150, "some seed rows are never written");
         for v in (0..150u32).filter(|v| !touched.contains(v)) {
-            assert_eq!(shards[0].graph().neighbors(v), seed.neighbors(v), "row {v}");
+            assert_eq!(se.graph().neighbors(v), seed.neighbors(v), "row {v}");
         }
-        for s in &shards[1..] {
-            assert!(s.graph().shares_seed(&seed));
-            for v in 0..150u32 {
-                assert_eq!(s.graph().neighbors(v), seed.neighbors(v), "sibling row {v}");
-            }
-            assert_eq!(s.graph().num_nodes(), 150, "siblings untouched");
-            assert_eq!(s.graph().num_edges(), g.num_edges(), "siblings untouched");
+        assert_eq!(seed.num_nodes(), 150, "the seed itself is untouched");
+        assert_eq!(
+            seed.num_edges(),
+            g.num_edges(),
+            "the seed itself is untouched"
+        );
+    }
+
+    #[test]
+    fn shared_reads_match_infer_nodes_and_charge_the_callers_tally() {
+        // Reads through `&self`, before any refresh, on the caller's
+        // scratch: the bits of a refreshing `infer_nodes`, with the
+        // engine's own tally left to its mutations.
+        let (g, split, t) = trained(200, 3);
+        let mut se = engine_from(&t, &g);
+        let mut oracle = engine_from(&t, &g);
+        let mut rng = StdRng::seed_from_u64(61);
+        for _ in 0..20 {
+            let feats: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let nbrs: Vec<u32> = (0..2).map(|_| rng.gen_range(0..200u32)).collect();
+            se.apply_replicated_ingest(&feats, &nbrs);
+            oracle.apply_replicated_ingest(&feats, &nbrs);
         }
+        let mutations = se.macs_breakdown();
+        let (mut scratch, mut tally) = (EngineScratch::new(), Tally::default());
+        for cfg in [
+            InferenceConfig::fixed(3),
+            InferenceConfig::distance(0.5, 1, 3),
+            InferenceConfig::upper_bound(0.5, 1, 3),
+        ] {
+            let want = oracle.infer_nodes(&split.test, &cfg);
+            let got = se.read_nodes(&split.test, &cfg, &mut scratch, &mut tally);
+            assert_eq!(got, want, "{:?}", cfg.nap);
+        }
+        assert_eq!(
+            se.macs_breakdown(),
+            mutations,
+            "the engine's tally is untouched"
+        );
+        assert_eq!(
+            tally.macs.total() + mutations.total(),
+            oracle.macs_total(),
+            "the reads charged the caller what they charge the engine"
+        );
     }
 
     #[test]

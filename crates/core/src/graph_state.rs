@@ -8,8 +8,7 @@
 //! once; [`GraphState::add_node`] and [`GraphState::add_edge`] are the
 //! one place a mutation reaches the rows, the factors and the stationary
 //! state together. A `NaiEngine` holds one and only reads it; the
-//! `StreamingEngine` around it mutates it in place, and its
-//! `shard_replicas` clone one instead of deriving it again.
+//! `StreamingEngine` around it mutates it in place.
 //!
 //! It is also the one view the read kernel runs over: BFS and degrees
 //! come from the graph's rows, and `GraphState::gather_row` sums a row
@@ -204,8 +203,8 @@ mod tests {
 
     #[test]
     fn lambda2_is_estimated_only_when_nap_u_reads_it() {
-        // Three clones of one deployment, as `shard_replicas` makes them,
-        // and a second deployment of the same graph.
+        // Three clones of one deployment and a second deployment of the
+        // same graph.
         let first = GraphState::new(seed(), 0.5);
         let mut states = vec![
             first.clone(),

@@ -80,18 +80,6 @@ impl NaiEngine {
         }
     }
 
-    /// A replica of this deployment: its state cloned (sharing the frozen
-    /// seed and the λ₂ cell, see [`GraphState`]), its classifiers and
-    /// gates copied, and an empty scratch pool.
-    pub(crate) fn replica(&self) -> Self {
-        Self {
-            state: self.state.clone(),
-            classifiers: self.classifiers.clone(),
-            gates: self.gates.clone(),
-            scratch_pool: Mutex::new(Vec::new()),
-        }
-    }
-
     /// The read kernel under `cfg` over this deployment.
     ///
     /// # Panics
@@ -103,7 +91,8 @@ impl NaiEngine {
     /// One batch of Algorithm 1 on a caller-owned scratch: `kernel` (made
     /// by [`Self::kernel`]) over `batch` with `heads`, or with the
     /// engine's classifiers when `None`. Charges the batch's stationary
-    /// rows into `tally`; `sink` receives each answer as in
+    /// rows into `tally` when the kernel reads them; `sink` receives each
+    /// answer as in
     /// [`ReadKernel::run`].
     pub(crate) fn read_batch(
         &self,
@@ -523,6 +512,29 @@ mod tests {
             &InferenceConfig::distance(f32::INFINITY, 2, 3),
         );
         assert!(res.depths.iter().all(|&d| d == 2));
+    }
+
+    /// Only NAP_d and NAP_g read `X^(∞)`, and only with a depth in
+    /// `t_min..t_max` to decide at: every other run charges the one-off
+    /// precompute and no per-batch rows.
+    #[test]
+    fn stationary_rows_are_charged_only_where_an_exit_reads_them() {
+        let (engine, g, test) = engine(3);
+        let precompute = engine.state.stationary().precompute_macs();
+        let rows = test.len() as u64 * engine.feature_dim() as u64;
+        let fixed = engine.infer(&test, &g.labels, &InferenceConfig::fixed(3));
+        assert_eq!(fixed.report.macs.stationary, precompute);
+        let nap_u = engine.infer(&test, &g.labels, &InferenceConfig::upper_bound(0.5, 1, 3));
+        assert_eq!(nap_u.report.macs.stationary, precompute);
+        // NAP_d with no depth to decide at reads no rows and answers as
+        // fixed depth does.
+        let pinned = engine.infer(&test, &g.labels, &InferenceConfig::distance(0.5, 3, 3));
+        assert_eq!(pinned.report.macs.stationary, precompute);
+        assert_eq!(pinned.predictions, fixed.predictions);
+        assert_eq!(pinned.depths, fixed.depths);
+        // NAP_d deciding at depths 1 and 2 reads one row per node.
+        let nap_d = engine.infer(&test, &g.labels, &InferenceConfig::distance(0.5, 1, 3));
+        assert_eq!(nap_d.report.macs.stationary, precompute + rows);
     }
 
     #[test]

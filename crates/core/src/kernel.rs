@@ -12,7 +12,8 @@
 //! Per batch the kernel:
 //!
 //! 1. checks every seed id, then asks the caller for the stationary rows
-//!    `X^(∞)` (line 2) and, under NAP_u, fixes every exit depth from
+//!    `X^(∞)` (line 2) when an exit reads them — NAP_d and NAP_g with
+//!    `t_min < t_max` — and, under NAP_u, fixes every exit depth from
 //!    Eq. (10) before propagation (λ₂, which only NAP_u reads, is
 //!    estimated once per deployment, when the first NAP_u kernel is made);
 //! 2. BFS-collects the supporting hop sets (line 3). Depth 1 reads raw
@@ -206,7 +207,9 @@ impl<'a> ReadKernel<'a> {
     /// Runs Algorithm 1 for the seed batch `nodes`.
     ///
     /// `stationary(x_inf)` fills the batch's stationary rows (aligned with
-    /// `nodes`) and returns the MACs to charge for them. `sink(row,
+    /// `nodes`) and returns the MACs to charge for them; it is called only
+    /// when an exit decision reads them (NAP_d or NAP_g, with a depth in
+    /// `t_min..t_max` to decide at). `sink(row,
     /// prediction, depth)` receives each seed's answer as it exits, `row`
     /// being its index in `nodes`. MACs and stage times are added to
     /// `tally`.
@@ -235,7 +238,11 @@ impl<'a> ReadKernel<'a> {
         let mut clock = StageClock::new();
         let macs = &mut tally.macs;
         scratch.begin_batch(n, nodes, cfg.t_max, f);
-        macs.stationary += stationary(&mut scratch.x_inf);
+        let reads_stationary =
+            matches!(cfg.nap, NapMode::Distance { .. } | NapMode::Gate) && cfg.t_min < cfg.t_max;
+        if reads_stationary {
+            macs.stationary += stationary(&mut scratch.x_inf);
+        }
         clock.propagation();
 
         // NAP_u fixes every exit depth from Eq. (10) before propagation

@@ -19,9 +19,9 @@ pub struct MacsBreakdown {
     /// Multi-depth combination + classifier MLPs.
     pub classification: u64,
     /// Graph-mutation application: the incremental stationary updates of
-    /// a streaming ingest or edge arrival. Every shard replica performs
-    /// identical work here, so the serving layer reports this stage once
-    /// (max over replicas) instead of summing it. Static runs leave it 0.
+    /// a streaming ingest or edge arrival, charged once per mutation
+    /// (the serving layer applies each to its one engine). Static runs
+    /// leave it 0.
     pub replication: u64,
 }
 

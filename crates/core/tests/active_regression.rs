@@ -129,7 +129,10 @@ fn reference_infer(
     for batch_start in (0..test_nodes.len()).step_by(cfg.batch_size) {
         let batch = &test_nodes[batch_start..(batch_start + cfg.batch_size).min(test_nodes.len())];
         let mut x_inf_active = st.rows(batch);
-        macs.stationary += batch.len() as u64 * st.macs_per_row();
+        // Only an exit that compares against X^(∞) pays for its rows.
+        if matches!(cfg.nap, NapMode::Distance { .. } | NapMode::Gate) && cfg.t_min < cfg.t_max {
+            macs.stationary += batch.len() as u64 * st.macs_per_row();
+        }
         let mut assigned: Vec<usize> = match cfg.nap {
             NapMode::UpperBound { ts } => {
                 macs.nap += batch.len() as u64 * 4;

@@ -13,8 +13,7 @@
 //!   (worker, sequencer, panic repair, submit rollback) does it.
 //! * After a worker panic, `repair_panicked` releases exactly the
 //!   slots of the jobs the worker owned but never answered — even
-//!   while other workers concurrently answer their own slices of the
-//!   same broadcast batch.
+//!   while other parties concurrently answer their own jobs.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -32,10 +31,10 @@ pub struct AdmissionLedger {
     in_flight: AtomicUsize,
     cap: usize,
     /// Replies sent, indexed by answering party (`0..workers` = that
-    /// worker, `workers` = the sequencer). Broadcast batches contain
-    /// jobs a worker does *not* answer, so panic repair must count
-    /// exactly the repairer's own replies — a global counter would mix
-    /// in concurrent replies from other workers and under-repair.
+    /// worker, `workers` = the submitting threads: edges, inline reads,
+    /// refusals). Other parties answer concurrently with a worker's
+    /// batch, so panic repair must count exactly the repairer's own
+    /// replies — a global counter would mix theirs in and under-repair.
     answered: Vec<AtomicU64>,
     /// Raised by a worker's panic path *before* it starts draining its
     /// channel; the sequencer reaps the flag at its next dispatch.
@@ -60,9 +59,8 @@ impl AdmissionLedger {
         self.cap
     }
 
-    /// The sequencer's slot index in the `answered` ledger. Its replies
-    /// are sent by submitting threads while they hold the sequencer
-    /// lock.
+    /// The submitting threads' slot index in the `answered` ledger:
+    /// the replies they send themselves (edges, refusals, inline reads).
     pub fn sequencer_slot(&self) -> usize {
         self.answered.len() - 1
     }

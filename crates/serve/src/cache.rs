@@ -1,18 +1,19 @@
 //! Sequence-versioned prediction cache with k-hop invalidation.
 //!
-//! The serving layer answers every read by running propagation on an
-//! engine replica — even when the same (often hub) node was predicted
-//! moments ago on an unchanged graph. This module remembers
+//! The serving layer answers every read by running propagation on its
+//! engine — even when the same (often hub) node was predicted moments
+//! ago on an unchanged graph. This module remembers
 //! `(prediction, depth)` per node, stamped with the mutation sequence
 //! number it was computed under, and serves repeat reads without
-//! touching a replica. Correctness hinges on two rules:
+//! touching the engine. Correctness hinges on two rules:
 //!
 //! * **Version guard** — an entry is inserted only if the sequence
 //!   point it was computed at is *still* the cache's current sequence
 //!   point ([`PredictionCache::insert`] drops late results computed
 //!   before a newer mutation was sequenced), and the sequencer advances
-//!   the cache's sequence point (after invalidating) the moment it
-//!   sequences a mutation — before any worker could have applied it.
+//!   the cache's sequence point (after invalidating) as it applies a
+//!   mutation, under the engine's write lock — before any reader could
+//!   have computed at the new point.
 //! * **Mutation invalidation** — under fixed-depth propagation a
 //!   mutation can only change predictions within `t_max` hops of the
 //!   touched nodes, so the sequencer walks that frontier
@@ -23,8 +24,8 @@
 //!   (the stationary row of the node's component, which a mutation
 //!   anywhere in that component changes; NAP_u's global `2m + n`),
 //!   where no local frontier is sound — the whole cache is flushed
-//!   ([`PredictionCache::flush_all`]). Those modes keep no graph mirror
-//!   to walk, so they flush on every mutation, duplicate edges included.
+//!   ([`PredictionCache::flush_all`]). Those modes walk nothing: they
+//!   flush on every mutation, duplicate edges included.
 //!
 //! Hits are therefore bit-identical to a cache-bypass run at the same
 //! sequence point: a surviving entry's inputs (its ≤`depth`-hop
@@ -237,7 +238,7 @@ impl PredictionCache {
 }
 
 /// What a sequenced mutation evicts before its sequence point advances
-/// (computed by the sequencer's mirror walk, applied by
+/// (computed by the sequencer's walk over the engine's graph, applied by
 /// [`VersionedCache::sequence_mutation`]).
 pub enum Invalidation {
     /// Under fixed-depth mode, the graph did not change (duplicate

@@ -2,8 +2,9 @@
 //! end-to-end tests — one keep-alive connection, blocking requests,
 //! with optional request pipelining (`send` × N, then `recv` × N, or
 //! the batched [`HttpClient::pipeline`]). Clients carry no
-//! shard-routing state: the service replicates every mutation to all
-//! shards, so any connection can issue any request.
+//! shard-routing state: the service applies every mutation to its one
+//! engine, which every worker reads, so any connection can issue any
+//! request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -310,8 +310,8 @@ fn metrics_json(service: &NaiService) -> Json {
                 ("propagation", Json::uint(m.macs.propagation)),
                 ("nap", Json::uint(m.macs.nap)),
                 ("classification", Json::uint(m.macs.classification)),
-                // Replicated mutation work, attributed once (max over
-                // replicas) — never multiplied by the shard count.
+                // Mutation work: each mutation is applied once, to the
+                // one engine, whatever the worker count.
                 ("replication", Json::uint(m.macs.replication)),
                 ("total", Json::uint(m.macs.total())),
             ]),
@@ -340,7 +340,7 @@ fn metrics_prom(service: &NaiService) -> String {
         ("nai_batches_total", "Batches dispatched.", m.batches),
         (
             "nai_inline_batches_total",
-            "Batches the reactor ran itself on an idle replica (part of nai_batches_total).",
+            "Batches the reactor ran itself (part of nai_batches_total).",
             m.inline_batches,
         ),
         (

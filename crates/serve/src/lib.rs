@@ -6,15 +6,14 @@
 //! per-arrival algorithm; this crate supplies the serving system around
 //! it, std-only (the workspace has no crates.io access):
 //!
-//! * [`service::NaiService`] — a **worker pool** of engine replicas
-//!   kept convergent by **sequenced mutation replication**: the
-//!   submitting thread stamps every ingest/edge arrival with a
-//!   monotonic sequence number, validates it once, and sends it to
-//!   every replica, which applies its batch's mutation prefix in
-//!   sequence order before serving reads — so any replica answers any
-//!   node and clients never route. The HTTP reactor answers a group of
-//!   reads on its own thread when it can claim an idle replica that
-//!   has applied every sequenced mutation. Each worker **batches**
+//! * [`service::NaiService`] — **one engine per service**, read by a
+//!   **worker pool**: the submitting thread stamps every ingest/edge
+//!   arrival with a monotonic sequence number, validates it against the
+//!   engine's own graph and applies it once, under the write side of
+//!   one `RwLock`; every read — on a worker, or on the HTTP reactor's
+//!   own thread for a group of reads that names no worker — takes the
+//!   read side for its engine call. So any worker answers any node and
+//!   clients never route. Each worker **batches**
 //!   whatever is queued for it when it becomes free (up to `max_batch` requests —
 //!   the Fig. 5 batch-size/latency trade-off, set by load instead of a
 //!   timer); **admission control** rejects work
@@ -24,7 +23,7 @@
 //!   by load;
 //! * [`cache::PredictionCache`] — an opt-in sequence-versioned
 //!   prediction cache: repeat reads of unchanged nodes are answered at
-//!   submit time without touching a replica, and every sequenced
+//!   submit time without touching the engine, and every sequenced
 //!   mutation invalidates exactly the k-hop neighborhood it could have
 //!   changed (full flush when the frontier blows its budget or the NAP
 //!   mode depends on global state). Hits are bit-identical to a
@@ -43,16 +42,16 @@
 //!   that `nai loadgen` draws its op stream from.
 //!
 //! ```text
-//! clients ──HTTP──▶ Server ──submit──▶ NaiService ──batches──▶ shard engines
+//! clients ──HTTP──▶ Server ──submit──▶ NaiService ──reads──▶ workers ──▶ one engine
 //! ```
 //!
 //! Correctness contract (checked in the workspace's
 //! `tests/serve_end_to_end.rs` and `tests/replica_convergence.rs`):
 //! for a closed-loop request sequence — mutations and reads freely
-//! interleaved, dispatched round-robin over any number of shards with
+//! interleaved, dispatched round-robin over any number of workers with
 //! no routing hints — replies are identical to a single-threaded
-//! [`nai_core::engine::StreamingEngine`] fed the same sequence, and after a
-//! drain every replica holds the identical graph.
+//! [`nai_core::engine::StreamingEngine`] fed the same sequence, and the
+//! drained engine holds that engine's graph.
 
 pub mod admission;
 pub mod cache;
@@ -100,23 +99,15 @@ mod tests {
 
     /// An untrained (random-weight) deployment — serving correctness
     /// tests only need *deterministic* classifiers, not accurate ones,
-    /// and skipping the training pipeline keeps these tests fast.
-    pub(crate) fn engine_shards(
-        n_nodes: usize,
-        n_shards: usize,
-        seed: u64,
-    ) -> Vec<StreamingEngine> {
+    /// and skipping the training pipeline keeps these tests fast. Every
+    /// call with the same arguments builds a bit-identical engine, so a
+    /// service and its oracle agree.
+    pub(crate) fn engine(n_nodes: usize, seed: u64) -> StreamingEngine {
         let seed_graph = DynamicGraph::from_graph(&graph(n_nodes, seed));
-        (0..n_shards)
-            .map(|_| {
-                // Every replica (and the oracle the tests peel off) gets
-                // bit-identical weights.
-                StreamingEngine::new(seed_graph.clone(), classifiers(seed), None, 0.5)
-            })
-            .collect()
+        StreamingEngine::new(seed_graph, classifiers(seed), None, 0.5)
     }
 
-    /// [`engine_shards`]' model and seed graph as a checkpoint, for
+    /// [`engine`]'s model and seed graph as a checkpoint, for
     /// deploying through `NaiService::from_checkpoint`.
     pub(crate) fn checkpoint(
         n_nodes: usize,
@@ -171,9 +162,8 @@ mod tests {
 
     #[test]
     fn infer_matches_direct_engine() {
-        let mut shards = engine_shards(80, 2, 7);
-        let mut oracle = shards.pop().unwrap(); // same weights as shard 0/1
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(1)).unwrap();
+        let mut oracle = engine(80, 7);
+        let service = NaiService::new(engine(80, 7), infer_cfg(), serve_cfg(1)).unwrap();
         let nodes: Vec<u32> = vec![0, 13, 55, 7];
         let expected = oracle.infer_nodes(&nodes, &infer_cfg());
         match service
@@ -204,9 +194,8 @@ mod tests {
 
     #[test]
     fn ingest_matches_ingest_flush_oracle() {
-        let mut shards = engine_shards(60, 2, 11);
-        let mut oracle = shards.pop().unwrap();
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(1)).unwrap();
+        let mut oracle = engine(60, 11);
+        let service = NaiService::new(engine(60, 11), infer_cfg(), serve_cfg(1)).unwrap();
         let features = vec![0.25f32; F];
         let neighbors = vec![3u32, 9, 9];
         let oid = oracle.ingest(&features, &neighbors);
@@ -240,8 +229,7 @@ mod tests {
 
     #[test]
     fn observe_edge_dedups_and_validates() {
-        let shards = engine_shards(30, 1, 3);
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(1)).unwrap();
+        let service = NaiService::new(engine(30, 3), infer_cfg(), serve_cfg(1)).unwrap();
         let find_missing = |service: &NaiService| -> (u32, u32) {
             // Edge (0, v) for some v not adjacent to 0: probe via replies.
             for v in 1..30u32 {
@@ -303,8 +291,7 @@ mod tests {
 
     #[test]
     fn replicated_ingests_assign_global_ids_any_replica_serves_them() {
-        let shards = engine_shards(40, 3, 5);
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(3)).unwrap();
+        let service = NaiService::new(engine(40, 5), infer_cfg(), serve_cfg(3)).unwrap();
         let mut answerers = Vec::new();
         for i in 0..6u32 {
             match service
@@ -324,8 +311,8 @@ mod tests {
                     ..
                 } => {
                     answerers.push(shard);
-                    // Sequenced replication: ids are globally
-                    // sequential whatever replica answers.
+                    // One sequencer: ids are globally sequential
+                    // whatever worker answers.
                     assert_eq!(node, 40 + i);
                     assert_eq!(applied_seq, (i + 1) as u64);
                 }
@@ -339,8 +326,8 @@ mod tests {
                 "shard {s} never answered: {answerers:?}"
             );
         }
-        // Read-your-writes on *every* replica: each ingested id is in
-        // range and served by each shard when pinned via the hint.
+        // Read-your-writes on *every* worker: each ingested id is in
+        // range and served by each one when pinned via the hint.
         for s in 0..3 {
             match service
                 .call(Request {
@@ -360,50 +347,47 @@ mod tests {
                     assert_eq!(applied_seq, 6);
                     assert_eq!(results.len(), 3);
                 }
-                other => panic!("replica {s} failed the replicated read: {other:?}"),
+                other => panic!("worker {s} failed the read: {other:?}"),
             }
         }
-        // Replicas drained into identical graphs.
-        let engines = service.into_engines();
-        assert_eq!(engines.len(), 3);
-        let reference = engines[0].graph().snapshot_csr();
-        for e in &engines[1..] {
-            assert_eq!(e.graph().num_nodes(), 46);
-            let csr = e.graph().snapshot_csr();
-            assert_eq!(csr.nnz(), reference.nnz());
-            for i in 0..46 {
-                assert_eq!(csr.row_indices(i), reference.row_indices(i), "row {i}");
-            }
+        // The drained engine holds every ingest, once.
+        let engine = service.into_engine().unwrap();
+        assert_eq!(engine.graph().num_nodes(), 46);
+        for id in 40..46 {
+            assert_eq!(engine.graph().neighbors(id), &[0], "node {id}");
         }
     }
 
     #[test]
     fn mutation_macs_are_shard_count_independent() {
         // The same mutation-only closed-loop workload on 1 and 3
-        // replicas must report identical total MACs: inference stages
-        // run on one replica per request, and the replication stage is
-        // attributed once however many replicas applied the mutation.
-        let run = |n_shards: usize| {
-            let service = NaiService::new(
-                engine_shards(50, n_shards, 19),
-                infer_cfg(),
-                serve_cfg(n_shards),
+        // workers must report identical total MACs, every stage summed:
+        // each read runs on one worker and each mutation once on the
+        // store — a mutation applied twice would show here.
+        let script = |i: u32| {
+            (
+                Op::Ingest {
+                    features: vec![0.05 * i as f32; F],
+                    neighbors: vec![i, i + 1],
+                },
+                Op::ObserveEdge { u: 2 * i, v: 49 },
             )
-            .unwrap();
+        };
+        let run = |n_shards: usize| {
+            let service =
+                NaiService::new(engine(50, 19), infer_cfg(), serve_cfg(n_shards)).unwrap();
             for i in 0..8u32 {
+                let (ingest, edge) = script(i);
                 let reply = service
                     .call(Request {
-                        op: Op::Ingest {
-                            features: vec![0.05 * i as f32; F],
-                            neighbors: vec![i, i + 1],
-                        },
+                        op: ingest,
                         shard: None,
                     })
                     .unwrap();
                 assert!(matches!(reply, Reply::Ingest { .. }), "{reply:?}");
                 let reply = service
                     .call(Request {
-                        op: Op::ObserveEdge { u: 2 * i, v: 49 },
+                        op: edge,
                         shard: None,
                     })
                     .unwrap();
@@ -423,6 +407,25 @@ mod tests {
             "solo {solo:?} vs replicated {replicated:?}"
         );
         assert_eq!(solo, replicated);
+        // And the mutation work is exactly a solo engine's for the same
+        // script.
+        let mut oracle = engine(50, 19);
+        for i in 0..8u32 {
+            let (
+                Op::Ingest {
+                    features,
+                    neighbors,
+                },
+                Op::ObserveEdge { u, v },
+            ) = script(i)
+            else {
+                unreachable!("the script is an ingest and an edge");
+            };
+            oracle.ingest(&features, &neighbors);
+            oracle.flush(&infer_cfg());
+            oracle.observe_edge(u, v);
+        }
+        assert_eq!(replicated.replication, oracle.macs_breakdown().replication);
     }
 
     #[test]
@@ -431,8 +434,8 @@ mod tests {
         // engine: the worker must die without leaking its admission
         // slot, and the sequencer must answer later requests with a
         // typed error instead of hanging.
-        let shards = engine_shards(30, 1, 27);
-        let service = NaiService::new(shards, InferenceConfig::gate(1, K), serve_cfg(1)).unwrap();
+        let service =
+            NaiService::new(engine(30, 27), InferenceConfig::gate(1, K), serve_cfg(1)).unwrap();
         let t = service
             .submit(Request {
                 op: Op::Infer { nodes: vec![0] },
@@ -474,14 +477,13 @@ mod tests {
     #[test]
     fn overloaded_is_typed_and_immediate() {
         use crate::sync::atomic::{AtomicBool, Ordering};
-        let shards = engine_shards(40, 1, 9);
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 1024,
             queue_cap: 2,
             ..serve_cfg(1)
         };
-        let service = Arc::new(NaiService::new(shards, infer_cfg(), cfg).unwrap());
+        let service = Arc::new(NaiService::new(engine(40, 9), infer_cfg(), cfg).unwrap());
         // Workers never park admitted requests waiting for a batch to
         // fill, so two idle submissions cannot pin the admission bound.
         // Saturate it the honest way instead: two closed-loop flooders
@@ -580,7 +582,6 @@ mod tests {
 
     #[test]
     fn load_shed_caps_depth_under_pressure() {
-        let shards = engine_shards(60, 1, 13);
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 4,
@@ -592,7 +593,7 @@ mod tests {
             cache: CacheConfig::off(),
         };
         // Fixed-depth K config: without shedding every node exits at K.
-        let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
+        let service = NaiService::new(engine(60, 13), InferenceConfig::fixed(K), cfg).unwrap();
         for reply in call_group(&service, reads(4)) {
             match reply {
                 Reply::Infer { results, .. } => {
@@ -612,7 +613,6 @@ mod tests {
         // actually be capped while the queue is under pressure, and a
         // request served after the queue drains must get the full
         // budget back — shedding is a pressure response, not a latch.
-        let shards = engine_shards(60, 1, 33);
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 8,
@@ -626,7 +626,7 @@ mod tests {
         // Fixed-depth K: without shedding every node exits at K. The
         // burst goes in as one group, so its batch closes with all 8
         // in flight.
-        let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
+        let service = NaiService::new(engine(60, 33), InferenceConfig::fixed(K), cfg).unwrap();
         for reply in call_group(&service, reads(8)) {
             match reply {
                 Reply::Infer { results, .. } => {
@@ -665,7 +665,6 @@ mod tests {
         // of those degraded answers landed in the cache, the post-drain
         // reads below would "hit" a depth-1 prediction and report it as
         // the full-budget answer — a silently wrong cache, not a shed.
-        let shards = engine_shards(60, 1, 33);
         let cfg = ServeConfig {
             workers: 1,
             max_batch: 8,
@@ -676,7 +675,7 @@ mod tests {
             },
             cache: CacheConfig::on(64),
         };
-        let service = NaiService::new(shards, InferenceConfig::fixed(K), cfg).unwrap();
+        let service = NaiService::new(engine(60, 33), InferenceConfig::fixed(K), cfg).unwrap();
         for reply in call_group(&service, reads(8)) {
             match reply {
                 Reply::Infer { results, .. } => {
@@ -747,8 +746,7 @@ mod tests {
 
     #[test]
     fn invalid_shard_rejected_at_submit() {
-        let shards = engine_shards(20, 2, 1);
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(2)).unwrap();
+        let service = NaiService::new(engine(20, 1), infer_cfg(), serve_cfg(2)).unwrap();
         let err = service.call(Request {
             op: Op::Infer { nodes: vec![0] },
             shard: Some(7),
@@ -758,8 +756,7 @@ mod tests {
 
     #[test]
     fn metrics_track_served_and_macs() {
-        let shards = engine_shards(50, 2, 21);
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(2)).unwrap();
+        let service = NaiService::new(engine(50, 21), infer_cfg(), serve_cfg(2)).unwrap();
         for i in 0..10u32 {
             service
                 .call(Request {
@@ -805,8 +802,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_is_rejected() {
-        let shards = engine_shards(20, 1, 2);
-        let service = NaiService::new(shards, infer_cfg(), serve_cfg(1)).unwrap();
+        let service = NaiService::new(engine(20, 2), infer_cfg(), serve_cfg(1)).unwrap();
         service.shutdown();
         let err = service.submit(Request {
             op: Op::Infer { nodes: vec![0] },
@@ -818,8 +814,7 @@ mod tests {
 
     #[test]
     fn http_server_end_to_end_small() {
-        let shards = engine_shards(50, 2, 17);
-        let service = Arc::new(NaiService::new(shards, infer_cfg(), serve_cfg(2)).unwrap());
+        let service = Arc::new(NaiService::new(engine(50, 17), infer_cfg(), serve_cfg(2)).unwrap());
         let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 

@@ -10,16 +10,16 @@
 //! ```
 //!
 //! Clients never need to route: mutations are stamped with a global
-//! sequence number and replicated to every shard, so any replica can
-//! serve any node and an ingested node id is valid service-wide. The
-//! `"shard"` hint only biases which replica computes the reply (e.g.
-//! for measurement); it has no correctness meaning.
+//! sequence number and applied to the service's one engine, which every
+//! worker reads, so an ingested node id is valid service-wide. The
+//! `"shard"` hint only picks which worker computes the reply (e.g. for
+//! measurement); it has no correctness meaning.
 //!
-//! Replies mirror the request order, one JSON object per line, each
+//! Replies follow the request order, one JSON object per line, each
 //! carrying `"ok"` plus either the result or an `"error"` kind, and —
-//! on success — the `"applied_seq"` sequence point of the serving
-//! replica (the mutation sequence number its state included when the
-//! reply was computed):
+//! on success — the `"applied_seq"` sequence point of the reply (the
+//! mutation sequence number the engine's state included when the reply
+//! was computed):
 //!
 //! ```text
 //! {"ok":true,"op":"infer","shard":0,"applied_seq":7,"results":[{"node":0,"prediction":2,"depth":1},...]}
@@ -33,13 +33,13 @@ use crate::json::Json;
 /// One graph-serving operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
-    /// Classify existing nodes (read — served by any replica).
+    /// Classify existing nodes (read — served by any worker).
     Infer {
         /// Node ids to classify.
         nodes: Vec<u32>,
     },
     /// A node arrival: append it and answer its prediction (mutation —
-    /// sequenced and replicated to every shard).
+    /// sequenced, then answered by a read of the new node).
     Ingest {
         /// The arriving node's features.
         features: Vec<f32>,
@@ -47,7 +47,7 @@ pub enum Op {
         neighbors: Vec<u32>,
     },
     /// An edge arrival between existing nodes (mutation — sequenced and
-    /// replicated to every shard).
+    /// answered once applied).
     ObserveEdge {
         /// One endpoint.
         u: u32,
@@ -56,24 +56,24 @@ pub enum Op {
     },
 }
 
-/// An operation plus an optional replica affinity hint.
+/// An operation plus an optional worker affinity hint.
 ///
-/// The hint names the replica that computes (and answers) the request;
-/// without one, the sequencer assigns replicas round-robin. Mutations
-/// are applied on *every* replica regardless of the hint — routing is
-/// a load-balancing preference, never a consistency contract.
+/// The hint names the worker that computes (and answers) a read or an
+/// ingest's prediction; without one, the sequencer assigns workers
+/// round-robin. Every worker reads the same engine — routing is a
+/// load-balancing preference, never a consistency contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// The operation.
     pub op: Op,
-    /// Replica affinity hint, if any.
+    /// Worker affinity hint, if any.
     pub shard: Option<usize>,
 }
 
 /// One per-node classification result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeResult {
-    /// Node id (globally valid — every replica knows it).
+    /// Node id (globally valid).
     pub node: u32,
     /// Predicted class.
     pub prediction: usize,
@@ -86,24 +86,23 @@ pub struct NodeResult {
 pub enum Reply {
     /// Answer to [`Op::Infer`].
     Infer {
-        /// Replica that served the read (informational).
+        /// Worker that served the read (informational).
         shard: usize,
-        /// Mutation sequence number the serving replica's state
-        /// included when this read executed.
+        /// Mutation sequence number the engine's state included when
+        /// this read executed.
         applied_seq: u64,
         /// One result per requested node, in request order.
         results: Vec<NodeResult>,
     },
     /// Answer to [`Op::Ingest`].
     Ingest {
-        /// Replica that computed the prediction (informational — the
-        /// node exists on every replica).
+        /// Worker that computed the prediction (informational).
         shard: usize,
-        /// Mutation sequence number the serving replica's state
-        /// included when the prediction was computed (≥ this ingest's
-        /// own sequence number).
+        /// Mutation sequence number the engine's state included when
+        /// the prediction was computed (≥ this ingest's own sequence
+        /// number).
         applied_seq: u64,
-        /// Assigned node id, valid on every replica.
+        /// Assigned node id, valid service-wide.
         node: u32,
         /// Predicted class for the arrival.
         prediction: usize,
@@ -112,10 +111,11 @@ pub enum Reply {
     },
     /// Answer to [`Op::ObserveEdge`].
     Edge {
-        /// Replica that answered (the mutation is applied everywhere).
+        /// The request's hint, or 0: no worker takes part (the
+        /// sequencer answers the edge itself).
         shard: usize,
-        /// This edge arrival's own sequence number (the answering
-        /// replica replies at the moment it applies it).
+        /// This edge arrival's own sequence number (the sequencer
+        /// replies as soon as it has applied it).
         applied_seq: u64,
         /// `false` when the edge already existed.
         added: bool,

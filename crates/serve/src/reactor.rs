@@ -9,9 +9,9 @@
 //! A readable socket drains *all* pipelined `/v1` lines into one
 //! submission group in one syscall round-trip, so pipelining depth —
 //! not connection count — sets the admission pressure. A group of reads
-//! may be answered on this thread: the service claims an idle,
-//! caught-up replica and runs its share inline, and those replies fill
-//! their slots at submission, like cache hits. Every other reply comes
+//! may be answered on this thread: the service runs its first share
+//! inline, and those replies fill their slots at submission, like cache
+//! hits. Every other reply comes
 //! back through a [`CompletionQueue`] and the wake pipe instead of a
 //! parked thread per request.
 //!
@@ -836,7 +836,7 @@ impl Reactor {
 
     /// Submits the `/v1` lines parsed since the last call as one group.
     /// Lines the service answers at once (cache hits, reads run inline
-    /// on a claimed replica, rejections) fill their slots here; the
+    /// on this thread, rejections) fill their slots here; the
     /// others are routed by token when their replies complete.
     fn submit_parsed(&mut self, ingress: Instant) {
         if self.group.is_empty() {

@@ -1,56 +1,52 @@
 //! The in-process serving engine: admission control and sequencing on
-//! the submitting thread → replicated shard worker pool, with reads the
-//! reactor may answer on its own thread.
+//! the submitting thread, one shared engine, and a pool of reader
+//! threads — with reads the reactor may answer on its own thread.
 //!
 //! ```text
 //!   submitting thread (the reactor, or an in-process caller)
 //! request ──[cache lookup]──[admission: in-flight ≤ queue_cap]──┐
 //!              │ hit                │ Overloaded                 │
 //!              ▼                    ▼                            ▼
-//!          answered             rejected        lock the Sequencer: validate and
-//!          inline                               stamp mutations with seq, invalidate
-//!                                               the cache, claim (reactor, reads
-//!                                               only), route reads (hint or
-//!                                               round-robin), send to the workers
+//!          answered             rejected        lock the Sequencer; if the group holds a
+//!          inline                               mutation, write-lock the store: validate,
+//!                                               apply, invalidate the cache, refresh; answer
+//!                                               edges; route reads (hint or round-robin)
 //!                                                     │                  │
-//!                          claimed share, run on the  │                  │
+//!                          inline share, read on the  │                  │
 //!                          submitting thread ◀────────┘   ┌──────────────┼─────────────┐
 //!                                                         ▼              ▼             ▼
 //!                                                     worker 0      worker 1  …   worker N−1
 //!                                         take everything queued (≤ max_batch requests),
-//!                                         lock the replica, apply the mutation prefix in
-//!                                         seq order, then serve the reads in one engine call
+//!                                         read-lock the store for one engine call
 //! ```
+//!
+//! **One store**: the service holds one [`StreamingEngine`] and the
+//! sequence number of the last mutation applied to it, behind one
+//! `RwLock`. The `Sequencer` — one lock shared by every submitting
+//! thread — takes the write lock once per group that holds a mutation:
+//! it validates each mutation against the store's own graph, gives it
+//! the next sequence number, applies it, invalidates the cache, and
+//! refreshes the stationary state once before releasing the lock. So
+//! each mutation runs once, and a read — which holds the read lock for
+//! its engine call — sees whole groups only. An edge is answered as soon
+//! as it is applied; an ingest becomes a read of its new id, routed like
+//! any other read. Read-your-writes holds with no client routing
+//! contract: a read submitted after a mutation's reply takes the read
+//! lock after that mutation released the write lock.
 //!
 //! **Batching** happens in one place, the worker. After a blocking
 //! receive it takes every batch already waiting in its channel, up to
 //! `max_batch` requests, and runs them together — larger batches
-//! amortize the per-call stationary and BFS work (the paper's Fig. 5
-//! trade-off). Nothing waits for a batch to fill: a request reaching an
-//! idle worker runs at once, and requests arriving while a worker is
-//! busy coalesce behind it, so batch size follows load.
+//! amortize the per-call BFS work (the paper's Fig. 5 trade-off).
+//! Nothing waits for a batch to fill: a request reaching an idle worker
+//! runs at once, and requests arriving while a worker is busy coalesce
+//! behind it, so batch size follows load.
 //!
-//! **Inline reads**: the replicas live in `Shared` behind one mutex
-//! each, which a worker holds for each merged batch. When the reactor
-//! submits a group of reads without shard hints, it claims (with
-//! `try_lock`, under the sequencer lock) an idle replica that has
-//! applied every sequenced mutation, sends the rest of the group to
-//! the other workers, and runs the claimed share itself — no thread
-//! hand-off either way (see `Sequencer::claim`).
-//!
-//! **Sequenced mutation replication**: each worker has one
-//! [`StreamingEngine`] replica (same checkpoint, private graph +
-//! scratch). The `Sequencer` — one lock shared by every submitting
-//! thread — stamps every mutation (ingest / observe_edge) with a
-//! monotonic sequence number, validates it once against its model of
-//! the global graph, and sends it to *every* worker; exactly one
-//! replica — the affinity hint, or round-robin — holds the client's
-//! reply handle and pays for the prediction. Sending under the lock
-//! keeps every worker channel in sequence order. A worker applies its
-//! batch's mutation prefix in sequence order *before* executing its
-//! slice of reads, and channels are FIFO, so every replica converges on
-//! the same graph and any replica can serve any node: read-your-writes
-//! holds at batch granularity with no client routing contract.
+//! **Inline reads**: when the reactor submits a group whose requests
+//! name no shard, it runs the group's first ⌈g / live⌉ reads itself
+//! once the sequencer lock is released, and sends the rest to the
+//! workers — no thread hand-off for a lone read. The store is always
+//! caught up, so no read waits for a mutation to reach it.
 //!
 //! **Admission / shedding**: at most `queue_cap` requests may be in
 //! flight (queued or being served); beyond that, [`ServeError::Overloaded`]
@@ -63,16 +59,21 @@
 //! path consults a sequence-versioned [`PredictionCache`](crate::cache::PredictionCache) before admission —
 //! a read whose nodes are all cached is answered on the caller's
 //! thread, skipping the queue, the workers, and the engine entirely.
-//! At the moment it sequences a mutation, the sequencer invalidates
-//! the mutation's dirty frontier (fixed-depth mode, walked over its own
-//! [`DynamicGraph`] mirror of the replicated graph) or flushes
-//! everything (globally-dependent NAP modes, which keep no mirror, or a
-//! walk past its budget) *before* advancing the cache's sequence point
-//! — so workers' later inserts are version-guarded against the
-//! mutation, and a hit is bit-identical to a cache-bypass run at the
-//! same sequence point.
+//! Under the write lock, each applied mutation invalidates its dirty
+//! frontier (fixed-depth mode, walked over the store's own graph) or
+//! flushes everything (globally-dependent NAP modes, or a walk past its
+//! budget) as it advances the cache's sequence point — so a reader's
+//! later insert, stamped with the sequence point it read at, is
+//! version-guarded against every mutation since, and a hit is
+//! bit-identical to a cache-bypass run at the same sequence point.
 //! Results computed under a degraded (load-shed) depth budget are never
 //! inserted.
+//!
+//! **Panics**: a read holds only a shared reference to the engine, so a
+//! panic inside one leaves the store untouched; an inline read's jobs
+//! then get a typed error, and a worker retires as before. A panic while
+//! applying a mutation (which validation makes unexpected) poisons the
+//! store: from then on every request is refused with a typed error.
 
 use crate::admission::AdmissionLedger;
 use crate::cache::{Invalidation, VersionedCache};
@@ -82,11 +83,12 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::mpsc::{self, Receiver, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::time::Instant;
-use crate::sync::{lock_recover, Arc, Mutex, MutexGuard};
+use crate::sync::{lock_recover, Arc, Mutex, RwLock};
+use nai_core::active::EngineScratch;
 use nai_core::checkpoint::ModelCheckpoint;
 use nai_core::config::{InferenceConfig, NapMode, ServeConfig};
 use nai_core::engine::StreamingEngine;
-use nai_core::kernel::StageTimes;
+use nai_core::kernel::{StageTimes, Tally};
 use nai_core::macs::MacsBreakdown;
 use nai_graph::DynamicGraph;
 use nai_obs::{
@@ -95,12 +97,17 @@ use nai_obs::{
 use std::cell::OnceCell;
 use std::time::Duration;
 
+/// The typed error every request gets once applying a mutation panicked.
+const POISONED: &str = "the graph store is poisoned: applying a mutation panicked";
+
+/// The typed error of a read the engine panicked on.
+const READ_PANICKED: &str = "the engine panicked during this read";
+
 /// A `Duration` as whole nanoseconds, saturating at `u64::MAX` (585
 /// years — no real span gets near it).
 fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
-
 /// Service-level failures surfaced to the transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -130,16 +137,15 @@ impl std::error::Error for ServeError {}
 /// Static facts about a deployed service (the `/healthz` payload).
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceInfo {
-    /// Worker / shard replica count.
+    /// Worker (reader thread) count; a shard hint names the worker that
+    /// answers, and replies carry the one that did.
     pub shards: usize,
     /// Feature dimensionality every ingest must match.
     pub feature_dim: usize,
     /// Highest trained depth.
     pub k: usize,
-    /// Node count of the seed graph every replica started from. Ids at
-    /// or above this are assigned by sequenced ingests and — because
-    /// every mutation is replicated everywhere — are equally valid on
-    /// every replica.
+    /// Node count of the graph the service was deployed on. Ids at or
+    /// above this are assigned by sequenced ingests.
     pub seed_nodes: usize,
 }
 
@@ -147,7 +153,8 @@ pub struct ServiceInfo {
 /// payload). Latency, depth, stage, and batch-size distributions are
 /// [`HistogramSnapshot`]s of the service-wide lock-free histograms
 /// (every worker records into the same ones — nothing to merge); MACs
-/// use a replication-aware merge (see [`MetricsSnapshot::macs`]).
+/// are summed over the readers and the store (see
+/// [`MetricsSnapshot::macs`]).
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     /// Requests currently queued or being served.
@@ -157,16 +164,15 @@ pub struct MetricsSnapshot {
     /// Engine batches run so far (a worker's merged batch that answers
     /// at least one request, or a share of reads answered inline).
     pub batches: u64,
-    /// The part of `batches` the reactor ran itself, on a claimed idle
-    /// replica, instead of handing the reads to a worker.
+    /// The part of `batches` the reactor ran itself instead of handing
+    /// the reads to a worker.
     pub inline_batches: u64,
     /// Engine batches run with a degraded (load-shed) depth budget.
     pub degraded_batches: u64,
     /// Requests answered inside degraded batches (counted per request
     /// when its batch closes, whatever its kind or node count).
     pub shed_ops: u64,
-    /// Edge mutations answered (sequenced once each, whatever the
-    /// replica count).
+    /// Edge mutations answered (applied once each).
     pub edges_observed: u64,
     /// Per-op validation failures answered.
     pub op_errors: u64,
@@ -176,7 +182,7 @@ pub struct MetricsSnapshot {
     /// Reads answered entirely from the prediction cache (request
     /// granularity). 0 when the cache is disabled.
     pub cache_hits: u64,
-    /// Reads that consulted the cache and fell through to a replica.
+    /// Reads that consulted the cache and fell through to the engine.
     pub cache_misses: u64,
     /// Cache entries dropped under capacity (LRU) pressure.
     pub cache_evicted: u64,
@@ -199,14 +205,13 @@ pub struct MetricsSnapshot {
     /// Batches whose worker stopped merging at `max_batch` requests.
     pub closed_on_max_batch: u64,
     /// Batches that took everything queued for their worker, and
-    /// inline batches (everything claimed runs at once).
+    /// inline batches (an inline share runs at once).
     pub closed_on_idle: u64,
-    /// Cumulative per-stage MACs. Inference stages (propagation / NAP /
-    /// classification) are summed over replicas — each read or
-    /// prediction runs on exactly one. The `replication` stage is the
-    /// **max** over replicas, not the sum: every replica applies the
-    /// same sequenced mutations, so summing would bill one mutation
-    /// `shards` times. Totals are therefore shard-count independent.
+    /// Cumulative per-stage MACs, every stage summed: inference stages
+    /// (propagation / NAP / classification) over the readers — each
+    /// read runs on one — and the `replication` stage from the store,
+    /// which applies each mutation once. Totals are therefore
+    /// independent of the worker count.
     pub macs: MacsBreakdown,
 }
 
@@ -279,7 +284,7 @@ impl CompletionQueue {
 /// Where a reply lands: a per-request channel (the blocking
 /// [`Ticket`] path), a shared [`CompletionQueue`] keyed by token (the
 /// event-driven transport path), or a slot on the submitting thread
-/// (a read it answers inline on a claimed replica).
+/// (a read it answers inline).
 pub(crate) enum ReplySink {
     Channel(Sender<Reply>),
     Completion {
@@ -307,8 +312,8 @@ impl ReplySink {
 }
 
 /// The admission slot + reply sink of one accepted request; exactly
-/// one party (a worker, or the sequencer for a job it cannot route)
-/// answers it, releasing the slot.
+/// one party (a worker, or the submitting thread for an edge, an inline
+/// read or a job it cannot route) answers it, releasing the slot.
 struct ReplyHandle {
     responder: ReplySink,
     /// Trace id issued at admission; keys the flight-recorder entry.
@@ -334,77 +339,62 @@ impl ReplyHandle {
 
 struct Job {
     op: Op,
-    /// Replica affinity hint (validated < shards at submit).
+    /// Worker affinity hint (validated < shards at submit).
     shard: Option<usize>,
     handle: ReplyHandle,
 }
 
-/// A read routed to one replica.
+/// One read: the nodes of an `infer`, or the new node of an applied
+/// ingest, which is answered as [`Reply::Ingest`].
 struct ReadJob {
-    op: Op,
+    nodes: Vec<u32>,
+    ingest: bool,
     handle: ReplyHandle,
 }
 
-/// One sequenced mutation, broadcast to every live worker. The op is
-/// shared (ingest feature rows are not cloned per replica); `handle`
-/// is present on exactly one worker's copy — that replica answers the
-/// client (and, for ingests, computes the prediction).
-struct SeqMutation {
-    seq: u64,
-    op: Arc<Op>,
-    handle: Option<ReplyHandle>,
-}
-
-/// What one submission group sends one worker. A worker merges every
-/// batch waiting in its channel before running them (see
-/// [`ShardBatch::absorb_queued`]).
-struct ShardBatch {
-    /// The group's full mutation prefix, in sequence order.
-    mutations: Vec<SeqMutation>,
-    /// This worker's slice of reads, executed after the prefix.
-    reads: Vec<ReadJob>,
-}
-
-impl ShardBatch {
-    /// Jobs *this* worker must answer (its reply handles).
-    fn owned_jobs(&self) -> u64 {
-        self.reads.len() as u64
-            + self.mutations.iter().filter(|m| m.handle.is_some()).count() as u64
-    }
-
-    /// Appends every batch already waiting on `rx` until the channel is
-    /// empty or this batch owns `max_batch` jobs. The channel is FIFO,
-    /// so the merged mutation prefix stays in sequence order. Returns
-    /// the owned-job count and why merging stopped.
-    fn absorb_queued(&mut self, rx: &Receiver<ShardBatch>, max_batch: usize) -> (u64, CloseReason) {
-        let mut size = self.owned_jobs();
-        while size < max_batch as u64 {
-            match rx.try_recv() {
-                Ok(next) => {
-                    size += next.owned_jobs();
-                    self.mutations.extend(next.mutations);
-                    self.reads.extend(next.reads);
-                }
-                // Empty — or disconnected at shutdown, in which case
-                // the next `recv` ends the worker after this batch.
-                Err(_) => return (size, CloseReason::Idle),
-            }
+impl ReadJob {
+    /// This read, answered into a slot on the submitting thread.
+    fn answered_here(self) -> Self {
+        ReadJob {
+            handle: ReplyHandle {
+                responder: ReplySink::Inline(OnceCell::new()),
+                ..self.handle
+            },
+            ..self
         }
-        (size, CloseReason::MaxBatch)
     }
 }
 
-/// How a worker runs one merged batch, fixed when the batch closes.
+/// Appends every batch already waiting on `rx` to `batch` until the
+/// channel is empty or the batch holds `max_batch` reads. Returns why
+/// merging stopped.
+fn absorb_queued(
+    batch: &mut Vec<ReadJob>,
+    rx: &Receiver<Vec<ReadJob>>,
+    max_batch: usize,
+) -> CloseReason {
+    while batch.len() < max_batch {
+        match rx.try_recv() {
+            Ok(next) => batch.extend(next),
+            // Empty — or disconnected at shutdown, in which case the
+            // next `recv` ends the worker after this batch.
+            Err(_) => return CloseReason::Idle,
+        }
+    }
+    CloseReason::MaxBatch
+}
+
+/// How a batch of reads runs, fixed when the batch closes.
 struct BatchRun {
     /// The base inference config, or its load-shed degradation.
     cfg: InferenceConfig,
     /// Run under a load-shed (capped-depth) budget: results are honest
     /// answers but must never be cached as full-depth ones.
     degraded: bool,
-    /// When the worker took the batch off its channel: the end of
-    /// `queue_wait` and the start of `batch_wait`.
+    /// When the reader took the batch: the end of `queue_wait` and the
+    /// start of `batch_wait`.
     dequeued: Instant,
-    /// Requests the worker answers in this batch — reported in traces.
+    /// Requests the batch answers — reported in traces.
     size: u32,
     close: CloseReason,
 }
@@ -420,33 +410,12 @@ struct BatchTiming<'a> {
     engine_start: Instant,
     /// Just after the engine call returned.
     engine_end: Instant,
-    /// The engine's cumulative stage-time delta across the call.
+    /// The reader's stage-time delta across the call.
     engine: StageTimes,
 }
 
-/// Runs one engine call and captures its [`BatchTiming`].
-fn timed<'a, T>(
-    engine: &mut StreamingEngine,
-    run: &'a BatchRun,
-    call: impl FnOnce(&mut StreamingEngine) -> T,
-) -> (T, BatchTiming<'a>) {
-    // The engine attributes its interior to stages cumulatively; the
-    // before/after delta is this call's share.
-    let stages_before = engine.stage_times();
-    let engine_start = Instant::now();
-    let out = call(engine);
-    let engine_end = Instant::now();
-    let timing = BatchTiming {
-        run,
-        engine_start,
-        engine_end,
-        engine: engine.stage_times().since(&stages_before),
-    };
-    (out, timing)
-}
-
-/// One worker's cumulative per-stage MACs, published as a single
-/// consistent snapshot after each batch.
+/// One party's cumulative per-stage MACs, published as a single
+/// consistent snapshot after each batch (or group of mutations).
 ///
 /// This replaced a `[AtomicU64; 4]` published with four independent
 /// `Relaxed` stores: the model checker exhibits a `/metrics` scrape
@@ -464,7 +433,7 @@ impl MacsCell {
         Self(Mutex::new(MacsBreakdown::default()))
     }
 
-    /// Overwrites the published breakdown with the engine's current
+    /// Overwrites the published breakdown with the party's current
     /// cumulative totals, atomically across all four stages.
     pub fn publish(&self, b: &MacsBreakdown) {
         *lock_recover(&self.0) = *b;
@@ -484,20 +453,114 @@ impl Default for MacsCell {
     }
 }
 
-/// One engine replica and how far it has replicated.
-struct Replica {
+/// The service's one engine and the sequence point it has reached.
+struct Store {
     engine: StreamingEngine,
-    /// Sequence number of the last mutation applied to this replica
-    /// (0 = seed state); exported in replies as `applied_seq`.
+    /// Sequence number of the last mutation applied (0 = deployed
+    /// state); exported in replies as `applied_seq`.
     applied_seq: u64,
 }
 
-/// A replica's lock. Its worker holds it for each merged batch; the
-/// reactor only ever `try_lock`s it, to claim an idle replica for an
-/// inline read. `None` once the replica is retired (its engine
-/// panicked). A poisoned lock is treated the same way: the engine may
-/// be inconsistent, so it is never recovered.
-type ReplicaSlot = Mutex<Option<Replica>>;
+/// What a mutation became once applied.
+enum Applied {
+    /// An ingest: its new node, answered by a read of it.
+    Ingest(u32),
+    /// An edge, answered at once.
+    Edge { seq: u64, added: bool },
+}
+
+impl Store {
+    /// Validates `op` against the store's own graph, applies it as the
+    /// next sequence point, and invalidates what it changed in the
+    /// cache. A mutation that fails validation changes nothing and takes
+    /// no sequence number.
+    fn apply(
+        &mut self,
+        op: &Op,
+        invalidator: Option<&CacheInvalidator>,
+        cache: Option<&VersionedCache>,
+    ) -> Result<Applied, String> {
+        validate(self.engine.graph(), op)?;
+        let seq = self.applied_seq + 1;
+        let edge: [u32; 2];
+        // The touched nodes; `None` when the graph did not change (a
+        // duplicate edge). An arrival is not cached yet: only its
+        // attachment points change.
+        let (applied, touched) = match op {
+            Op::Ingest {
+                features,
+                neighbors,
+            } => {
+                let node = self.engine.apply_replicated_ingest(features, neighbors);
+                (Applied::Ingest(node), Some(neighbors.as_slice()))
+            }
+            Op::ObserveEdge { u, v } => {
+                let added = self.engine.apply_replicated_edge(*u, *v);
+                edge = [*u, *v];
+                (Applied::Edge { seq, added }, added.then_some(&edge[..]))
+            }
+            Op::Infer { .. } => unreachable!("reads are not sequenced"),
+        };
+        self.applied_seq = seq;
+        if let (Some(inv), Some(cache)) = (invalidator, cache) {
+            // One lock acquisition for eviction + advance; readers are
+            // shut out meanwhile, so every later insert is stamped with
+            // this sequence point or a later one.
+            cache.sequence_mutation(seq, inv.invalidation(self.engine.graph(), touched));
+        }
+        Ok(applied)
+    }
+}
+
+/// Checks a mutation against `graph` before it is applied.
+fn validate(graph: &DynamicGraph, op: &Op) -> Result<(), String> {
+    let n = graph.num_nodes() as u64;
+    match op {
+        Op::Ingest {
+            features,
+            neighbors,
+        } => {
+            if features.len() != graph.feature_dim() {
+                return Err(format!(
+                    "feature length {} does not match graph dimension {}",
+                    features.len(),
+                    graph.feature_dim()
+                ));
+            }
+            if features.iter().any(|x| !x.is_finite()) {
+                // One inf/NaN feature would poison the incremental
+                // stationary accumulators for every later request —
+                // reject it at the door.
+                return Err("features must be finite".to_string());
+            }
+            if let Some(&bad) = neighbors.iter().find(|&&v| v as u64 >= n) {
+                return Err(format!("neighbor {bad} out of range (graph has {n} nodes)"));
+            }
+            if n > u32::MAX as u64 {
+                return Err("graph is full (node ids are u32)".to_string());
+            }
+            Ok(())
+        }
+        Op::ObserveEdge { u, v } => {
+            if u == v {
+                return Err(format!("self-loop edge ({u},{u}) is not representable"));
+            }
+            if *u as u64 >= n || *v as u64 >= n {
+                return Err(format!("edge ({u},{v}) out of range (graph has {n} nodes)"));
+            }
+            Ok(())
+        }
+        Op::Infer { .. } => unreachable!("reads are not sequenced"),
+    }
+}
+
+/// What one reading thread owns: its workspace, and the MACs and stage
+/// times of every read it ran.
+#[derive(Default)]
+struct Reader {
+    scratch: EngineScratch,
+    tally: Tally,
+}
 
 struct Shared {
     /// In-flight slot accounting, per-party reply counters, and worker
@@ -516,22 +579,25 @@ struct Shared {
     /// and the slow-request flight recorder.
     obs: ServeObs,
     /// `None` unless `ServeConfig::cache.enabled`. Locked briefly by
-    /// the submit path (lookup / miss counting, and invalidation +
-    /// sequence advance under the sequencer lock) and by workers
-    /// (inserts).
+    /// the submit path (lookup / miss counting), under the store's
+    /// write lock (invalidation + sequence advance), and by readers
+    /// (inserts, after their read lock is released).
     cache: Option<VersionedCache>,
-    /// Per-worker MACs breakdown, overwritten after each batch from
-    /// the engine's own totals — atomically, so scrapes never tear.
+    /// Per-worker read MACs, overwritten after each batch from the
+    /// worker's own tally — atomically, so scrapes never tear.
     worker_macs: Vec<MacsCell>,
-    /// One per worker, indexed like the workers.
-    replicas: Vec<ReplicaSlot>,
+    /// The read MACs of the reads submitting threads run inline.
+    inline_macs: MacsCell,
+    /// The store's mutation MACs, overwritten after each group of
+    /// mutations.
+    store_macs: MacsCell,
+    /// The one engine. Lock order: the sequencer lock, then this one;
+    /// the cache and the completion queues are leaf locks.
+    store: RwLock<Store>,
 }
 
 impl Shared {
-    /// Shared state over `engines`, one per worker in order (fewer
-    /// engines leave the remaining replicas retired from the start).
-    fn new(cfg: &ServeConfig, engines: Vec<StreamingEngine>) -> Self {
-        let mut engines = engines.into_iter();
+    fn new(cfg: &ServeConfig, engine: StreamingEngine) -> Self {
         Shared {
             admission: AdmissionLedger::new(cfg.queue_cap, cfg.workers),
             overloaded: AtomicU64::new(0),
@@ -548,14 +614,12 @@ impl Shared {
                 .enabled
                 .then(|| VersionedCache::new(cfg.cache.cap)),
             worker_macs: (0..cfg.workers).map(|_| MacsCell::new()).collect(),
-            replicas: (0..cfg.workers)
-                .map(|_| {
-                    Mutex::new(engines.next().map(|engine| Replica {
-                        engine,
-                        applied_seq: 0,
-                    }))
-                })
-                .collect(),
+            inline_macs: MacsCell::new(),
+            store_macs: MacsCell::new(),
+            store: RwLock::new(Store {
+                engine,
+                applied_seq: 0,
+            }),
         }
     }
 
@@ -571,28 +635,13 @@ impl Shared {
         }
     }
 
-    /// After a batch ran cleanly on `worker`'s replica: publish its
-    /// MACs.
-    fn finish_batch(&self, worker: usize, engine: &StreamingEngine) {
-        // One atomic publish of all four stages: a scrape sees either
-        // the pre-batch or the post-batch breakdown, never a mix (the
-        // old 4×`Relaxed`-store pattern tore — see `MacsCell`).
-        self.worker_macs[worker].publish(&engine.macs_breakdown());
-    }
-
-    /// Answers every job `batch` owns with the typed error of a
-    /// retired replica.
-    fn answer_gone(&self, worker: usize, batch: ShardBatch) {
-        for handle in batch
-            .mutations
-            .into_iter()
-            .filter_map(|m| m.handle)
-            .chain(batch.reads.into_iter().map(|r| r.handle))
-        {
-            self.respond(worker, &handle, gone(worker));
+    /// Answers every read of a retired worker's batch with the typed
+    /// error of a retired worker.
+    fn answer_gone(&self, worker: usize, batch: Vec<ReadJob>) {
+        for job in batch {
+            self.respond(worker, &job.handle, gone(worker));
         }
     }
-
     /// Answers a job the sequencer cannot serve with a typed error.
     fn refuse(&self, handle: &ReplyHandle, message: String) {
         self.respond(
@@ -713,20 +762,18 @@ impl Shared {
     /// Merged counters, latency statistics, and MACs — the `/metrics`
     /// body, on `Shared` so observability needs no service handle (and
     /// the poison unit tests can drive a bare `Shared`). Every lock on
-    /// this path recovers from poison: one dead worker must not take
-    /// monitoring down.
+    /// this path recovers from poison, and none is the store's: one dead
+    /// worker or a poisoned store must not take monitoring down.
     fn snapshot(&self) -> MetricsSnapshot {
+        // Each read runs on one reader and each mutation once on the
+        // store: every stage is a plain sum.
         let mut macs = MacsBreakdown::default();
-        for m in &self.worker_macs {
-            let b = m.snapshot();
-            // Inference runs on exactly one replica per request: sum.
-            macs.propagation += b.propagation;
-            macs.nap += b.nap;
-            macs.classification += b.classification;
-            // Replicated mutations run on *every* replica: attribute
-            // the work once (max = the most caught-up replica), so
-            // totals do not scale with the shard count.
-            macs.replication = macs.replication.max(b.replication);
+        for cell in self
+            .worker_macs
+            .iter()
+            .chain([&self.inline_macs, &self.store_macs])
+        {
+            macs.add(&cell.snapshot());
         }
         let cache = self
             .cache
@@ -759,20 +806,9 @@ impl Shared {
             macs,
         }
     }
-
-    /// Takes every live replica's engine, in worker order. A retired
-    /// replica is absent, and so is one behind a poisoned lock: its
-    /// engine may be inconsistent.
-    fn take_engines(&self) -> Vec<StreamingEngine> {
-        self.replicas
-            .iter()
-            .filter_map(|slot| slot.lock().ok()?.take())
-            .map(|replica| replica.engine)
-            .collect()
-    }
 }
 
-/// The typed error a retired replica's jobs are answered with.
+/// The typed error a retired worker's jobs are answered with.
 fn gone(worker: usize) -> Reply {
     Reply::Error {
         message: format!("shard {worker} worker is gone"),
@@ -806,6 +842,9 @@ pub struct NaiService {
     /// worker sender, so each worker drains its channel and exits.
     sequencer: Mutex<Option<Sequencer>>,
     shared: Arc<Shared>,
+    /// The workspace and tally of the reads submitting threads run
+    /// inline.
+    inline_reader: Mutex<Reader>,
     info: ServiceInfo,
     cfg: ServeConfig,
     /// The base inference config every batch runs under (or its
@@ -827,75 +866,51 @@ enum Admitted {
     },
 }
 
+/// The reads of a group the submitting thread runs itself, each with
+/// its index in the group, and the worker they are reported as.
+struct InlineShare {
+    shard: usize,
+    reads: Vec<(usize, ReadJob)>,
+}
+
 impl NaiService {
-    /// Deploys the service over pre-built engine replicas. Every
-    /// replica must start from the same state (same seed graph and
-    /// checkpoint) — sequenced replication keeps them convergent from
-    /// there on.
+    /// Deploys the service over `engine`, which every worker reads and
+    /// the sequencer mutates.
     ///
     /// # Errors
-    /// Returns a description when `cfg` fails validation, the replica
-    /// count disagrees with `cfg.workers`, or `infer_cfg` is invalid
-    /// for the engines' trained depth.
+    /// Returns a description when `cfg` fails validation or `infer_cfg`
+    /// is invalid for the engine's trained depth.
     pub fn new(
-        engines: Vec<StreamingEngine>,
+        engine: StreamingEngine,
         infer_cfg: InferenceConfig,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
         cfg.validate()?;
-        if engines.len() != cfg.workers {
-            return Err(format!(
-                "cfg.workers = {} but {} engine shards supplied",
-                cfg.workers,
-                engines.len()
-            ));
-        }
-        let k = engines[0].k();
+        let k = engine.k();
         infer_cfg.validate(k)?;
-        let feature_dim = engines[0].graph().feature_dim();
-        let seed_nodes = engines[0].graph().num_nodes();
-        for e in &engines {
-            if e.k() != k || e.graph().feature_dim() != feature_dim {
-                return Err("engine shards must share k and feature_dim".to_string());
-            }
-            if e.graph().num_nodes() != seed_nodes {
-                return Err("engine shards must start from the same seed graph".to_string());
-            }
-        }
         // Only NAP_u reads λ₂. Force it here, not on the first read; load
         // shedding caps depth but never changes the mode, so no other
-        // mode ever pays for the estimate. Replicas from one
-        // `shard_replicas` call share the cell: one estimate in all.
+        // mode ever pays for the estimate.
         if matches!(infer_cfg.nap, NapMode::UpperBound { .. }) {
-            for e in &engines {
-                e.lambda2();
-            }
+            engine.lambda2();
         }
         let info = ServiceInfo {
             shards: cfg.workers,
-            feature_dim,
+            feature_dim: engine.graph().feature_dim(),
             k,
-            seed_nodes,
+            seed_nodes: engine.graph().num_nodes(),
         };
-        // Only fixed-depth propagation is a purely local function of
-        // the t_max-hop neighborhood; distance/gate NAP consult the
-        // stationary row of the node's component, which a mutation
-        // anywhere in it changes, and NAP_u the global 2m + n — no local
-        // frontier is sound there, so those modes keep no mirror and
-        // flush on every mutation. The mirror must be cloned before the
-        // engines move into their replica slots; the clone shares the
-        // replicas' frozen seed and owns no adjacency row.
-        let invalidator = cfg.cache.enabled.then(|| CacheInvalidator {
-            mirror: matches!(infer_cfg.nap, NapMode::Fixed).then(|| engines[0].graph().clone()),
+        let invalidator = cfg.cache.enabled.then_some(CacheInvalidator {
+            local: matches!(infer_cfg.nap, NapMode::Fixed),
             radius: infer_cfg.t_max,
             budget: cfg.cache.frontier_budget,
         });
-        let shared = Arc::new(Shared::new(&cfg, engines));
+        let shared = Arc::new(Shared::new(&cfg, engine));
 
         let mut threads = Vec::with_capacity(cfg.workers);
         let mut worker_txs = Vec::with_capacity(cfg.workers);
         for w in 0..cfg.workers {
-            let (wtx, wrx) = mpsc::channel::<ShardBatch>();
+            let (wtx, wrx) = mpsc::channel::<Vec<ReadJob>>();
             worker_txs.push(wtx);
             let shared_w = Arc::clone(&shared);
             threads.push(
@@ -909,8 +924,9 @@ impl NaiService {
         }
 
         Ok(Self {
-            sequencer: Mutex::new(Some(Sequencer::new(worker_txs, info, invalidator))),
+            sequencer: Mutex::new(Some(Sequencer::new(worker_txs, invalidator))),
             shared,
+            inline_reader: Mutex::new(Reader::default()),
             info,
             cfg,
             infer_cfg,
@@ -918,9 +934,8 @@ impl NaiService {
         })
     }
 
-    /// Deploys over `cfg.workers` shard replicas built from one
-    /// checkpoint and seed graph, sharing its frozen seed and one λ₂
-    /// cell (see [`StreamingEngine::shard_replicas`]).
+    /// Deploys one engine built from `ckpt` over `seed` (which it shares
+    /// the frozen seed of, see [`DynamicGraph`]).
     ///
     /// # Errors
     /// As [`Self::new`].
@@ -930,9 +945,11 @@ impl NaiService {
         infer_cfg: InferenceConfig,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
-        cfg.validate()?;
-        let engines = StreamingEngine::shard_replicas(ckpt, seed, cfg.workers);
-        Self::new(engines, infer_cfg, cfg)
+        Self::new(
+            StreamingEngine::from_checkpoint(ckpt, seed.clone()),
+            infer_cfg,
+            cfg,
+        )
     }
 
     /// Static deployment facts.
@@ -978,15 +995,13 @@ impl NaiService {
     /// triples (the `/v1` lines the reactor parsed in one pass over a
     /// connection's read buffer, or a single request). Each request is
     /// checked, looked up in the cache and admitted on its own; the
-    /// admitted ones are then sequenced and routed under one
-    /// acquisition of the sequencer lock, so they reach the workers
-    /// together.
+    /// admitted ones are then sequenced, applied and routed under one
+    /// acquisition of the sequencer lock.
     ///
-    /// With `inline` (the reactor's submissions), a group of reads
-    /// without shard hints may claim an idle replica that has applied
-    /// every sequenced mutation: its share of the reads then runs on
-    /// this thread after the lock is released, while the other shares
-    /// go to their workers as usual (see [`Sequencer::claim`]).
+    /// With `inline` (the reactor's submissions), a group whose requests
+    /// name no shard has its first ⌈g / live⌉ reads (ingests' reads
+    /// included) run on this thread after the lock is released, while
+    /// the rest go to the workers (see [`Sequencer::dispatch`]).
     ///
     /// Returns one outcome per request, in order: `Ok(Some(reply))`
     /// when the cache or an inline run answered on this thread (the
@@ -1017,8 +1032,8 @@ impl NaiService {
         if jobs.is_empty() {
             return outcomes;
         }
-        // A panic while sequencing may have left a gap in the sequence,
-        // so a poisoned sequencer takes no more work, as after shutdown.
+        // A panic while sequencing may have left a job unanswered, so a
+        // poisoned sequencer takes no more work, as after shutdown.
         let mut sequencer = self.sequencer.lock().ok();
         let Some(seq) = sequencer.as_mut().and_then(|s| s.as_mut()) else {
             drop(sequencer);
@@ -1031,43 +1046,30 @@ impl NaiService {
             return outcomes;
         };
         seq.reap_dead_workers(&self.shared.admission);
-        let claim = if inline {
-            seq.claim(&mut jobs, &self.shared)
-        } else {
-            None
-        };
-        seq.dispatch(jobs, &self.shared, claim.as_ref().map(|c| c.worker));
+        let share = seq.dispatch(jobs, &self.shared, inline);
         drop(sequencer);
-        // Counted once the reads are queued, so hits + misses == reads
+        // Counted once the reads are routed, so hits + misses == reads
         // that consulted the cache.
         if let Some(cache) = &self.shared.cache {
             for _ in 0..misses {
                 cache.note_miss();
             }
         }
-        if let Some(claim) = claim {
-            // The claimed share is the first jobs of the group.
-            for (i, reply) in job_outcome.into_iter().zip(self.run_inline(claim)) {
-                outcomes[i] = reply.map(Some).ok_or(ServeError::Timeout);
+        if let Some(InlineShare { shard, reads }) = share {
+            let (at, reads): (Vec<usize>, Vec<ReadJob>) = reads.into_iter().unzip();
+            for (i, reply) in at.into_iter().zip(self.run_inline(shard, reads)) {
+                outcomes[job_outcome[i]] = reply.map(Some).ok_or(ServeError::Timeout);
             }
         }
         outcomes
     }
 
-    /// Runs a claimed share of reads on this thread, as the replica's
-    /// worker would run them in one batch, and returns each job's reply
-    /// in order. A panic in the engine retires the replica exactly as
-    /// a panicked worker is retired: its dead flag goes up, the jobs it
-    /// did not answer get the typed "worker is gone" error (which frees
-    /// their admission slots), and its worker, finding the replica
-    /// gone, answers whatever reaches its channel the same way until
-    /// the sequencer drops it.
-    fn run_inline(&self, claim: Claim<'_>) -> Vec<Option<Reply>> {
-        let Claim {
-            worker,
-            mut slot,
-            jobs,
-        } = claim;
+    /// Runs an inline share of reads on this thread, as a worker would
+    /// run them in one batch, and returns each read's reply in order. A
+    /// panic in the engine leaves the store untouched (a read holds a
+    /// shared reference); the reads it did not answer get a typed error,
+    /// which frees their admission slots.
+    fn run_inline(&self, shard: usize, reads: Vec<ReadJob>) -> Vec<Option<Reply>> {
         let shared = &*self.shared;
         // The shed decision is the worker's, made at the same point.
         let degraded = self
@@ -1082,42 +1084,33 @@ impl NaiService {
             },
             degraded,
             dequeued: Instant::now(),
-            size: jobs.len() as u32,
-            // Everything claimed is aboard and runs at once.
+            size: reads.len() as u32,
+            // Everything in the share is aboard and runs at once.
             close: CloseReason::Idle,
         };
-        shared.note_batch(&run, jobs.len() as u64);
+        shared.note_batch(&run, reads.len() as u64);
         // Relaxed: monotone, scrape-only.
         shared.inline_batches.fetch_add(1, Ordering::Relaxed);
+        let who = shared.admission.sequencer_slot();
+        let mut reader = lock_recover(&self.inline_reader);
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.as_mut().map(|replica| {
-                let applied_seq = replica.applied_seq;
-                infer_run(
-                    worker,
-                    &mut replica.engine,
-                    &jobs,
-                    &run,
-                    applied_seq,
-                    shared,
-                );
-                shared.finish_batch(worker, &replica.engine);
-            })
+            read_run(who, shard, &reads, &run, shared, &mut reader);
         }));
-        if !matches!(ran, Ok(Some(()))) {
-            *slot = None;
-            drop(slot);
-            shared.admission.mark_dead(worker);
-            for job in &jobs {
+        shared.inline_macs.publish(&reader.tally.macs);
+        drop(reader);
+        if ran.is_err() {
+            for job in &reads {
                 if matches!(&job.handle.responder, ReplySink::Inline(r) if r.get().is_none()) {
-                    shared.respond(worker, &job.handle, gone(worker));
+                    let message = READ_PANICKED.to_string();
+                    shared.respond(who, &job.handle, Reply::Error { message });
                 }
             }
         }
-        jobs.into_iter()
+        reads
+            .into_iter()
             .map(|job| job.handle.into_inline_reply())
             .collect()
     }
-
     /// Checks the shard hint, answers a fully cached read on this
     /// thread, or takes an admission slot.
     fn admit(&self, req: Request, parse_ns: u64, sink: ReplySink) -> Result<Admitted, ServeError> {
@@ -1131,7 +1124,7 @@ impl NaiService {
         }
         // Prediction-cache fast path: a read whose nodes are all cached
         // is answered right here — no admission slot, no queue, no
-        // replica work. The entries' version guard makes the answer
+        // engine work. The entries' version guard makes the answer
         // bit-identical to a worker's at the current sequence point,
         // and `applied_seq` reports that point.
         let mut cache_miss = false;
@@ -1174,8 +1167,8 @@ impl NaiService {
     /// Answers a fully cached read on the caller's thread: bumps
     /// `served`, records the latency, depths, and trace,
     /// and returns the reply. The reply's `shard` is the caller's hint
-    /// (or replica 0): no replica did any work, but the field must
-    /// name a valid one.
+    /// (or worker 0): no worker did any work, but the field must name
+    /// a valid one.
     fn answer_from_cache(
         &self,
         begun: Instant,
@@ -1238,7 +1231,7 @@ impl NaiService {
 
     /// Requests currently queued or executing — one atomic load, cheap
     /// enough for a liveness probe (unlike [`Self::metrics`], which
-    /// merges every worker's latency samples).
+    /// snapshots every histogram).
     pub fn queue_depth(&self) -> usize {
         self.shared.admission.in_flight()
     }
@@ -1270,13 +1263,18 @@ impl NaiService {
         }
     }
 
-    /// [`Self::shutdown`], then hands back the drained engine replicas
-    /// in worker order — the convergence oracle for tests (replicas
-    /// must hold identical graphs) and the state hand-off for
-    /// re-checkpointing. A replica whose engine panicked is absent.
-    pub fn into_engines(self) -> Vec<StreamingEngine> {
+    /// [`Self::shutdown`], then hands back the engine — the state
+    /// hand-off for re-checkpointing, and the tests' oracle. `None` when
+    /// the store is poisoned: a mutation panicked mid-apply, so the
+    /// engine may be inconsistent.
+    pub fn into_engine(self) -> Option<StreamingEngine> {
         self.shutdown();
-        self.shared.take_engines()
+        // The workers are joined, so once `self` is gone this is the
+        // last handle on the shared state.
+        let shared = Arc::clone(&self.shared);
+        drop(self);
+        let store = Arc::try_unwrap(shared).ok()?.store.into_inner().ok()?;
+        Some(store.engine)
     }
 }
 
@@ -1286,16 +1284,15 @@ impl Drop for NaiService {
     }
 }
 
-/// The sequencer's cache-invalidation state: a private mirror of the
-/// replicated graph, kept in lockstep with sequenced mutations, plus
-/// the dirty-frontier walk parameters.
+/// How an applied mutation invalidates the prediction cache.
 struct CacheInvalidator {
-    /// Present iff a mutation's effect on predictions is local to its
-    /// `radius`-hop neighborhood (fixed-depth propagation). All other
-    /// NAP modes consult globally-perturbed stationary state: they flush
-    /// the cache on every mutation, duplicate edges included, and keep
-    /// no mirror.
-    mirror: Option<DynamicGraph>,
+    /// Whether a mutation's effect on predictions is local to its
+    /// `radius`-hop neighborhood: fixed-depth propagation only. Every
+    /// other NAP mode consults the stationary row of the node's
+    /// component, which a mutation anywhere in it changes, or NAP_u's
+    /// global `2m + n` — no local frontier is sound there, so they flush
+    /// the cache on every mutation, duplicate edges included.
+    local: bool,
     /// Walk radius: the base (undegraded) `t_max`, the largest depth
     /// bound any cached entry can carry.
     radius: usize,
@@ -1303,64 +1300,58 @@ struct CacheInvalidator {
     budget: usize,
 }
 
-/// A replica claimed by the reactor, held locked, with the reads it
-/// answers inline (their sinks are [`ReplySink::Inline`]).
-struct Claim<'s> {
-    worker: usize,
-    slot: MutexGuard<'s, Option<Replica>>,
-    jobs: Vec<ReadJob>,
+impl CacheInvalidator {
+    /// What a mutation that touched `touched` (`None`: the graph did not
+    /// change) evicts. The walk runs on the *post-mutation* `graph`:
+    /// edge additions only shrink hop distances, so the new adjacency
+    /// reaches every node whose old ≤`radius`-hop computation involved
+    /// the touched region.
+    fn invalidation(&self, graph: &DynamicGraph, touched: Option<&[u32]>) -> Invalidation {
+        if !self.local {
+            return Invalidation::Flush;
+        }
+        match touched {
+            // Nothing changed, or an isolated arrival touched no
+            // existing adjacency.
+            None | Some([]) => Invalidation::Untouched,
+            Some(seeds) => graph
+                .k_hop_frontier(seeds, self.radius, self.budget)
+                .map_or(Invalidation::Flush, Invalidation::Frontier),
+        }
+    }
 }
 
 /// The state every submitting thread shares, behind
-/// `NaiService::sequencer`'s lock: it sequences + validates mutations,
-/// invalidates the cache, claims replicas for inline reads, routes
-/// reads, and sends each group of work to the workers. The lock is
-/// held across the sends, so every worker channel receives mutations
-/// in strictly increasing, gap-free sequence order — the order
-/// `process_shard_batch` applies them in.
+/// `NaiService::sequencer`'s lock: it applies each group's mutations to
+/// the store, answers its edges, routes its reads, and sends each live
+/// worker its share.
 struct Sequencer {
     /// One sender per worker; `None` once the worker is known dead —
     /// its `AdmissionLedger` dead flag raised by the panic path, or its
     /// channel disconnected. Dropping the sender ends the worker's
     /// drain loop (see [`worker_loop`]); a dead worker is skipped by
-    /// routing and broadcast from then on, and its jobs are answered
-    /// with a typed error instead of leaking their admission slots.
-    worker_txs: Vec<Option<Sender<ShardBatch>>>,
+    /// routing from then on, and its jobs are answered with a typed
+    /// error instead of leaking their admission slots.
+    worker_txs: Vec<Option<Sender<Vec<ReadJob>>>>,
     rr: usize,
-    /// Next mutation sequence number (1-based; 0 = "seed state").
-    next_seq: u64,
-    /// The sequencer's model of the replicated graph's node count:
-    /// seed nodes plus every valid sequenced ingest. Mutations are
-    /// validated against this once, here — replicas apply them without
-    /// re-checking.
-    nodes: u64,
-    feature_dim: usize,
-    /// Present iff the prediction cache is enabled: the graph mirror
-    /// and walk parameters used to invalidate at sequencing time.
+    /// Present iff the prediction cache is enabled.
     invalidator: Option<CacheInvalidator>,
 }
 
 impl Sequencer {
-    fn new(
-        worker_txs: Vec<Sender<ShardBatch>>,
-        info: ServiceInfo,
-        invalidator: Option<CacheInvalidator>,
-    ) -> Self {
+    fn new(worker_txs: Vec<Sender<Vec<ReadJob>>>, invalidator: Option<CacheInvalidator>) -> Self {
         Self {
             worker_txs: worker_txs.into_iter().map(Some).collect(),
             rr: 0,
-            next_seq: 1,
-            nodes: info.seed_nodes as u64,
-            feature_dim: info.feature_dim,
             invalidator,
         }
     }
 
-    /// Retires workers whose dead flag is up (their engine panicked,
-    /// on the worker or in an inline run): drop their senders
-    /// (disconnecting their drain loops) and take them out of routing.
-    /// A batch sent before the flag was observed is answered by the
-    /// worker's drain loop, so the hand-off leaks nothing.
+    /// Retires workers whose dead flag is up (their engine call
+    /// panicked): drop their senders (disconnecting their drain loops)
+    /// and take them out of routing. A batch sent before the flag was
+    /// observed is answered by the worker's drain loop, so the hand-off
+    /// leaks nothing.
     fn reap_dead_workers(&mut self, admission: &AdmissionLedger) {
         for (w, tx) in self.worker_txs.iter_mut().enumerate() {
             if tx.is_some() && admission.is_dead(w) {
@@ -1369,10 +1360,10 @@ impl Sequencer {
         }
     }
 
-    /// Picks the answering replica: the affinity hint when it names a
+    /// Picks the answering worker: the affinity hint when it names a
     /// live worker, the next live worker round-robin otherwise, passing
-    /// over `skip` (a replica claimed for an inline run) while another
-    /// live one exists; `None` when every worker is gone.
+    /// over `skip` (the worker an inline share is reported as) while
+    /// another live one exists; `None` when every worker is gone.
     fn route(&mut self, hint: Option<usize>, skip: Option<usize>) -> Option<usize> {
         let workers = self.worker_txs.len();
         if let Some(s) = hint {
@@ -1394,291 +1385,169 @@ impl Sequencer {
         fallback
     }
 
-    /// The inline claim, made by the reactor under the sequencer lock.
-    /// A group qualifies if it holds only reads and none names a shard
-    /// (a hint names the replica that must answer, which a split does
-    /// not honour). It then claims the first live replica from the
-    /// round-robin cursor whose lock is free and which has applied
-    /// every mutation sequenced so far. That check is the read's
-    /// linearisation point: it sees every mutation whose reply anyone
-    /// has received, so read-your-writes holds as on the worker path.
-    /// `try_lock` never waits for a busy worker, and a poisoned or
-    /// retired replica is passed over.
-    ///
-    /// The claimed replica takes the group's first ⌈g / live⌉ reads
-    /// (the whole of a single read): this thread runs them once the
-    /// sequencer lock is released, while the rest go to the other
-    /// workers, so a large group still runs on every core.
-    fn claim<'s>(&mut self, jobs: &mut Vec<Job>, shared: &'s Shared) -> Option<Claim<'s>> {
-        if !jobs
-            .iter()
-            .all(|j| matches!(j.op, Op::Infer { .. }) && j.shard.is_none())
-        {
-            return None;
+    /// Applies the mutations among `jobs` to the store, in order, under
+    /// one write lock — taken only if there is one — then refreshes the
+    /// stationary state and publishes the store's MACs. Returns one
+    /// outcome per mutation. When the store is poisoned — by a panic
+    /// while applying, now or before — every mutation is refused, and
+    /// the cache is emptied and frozen so that no read is answered
+    /// past the store either.
+    fn apply(&self, jobs: &[Job], shared: &Shared) -> Vec<Result<Applied, String>> {
+        let mutations = jobs.iter().filter(|j| !matches!(j.op, Op::Infer { .. }));
+        let count = mutations.clone().count();
+        if count == 0 {
+            return Vec::new();
         }
-        let sequenced = self.next_seq - 1;
-        let workers = self.worker_txs.len();
-        let (worker, slot) = (0..workers)
-            .map(|i| (self.rr + i) % workers)
-            .filter(|&w| self.worker_txs[w].is_some())
-            .find_map(|w| {
-                let slot = shared.replicas[w].try_lock().ok()?;
-                let caught_up = slot.as_ref()?.applied_seq == sequenced;
-                caught_up.then_some((w, slot))
-            })?;
-        self.rr = worker + 1;
-        let live = self.worker_txs.iter().flatten().count();
-        let rest = jobs.split_off(jobs.len().div_ceil(live));
-        let claimed = std::mem::replace(jobs, rest);
-        let jobs = claimed
-            .into_iter()
-            .map(|job| ReadJob {
-                op: job.op,
-                handle: ReplyHandle {
-                    responder: ReplySink::Inline(OnceCell::new()),
-                    ..job.handle
-                },
-            })
-            .collect();
-        Some(Claim { worker, slot, jobs })
-    }
-
-    /// Validates a mutation against the sequenced global graph model —
-    /// once, at sequencing time, identically for every replica.
-    fn validate_mutation(&self, op: &Op) -> Result<(), String> {
-        let n = self.nodes;
-        match op {
-            Op::Ingest {
-                features,
-                neighbors,
-            } => {
-                if features.len() != self.feature_dim {
-                    return Err(format!(
-                        "feature length {} does not match graph dimension {}",
-                        features.len(),
-                        self.feature_dim
-                    ));
-                }
-                if features.iter().any(|x| !x.is_finite()) {
-                    // One inf/NaN feature would poison every replica's
-                    // incremental stationary accumulators for every
-                    // later request — reject it at the door.
-                    return Err("features must be finite".to_string());
-                }
-                if let Some(&bad) = neighbors.iter().find(|&&v| v as u64 >= n) {
-                    return Err(format!("neighbor {bad} out of range (graph has {n} nodes)"));
-                }
-                if n > u32::MAX as u64 {
-                    return Err("graph is full (node ids are u32)".to_string());
-                }
-                Ok(())
-            }
-            Op::ObserveEdge { u, v } => {
-                if u == v {
-                    return Err(format!("self-loop edge ({u},{u}) is not representable"));
-                }
-                if *u as u64 >= n || *v as u64 >= n {
-                    return Err(format!("edge ({u},{v}) out of range (graph has {n} nodes)"));
-                }
-                Ok(())
-            }
-            Op::Infer { .. } => unreachable!("reads are not sequenced"),
-        }
-    }
-
-    /// Applies a just-sequenced mutation to the cache: mirror update,
-    /// dirty-frontier eviction (or conservative flush), then the
-    /// sequence-point advance — all before any worker can have applied
-    /// the mutation, so the version guard on inserts is airtight.
-    /// Without a mirror (every mode but fixed-depth) each mutation
-    /// flushes.
-    ///
-    /// The walk runs on the *post-mutation* mirror: edge additions only
-    /// shrink hop distances, so the new adjacency reaches every node
-    /// whose old ≤`radius`-hop computation involved the touched region.
-    fn invalidate_cache(&mut self, op: &Op, seq: u64, cache: Option<&VersionedCache>) {
-        let (Some(inv), Some(cache)) = (self.invalidator.as_mut(), cache) else {
-            return;
-        };
-        let action = match inv.mirror.as_mut() {
-            None => Invalidation::Flush,
-            Some(mirror) => {
-                // Already validated: ids in range, features well-formed.
-                // The touched nodes; `None` when the graph did not
-                // change (a duplicate edge). An arrival cannot be cached
-                // yet: only its attachment points change.
-                let edge: [u32; 2];
-                let seeds = match op {
-                    Op::Ingest {
-                        features,
-                        neighbors,
-                    } => {
-                        mirror.add_node(features, neighbors);
-                        Some(neighbors.as_slice())
-                    }
-                    Op::ObserveEdge { u, v } => {
-                        edge = [*u, *v];
-                        mirror.add_edge(*u, *v).then_some(&edge[..])
-                    }
-                    Op::Infer { .. } => unreachable!("reads are not sequenced"),
-                };
-                match seeds {
-                    // Nothing changed, or an isolated arrival touched no
-                    // existing adjacency.
-                    None | Some([]) => Invalidation::Untouched,
-                    Some(seeds) => match mirror.k_hop_frontier(seeds, inv.radius, inv.budget) {
-                        Some(frontier) => Invalidation::Frontier(frontier),
-                        None => Invalidation::Flush,
-                    },
-                }
-            }
-        };
-        // One lock acquisition for eviction + advance: a worker insert
-        // can land before or after this mutation, never in between.
-        cache.sequence_mutation(seq, action);
-    }
-
-    /// Sequences, validates and routes one group of admitted jobs, then
-    /// sends each live worker its share: the group's whole mutation
-    /// prefix (every replica applies every mutation) and the reads
-    /// routed to it. Reads pass over `claimed`, the replica answering
-    /// part of the group inline. Jobs that cannot be served are
-    /// answered here.
-    fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared, claimed: Option<usize>) {
-        let mut reads: Vec<Vec<ReadJob>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
-        // (seq, op, answering replica, handle) in sequence order; the
-        // handle is moved into exactly one worker's broadcast copy.
-        let mut muts: Vec<(u64, Arc<Op>, usize, Option<ReplyHandle>)> = Vec::new();
-        for job in jobs {
-            if let Op::Infer { .. } = job.op {
-                match self.route(job.shard, claimed) {
-                    Some(s) => reads[s].push(ReadJob {
-                        op: job.op,
-                        handle: job.handle,
-                    }),
-                    None => shared.refuse(&job.handle, "no live shard workers".to_string()),
-                }
-                continue;
-            }
-            if let Err(message) = self.validate_mutation(&job.op) {
-                shared.refuse(&job.handle, message);
-                continue;
-            }
-            let Some(responder) = self.route(job.shard, None) else {
-                shared.refuse(&job.handle, "no live shard workers".to_string());
-                continue;
-            };
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            if matches!(job.op, Op::Ingest { .. }) {
-                self.nodes += 1;
-            }
-            self.invalidate_cache(&job.op, seq, shared.cache.as_ref());
-            muts.push((seq, Arc::new(job.op), responder, Some(job.handle)));
-        }
-
-        for (w, worker_reads) in reads.into_iter().enumerate() {
-            let Some(tx) = &self.worker_txs[w] else {
-                continue;
-            };
-            let mutations: Vec<SeqMutation> = muts
-                .iter_mut()
-                .map(|(seq, op, responder, handle)| SeqMutation {
-                    seq: *seq,
-                    op: Arc::clone(op),
-                    handle: if *responder == w { handle.take() } else { None },
-                })
+        let cache = shared.cache.as_ref();
+        // The guard lives inside the closure, so a panic unwinds
+        // through it and poisons the store.
+        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut store = shared.store.write().ok()?;
+            let applied: Vec<_> = mutations
+                .map(|job| store.apply(&job.op, self.invalidator.as_ref(), cache))
                 .collect();
-            if mutations.is_empty() && worker_reads.is_empty() {
+            store.engine.refresh();
+            shared.store_macs.publish(&store.engine.macs_breakdown());
+            Some(applied)
+        }));
+        if let Ok(Some(applied)) = applied {
+            return applied;
+        }
+        if let Some(cache) = cache {
+            cache.sequence_mutation(u64::MAX, Invalidation::Flush);
+        }
+        (0..count).map(|_| Err(POISONED.to_string())).collect()
+    }
+
+    /// Applies one group of admitted jobs (see [`Self::apply`]), answers
+    /// its edges and invalid mutations, and routes its reads — an
+    /// applied ingest becomes a read of its new id. With `inline`, a
+    /// group that names no shard keeps its first ⌈g / live⌉ reads for
+    /// the submitting thread, reported as the next worker round-robin;
+    /// the other reads pass over that worker. Each live worker is sent
+    /// its share; reads that cannot be served are answered here.
+    fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared, inline: bool) -> Option<InlineShare> {
+        let hint_free = jobs.iter().all(|j| j.shard.is_none());
+        let mut applied = self.apply(&jobs, shared).into_iter();
+        // (index in the group, hint, read), in group order.
+        let mut reads = Vec::with_capacity(jobs.len());
+        let here = shared.admission.sequencer_slot();
+        for (i, Job { op, shard, handle }) in jobs.into_iter().enumerate() {
+            let (nodes, ingest) = match op {
+                Op::Infer { nodes } => (nodes, false),
+                _ => match applied.next() {
+                    Some(Ok(Applied::Ingest(node))) => (vec![node], true),
+                    Some(Ok(Applied::Edge { seq, added })) => {
+                        let reply = Reply::Edge {
+                            shard: shard.unwrap_or(0),
+                            applied_seq: seq,
+                            added,
+                        };
+                        shared.respond(here, &handle, reply);
+                        continue;
+                    }
+                    Some(Err(message)) => {
+                        shared.refuse(&handle, message);
+                        continue;
+                    }
+                    None => unreachable!("one outcome per mutation"),
+                },
+            };
+            let read = ReadJob {
+                nodes,
+                ingest,
+                handle,
+            };
+            reads.push((i, shard, read));
+        }
+
+        let mut share = None;
+        if inline && hint_free && !reads.is_empty() {
+            if let Some(shard) = self.route(None, None) {
+                let live = self.worker_txs.iter().flatten().count();
+                let rest = reads.split_off(reads.len().div_ceil(live));
+                let mine = std::mem::replace(&mut reads, rest);
+                share = Some(InlineShare {
+                    shard,
+                    reads: mine
+                        .into_iter()
+                        .map(|(i, _, read)| (i, read.answered_here()))
+                        .collect(),
+                });
+            }
+        }
+        let skip = share.as_ref().map(|s| s.shard);
+        let mut batches: Vec<Vec<ReadJob>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
+        for (_, hint, read) in reads {
+            match self.route(hint, skip) {
+                Some(w) => batches[w].push(read),
+                None => shared.refuse(&read.handle, "no live shard workers".to_string()),
+            }
+        }
+        for (w, (tx, batch)) in self.worker_txs.iter_mut().zip(batches).enumerate() {
+            if batch.is_empty() {
                 continue;
             }
-            let batch = ShardBatch {
-                mutations,
-                reads: worker_reads,
+            let unsent = match tx {
+                Some(live) => live.send(batch).err().map(|dead| dead.0),
+                None => Some(batch),
             };
-            if let Err(dead) = tx.send(batch) {
+            if let Some(unsent) = unsent {
                 // Backstop for a worker that died without raising its
                 // dead flag (should not happen — the panic path always
-                // sets it): answer the jobs only it would have
-                // answered, so their clients see a typed error instead
-                // of a timeout and no admission slot leaks. Its
-                // broadcast mutation copies are dropped — the replica
-                // is out of rotation for good, and the surviving
-                // replicas stay convergent with each other (a mutation
-                // answered by a live replica may thus outlive its dead
-                // responder, like a timeout).
-                self.worker_txs[w] = None;
-                let gone = dead.0;
-                for handle in gone
-                    .mutations
-                    .into_iter()
-                    .filter_map(|m| m.handle)
-                    .chain(gone.reads.into_iter().map(|r| r.handle))
-                {
-                    shared.refuse(&handle, format!("shard {w} worker is gone"));
+                // sets it): answer its reads, so their clients see a
+                // typed error instead of a timeout and no admission
+                // slot leaks.
+                *tx = None;
+                for read in unsent {
+                    shared.refuse(&read.handle, format!("shard {w} worker is gone"));
                 }
             }
         }
+        share
     }
 }
 
 fn worker_loop(
     worker: usize,
-    rx: Receiver<ShardBatch>,
+    rx: Receiver<Vec<ReadJob>>,
     shared: Arc<Shared>,
     base_cfg: InferenceConfig,
     cfg: ServeConfig,
 ) {
+    let mut reader = Reader::default();
     while let Ok(batch) = rx.recv() {
-        let served = serve_batch(worker, batch, &rx, &shared, &base_cfg, &cfg);
-        if matches!(served, Served::Done) {
+        let Err(panic) = serve_batch(worker, batch, &rx, &shared, &mut reader, &base_cfg, &cfg)
+        else {
             continue;
-        }
-        // The replica is retired. Batches sent before a submitter
+        };
+        // The worker is retired. Batches sent before a submitter
         // observes the dead flag would otherwise be dropped with their
-        // admission slots held: answer their owned jobs with a typed
-        // error instead. The drain ends when the sequencer reaps this
-        // worker (dropping its sender) or shuts down.
+        // admission slots held: answer them with a typed error instead.
+        // The drain ends when the sequencer reaps this worker (dropping
+        // its sender) or shuts down.
         while let Ok(stranded) = rx.recv() {
             shared.answer_gone(worker, stranded);
         }
-        if let Served::Panicked(panic) = served {
-            std::panic::resume_unwind(panic);
-        }
-        return;
+        std::panic::resume_unwind(panic);
     }
 }
 
-/// What became of one merged batch.
-enum Served {
-    Done,
-    /// The replica was already retired (an inline run panicked on it):
-    /// the batch's owned jobs got the typed "worker is gone" error.
-    Retired,
-    /// The engine panicked mid-batch: the replica is retired and the
-    /// batch's unanswered admission slots are repaired.
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
-/// Merges everything queued behind `batch` and runs it on `worker`'s
-/// replica, which stays locked for the whole batch.
+/// Merges everything queued behind `batch` and runs it on `reader`.
+/// Returns the number of reads answered, or the engine's panic once the
+/// batch's unanswered admission slots are repaired and the worker's dead
+/// flag is up.
 fn serve_batch(
     worker: usize,
-    mut batch: ShardBatch,
-    rx: &Receiver<ShardBatch>,
+    mut batch: Vec<ReadJob>,
+    rx: &Receiver<Vec<ReadJob>>,
     shared: &Shared,
+    reader: &mut Reader,
     base_cfg: &InferenceConfig,
     cfg: &ServeConfig,
-) -> Served {
-    let (owned, close) = batch.absorb_queued(rx, cfg.max_batch);
+) -> Result<usize, Box<dyn std::any::Any + Send>> {
+    let close = absorb_queued(&mut batch, rx, cfg.max_batch);
     let dequeued = Instant::now();
-    // Blocks while the reactor runs an inline read on this replica.
-    let mut slot = shared.replicas[worker].lock().ok();
-    let Some(replica) = slot.as_deref_mut().and_then(Option::as_mut) else {
-        drop(slot);
-        shared.answer_gone(worker, batch);
-        return Served::Retired;
-    };
     // The batch closes here, so the load-shed decision is made here:
     // in_flight counts this batch and everything queued behind it.
     let degraded = cfg
@@ -1692,171 +1561,91 @@ fn serve_batch(
         },
         degraded,
         dequeued,
-        size: owned as u32,
+        size: batch.len() as u32,
         close,
     };
-    // A batch that only replicates other workers' mutations answers
-    // nobody: it is not counted as a batch.
-    if owned > 0 {
-        shared.note_batch(&run, owned);
-    }
-    // Sampled under the replica lock, so no inline answer on this
-    // replica can land between the sample and a repair.
+    let owned = batch.len() as u64;
+    shared.note_batch(&run, owned);
     let answered_before = shared.admission.answered_by(worker);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_shard_batch(worker, replica, batch, &run, shared);
-        shared.finish_batch(worker, &replica.engine);
+        read_run(worker, worker, &batch, &run, shared, reader);
     }));
+    shared.worker_macs[worker].publish(&reader.tally.macs);
     match outcome {
-        Ok(()) => Served::Done,
+        Ok(()) => Ok(batch.len()),
         Err(panic) => {
-            // The engine may be in an inconsistent state: retire the
-            // replica, then give back the admission slots of the jobs
-            // this batch owned and never answered, so queue capacity is
-            // not permanently shrunk. The per-party reply counter makes
-            // the repair exact even while other workers answer their
-            // own slices of the same broadcast group. These clients see
-            // a timeout rather than a reply. Repair raises the dead
-            // flag; the sequencer reaps it at its next submission.
-            if let Some(retired) = slot.as_deref_mut() {
-                *retired = None;
-            }
-            drop(slot);
+            // Give back the admission slots of the reads this batch
+            // never answered, so queue capacity is not permanently
+            // shrunk; these clients see a timeout rather than a reply.
+            // Repair raises the dead flag; the sequencer reaps it at its
+            // next submission.
             shared
                 .admission
                 .repair_panicked(worker, owned, answered_before);
-            Served::Panicked(panic)
+            Err(panic)
         }
     }
 }
 
-/// Executes one worker's merged batch: first the full mutation prefix
-/// in sequence order (every replica applies every mutation; ingests
-/// owned by this worker are additionally queued and answered by one
-/// flush after the prefix), then this worker's reads — which therefore
-/// observe every mutation of this batch and of all earlier batches
-/// (worker channels are FIFO), on whatever replica they landed.
-fn process_shard_batch(
-    worker: usize,
-    replica: &mut Replica,
-    batch: ShardBatch,
-    run: &BatchRun,
-    shared: &Shared,
-) {
-    let Replica {
-        engine,
-        applied_seq,
-    } = replica;
-    let mut ingest_handles: Vec<ReplyHandle> = Vec::new();
-    for m in batch.mutations {
-        debug_assert_eq!(
-            m.seq,
-            *applied_seq + 1,
-            "broadcast must deliver every mutation in sequence order"
-        );
-        match m.op.as_ref() {
-            Op::Ingest {
-                features,
-                neighbors,
-            } => {
-                if let Some(handle) = m.handle {
-                    // This replica answers: queue for the post-prefix
-                    // flush (pending order = sequence order).
-                    engine.ingest(features, neighbors);
-                    ingest_handles.push(handle);
-                } else {
-                    engine.apply_replicated_ingest(features, neighbors);
-                }
-            }
-            Op::ObserveEdge { u, v } => {
-                let added = engine.apply_replicated_edge(*u, *v);
-                if let Some(handle) = &m.handle {
-                    shared.respond(
-                        worker,
-                        handle,
-                        Reply::Edge {
-                            shard: worker,
-                            applied_seq: m.seq,
-                            added,
-                        },
-                    );
-                }
-            }
-            Op::Infer { .. } => unreachable!("reads are never broadcast"),
-        }
-        *applied_seq = m.seq;
-    }
-    if !ingest_handles.is_empty() {
-        // The flush's stage times are attributed whole to every ingest
-        // it answers (each waited for the call).
-        let (predictions, timing) = timed(engine, run, |e| e.flush(&run.cfg));
-        debug_assert_eq!(predictions.len(), ingest_handles.len());
-        for (p, handle) in predictions.iter().zip(&ingest_handles) {
-            shared.respond_traced(
-                worker,
-                handle,
-                Reply::Ingest {
-                    shard: worker,
-                    applied_seq: *applied_seq,
-                    node: p.node,
-                    prediction: p.prediction,
-                    depth: p.depth,
-                },
-                &timing,
-            );
-        }
-    }
-    infer_run(worker, engine, &batch.reads, run, *applied_seq, shared);
-}
-
-/// Answers a slice of reads with one coalesced active-set engine call
-/// (per-node results are batch-composition independent). Fresh results
-/// populate the prediction cache — unless this batch ran under a
-/// degraded (load-shed) depth budget, whose answers must never be
-/// served later as full-depth ones; the cache's own version guard
-/// additionally drops results that a mutation sequenced since has
-/// already outdated.
-fn infer_run(
-    worker: usize,
-    engine: &mut StreamingEngine,
+/// Answers a batch of reads as party `who`, reported as worker `shard`,
+/// with one coalesced engine call on `reader` (per-node results are
+/// batch-composition independent). The store's read lock covers the
+/// node-range check and the engine call only. Fresh results populate
+/// the prediction cache — unless this batch ran under a degraded
+/// (load-shed) depth budget, whose answers must never be served later as
+/// full-depth ones; the cache's own version guard additionally drops
+/// results that a mutation applied since has already outdated.
+fn read_run(
+    who: usize,
+    shard: usize,
     jobs: &[ReadJob],
     run: &BatchRun,
-    applied_seq: u64,
     shared: &Shared,
+    reader: &mut Reader,
 ) {
-    if jobs.is_empty() {
+    let Ok(store) = shared.store.read() else {
+        for job in jobs {
+            let message = POISONED.to_string();
+            shared.respond(who, &job.handle, Reply::Error { message });
+        }
         return;
-    }
-    let n = engine.graph().num_nodes() as u32;
+    };
+    let n = store.engine.graph().num_nodes() as u32;
     // Validate per job; only valid jobs contribute nodes to the engine
     // call. `spans` keeps (job index, node count) to slice results back.
-    // The node bound is the *replicated* graph — reads run after this
-    // batch's mutation prefix, so a just-ingested id is in range on
-    // every replica.
     let mut nodes: Vec<u32> = Vec::new();
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut invalid: Vec<(usize, String)> = Vec::new();
     for (idx, job) in jobs.iter().enumerate() {
-        let Op::Infer { nodes: req } = &job.op else {
-            unreachable!("read slice contains only infer jobs");
-        };
-        match req.iter().find(|&&v| v >= n) {
+        match job.nodes.iter().find(|&&v| v >= n) {
             Some(&bad) => invalid.push((
                 idx,
                 format!("node {bad} out of range (graph has {n} nodes)"),
             )),
             None => {
-                spans.push((idx, req.len()));
-                nodes.extend_from_slice(req);
+                spans.push((idx, job.nodes.len()));
+                nodes.extend_from_slice(&job.nodes);
             }
         }
     }
-    let (results, timing) = timed(engine, run, |e| e.infer_nodes(&nodes, &run.cfg));
+    // The reader attributes its interior to stages cumulatively; the
+    // before/after delta is this call's share.
+    let stages_before = reader.tally.times;
+    let engine_start = Instant::now();
+    let results = store
+        .engine
+        .read_nodes(&nodes, &run.cfg, &mut reader.scratch, &mut reader.tally);
+    let engine_end = Instant::now();
+    let applied_seq = store.applied_seq;
+    drop(store);
+    let timing = BatchTiming {
+        run,
+        engine_start,
+        engine_end,
+        engine: reader.tally.times.since(&stages_before),
+    };
     if !run.degraded {
         if let Some(cache) = &shared.cache {
-            // Stamped with the sequence point this replica computed
-            // at; the cache's version guard drops any entry a mutation
-            // sequenced since then has outdated.
             cache.insert_batch(
                 applied_seq,
                 nodes
@@ -1868,101 +1657,86 @@ fn infer_run(
     }
     let mut offset = 0;
     for (idx, len) in spans {
-        let Op::Infer { nodes: req } = &jobs[idx].op else {
-            unreachable!();
-        };
+        let job = &jobs[idx];
         let slice = &results[offset..offset + len];
         offset += len;
-        let reply = Reply::Infer {
-            shard: worker,
-            applied_seq,
-            results: req
-                .iter()
-                .zip(slice)
-                .map(|(&node, &(prediction, depth))| NodeResult {
-                    node,
-                    prediction,
-                    depth,
-                })
-                .collect(),
+        let reply = if job.ingest {
+            let (prediction, depth) = slice[0];
+            Reply::Ingest {
+                shard,
+                applied_seq,
+                node: job.nodes[0],
+                prediction,
+                depth,
+            }
+        } else {
+            Reply::Infer {
+                shard,
+                applied_seq,
+                results: job
+                    .nodes
+                    .iter()
+                    .zip(slice)
+                    .map(|(&node, &(prediction, depth))| NodeResult {
+                        node,
+                        prediction,
+                        depth,
+                    })
+                    .collect(),
+            }
         };
-        shared.respond_traced(worker, &jobs[idx].handle, reply, &timing);
+        shared.respond_traced(who, &job.handle, reply, &timing);
     }
     for (idx, message) in invalid {
-        shared.respond(worker, &jobs[idx].handle, Reply::Error { message });
+        shared.respond(who, &jobs[idx].handle, Reply::Error { message });
     }
 }
 
 /// One worker's channel, handed to the caller by
-/// [`NaiService::without_workers`] in place of a worker thread.
+/// [`NaiService::with_worker_inboxes`] in place of a worker thread.
 /// Compiled only under `--cfg nai_model`.
 #[cfg(nai_model)]
 pub struct WorkerInbox {
     worker: usize,
-    rx: Receiver<ShardBatch>,
+    rx: Receiver<Vec<ReadJob>>,
     shared: Arc<Shared>,
+    reader: Reader,
     infer_cfg: InferenceConfig,
     cfg: ServeConfig,
 }
 
 #[cfg(nai_model)]
 impl NaiService {
-    /// The real submit path and sequencer over `workers` worker
-    /// channels and no worker threads (seed graph of `seed_nodes`
-    /// nodes, feature dimension 1, no cache, no engines — so nothing
-    /// can be claimed inline), so the model tests can race submitting
-    /// threads and inspect exactly what each worker receives.
-    pub fn without_workers(
+    /// The real submit path, sequencer and store over `engine`, with
+    /// `workers` worker channels and no worker threads (no cache), so
+    /// the model tests can race submitting threads and run each worker's
+    /// batches where they choose.
+    pub fn with_worker_inboxes(
+        engine: StreamingEngine,
+        infer_cfg: InferenceConfig,
         workers: usize,
-        seed_nodes: usize,
         queue_cap: usize,
     ) -> (Self, Vec<WorkerInbox>) {
         let info = ServiceInfo {
             shards: workers,
-            feature_dim: 1,
-            k: 1,
-            seed_nodes,
+            feature_dim: engine.graph().feature_dim(),
+            k: engine.k(),
+            seed_nodes: engine.graph().num_nodes(),
         };
-        Self::over_inboxes(Vec::new(), info, InferenceConfig::fixed(1), queue_cap)
-    }
-
-    /// [`Self::without_workers`] over real engine replicas (no cache),
-    /// whose inboxes run batches through the worker's own code
-    /// ([`WorkerInbox::serve_queued`]).
-    pub fn with_worker_inboxes(
-        engines: Vec<StreamingEngine>,
-        infer_cfg: InferenceConfig,
-        queue_cap: usize,
-    ) -> (Self, Vec<WorkerInbox>) {
-        let info = ServiceInfo {
-            shards: engines.len(),
-            feature_dim: engines[0].graph().feature_dim(),
-            k: engines[0].k(),
-            seed_nodes: engines[0].graph().num_nodes(),
-        };
-        Self::over_inboxes(engines, info, infer_cfg, queue_cap)
-    }
-
-    fn over_inboxes(
-        engines: Vec<StreamingEngine>,
-        info: ServiceInfo,
-        infer_cfg: InferenceConfig,
-        queue_cap: usize,
-    ) -> (Self, Vec<WorkerInbox>) {
         let cfg = ServeConfig {
-            workers: info.shards,
+            workers,
             queue_cap,
             ..ServeConfig::default()
         };
-        let shared = Arc::new(Shared::new(&cfg, engines));
-        let (txs, inboxes) = (0..info.shards)
+        let shared = Arc::new(Shared::new(&cfg, engine));
+        let (txs, inboxes) = (0..workers)
             .map(|worker| {
                 let (tx, rx) = mpsc::channel();
-                let shared = Arc::clone(&shared);
                 let inbox = WorkerInbox {
                     worker,
                     rx,
-                    shared,
+                    shared: Arc::clone(&shared),
+                    reader: Reader::default(),
                     infer_cfg,
                     cfg,
                 };
@@ -1970,8 +1744,9 @@ impl NaiService {
             })
             .unzip();
         let service = Self {
-            sequencer: Mutex::new(Some(Sequencer::new(txs, info, None))),
+            sequencer: Mutex::new(Some(Sequencer::new(txs, None))),
             shared,
+            inline_reader: Mutex::new(Reader::default()),
             info,
             cfg,
             infer_cfg,
@@ -1981,62 +1756,86 @@ impl NaiService {
     }
 
     /// Submits one request as the reactor does: a read may be answered
-    /// on this thread by a claimed replica. Returns the ticket (already
-    /// resolved when answered here) and whether it was.
+    /// on this thread. Returns the ticket (already resolved when
+    /// answered here) and whether it was.
     ///
     /// # Errors
     /// As [`Self::submit`].
     pub fn submit_inline(&self, req: Request) -> Result<(Ticket, bool), ServeError> {
         self.submit_one(req, true)
     }
+
+    /// Submits `reqs` as one group, as the reactor submits the lines of
+    /// one parse pass, but with nothing run inline; one ticket per
+    /// request (an error outcome resolves its ticket as an error reply).
+    pub fn submit_all(&self, reqs: Vec<Request>) -> Vec<Ticket> {
+        let (sinks, tickets): (Vec<_>, Vec<_>) = reqs
+            .iter()
+            .map(|_| {
+                let (tx, rx) = mpsc::channel();
+                (tx, Ticket { rx })
+            })
+            .unzip();
+        let group = reqs
+            .into_iter()
+            .zip(&sinks)
+            .map(|(req, tx)| (req, 0, ReplySink::Channel(tx.clone())))
+            .collect();
+        for (outcome, tx) in self.submit_group(group, false).into_iter().zip(&sinks) {
+            if let Err(e) = outcome {
+                drop(tx.send(Reply::Error {
+                    message: e.to_string(),
+                }));
+            }
+        }
+        tickets
+    }
+}
+
+#[cfg(nai_model)]
+impl Ticket {
+    /// Blocks for the reply with no deadline: under the model checker,
+    /// [`Self::wait`] only finds a reply that has already arrived.
+    ///
+    /// # Errors
+    /// [`ServeError::ShuttingDown`] if the reply can never arrive.
+    pub fn wait_blocking(self) -> Result<Reply, ServeError> {
+        self.rx.recv().map_err(|_| ServeError::ShuttingDown)
+    }
 }
 
 #[cfg(nai_model)]
 impl WorkerInbox {
-    /// Blocks for the next batch sent to this worker, answers the jobs
-    /// it owns with a stub reply, and returns the sequence numbers of
-    /// the batch's mutations in the order received.
-    pub fn answer_next(&self) -> Vec<u64> {
-        let Ok(batch) = self.rx.recv() else {
-            return Vec::new();
-        };
-        let mut seqs = Vec::new();
-        for m in batch.mutations {
-            seqs.push(m.seq);
-            if let Some(handle) = &m.handle {
-                let reply = Reply::Edge {
-                    shard: self.worker,
-                    applied_seq: m.seq,
-                    added: true,
-                };
-                self.shared.respond(self.worker, handle, reply);
-            }
+    /// Blocks for the next batch sent to this worker and runs it, with
+    /// whatever is queued behind it, as the worker thread would.
+    /// Returns the number of reads answered.
+    pub fn serve_next(&mut self) -> usize {
+        match self.rx.recv() {
+            Ok(batch) => self.serve(batch),
+            Err(_) => 0,
         }
-        for r in batch.reads {
-            let reply = Reply::Error {
-                message: "reads are not modeled".to_string(),
-            };
-            self.shared.respond(self.worker, &r.handle, reply);
-        }
-        seqs
     }
 
-    /// Runs every batch already queued for this worker as its thread
-    /// would (the replica locked per merged batch), without blocking.
-    pub fn serve_queued(&self) {
+    /// Runs every batch already queued for this worker, without
+    /// blocking.
+    pub fn serve_queued(&mut self) {
         while let Ok(batch) = self.rx.try_recv() {
-            let served = serve_batch(
-                self.worker,
-                batch,
-                &self.rx,
-                &self.shared,
-                &self.infer_cfg,
-                &self.cfg,
-            );
-            if !matches!(served, Served::Done) {
-                return;
-            }
+            self.serve(batch);
         }
+    }
+
+    fn serve(&mut self, batch: Vec<ReadJob>) -> usize {
+        let (worker, shared) = (self.worker, &*self.shared);
+        serve_batch(
+            worker,
+            batch,
+            &self.rx,
+            shared,
+            &mut self.reader,
+            &self.infer_cfg,
+            &self.cfg,
+        )
+        .unwrap_or(0)
     }
 }
 
@@ -2056,8 +1855,8 @@ mod tests {
                 workers,
                 ..ServeConfig::default()
             };
-            let engines = crate::tests::engine_shards(20, workers, 4);
-            let service = NaiService::new(engines, InferenceConfig::fixed(2), cfg).unwrap();
+            let engine = crate::tests::engine(20, 4);
+            let service = NaiService::new(engine, InferenceConfig::fixed(2), cfg).unwrap();
             let threads = lock_recover(&service.threads);
             assert_eq!(threads.len(), cfg.workers);
             for t in threads.iter() {
@@ -2068,10 +1867,10 @@ mod tests {
         }
     }
 
-    /// One deploy freezes one seed: every replica and the cache mirror
-    /// hold that allocation, and replicated growth never copies it.
+    /// One deploy freezes one seed: the store's engine reads it in place
+    /// through every mutation, whatever the worker count.
     #[test]
-    fn replicas_and_cache_mirror_share_one_seed() {
+    fn the_store_shares_the_deployed_seed_through_growth() {
         let (ckpt, seed) = crate::tests::checkpoint(60, 4);
         let cfg = ServeConfig {
             workers: 3,
@@ -2088,26 +1887,15 @@ mod tests {
             };
             service.call(Request { op, shard: None }).unwrap();
         }
-        {
-            let sequencer = lock_recover(&service.sequencer);
-            let inv = sequencer.as_ref().unwrap().invalidator.as_ref().unwrap();
-            let mirror = inv.mirror.as_ref().unwrap();
-            assert!(mirror.shares_seed(&seed));
-            assert_eq!(mirror.num_nodes(), 80);
-        }
-        let engines = service.into_engines();
-        assert_eq!(engines.len(), 3);
-        for e in &engines {
-            assert!(e.graph().shares_seed(&seed));
-            assert_eq!(e.graph().num_nodes(), 80);
-        }
+        let engine = service.into_engine().unwrap();
+        assert!(engine.graph().shares_seed(&seed));
+        assert_eq!(engine.graph().num_nodes(), 80);
     }
 
-    /// Outside fixed-depth mode no mutation's effect is local: a cached
-    /// NAP_d deploy keeps no graph mirror, and every mutation flushes the
-    /// cache, a duplicate edge included.
+    /// Outside fixed-depth mode no mutation's effect is local: every
+    /// mutation flushes the cache, a duplicate edge included.
     #[test]
-    fn nap_d_cache_keeps_no_mirror_and_flushes_on_every_mutation() {
+    fn nap_d_cache_flushes_on_every_mutation() {
         let (ckpt, seed) = crate::tests::checkpoint(60, 4);
         let cfg = ServeConfig {
             workers: 2,
@@ -2116,11 +1904,6 @@ mod tests {
         };
         let infer = InferenceConfig::distance(0.5, 1, 2);
         let service = NaiService::from_checkpoint(&ckpt, &seed, infer, cfg).unwrap();
-        {
-            let sequencer = lock_recover(&service.sequencer);
-            let inv = sequencer.as_ref().unwrap().invalidator.as_ref().unwrap();
-            assert!(inv.mirror.is_none());
-        }
         let call = |op: Op| service.call(Request { op, shard: None }).unwrap();
         let read = || call(Op::Infer { nodes: vec![1, 2] });
         read();
@@ -2140,8 +1923,8 @@ mod tests {
     }
 
     /// A NAP_u deploy estimates λ₂ once, over the seed, bit-equal to the
-    /// eager estimate replicas used to make at construction, and
-    /// answers exactly as a solo engine with that estimate.
+    /// eager estimate engines used to make at construction, and answers
+    /// exactly as a solo engine with that estimate.
     #[test]
     fn nap_u_deploy_answers_as_with_the_eager_lambda2() {
         use nai_graph::{normalized_adjacency, Convolution};
@@ -2173,9 +1956,8 @@ mod tests {
                 other => panic!("unexpected reply {other:?}"),
             }
         }
-        for e in service.into_engines() {
-            assert_eq!(e.lambda2().to_bits(), eager.to_bits());
-        }
+        let engine = service.into_engine().unwrap();
+        assert_eq!(engine.lambda2().to_bits(), eager.to_bits());
     }
 
     fn bare_shared(workers: usize, with_cache: bool) -> Shared {
@@ -2189,7 +1971,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        Shared::new(&cfg, crate::tests::engine_shards(20, workers, 4))
+        Shared::new(&cfg, crate::tests::engine(20, 4))
     }
 
     fn poison<T>(m: &Mutex<T>) {
@@ -2201,6 +1983,16 @@ mod tests {
         }));
         assert!(r.is_err());
         assert!(m.is_poisoned());
+    }
+
+    /// Poisons the store as a panic while applying a mutation would.
+    fn poison_store(store: &RwLock<Store>) {
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            let _g = store.write().unwrap();
+            panic!("poison the store");
+        }));
+        assert!(r.is_err());
+        assert!(store.is_poisoned());
     }
 
     /// A worker that dies mid-batch poisons its MACs cell; `/metrics`
@@ -2219,21 +2011,72 @@ mod tests {
         assert_eq!(snap.queue_depth, 0);
     }
 
-    /// `into_engines` never recovers a replica behind a poisoned lock:
-    /// its engine may be mid-update. The other replicas still come
-    /// back, in worker order.
+    /// `into_engine` never recovers a poisoned store: a mutation
+    /// panicked mid-apply, so its engine may be inconsistent.
     #[test]
-    fn take_engines_skips_a_poisoned_replica() {
-        let shared = bare_shared(2, false);
-        poison(&shared.replicas[0]);
-        assert_eq!(shared.take_engines().len(), 1);
-        assert!(shared.take_engines().is_empty(), "engines are taken once");
+    fn into_engine_never_recovers_a_poisoned_store() {
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let service =
+            NaiService::new(crate::tests::engine(20, 4), InferenceConfig::fixed(2), cfg).unwrap();
+        poison_store(&service.shared.store);
+        assert!(service.into_engine().is_none());
     }
 
-    /// The whole observability path — histograms, MACs cell, and the
+    /// Once the store is poisoned every request is refused with a typed
+    /// error — reads inline and on the workers, mutations, and reads the
+    /// cache held answers for — and every admission slot comes back.
+    #[test]
+    fn a_poisoned_store_refuses_every_request_with_a_typed_error() {
+        let cfg = ServeConfig {
+            workers: 2,
+            cache: CacheConfig::on(16),
+            ..ServeConfig::default()
+        };
+        let service =
+            NaiService::new(crate::tests::engine(20, 4), InferenceConfig::fixed(2), cfg).unwrap();
+        let read = || Request {
+            op: Op::Infer { nodes: vec![3] },
+            shard: None,
+        };
+        assert!(matches!(service.call(read()), Ok(Reply::Infer { .. })));
+        // The second read of node 3 would hit; a mutation that poisons
+        // the store must also empty the cache for good.
+        let edge = Request {
+            op: Op::ObserveEdge { u: 0, v: 19 },
+            shard: None,
+        };
+        poison_store(&service.shared.store);
+        match service.call(edge) {
+            Ok(Reply::Error { message }) => assert_eq!(message, POISONED),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        for (i, (reply, _)) in [
+            service.submit_one(read(), false),
+            service.submit_one(read(), true),
+        ]
+        .into_iter()
+        .map(Result::unwrap)
+        .enumerate()
+        {
+            match reply.wait(Duration::from_secs(5)) {
+                Ok(Reply::Error { message }) => assert_eq!(message, POISONED, "read {i}"),
+                other => panic!("read {i}: expected a typed error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            service.metrics().cache_hits,
+            0,
+            "the cache answered nothing"
+        );
+        assert_eq!(service.queue_depth(), 0, "every admission slot came back");
+    }
+
+    /// The whole observability path — histograms, MACs cells, and the
     /// admission counters — stays scrapeable when every recoverable
-    /// lock is poisoned at once, and a scrape never touches a replica
-    /// lock.
+    /// lock is poisoned at once, and a scrape never touches the store.
     #[test]
     fn snapshot_survives_every_poisoned_lock_at_once() {
         let shared = bare_shared(1, true);
@@ -2241,14 +2084,25 @@ mod tests {
             propagation: 7,
             nap: 3,
             classification: 2,
+            ..MacsBreakdown::default()
+        };
+        let applied = MacsBreakdown {
             replication: 1,
             ..MacsBreakdown::default()
         };
         shared.worker_macs[0].publish(&macs);
+        shared.store_macs.publish(&applied);
         poison(&shared.worker_macs[0].0);
-        poison(&shared.replicas[0]);
+        poison(&shared.store_macs.0);
+        poison_store(&shared.store);
         let snap = shared.snapshot();
-        assert_eq!(snap.macs, macs);
+        assert_eq!(
+            snap.macs,
+            MacsBreakdown {
+                replication: 1,
+                ..macs
+            }
+        );
         assert_eq!(snap.cache_hits, 0);
     }
 }

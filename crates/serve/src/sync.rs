@@ -20,10 +20,10 @@
 //! identically to idiomatic std code.
 
 #[cfg(not(nai_model))]
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 #[cfg(nai_model)]
-pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+pub use loom::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Atomic integers/bools plus `Ordering`.
 pub mod atomic {

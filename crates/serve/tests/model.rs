@@ -11,8 +11,8 @@
 //!    admitted slot is released exactly once, across submit /
 //!    answer / rollback interleavings.
 //! 2. **Panic repair** — a dying worker frees exactly the slots of
-//!    its unanswered owned jobs, even while other workers answer
-//!    their own slices of the same broadcast batch concurrently.
+//!    its unanswered owned jobs, even while other parties answer
+//!    their own jobs concurrently.
 //! 3. **Cache versioning** — a worker insert racing a sequenced
 //!    mutation never produces a hit that mixes the old prediction
 //!    with the new sequence point.
@@ -20,13 +20,14 @@
 //!    transition, so exactly one of them wakes the reactor.
 //! 5. **Completion mailbox** — a reply pushed while the reactor drains
 //!    is never stranded without a wake.
-//! 6. **Sequencing** — threads submitting mutations at the same time
-//!    leave every worker channel in strictly increasing, gap-free
-//!    sequence order, and every admission slot is answered once.
-//! 7. **Inline claim** — a read the reactor answers itself never runs
-//!    on a replica that has not applied every sequenced mutation, even
-//!    while that replica's worker is applying one, and every admission
-//!    slot is answered once whichever path the read takes.
+//! 6. **Store groups** — two threads submitting mutations at once (one
+//!    of them a group of two) while a third reads inline: each ticket
+//!    is answered once, the group takes consecutive sequence numbers,
+//!    no read sees it half-applied, and every admission slot comes
+//!    back.
+//! 7. **Read-your-writes** — a read submitted after an ingest's reply
+//!    finds the new node, inline and on a worker, while another thread
+//!    mutates the store.
 //!
 //! Plus the satellite-1 regression pinning why `worker_macs` moved
 //! from four `Relaxed` stores to a mutex ([`nai_serve::MacsCell`]):
@@ -49,7 +50,6 @@ use nai_serve::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::AtomicUsize;
 use std::time::Duration;
 
 fn dfs(bound: usize) -> Builder {
@@ -267,69 +267,8 @@ fn completion_queue_never_strands_a_reply_without_a_wake() {
     assert!(stats.exhausted);
 }
 
-/// Invariant 6: two threads submit a mutation each at the same time —
-/// an edge with no shard hint and an ingest pinned to worker 1 — while
-/// worker 0 answers concurrently. Sequence numbers are taken and the
-/// batches sent under one lock, so on every schedule both worker
-/// channels receive the mutations as 1 then 2, with nothing missing or
-/// reordered (a replica applying them out of order would diverge).
-/// Each mutation is answered by exactly one worker: every ticket gets
-/// its one reply and every admission slot comes back (a second answer
-/// would trip the ledger's double-free check).
-#[test]
-fn concurrent_submitters_keep_every_worker_channel_in_sequence_order() {
-    let stats = dfs(2)
-        .check_quiet(|| {
-            let (service, mut inboxes) = NaiService::without_workers(2, 4, 4);
-            let service = Arc::new(service);
-            let worker1 = inboxes.pop().unwrap();
-            let worker0 = inboxes.pop().unwrap();
-            let requests = [
-                Request {
-                    op: Op::ObserveEdge { u: 0, v: 1 },
-                    shard: None,
-                },
-                Request {
-                    op: Op::Ingest {
-                        features: vec![0.5],
-                        neighbors: vec![2],
-                    },
-                    shard: Some(1),
-                },
-            ];
-            let submitters: Vec<_> = requests
-                .into_iter()
-                .map(|req| {
-                    let service = service.clone();
-                    loom::thread::spawn(move || service.submit(req).expect("admitted"))
-                })
-                .collect();
-            let answering = loom::thread::spawn(move || {
-                let mut seqs = worker0.answer_next();
-                seqs.extend(worker0.answer_next());
-                seqs
-            });
-            let tickets: Vec<_> = submitters.into_iter().map(|h| h.join().unwrap()).collect();
-            let mut seqs1 = worker1.answer_next();
-            seqs1.extend(worker1.answer_next());
-            assert_eq!(
-                answering.join().unwrap(),
-                vec![1, 2],
-                "worker 0 out of order"
-            );
-            assert_eq!(seqs1, vec![1, 2], "worker 1 out of order");
-            for t in tickets {
-                let reply = t.wait(Duration::from_secs(1));
-                assert!(matches!(reply, Ok(Reply::Edge { .. })), "{reply:?}");
-            }
-            assert_eq!(service.queue_depth(), 0, "admission slot leaked");
-        })
-        .expect("sequencing must keep channels ordered on every schedule");
-    assert!(stats.exhausted);
-}
-
 /// A four-node path graph with one feature and a depth-1 classifier:
-/// the smallest real replica, built the same way on every call.
+/// the smallest real engine, built the same way on every call.
 fn tiny_engine() -> StreamingEngine {
     let mut graph = DynamicGraph::new(1);
     for v in 0..4u32 {
@@ -348,100 +287,139 @@ fn tiny_engine() -> StreamingEngine {
     StreamingEngine::new(graph, vec![classifier], None, 0.5)
 }
 
-/// Invariant 7: the reactor reads the node an ingest creates while
-/// replica 0's worker applies that ingest (sequence 1; replica 1
-/// answers it, so replica 0 only holds the broadcast copy). The claim
-/// takes replica 0 only once it is unlocked with `applied_seq == 1`;
-/// a replica behind the sequencer would answer "out of range".
-/// Otherwise the read falls back to the worker channel, behind the
-/// mutation. On every schedule the read finds the node at sequence
-/// point 1, each request is answered exactly once, and every
-/// admission slot comes back. Both paths must occur across the
-/// explored schedules, or the check proved nothing.
+fn edge(u: u32, v: u32) -> Request {
+    Request {
+        op: Op::ObserveEdge { u, v },
+        shard: None,
+    }
+}
+
+fn read(node: u32) -> Request {
+    Request {
+        op: Op::Infer { nodes: vec![node] },
+        shard: None,
+    }
+}
+
+fn ingest(neighbor: u32) -> Request {
+    Request {
+        op: Op::Ingest {
+            features: vec![0.5],
+            neighbors: vec![neighbor],
+        },
+        shard: None,
+    }
+}
+
+/// Invariant 6: one thread submits a group of two new edges, another an
+/// ingest, while the main thread reads inline. The group holds the
+/// store's write lock across both of its edges, so they take
+/// consecutive sequence numbers, and the read — which holds the read
+/// lock for its engine call — never reports the point between them. On
+/// every schedule each ticket is answered once (a second answer would
+/// trip the ledger's double-free check) and every admission slot comes
+/// back.
 #[test]
-fn inline_reads_never_run_on_a_replica_behind_the_sequencer() {
-    let inline_runs = std::sync::Arc::new(AtomicUsize::new(0));
-    let fallbacks = std::sync::Arc::new(AtomicUsize::new(0));
-    let (inline_seen, fallback_seen) = (inline_runs.clone(), fallbacks.clone());
+fn no_read_sees_a_half_applied_group() {
     let stats = dfs(2)
-        .check_quiet(move || {
-            let (service, mut inboxes) = NaiService::with_worker_inboxes(
-                vec![tiny_engine(), tiny_engine()],
-                InferenceConfig::fixed(1),
-                4,
-            );
+        .check_quiet(|| {
+            let (service, mut inboxes) =
+                NaiService::with_worker_inboxes(tiny_engine(), InferenceConfig::fixed(1), 1, 4);
             let service = Arc::new(service);
-            let worker1 = inboxes.pop().unwrap();
-            let worker0 = inboxes.pop().unwrap();
-            let ingest = service
-                .submit(Request {
-                    op: Op::Ingest {
-                        features: vec![0.5],
-                        neighbors: vec![0],
-                    },
-                    shard: Some(1),
-                })
-                .expect("admitted");
-            let applying = loom::thread::spawn(move || {
-                worker0.serve_queued();
-                worker0
-            });
             let s = service.clone();
-            let reader = loom::thread::spawn(move || {
-                s.submit_inline(Request {
-                    op: Op::Infer { nodes: vec![4] },
-                    shard: None,
-                })
-                .expect("admitted")
-            });
-            let (read, inline) = reader.join().unwrap();
-            let worker0 = applying.join().unwrap();
-            // Whatever is still queued (the fallback read, replica 1's
-            // share of the ingest) runs now.
-            worker0.serve_queued();
-            worker1.serve_queued();
-            match read.wait(Duration::from_secs(1)) {
-                Ok(Reply::Infer {
-                    shard,
-                    applied_seq,
-                    results,
-                }) => {
-                    assert_eq!(applied_seq, 1, "read ran behind the sequencer");
-                    assert_eq!(results[0].node, 4);
-                    if inline {
-                        assert_eq!(shard, 0, "only replica 0 can have caught up");
-                    }
-                }
-                other => panic!("read of the ingested node failed: {other:?}"),
-            }
-            let ingested = ingest.wait(Duration::from_secs(1));
-            assert!(
-                matches!(
-                    ingested,
-                    Ok(Reply::Ingest {
-                        node: 4,
-                        applied_seq: 1,
+            let group = loom::thread::spawn(move || s.submit_all(vec![edge(0, 2), edge(0, 3)]));
+            let s = service.clone();
+            let arrival = loom::thread::spawn(move || s.submit(ingest(1)).expect("admitted"));
+            let (read, inline) = service.submit_inline(read(0)).expect("admitted");
+            assert!(inline, "a lone read runs on its submitting thread");
+            let group = group.join().unwrap();
+            let arrival = arrival.join().unwrap();
+            // The arrival's read, if it went to the worker.
+            inboxes[0].serve_queued();
+            let seqs: Vec<u64> = group
+                .into_iter()
+                .map(|t| match t.wait(Duration::from_secs(1)) {
+                    Ok(Reply::Edge {
+                        applied_seq,
+                        added: true,
                         ..
-                    })
-                ),
-                "{ingested:?}"
+                    }) => applied_seq,
+                    other => panic!("edge not applied: {other:?}"),
+                })
+                .collect();
+            assert_eq!(seqs[1], seqs[0] + 1, "the group was split: {seqs:?}");
+            match read.wait(Duration::from_secs(1)) {
+                Ok(Reply::Infer { applied_seq, .. }) => {
+                    assert_ne!(applied_seq, seqs[0], "the read saw the group half-applied")
+                }
+                other => panic!("read failed: {other:?}"),
+            }
+            let arrived = arrival.wait(Duration::from_secs(1));
+            assert!(
+                matches!(arrived, Ok(Reply::Ingest { node: 4, .. })),
+                "{arrived:?}"
             );
             assert_eq!(service.queue_depth(), 0, "admission slot leaked");
-            let seen = if inline { &inline_seen } else { &fallback_seen };
-            // Relaxed: a tally read after the checker returns.
-            seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         })
-        .expect("an inline read must never run behind the sequencer");
+        .expect("a group must be applied whole on every schedule");
     assert!(stats.exhausted, "bounded DFS must cover the whole tree");
-    // Relaxed: the checker has joined every execution.
-    let (inline, fallback) = (
-        inline_runs.load(std::sync::atomic::Ordering::Relaxed),
-        fallbacks.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    assert!(
-        inline > 0 && fallback > 0,
-        "inline {inline}, fallback {fallback}"
-    );
+}
+
+/// Invariant 7: a client waits for its ingest's reply — a read of the
+/// new node that the worker answers — and then reads that node twice,
+/// once inline and once through the worker, while another thread adds
+/// an edge. On every schedule both reads find the node at a sequence
+/// point no older than the ingest's, and every admission slot comes
+/// back.
+#[test]
+fn a_read_after_an_ingest_reply_finds_the_node() {
+    let stats = dfs(2)
+        .check_quiet(|| {
+            let (service, mut inboxes) =
+                NaiService::with_worker_inboxes(tiny_engine(), InferenceConfig::fixed(1), 1, 4);
+            let service = Arc::new(service);
+            let mut inbox = inboxes.pop().unwrap();
+            let worker = loom::thread::spawn(move || {
+                let mut answered = 0;
+                while answered < 2 {
+                    answered += inbox.serve_next();
+                }
+            });
+            let s = service.clone();
+            let client = loom::thread::spawn(move || {
+                let ingested = s.submit(ingest(0)).expect("admitted").wait_blocking();
+                let Ok(Reply::Ingest {
+                    node, applied_seq, ..
+                }) = ingested
+                else {
+                    panic!("ingest failed: {ingested:?}");
+                };
+                let (inline, here) = s.submit_inline(read(node)).expect("admitted");
+                assert!(here, "a lone read runs on its submitting thread");
+                let queued = s.submit(read(node)).expect("admitted");
+                for reply in [inline.wait_blocking(), queued.wait_blocking()] {
+                    match reply {
+                        Ok(Reply::Infer {
+                            applied_seq: at,
+                            results,
+                            ..
+                        }) => {
+                            assert!(at >= applied_seq, "read at {at} before its write");
+                            assert_eq!(results[0].node, node);
+                        }
+                        other => panic!("the read missed the ingest: {other:?}"),
+                    }
+                }
+            });
+            let added = service.submit(edge(0, 2)).expect("admitted");
+            client.join().unwrap();
+            worker.join().unwrap();
+            let added = added.wait(Duration::from_secs(1));
+            assert!(matches!(added, Ok(Reply::Edge { .. })), "{added:?}");
+            assert_eq!(service.queue_depth(), 0, "admission slot leaked");
+        })
+        .expect("read-your-writes must hold on every schedule");
+    assert!(stats.exhausted, "bounded DFS must cover the whole tree");
 }
 
 /// The pre-refactor `worker_macs` pattern: four per-stage counters

@@ -44,7 +44,7 @@ fn hit_rate_collapses_during_mutation_bursts_and_recovers() {
     };
     let infer = InferenceConfig::distance(0.5, 1, K);
     let service = NaiService::new(
-        vec![engine(), engine()],
+        engine(),
         infer,
         ServeConfig {
             workers: 2,

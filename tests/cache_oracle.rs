@@ -91,8 +91,7 @@ fn script(seed: u64, len: usize) -> Vec<Op> {
 /// read's `applied_seq` must equal the count of mutations sequenced so
 /// far (the closed loop leaves nothing in flight between ops).
 fn run_and_check(shards: usize, infer: InferenceConfig, ops: &[Op]) -> Result<u64, TestCaseError> {
-    let engines: Vec<StreamingEngine> = (0..shards).map(|_| engine()).collect();
-    let service = NaiService::new(engines, infer, serve_cfg(shards, CacheConfig::on(1024)))
+    let service = NaiService::new(engine(), infer, serve_cfg(shards, CacheConfig::on(1024)))
         .map_err(TestCaseError::fail)?;
     let mut oracle = engine();
     let mut mutations = 0u64; // every Ingest/ObserveEdge is sequenced
@@ -197,7 +196,7 @@ fn zipf_reads_hit_the_cache_and_still_match_the_oracle() {
     spec.validate().unwrap();
     let mut sampler = WorkloadSampler::new(spec, 0x5EED);
     let service = NaiService::new(
-        vec![engine(), engine()],
+        engine(),
         InferenceConfig::distance(0.5, 1, K),
         serve_cfg(2, CacheConfig::on(1024)),
     )
@@ -268,12 +267,7 @@ fn distant_mutations_keep_fixed_nap_entries_hot_nearby_ones_evict() {
         StreamingEngine::new(d, classifiers, None, 0.5)
     };
     let infer = InferenceConfig::fixed(K);
-    let service = NaiService::new(
-        vec![path_engine()],
-        infer,
-        serve_cfg(1, CacheConfig::on(64)),
-    )
-    .unwrap();
+    let service = NaiService::new(path_engine(), infer, serve_cfg(1, CacheConfig::on(64))).unwrap();
     let mut oracle = path_engine();
     let read = |nodes: Vec<u32>| Request {
         op: Op::Infer { nodes },

@@ -64,7 +64,7 @@ const STAGES: [&str; 7] = [
 #[test]
 fn stage_spans_tile_e2e_latency_and_scrape_surfaces_agree() {
     let service = NaiService::new(
-        vec![engine(), engine()],
+        engine(),
         InferenceConfig::distance(0.5, 1, K),
         ServeConfig {
             workers: 2,

@@ -111,9 +111,8 @@ fn script(seed: u64, len: usize) -> Vec<Op> {
 }
 
 fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
-    let engines: Vec<StreamingEngine> = (0..shards).map(|_| engine()).collect();
     let service =
-        NaiService::new(engines, infer_cfg(), serve_cfg(shards)).map_err(TestCaseError::fail)?;
+        NaiService::new(engine(), infer_cfg(), serve_cfg(shards)).map_err(TestCaseError::fail)?;
     let mut oracle = engine();
     for op in ops {
         let reply = service
@@ -163,8 +162,8 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 
     // Drain and compare every replica's materialized graph — to each
     // other and to the oracle — bit for bit.
-    let mut replicas = service.into_engines();
-    prop_assert_eq!(replicas.len(), shards);
+    let mut replicas: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
+    prop_assert_eq!(replicas.len(), 1);
     let want = oracle.graph();
     let want_csr = want.snapshot_csr();
     for (w, replica) in replicas.iter().enumerate() {
@@ -221,8 +220,7 @@ fn replicas_converge_under_concurrent_submitters() {
     const THREADS: usize = 4;
     const OPS_PER_THREAD: usize = 40;
     for shards in [2usize, 4] {
-        let engines: Vec<StreamingEngine> = (0..shards).map(|_| engine()).collect();
-        let service = NaiService::new(engines, infer_cfg(), serve_cfg(shards)).unwrap();
+        let service = NaiService::new(engine(), infer_cfg(), serve_cfg(shards)).unwrap();
         // Each script only names ids below its own thread's node count,
         // which never exceeds the service's: every op is valid however
         // the threads interleave.
@@ -251,8 +249,8 @@ fn replicas_converge_under_concurrent_submitters() {
             }
         });
 
-        let mut replicas = service.into_engines();
-        assert_eq!(replicas.len(), shards);
+        let mut replicas: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
+        assert_eq!(replicas.len(), 1);
         let want = replicas[0].graph().clone();
         assert_eq!(want.num_nodes(), SEED_NODES + ingests);
         let want_csr = want.snapshot_csr();

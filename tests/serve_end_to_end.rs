@@ -97,9 +97,8 @@ fn interleaved_script(seed: u64, len: usize) -> Vec<Op> {
 fn round_robin_interleaved_workload_matches_single_engine_oracle() {
     const SHARDS: usize = 2;
     const OPS: usize = 48;
-    let engines: Vec<StreamingEngine> = (0..SHARDS).map(|_| engine()).collect();
     let service = NaiService::new(
-        engines,
+        engine(),
         infer_cfg(),
         ServeConfig {
             workers: SHARDS,
@@ -231,7 +230,7 @@ fn queue_overflow_returns_overloaded_not_a_hang() {
     const CAP: usize = 3;
     const CLIENTS: usize = 12;
     let service = NaiService::new(
-        vec![engine()],
+        engine(),
         infer_cfg(),
         ServeConfig {
             workers: 1,
