@@ -72,8 +72,15 @@ impl GraphState {
             |v| graph.neighbors(v),
             |v| graph.feature(v),
         );
-        let norm = (0..graph.num_nodes() as u32)
-            .map(|v| NormFactors::of(graph.degree(v), gamma))
+        // One `powf` pair per distinct degree.
+        let nodes = 0..graph.num_nodes() as u32;
+        let max_degree = nodes.clone().map(|v| graph.degree(v)).max().unwrap_or(0);
+        let mut by_degree: Vec<Option<NormFactors>> = vec![None; max_degree + 1];
+        let norm = nodes
+            .map(|v| {
+                let d = graph.degree(v);
+                *by_degree[d].get_or_insert_with(|| NormFactors::of(d, gamma))
+            })
             .collect();
         Self {
             graph,
@@ -199,6 +206,36 @@ mod tests {
             &mut StdRng::seed_from_u64(31),
         );
         DynamicGraph::from_graph(&g)
+    }
+
+    /// Whether every node's factors are bit-equal to `NormFactors::of`
+    /// its degree.
+    fn factors_match_degrees(state: &GraphState) -> bool {
+        let bits = |f: NormFactors| (f.row.to_bits(), f.col.to_bits());
+        (0..state.graph.num_nodes() as u32).all(|v| {
+            let want = NormFactors::of(state.graph.degree(v), state.gamma);
+            bits(state.norm[v as usize]) == bits(want)
+        })
+    }
+
+    #[test]
+    fn factors_shared_by_degree_equal_each_nodes_own() {
+        for gamma in [0.0, 0.3, 0.5, 1.0] {
+            let mut state = GraphState::new(seed(), gamma);
+            assert!(factors_match_degrees(&state), "deploy, gamma {gamma}");
+            // Raise the hub's degree, and a fresh pair's, past every
+            // degree the deploy saw.
+            let hub = (0..200u32).max_by_key(|&v| state.graph.degree(v)).unwrap();
+            let top = state.graph.degree(hub);
+            for k in 0..top as u32 + 3 {
+                let v = state.add_node(&[0.5; 8], &[hub, k % 200]);
+                if k % 4 == 0 {
+                    state.add_edge(v, (k * 7 + 1) % 200);
+                }
+            }
+            assert!(state.graph.degree(hub) > top);
+            assert!(factors_match_degrees(&state), "mutated, gamma {gamma}");
+        }
     }
 
     #[test]

@@ -24,9 +24,13 @@
 //! `S_c`; a row is that times `d̃_i^γ`: `O(n·f)` to build, `O(f)` a row.
 //! A mutation only marks its component stale; [`StationaryState::refresh`]
 //! re-rounds the stale ones, once however many mutations came between.
+//! The build's one `O(n·f)` sweep runs on every core: integer sums are
+//! exact, so splitting it changes no bit.
 
 use nai_graph::CsrMatrix;
+use nai_linalg::parallel::thread_count;
 use nai_linalg::DenseMatrix;
+use std::ops::Range;
 
 /// Limbs of an [`ExactSum`], from bit `2^LSB_EXP` (the least `f32`
 /// subnormal) to `2^171`: past `f32::MAX < 2^128`, room for `2^31` terms.
@@ -106,6 +110,9 @@ fn mantissa(bits: u32) -> u32 {
 /// Bins per coordinate: one per sign and exponent, plus one so that
 /// coordinates do not alias in the cache.
 const BIN_STRIDE: usize = 513;
+
+/// Components heavier than this sum through bins at build time.
+const BIN_MASS: u64 = 4096;
 
 /// Adds a node's terms `f32(w · x)` into per-coordinate bins that sum
 /// their integer mantissas by sign and exponent: a few integer operations
@@ -235,13 +242,29 @@ impl StationaryState {
     }
 
     /// [`Self::compute`] over any adjacency: `neighbors(v)` lists `v`'s
-    /// neighbours (undirected, no self-loop), `feature(v)` its row.
+    /// neighbours (undirected, no self-loop), `feature(v)` its row. The
+    /// sweep over the feature rows runs on every core once `n·f` reaches
+    /// [`nai_linalg::parallel::PAR_THRESHOLD`].
     pub fn build<'g>(
         num_nodes: usize,
         feature_dim: usize,
         gamma: f32,
         neighbors: impl Fn(u32) -> &'g [u32],
-        feature: impl Fn(u32) -> &'g [f32],
+        feature: impl Fn(u32) -> &'g [f32] + Sync,
+    ) -> Self {
+        let threads = thread_count(num_nodes.saturating_mul(feature_dim));
+        Self::build_on(threads, num_nodes, feature_dim, gamma, neighbors, feature)
+    }
+
+    /// [`Self::build`] with the binned sweep split over `threads`
+    /// contiguous node ranges.
+    fn build_on<'g>(
+        threads: usize,
+        num_nodes: usize,
+        feature_dim: usize,
+        gamma: f32,
+        neighbors: impl Fn(u32) -> &'g [u32],
+        feature: impl Fn(u32) -> &'g [f32] + Sync,
     ) -> Self {
         // Link each edge's endpoint roots, the larger id under the
         // smaller: parents then point to lower ids, so one forward pass
@@ -269,30 +292,72 @@ impl StationaryState {
             components[slot[root as usize] as usize].mass += u64::from(degree[v]) + 1;
         }
         // Large components sum through bins, small ones straight into
-        // their limbs; a lone node needs neither.
-        let mut bins: Vec<Vec<u64>> = components
+        // their limbs; a lone node needs neither. `bin_of` numbers the
+        // large ones.
+        let mut large = 0;
+        let bin_of: Vec<u32> = components
             .iter_mut()
             .map(|comp| {
                 comp.sums = vec![ExactSum::default(); usize::from(comp.mass > 1) * feature_dim];
-                vec![0; usize::from(comp.mass > 4096) * BIN_STRIDE * feature_dim]
+                if comp.mass > BIN_MASS {
+                    large += 1;
+                    large - 1
+                } else {
+                    u32::MAX
+                }
             })
             .collect();
         // The one sweep over the feature rows, one `powf` per degree.
         let max_degree = degree.iter().copied().max().unwrap_or(0);
         let weights: Vec<f32> = (0..=max_degree).map(|d| weight(d, gamma)).collect();
+        let bin_len = BIN_STRIDE * feature_dim;
+        // The large components' terms, each range into bins of its own.
+        let sweep = |nodes: Range<usize>| {
+            let mut bins = vec![0u64; large as usize * bin_len];
+            for v in nodes {
+                let b = bin_of[slot[parent[v] as usize] as usize];
+                if b != u32::MAX {
+                    let bins = &mut bins[b as usize * bin_len..][..bin_len];
+                    add_binned(bins, weights[degree[v] as usize], feature(v as u32));
+                }
+            }
+            bins
+        };
+        let bins = if large == 0 {
+            Vec::new()
+        } else if threads <= 1 {
+            sweep(0..num_nodes)
+        } else {
+            let (per, sweep) = (num_nodes.div_ceil(threads), &sweep);
+            std::thread::scope(|scope| {
+                let parts: Vec<_> = (0..num_nodes)
+                    .step_by(per)
+                    .map(|lo| scope.spawn(move || sweep(lo..num_nodes.min(lo + per))))
+                    .collect();
+                parts
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .reduce(|mut bins, part| {
+                        bins.iter_mut().zip(part).for_each(|(b, p)| *b += p);
+                        bins
+                    })
+                    .unwrap_or_default()
+            })
+        };
         for (v, &root) in parent.iter().enumerate() {
             let s = slot[root as usize] as usize;
-            let (w, x) = (weights[degree[v] as usize], feature(v as u32));
-            if bins[s].is_empty() {
+            if bin_of[s] == u32::MAX && !components[s].sums.is_empty() {
+                let (w, x) = (weights[degree[v] as usize], feature(v as u32));
                 add_terms(&mut components[s].sums, w, x);
-            } else {
-                add_binned(&mut bins[s], w, x);
             }
         }
-        for (comp, bins) in components.iter_mut().zip(&bins) {
-            for (sum, bins) in comp.sums.iter_mut().zip(bins.chunks_exact(BIN_STRIDE)) {
-                for (sign_exp, &m) in bins.iter().enumerate().filter(|&(_, &m)| m != 0) {
-                    sum.add_bin(m, sign_exp as u32);
+        for (comp, &b) in components.iter_mut().zip(&bin_of) {
+            if b != u32::MAX {
+                let bins = &bins[b as usize * bin_len..][..bin_len];
+                for (sum, bins) in comp.sums.iter_mut().zip(bins.chunks_exact(BIN_STRIDE)) {
+                    for (sign_exp, &m) in bins.iter().enumerate().filter(|&(_, &m)| m != 0) {
+                        sum.add_bin(m, sign_exp as u32);
+                    }
                 }
             }
             comp.refresh();
@@ -817,7 +882,7 @@ mod tests {
             .collect();
         let adj = CsrMatrix::undirected_adjacency(N as usize, &edges).unwrap();
         let built = StationaryState::compute(&adj, &base.features, 0.5);
-        assert!(built.components.iter().any(|c| c.mass > 4096), "binned");
+        assert!(built.components.iter().any(|c| c.mass > BIN_MASS), "binned");
         assert!(built.components.iter().any(|c| c.sums.is_empty()), "lone");
         let want = bits(&built);
         let empty = CsrMatrix::undirected_adjacency(0, &[]).unwrap();
@@ -903,6 +968,147 @@ mod tests {
         ]
     }
 
+    /// Everything a build decides, bit for bit: per component its root,
+    /// mass, exact sums and rounded mean, and every row.
+    type Fingerprint = (Vec<(u32, u64, Vec<ExactSum>, Vec<u64>)>, Vec<u32>);
+
+    fn fingerprint(st: &StationaryState) -> Fingerprint {
+        let comps = st
+            .components
+            .iter()
+            .map(|c| {
+                let mean = c.mean.iter().map(|m| m.to_bits()).collect();
+                (c.root, c.mass, c.sums.clone(), mean)
+            })
+            .collect();
+        (comps, bits(st))
+    }
+
+    /// `build_on` over sorted adjacency lists and row-major features.
+    fn build_lists(
+        threads: usize,
+        lists: &[Vec<u32>],
+        x: &[f32],
+        f: usize,
+        gamma: f32,
+    ) -> StationaryState {
+        StationaryState::build_on(
+            threads,
+            lists.len(),
+            f,
+            gamma,
+            |v| &lists[v as usize],
+            |v| &x[v as usize * f..][..f],
+        )
+    }
+
+    /// Sorted, duplicate-free, symmetric adjacency lists of `n` nodes.
+    fn lists_of(n: usize, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+        let mut lists = vec![Vec::new(); n];
+        for &(u, v) in edges.iter().filter(|(u, v)| u != v) {
+            lists[u as usize].push(v);
+            lists[v as usize].push(u);
+        }
+        for row in &mut lists {
+            row.sort_unstable();
+            row.dedup();
+        }
+        lists
+    }
+
+    /// A graph of one giant component (past [`BIN_MASS`]), one component
+    /// whose mass is 4095, 4096 (the threshold) or 4097, many small
+    /// ones and isolated nodes, its node ids shuffled so that every
+    /// contiguous range cuts across components.
+    fn mixed_graph(
+        giant: usize,
+        near: usize,
+        small: usize,
+        lone: usize,
+        seed: u64,
+    ) -> Vec<Vec<u32>> {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        // Giant: a random tree plus as many chords.
+        for v in 1..giant as u32 {
+            edges.push((v, rng.gen_range(0..v)));
+            edges.push((v, rng.gen_range(0..giant as u32)));
+        }
+        // Near the threshold: a path of `t` nodes has mass 3t − 2, and
+        // each chord adds 2.
+        let (t, chords) = [(1365u32, 1), (1366, 0), (1365, 2)][near];
+        let base = giant as u32;
+        for v in 1..t {
+            edges.push((base + v - 1, base + v));
+        }
+        for c in 0..chords {
+            edges.push((base + c, base + t - 1 - c));
+        }
+        // Small: random trees of 2 to 6 nodes.
+        let mut next = base + t;
+        for _ in 0..small {
+            let size = rng.gen_range(2..=6u32);
+            for v in 1..size {
+                edges.push((next + v, next + rng.gen_range(0..v)));
+            }
+            next += size;
+        }
+        let n = (next as usize) + lone;
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        ids.shuffle(&mut rng);
+        let edges: Vec<(u32, u32)> = edges
+            .iter()
+            .map(|&(u, v)| (ids[u as usize], ids[v as usize]))
+            .collect();
+        lists_of(n, &edges)
+    }
+
+    #[test]
+    fn mixed_graph_has_every_kind_of_component() {
+        for near in 0..3 {
+            let lists = mixed_graph(1500, near, 20, 10, near as u64);
+            let x = vec![0.5f32; lists.len() * 2];
+            let st = build_lists(1, &lists, &x, 2, 0.5);
+            let masses: Vec<u64> = st.components.iter().map(|c| c.mass).collect();
+            assert!(masses.iter().any(|&m| m > BIN_MASS + 1000), "giant");
+            assert!(masses.contains(&(4095 + near as u64)), "near {near}");
+            assert!(masses.iter().filter(|&&m| m == 1).count() >= 10, "lone");
+            assert!(masses.iter().filter(|&&m| (4..=16).contains(&m)).count() >= 20);
+        }
+    }
+
+    /// The parallel sweep against the serial one on the graphs the
+    /// benchmark serves: a small-world and an R-MAT graph of 100k nodes
+    /// at f = 48 in release builds, 3k nodes in debug builds.
+    #[test]
+    fn parallel_sweep_is_bit_equal_on_benchmark_sized_graphs() {
+        use nai_graph::generators::{attributed, rmat_edges, small_world_edges};
+        let n = if cfg!(debug_assertions) {
+            3_000
+        } else {
+            100_000
+        };
+        let mut rng = StdRng::seed_from_u64(35);
+        let graphs = [
+            small_world_edges(n, 5, 0.1, &mut rng),
+            rmat_edges(n, 5 * n, (0.57, 0.19, 0.19), &mut rng),
+        ];
+        for (name, edges) in ["small-world", "rmat"].iter().zip(graphs) {
+            let g = attributed(n, &edges, 5, 48, 0.5, &mut rng);
+            let lists = lists_of(n, &edges);
+            let x = g.features.as_slice();
+            let serial = fingerprint(&build_lists(1, &lists, x, 48, 0.5));
+            assert!(serial.0.iter().any(|c| c.1 > BIN_MASS), "{name}: binned");
+            for threads in [2, 4] {
+                let parallel = fingerprint(&build_lists(threads, &lists, x, 48, 0.5));
+                assert!(parallel == serial, "{name}: {threads} threads");
+            }
+            let built = StationaryState::compute(&g.adj, &g.features, 0.5);
+            assert!(fingerprint(&built) == serial, "{name}: compute");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -949,6 +1155,34 @@ mod tests {
             merged.0.iter_mut().zip(sum(b).0).for_each(|(x, y)| *x += y);
             merged.normalize();
             prop_assert_eq!(merged, want);
+        }
+
+        /// Splitting the binned sweep over 1, 2 or 3 node ranges changes
+        /// no component sum, mass, mean or row.
+        #[test]
+        fn sweep_is_bit_equal_across_thread_counts(
+            giant in 1400usize..2200,
+            near in 0usize..3,
+            small in 0usize..40,
+            lone in 0usize..20,
+            f in 1usize..6,
+            gamma in prop_oneof![Just(0.0f32), Just(0.5), Just(1.0), 0.0f32..1.0],
+            seed in any::<u64>(),
+        ) {
+            let lists = mixed_graph(giant, near, small, lone, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            let x: Vec<f32> = (0..lists.len() * f)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => f32::from_bits(rng.gen_range(1..0x80_0000)),
+                    1 => rng.gen_range(-1e30f32..1e30),
+                    _ => rng.gen_range(-4.0f32..4.0),
+                })
+                .collect();
+            let serial = fingerprint(&build_lists(1, &lists, &x, f, gamma));
+            for threads in [2, 3] {
+                let parallel = fingerprint(&build_lists(threads, &lists, &x, f, gamma));
+                prop_assert!(parallel == serial, "{} threads", threads);
+            }
         }
 
         /// On terms an `i128` holds exactly, the rounded sum is the

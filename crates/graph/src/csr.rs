@@ -4,8 +4,13 @@
 use crate::{GraphError, Result};
 use nai_linalg::parallel::par_rows_mut;
 use nai_linalg::DenseMatrix;
+use std::sync::Arc;
 
 /// Square sparse matrix in CSR form.
+///
+/// Immutable once built: its three arrays sit behind [`Arc`]s, so
+/// [`Clone`] shares them (a deployed graph store reads a decoded graph's
+/// adjacency in place).
 ///
 /// Invariants (checked by constructors, relied on everywhere):
 /// * `indptr.len() == n + 1`, `indptr[0] == 0`, monotonically non-decreasing;
@@ -15,9 +20,9 @@ use nai_linalg::DenseMatrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
+    indptr: Arc<[usize]>,
+    indices: Arc<[u32]>,
+    values: Arc<[f32]>,
 }
 
 impl CsrMatrix {
@@ -26,6 +31,20 @@ impl CsrMatrix {
     /// # Errors
     /// Returns [`GraphError::NodeOutOfRange`] if any endpoint is `>= n`.
     pub fn from_coo(n: usize, triplets: &[(u32, u32, f32)]) -> Result<Self> {
+        let (indptr, indices, values) = Self::coo_arrays(n, triplets)?;
+        Ok(Self::from_canonical(
+            n,
+            indptr.into(),
+            indices.into(),
+            values.into(),
+        ))
+    }
+
+    /// [`Self::from_coo`]'s three arrays, before they are shared.
+    fn coo_arrays(
+        n: usize,
+        triplets: &[(u32, u32, f32)],
+    ) -> Result<(Vec<usize>, Vec<u32>, Vec<f32>)> {
         for &(r, c, _) in triplets {
             if r as usize >= n {
                 return Err(GraphError::NodeOutOfRange {
@@ -84,12 +103,7 @@ impl CsrMatrix {
             }
             indptr.push(out_cols.len());
         }
-        Ok(Self {
-            n,
-            indptr,
-            indices: out_cols,
-            values: out_vals,
-        })
+        Ok((indptr, out_cols, out_vals))
     }
 
     /// Whether CSR arrays with `n` rows already hold this type's
@@ -111,9 +125,9 @@ impl CsrMatrix {
     /// `values.len() == indices.len()`.
     pub(crate) fn from_canonical(
         n: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
+        indptr: Arc<[usize]>,
+        indices: Arc<[u32]>,
+        values: Arc<[f32]>,
     ) -> Self {
         debug_assert!(Self::is_canonical(n, &indptr, &indices));
         debug_assert_eq!(values.len(), indices.len());
@@ -141,12 +155,15 @@ impl CsrMatrix {
             trip.push((u, v, 1.0));
             trip.push((v, u, 1.0));
         }
-        let mut csr = Self::from_coo(n, &trip)?;
+        let (indptr, indices, mut values) = Self::coo_arrays(n, &trip)?;
         // Duplicates were summed; clamp back to unit weights.
-        for v in csr.values.iter_mut() {
-            *v = 1.0;
-        }
-        Ok(csr)
+        values.fill(1.0);
+        Ok(Self::from_canonical(
+            n,
+            indptr.into(),
+            indices.into(),
+            values.into(),
+        ))
     }
 
     /// Dimension of the (square) matrix.
@@ -397,12 +414,7 @@ impl CsrMatrix {
             }
             indptr.push(indices.len());
         }
-        CsrMatrix {
-            n: nodes.len(),
-            indptr,
-            indices,
-            values,
-        }
+        Self::from_canonical(nodes.len(), indptr.into(), indices.into(), values.into())
     }
 
     /// Second-largest eigenvalue magnitude estimate via power iteration with

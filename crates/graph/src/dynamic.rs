@@ -8,13 +8,13 @@
 //! static and the streaming engine both read this store.
 //!
 //! A graph splits into a frozen **seed** and what grew after it. The
-//! seed is the graph as deployed — its feature rows and its adjacency
-//! as sorted CSR structure — behind an [`Arc`]: [`Clone`] shares it,
-//! so every engine replica and mirror of one deployment holds the same
-//! seed allocation. Arrivals' feature rows go to a per-graph
-//! append-only tail, so growth never copies or moves seed rows.
-//! Adjacency is copy-on-write over the seed CSR: an untouched seed
-//! node's row is read in place, and a graph owns a row only once a
+//! seed is the graph as deployed: the shared buffers of its sorted CSR
+//! adjacency and of its feature rows. A graph deployed from a decoded
+//! [`Graph`] shares that graph's buffers, so a deployment holds one copy
+//! of the graph, and [`Clone`] shares them again. Arrivals' feature rows
+//! go to a per-graph append-only tail, so growth never copies or moves
+//! seed rows. Adjacency is copy-on-write over the seed CSR: an untouched
+//! seed node's row is read in place, and a graph owns a row only once a
 //! mutation writes to it (plus every arrival's row). A graph's own
 //! adjacency is two `u32`s per node (where its row lives) plus the rows
 //! it owns, so a clone of a deployed graph copies no row.
@@ -23,43 +23,31 @@ use crate::{CsrMatrix, Graph};
 use nai_linalg::DenseMatrix;
 use std::sync::Arc;
 
-/// The immutable graph a [`DynamicGraph`] was deployed from.
-#[derive(Debug)]
+/// The immutable graph a [`DynamicGraph`] was deployed from: shared
+/// buffers, never written.
+#[derive(Debug, Clone)]
 struct Seed {
+    /// The adjacency, rows sorted ascending (a [`CsrMatrix`] invariant).
+    adj: CsrMatrix,
     /// Row-major feature rows of the seed nodes.
-    features: Vec<f32>,
-    /// CSR row pointers: node `i`'s neighbours are
-    /// `indices[offsets[i]..offsets[i + 1]]`, sorted ascending.
-    offsets: Vec<usize>,
-    indices: Vec<u32>,
-    num_edges: usize,
+    features: Arc<[f32]>,
 }
 
-impl Seed {
-    fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn row(&self, i: usize) -> &[u32] {
-        &self.indices[self.offsets[i]..self.offsets[i + 1]]
-    }
-}
-
-/// Materializes sorted adjacency rows as a [`CsrMatrix`], one edge per
-/// `i < j` pair in row order.
-fn csr_of<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>, num_edges: usize) -> CsrMatrix {
+/// Materializes sorted adjacency rows as a [`CsrMatrix`] with unit
+/// weights; the rows hold `nnz` entries in all.
+fn csr_of<'a>(rows: impl ExactSizeIterator<Item = &'a [u32]>, nnz: usize) -> CsrMatrix {
     let n = rows.len();
-    let mut edges = Vec::with_capacity(num_edges);
-    for (i, neighbors) in rows.enumerate() {
-        for &j in neighbors {
-            if (i as u32) < j {
-                edges.push((i as u32, j));
-            }
-        }
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut indices = Vec::with_capacity(nnz);
+    indptr.push(0);
+    for row in rows {
+        indices.extend_from_slice(row);
+        indptr.push(indices.len());
     }
-    // Edges are read out of our own adjacency rows, so every endpoint
-    // is < num_nodes by construction.
-    CsrMatrix::undirected_adjacency(n, &edges).expect("valid dynamic graph")
+    let values = vec![1.0; indices.len()];
+    // Our rows are sorted, duplicate-free and name existing nodes: the
+    // CSR invariants hold as they are.
+    CsrMatrix::from_canonical(n, indptr.into(), indices.into(), values.into())
 }
 
 /// [`RowRef::start`] of a row the graph owns.
@@ -89,12 +77,12 @@ struct RowRef {
 /// edge-existence checks ([`Self::has_edge`], and the duplicate scan
 /// inside [`Self::add_edge`]) are `O(log d)` binary searches instead of
 /// `O(d)` scans — on a hub node under streaming ingest (and under the
-/// serving layer's mutation replication, which applies every arrival on
-/// every shard replica) the linear probe is the hot path.
+/// serving layer's sequencer, which applies every arrival to the
+/// service's engine) the linear probe is the hot path.
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    seed: Arc<Seed>,
-    /// `seed.num_nodes()`, kept inline for the [`Self::feature`] branch.
+    seed: Seed,
+    /// `seed.adj.n()`, kept inline for the [`Self::feature`] branch.
     seed_nodes: usize,
     /// Per node, where its adjacency row lives.
     rows: Vec<RowRef>,
@@ -116,42 +104,26 @@ impl DynamicGraph {
         assert!(feature_dim > 0, "feature_dim must be positive");
         Self::from_seed(
             Seed {
-                features: Vec::new(),
-                offsets: vec![0],
-                indices: Vec::new(),
-                num_edges: 0,
+                adj: csr_of(std::iter::empty(), 0),
+                features: Arc::default(),
             },
             feature_dim,
         )
     }
 
     /// Seeds a dynamic graph from a static one (the observed training
-    /// graph in the inductive protocol). The feature rows and the CSR
-    /// adjacency are copied once, into the frozen seed that clones of
-    /// this graph share.
+    /// graph in the inductive protocol). The seed shares the graph's CSR
+    /// arrays, and its feature rows when they are shared (a decoded
+    /// graph's are); owned feature rows are copied once. Either way,
+    /// clones of this graph share the seed.
     ///
     /// # Panics
     /// Panics if the graph holds `u32::MAX` or more adjacency entries.
     pub fn from_graph(g: &Graph) -> Self {
-        let n = g.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(g.adj.nnz());
-        offsets.push(0);
-        for i in 0..n {
-            let start = indices.len();
-            indices.extend(g.adj.row_indices(i));
-            // CSR rows are already ascending; sorting here makes the
-            // invariant independent of how the source graph was built
-            // (one-time seed cost, nearly free on sorted input).
-            indices[start..].sort_unstable();
-            offsets.push(indices.len());
-        }
         Self::from_seed(
             Seed {
-                features: g.features.as_slice().to_vec(),
-                offsets,
-                indices,
-                num_edges: g.num_edges(),
+                adj: g.adj.clone(),
+                features: g.features.to_shared(),
             },
             g.feature_dim(),
         )
@@ -160,13 +132,13 @@ impl DynamicGraph {
     /// # Panics
     /// Panics if the seed holds `u32::MAX` or more adjacency entries.
     fn from_seed(seed: Seed, feature_dim: usize) -> Self {
-        let seed_nodes = seed.num_nodes();
         assert!(
-            seed.indices.len() < OWNED as usize,
+            seed.adj.nnz() < OWNED as usize,
             "seed adjacency must fit u32 offsets"
         );
         let rows = seed
-            .offsets
+            .adj
+            .indptr()
             .windows(2)
             .map(|w| RowRef {
                 start: w[0] as u32,
@@ -176,24 +148,34 @@ impl DynamicGraph {
         Self {
             rows,
             owned: Vec::new(),
-            num_edges: seed.num_edges,
-            seed: Arc::new(seed),
-            seed_nodes,
+            num_edges: seed.adj.nnz() / 2,
+            seed_nodes: seed.adj.n(),
+            seed,
             tail: Vec::new(),
             feature_dim,
         }
     }
 
-    /// Whether this graph and `other` hold the same frozen seed
-    /// allocation (clones of one graph do, however either has grown).
+    /// Whether this graph and `other` hold the same frozen seed buffers
+    /// (clones of one graph do, however either has grown).
     pub fn shares_seed(&self, other: &DynamicGraph) -> bool {
-        Arc::ptr_eq(&self.seed, &other.seed)
+        Arc::ptr_eq(&self.seed.features, &other.seed.features)
+            && std::ptr::eq(self.seed.adj.indices(), other.seed.adj.indices())
+    }
+
+    /// Where the seed's feature rows and adjacency indices live.
+    #[cfg(test)]
+    fn seed_buffers(&self) -> (*const f32, *const u32) {
+        (
+            self.seed.features.as_ptr(),
+            self.seed.adj.indices().as_ptr(),
+        )
     }
 
     /// Whether a node or edge was added since the seed was frozen. The
     /// graph only grows, so equal counts mean nothing changed.
     fn grown_since_seed(&self) -> bool {
-        self.num_nodes() != self.seed_nodes || self.num_edges != self.seed.num_edges
+        self.num_nodes() != self.seed_nodes || self.num_edges != self.seed.adj.nnz() / 2
     }
 
     /// How many adjacency rows this graph owns rather than reads from
@@ -210,36 +192,27 @@ impl DynamicGraph {
         if !self.grown_since_seed() {
             return;
         }
-        let features = self.all_features();
-        let n = self.num_nodes();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(2 * self.num_edges);
-        offsets.push(0);
-        for v in 0..n as u32 {
-            indices.extend_from_slice(self.neighbors(v));
-            offsets.push(indices.len());
-        }
-        *self = Self::from_seed(
-            Seed {
-                features,
-                offsets,
-                indices,
-                num_edges: self.num_edges,
-            },
-            self.feature_dim,
-        );
+        let seed = Seed {
+            adj: self.snapshot_csr(),
+            features: self.all_features(),
+        };
+        *self = Self::from_seed(seed, self.feature_dim);
     }
 
     /// Every feature row, seed then tail, in one row-major copy.
-    fn all_features(&self) -> Vec<f32> {
-        [self.seed.features.as_slice(), &self.tail].concat()
+    fn all_features(&self) -> Arc<[f32]> {
+        self.seed
+            .features
+            .iter()
+            .chain(&self.tail)
+            .copied()
+            .collect()
     }
 
-    /// Materializes the frozen seed's adjacency as a [`CsrMatrix`] —
-    /// what [`Self::snapshot_csr`] returned before the graph grew.
+    /// The frozen seed's adjacency, shared — what [`Self::snapshot_csr`]
+    /// returned before the graph grew.
     pub fn seed_csr(&self) -> CsrMatrix {
-        let seed = &self.seed;
-        csr_of((0..seed.num_nodes()).map(|i| seed.row(i)), seed.num_edges)
+        self.seed.adj.clone()
     }
 
     /// Node count.
@@ -283,7 +256,7 @@ impl DynamicGraph {
         if start == OWNED {
             &self.owned[len as usize]
         } else {
-            &self.seed.indices[start as usize..(start + len) as usize]
+            &self.seed.adj.indices()[start as usize..(start + len) as usize]
         }
     }
 
@@ -291,7 +264,8 @@ impl DynamicGraph {
     fn row_mut(&mut self, v: u32) -> &mut Vec<u32> {
         let row = &mut self.rows[v as usize];
         if row.start != OWNED {
-            let seed_row = &self.seed.indices[row.start as usize..(row.start + row.len) as usize];
+            let seed_row =
+                &self.seed.adj.indices()[row.start as usize..(row.start + row.len) as usize];
             // Room for the write about to happen.
             let mut own = Vec::with_capacity(seed_row.len() + 1);
             own.extend_from_slice(seed_row);
@@ -457,7 +431,7 @@ impl DynamicGraph {
     pub fn snapshot_csr(&self) -> CsrMatrix {
         csr_of(
             (0..self.num_nodes() as u32).map(|v| self.neighbors(v)),
-            self.num_edges,
+            2 * self.num_edges,
         )
     }
 
@@ -468,7 +442,7 @@ impl DynamicGraph {
     pub fn snapshot_graph(&self, labels: Vec<u32>, num_classes: usize) -> Graph {
         assert_eq!(labels.len(), self.num_nodes(), "one label per node");
         let features =
-            DenseMatrix::from_vec(self.num_nodes(), self.feature_dim, self.all_features());
+            DenseMatrix::from_shared(self.num_nodes(), self.feature_dim, self.all_features());
         Graph::new(self.snapshot_csr(), features, labels, num_classes)
             // Label arity is checked two lines up.
             .expect("snapshot is structurally valid")
@@ -778,6 +752,76 @@ mod tests {
         }
         // The old seed is untouched: its clones still see the seed graph.
         assert_eq!(base.seed_csr().nnz(), g.adj.nnz());
+    }
+
+    #[test]
+    fn a_decoded_graph_is_deployed_in_place_and_never_written() {
+        use crate::io::{decode_graph, encode_graph};
+        let g = decode_graph(&encode_graph(&seed_graph(120))).unwrap();
+        let saved = (
+            g.features
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            g.adj.indptr().to_vec(),
+            g.adj.indices().to_vec(),
+            g.adj
+                .values()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+        );
+        let buffers = (g.features.as_slice().as_ptr(), g.adj.indices().as_ptr());
+        let base = DynamicGraph::from_graph(&g);
+        assert_eq!(
+            base.seed_buffers(),
+            buffers,
+            "the seed is the decoded graph"
+        );
+        let mut grown = base.clone();
+        assert_eq!(grown.seed_buffers(), buffers, "a clone shares it too");
+
+        grow(&mut grown, 300, 13);
+        let script: Vec<Write> = (0..60u16)
+            .map(|i| Write::Edge(i, (i * 7 + 3) % 120))
+            .collect();
+        apply_writes(&mut grown, &script);
+        assert!(grown.owned_rows() > 150 + 60, "seed rows were written");
+        assert_eq!(
+            grown.seed_buffers(),
+            buffers,
+            "growth writes beside the seed"
+        );
+        let now = (
+            g.features
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+            g.adj.indptr().to_vec(),
+            g.adj.indices().to_vec(),
+            g.adj
+                .values()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
+        );
+        assert!(now == saved, "the decoded graph's arrays are untouched");
+
+        grown.freeze();
+        let (features, indices) = grown.seed_buffers();
+        assert!(
+            features != buffers.0 && indices != buffers.1,
+            "freeze owns a new seed"
+        );
+        assert!(!grown.shares_seed(&base) && base.shares_seed(&base.clone()));
+
+        // An owned graph's feature rows are copied once; its CSR is shared.
+        let owned = seed_graph(50);
+        let d = DynamicGraph::from_graph(&owned);
+        assert_ne!(d.seed_buffers().0, owned.features.as_slice().as_ptr());
+        assert_eq!(d.seed_buffers().1, owned.adj.indices().as_ptr());
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::{GraphError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use nai_linalg::DenseMatrix;
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"NAIG";
 const VERSION: u32 = 1;
@@ -45,6 +46,10 @@ pub fn encode_graph(g: &Graph) -> Bytes {
 }
 
 /// Decodes a graph from bytes produced by [`encode_graph`].
+///
+/// The adjacency arrays and the feature rows are decoded straight into
+/// shared buffers, which a `DynamicGraph` deployed from the graph reads
+/// in place.
 ///
 /// # Errors
 /// Returns [`GraphError::Decode`] on truncation, bad magic or version.
@@ -86,16 +91,16 @@ pub fn decode_graph(mut data: &[u8]) -> Result<Graph> {
     let entry_bytes = checked(nnz, 4, "entries")?;
 
     need(data, indptr_bytes, "indptr")?;
-    let indptr = take_le(&mut data, indptr_bytes, |b| u64::from_le_bytes(b) as usize);
+    let indptr: Arc<[usize]> = take_le(&mut data, indptr_bytes, |b| u64::from_le_bytes(b) as usize);
     need(data, entry_bytes, "indices")?;
-    let indices = take_le(&mut data, entry_bytes, u32::from_le_bytes);
+    let indices: Arc<[u32]> = take_le(&mut data, entry_bytes, u32::from_le_bytes);
     need(data, entry_bytes, "values")?;
     for (row, w) in indptr.windows(2).enumerate() {
         if w[1] < w[0] || w[1] > nnz {
             return Err(GraphError::Decode(format!("corrupt indptr at row {row}")));
         }
     }
-    let vals = take_le(&mut data, entry_bytes, f32::from_le_bytes);
+    let vals: Arc<[f32]> = take_le(&mut data, entry_bytes, f32::from_le_bytes);
     // What `encode_graph` writes is already canonical CSR; anything else
     // (unsorted or duplicate entries, skipped ranges) is rebuilt through
     // its triplets.
@@ -113,7 +118,7 @@ pub fn decode_graph(mut data: &[u8]) -> Result<Graph> {
 
     need(data, feature_bytes, "features")?;
     let features =
-        DenseMatrix::from_vec(n, f, take_le(&mut data, feature_bytes, f32::from_le_bytes));
+        DenseMatrix::from_shared(n, f, take_le(&mut data, feature_bytes, f32::from_le_bytes));
 
     let label_bytes = checked(n, 4, "labels")?;
     need(data, label_bytes, "labels")?;
@@ -122,12 +127,14 @@ pub fn decode_graph(mut data: &[u8]) -> Result<Graph> {
 }
 
 /// Converts the first `bytes` bytes of `data` (present, a multiple of
-/// `N`) from little-endian `N`-byte words, and advances past them.
-fn take_le<const N: usize, T>(
+/// `N`) from little-endian `N`-byte words, and advances past them. A
+/// `ChunksExact` map has an exact length, so collecting into a `Vec` or
+/// an `Arc<[T]>` allocates once and writes the words straight into it.
+fn take_le<const N: usize, T, C: FromIterator<T>>(
     data: &mut &[u8],
     bytes: usize,
     from: impl Fn([u8; N]) -> T,
-) -> Vec<T> {
+) -> C {
     let (words, rest) = data.split_at(bytes);
     *data = rest;
     words

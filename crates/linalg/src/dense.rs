@@ -1,20 +1,43 @@
 //! Row-major dense `f32` matrix.
 //!
-//! [`DenseMatrix`] is the only owned matrix type in the workspace. Feature
-//! matrices are tall (many nodes) and skinny (small feature dim), classifier
-//! weights are small squares, so the matmul kernel parallelises over left
-//! rows with an `(i, k, j)` loop order that streams both operands
-//! sequentially.
+//! [`DenseMatrix`] is the one dense matrix type in the workspace. Its
+//! elements are either owned, or an immutable buffer shared with other
+//! matrices and with the graph store that deploys them: a decoded graph's
+//! feature rows are read in place by every deployment of it, and the first
+//! write to a shared matrix copies it. Feature matrices are tall (many
+//! nodes) and skinny (small feature dim), classifier weights are small
+//! squares, so the matmul kernel parallelises over left rows with an
+//! `(i, k, j)` loop order that streams both operands sequentially.
 
 use crate::parallel::par_rows_mut;
 use crate::{LinalgError, Result};
+use std::sync::Arc;
+
+/// Where a matrix keeps its elements.
+#[derive(Clone)]
+enum Storage {
+    /// A buffer the matrix owns and writes in place.
+    Owned(Vec<f32>),
+    /// An immutable buffer other holders may share; any write first
+    /// copies it into an owned one.
+    Shared(Arc<[f32]>),
+}
 
 /// Row-major dense matrix of `f32`.
-#[derive(Clone, PartialEq)]
+///
+/// [`Clone`] copies owned elements and shares shared ones; [`PartialEq`]
+/// compares shape and contents, however either side stores them.
+#[derive(Clone)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: Storage,
+}
+
+impl PartialEq for DenseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape() && self.as_slice() == other.as_slice()
+    }
 }
 
 impl std::fmt::Debug for DenseMatrix {
@@ -40,11 +63,7 @@ impl Default for DenseMatrix {
 impl DenseMatrix {
     /// All-zeros matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self::from_vec(rows, cols, vec![0.0; rows * cols])
     }
 
     /// Builds a matrix from a flat row-major buffer.
@@ -58,7 +77,39 @@ impl DenseMatrix {
             "buffer length {} does not match {rows}x{cols}",
             data.len()
         );
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Storage::Owned(data),
+        }
+    }
+
+    /// Builds a matrix over a shared row-major buffer, without copying
+    /// it. The matrix never writes to `data`: its first write copies it.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_shared(rows: usize, cols: usize, data: Arc<[f32]>) -> Self {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "buffer length {} does not match {rows}x{cols}",
+            data.len()
+        );
+        Self {
+            rows,
+            cols,
+            data: Storage::Shared(data),
+        }
+    }
+
+    /// The elements as one shared row-major buffer: this matrix's own
+    /// when its storage is shared, else a copy.
+    pub fn to_shared(&self) -> Arc<[f32]> {
+        match &self.data {
+            Storage::Owned(v) => Arc::from(v.as_slice()),
+            Storage::Shared(s) => Arc::clone(s),
+        }
     }
 
     /// Builds a matrix by evaluating `f(row, col)`.
@@ -69,7 +120,7 @@ impl DenseMatrix {
                 data.push(f(r, c));
             }
         }
-        Self { rows, cols, data }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Identity matrix of size `n`.
@@ -98,65 +149,97 @@ impl DenseMatrix {
     /// Flat row-major view of the data.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        match &self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(s) => s,
+        }
     }
 
-    /// Flat mutable row-major view of the data.
+    /// The owned buffer, copied out of a shared one first.
+    #[inline]
+    fn data_mut(&mut self) -> &mut Vec<f32> {
+        if let Storage::Shared(s) = &self.data {
+            self.data = Storage::Owned(s.to_vec());
+        }
+        match &mut self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(_) => unreachable!("copied out above"),
+        }
+    }
+
+    /// Flat mutable row-major view of the data (copied out of shared
+    /// storage first).
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        self.data_mut()
     }
 
-    /// Consumes the matrix, returning its buffer.
+    /// Consumes the matrix, returning its buffer (a copy only when the
+    /// storage is shared).
     pub fn into_vec(self) -> Vec<f32> {
-        self.data
+        match self.data {
+            Storage::Owned(v) => v,
+            Storage::Shared(s) => s.to_vec(),
+        }
     }
 
     /// Borrow of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(r < self.rows, "row {r} out of {}", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.as_slice()[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutable borrow of row `r`.
     #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         debug_assert!(r < self.rows, "row {r} out of {}", self.rows);
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        let cols = self.cols;
+        &mut self.data_mut()[r * cols..(r + 1) * cols]
     }
 
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.cols + c]
+        self.as_slice()[r * self.cols + c]
     }
 
     /// Element setter.
     #[inline]
     pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        self.data[r * self.cols + c] = v;
+        let cols = self.cols;
+        self.data_mut()[r * cols + c] = v;
     }
 
     /// Reshapes the matrix in place to `rows × cols`, zero-filling every
     /// element. Reuses the existing buffer capacity, so hot loops can
-    /// recycle one matrix across iterations without reallocating.
+    /// recycle one matrix across iterations without reallocating; shared
+    /// storage is let go, not copied.
     pub fn reset_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
+        match &mut self.data {
+            Storage::Owned(v) => {
+                v.clear();
+                v.resize(rows * cols, 0.0);
+            }
+            Storage::Shared(_) => self.data = Storage::Owned(vec![0.0; rows * cols]),
+        }
     }
 
     /// Reshapes the matrix in place to `rows × cols` **without** clearing
     /// retained elements (newly grown space is zeroed; anything else
     /// keeps its previous, now-stale value). For buffers whose every read
     /// row is unconditionally written first — skips
-    /// [`Self::reset_zeroed`]'s full memset on the hot path.
+    /// [`Self::reset_zeroed`]'s full memset on the hot path. Shared
+    /// storage is let go for a zeroed buffer, not copied.
     pub fn reset_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        match &mut self.data {
+            Storage::Owned(v) => v.resize(rows * cols, 0.0),
+            Storage::Shared(_) => self.data = Storage::Owned(vec![0.0; rows * cols]),
+        }
     }
 
     /// Copies the given rows into a new matrix (gather).
@@ -227,13 +310,14 @@ impl DenseMatrix {
     /// Transposed copy.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
+        let (src, dst) = (self.as_slice(), out.data_mut());
         // Block the transpose to stay cache-friendly for large matrices.
         const B: usize = 32;
         for rb in (0..self.rows).step_by(B) {
             for cb in (0..self.cols).step_by(B) {
                 for r in rb..(rb + B).min(self.rows) {
                     for c in cb..(cb + B).min(self.cols) {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                        dst[c * self.rows + r] = src[r * self.cols + c];
                     }
                 }
             }
@@ -255,24 +339,29 @@ impl DenseMatrix {
         }
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
         let (lcols, rcols) = (self.cols, rhs.cols);
-        let lhs_data = &self.data;
-        let rhs_data = &rhs.data;
-        par_rows_mut(&mut out.data, rcols.max(1), lcols * rcols, |row0, chunk| {
-            for (r_off, orow) in chunk.chunks_mut(rcols).enumerate() {
-                let r = row0 + r_off;
-                let arow = &lhs_data[r * lcols..(r + 1) * lcols];
-                // (i, k, j): stream rhs rows sequentially, accumulate into orow.
-                for (k, &a) in arow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let brow = &rhs_data[k * rcols..(k + 1) * rcols];
-                    for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                        *o += a * b;
+        let lhs_data = self.as_slice();
+        let rhs_data = rhs.as_slice();
+        par_rows_mut(
+            out.as_mut_slice(),
+            rcols.max(1),
+            lcols * rcols,
+            |row0, chunk| {
+                for (r_off, orow) in chunk.chunks_mut(rcols).enumerate() {
+                    let r = row0 + r_off;
+                    let arow = &lhs_data[r * lcols..(r + 1) * lcols];
+                    // (i, k, j): stream rhs rows sequentially, accumulate into orow.
+                    for (k, &a) in arow.iter().enumerate() {
+                        if a == 0.0 {
+                            continue;
+                        }
+                        let brow = &rhs_data[k * rcols..(k + 1) * rcols];
+                        for (o, &b) in orow.iter_mut().zip(brow.iter()) {
+                            *o += a * b;
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
         Ok(out)
     }
 
@@ -288,22 +377,27 @@ impl DenseMatrix {
         }
         let mut out = DenseMatrix::zeros(self.rows, rhs.rows);
         let (inner, ocols) = (self.cols, rhs.rows);
-        let lhs_data = &self.data;
-        let rhs_data = &rhs.data;
-        par_rows_mut(&mut out.data, ocols.max(1), inner * ocols, |row0, chunk| {
-            for (r_off, orow) in chunk.chunks_mut(ocols).enumerate() {
-                let r = row0 + r_off;
-                let arow = &lhs_data[r * inner..(r + 1) * inner];
-                for (j, o) in orow.iter_mut().enumerate() {
-                    let brow = &rhs_data[j * inner..(j + 1) * inner];
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in arow.iter().zip(brow.iter()) {
-                        acc += a * b;
+        let lhs_data = self.as_slice();
+        let rhs_data = rhs.as_slice();
+        par_rows_mut(
+            out.as_mut_slice(),
+            ocols.max(1),
+            inner * ocols,
+            |row0, chunk| {
+                for (r_off, orow) in chunk.chunks_mut(ocols).enumerate() {
+                    let r = row0 + r_off;
+                    let arow = &lhs_data[r * inner..(r + 1) * inner];
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        let brow = &rhs_data[j * inner..(j + 1) * inner];
+                        let mut acc = 0.0f32;
+                        for (&a, &b) in arow.iter().zip(brow.iter()) {
+                            acc += a * b;
+                        }
+                        *o = acc;
                     }
-                    *o = acc;
                 }
-            }
-        });
+            },
+        );
         Ok(out)
     }
 
@@ -325,7 +419,7 @@ impl DenseMatrix {
                 if a == 0.0 {
                     continue;
                 }
-                let orow = &mut out.data[k * rhs.cols..(k + 1) * rhs.cols];
+                let orow = &mut out.as_mut_slice()[k * rhs.cols..(k + 1) * rhs.cols];
                 for (o, &b) in orow.iter_mut().zip(brow.iter()) {
                     *o += a * b;
                 }
@@ -346,7 +440,7 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
             *a += b;
         }
         Ok(())
@@ -364,7 +458,7 @@ impl DenseMatrix {
                 rhs: rhs.shape(),
             });
         }
-        for (a, &b) in self.data.iter_mut().zip(rhs.data.iter()) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
             *a += alpha * b;
         }
         Ok(())
@@ -372,7 +466,7 @@ impl DenseMatrix {
 
     /// In-place scaling by a scalar.
     pub fn scale(&mut self, alpha: f32) {
-        for v in self.data.iter_mut() {
+        for v in self.as_mut_slice() {
             *v *= alpha;
         }
     }
@@ -383,7 +477,8 @@ impl DenseMatrix {
     /// Panics if `bias.len() != self.cols`.
     pub fn add_bias_row(&mut self, bias: &[f32]) {
         assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for row in self.data.chunks_mut(self.cols) {
+        let cols = self.cols;
+        for row in self.as_mut_slice().chunks_mut(cols) {
             for (v, &b) in row.iter_mut().zip(bias.iter()) {
                 *v += b;
             }
@@ -392,17 +487,17 @@ impl DenseMatrix {
 
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute element (`0.0` for empty matrices).
     pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
+        self.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
+        self.as_slice().iter().any(|v| !v.is_finite())
     }
 }
 
@@ -543,6 +638,87 @@ mod tests {
         assert!(!a.has_non_finite());
         a.set(0, 1, f32::NAN);
         assert!(a.has_non_finite());
+    }
+
+    /// A 3 × 4 matrix over a shared buffer, and that buffer.
+    fn shared_3x4() -> (DenseMatrix, Arc<[f32]>) {
+        let buf: Arc<[f32]> = (0..12).map(|v| v as f32).collect();
+        (DenseMatrix::from_shared(3, 4, Arc::clone(&buf)), buf)
+    }
+
+    /// The owned buffer's capacity, or `None` while storage is shared.
+    fn owned_capacity(m: &DenseMatrix) -> Option<usize> {
+        match &m.data {
+            Storage::Owned(v) => Some(v.capacity()),
+            Storage::Shared(_) => None,
+        }
+    }
+
+    #[test]
+    fn writes_to_a_shared_clone_copy_it_first() {
+        let (original, buf) = shared_3x4();
+        let ones = DenseMatrix::from_fn(3, 4, |_, _| 1.0);
+        type Write = fn(&mut DenseMatrix, &DenseMatrix);
+        let writes: [(&str, Write); 5] = [
+            ("row_mut", |m, _| m.row_mut(1).fill(-1.0)),
+            ("as_mut_slice", |m, _| m.as_mut_slice()[0] = 7.0),
+            ("set", |m, _| m.set(2, 3, 0.5)),
+            ("scale", |m, _| m.scale(2.0)),
+            ("add_assign", |m, ones| m.add_assign(ones).unwrap()),
+        ];
+        for (name, write) in writes {
+            let mut copy = original.clone();
+            assert!(
+                Arc::ptr_eq(&copy.to_shared(), &buf),
+                "{name}: a clone shares"
+            );
+            write(&mut copy, &ones);
+            assert!(owned_capacity(&copy).is_some(), "{name}: the write owns");
+            assert_ne!(copy, original, "{name}");
+            assert_eq!(original.as_slice(), &*buf, "{name}: original unchanged");
+            assert!(Arc::ptr_eq(&original.to_shared(), &buf));
+        }
+    }
+
+    #[test]
+    fn resetting_a_shared_matrix_lets_it_go_without_a_copy() {
+        for overwrite in [false, true] {
+            let (mut m, buf) = shared_3x4();
+            if overwrite {
+                m.reset_for_overwrite(1, 2);
+            } else {
+                m.reset_zeroed(1, 2);
+            }
+            // A copy would have kept the 12 elements' capacity.
+            assert_eq!(owned_capacity(&m), Some(2), "overwrite {overwrite}");
+            assert_eq!(m.as_slice(), &[0.0, 0.0]);
+            assert_eq!(Arc::strong_count(&buf), 1, "the shared buffer is let go");
+        }
+    }
+
+    #[test]
+    fn shared_and_owned_storage_compare_by_contents() {
+        let (shared, buf) = shared_3x4();
+        let owned = DenseMatrix::from_vec(3, 4, buf.to_vec());
+        assert_eq!(shared, owned);
+        assert_eq!(owned, shared);
+        assert_ne!(shared, DenseMatrix::from_vec(4, 3, buf.to_vec()), "shape");
+        assert_eq!(shared.row(2), &[8.0, 9.0, 10.0, 11.0]);
+        assert_eq!(shared.get(1, 1), 5.0);
+    }
+
+    #[test]
+    fn into_vec_and_to_shared_copy_only_across_storage_kinds() {
+        let v = vec![1.0f32; 6];
+        let ptr = v.as_ptr();
+        let owned = DenseMatrix::from_vec(2, 3, v);
+        let as_shared = owned.to_shared();
+        assert_ne!(as_shared.as_ptr(), ptr, "owned → shared copies");
+        let back = owned.into_vec();
+        assert_eq!(back.as_ptr(), ptr, "owned → Vec moves");
+        let (shared, buf) = shared_3x4();
+        assert!(Arc::ptr_eq(&shared.to_shared(), &buf), "shared → shared");
+        assert_eq!(shared.into_vec(), buf.to_vec());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property test: the prediction cache is invisible to correctness.
 //!
 //! For random closed-loop interleavings of ingests, edge arrivals, and
-//! reads over shard counts {1, 2, 4} with the cache ON, every reply —
+//! reads over {1, 2, 4} reader threads with the cache ON, every reply —
 //! cached or computed — must be bit-equal (prediction, depth,
 //! `applied_seq`) to a cache-bypass solo [`StreamingEngine`] oracle fed
 //! the same sequence. The property runs under both a distance-mode NAP
@@ -22,8 +22,8 @@ const K: usize = 2;
 const CLASSES: usize = 3;
 const SEED_NODES: usize = 50;
 
-/// Deterministic replica factory: every call yields a bit-identical
-/// engine, so service replicas and the oracle agree at boot.
+/// Deterministic engine factory: every call yields a bit-identical
+/// engine, so the service's engine and the oracle agree at boot.
 fn engine() -> StreamingEngine {
     let g = nai::graph::generators::generate(
         &nai::graph::generators::GeneratorConfig {
@@ -55,8 +55,9 @@ fn serve_cfg(workers: usize, cache: CacheConfig) -> ServeConfig {
     }
 }
 
-/// Random valid op script (same generator as the replica-convergence
-/// suite): every op references only node ids that exist at that point.
+/// Random valid op script (same generator as the engine-convergence
+/// suite, `replica_convergence.rs`): every op references only node ids
+/// that exist at that point.
 fn script(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut nodes = SEED_NODES as u32;

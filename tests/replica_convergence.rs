@@ -1,20 +1,21 @@
-//! Property test: shard replicas converge under sequenced mutation
-//! replication.
+//! Property test: the service's one engine follows every sequenced
+//! mutation.
 //!
 //! For random closed-loop interleavings of ingests, edge arrivals, and
-//! reads — dispatched with no routing hints over shard counts
-//! {1, 2, 4} — every reply must match a single-threaded
+//! reads — dispatched with no routing hints over {1, 2, 4} reader
+//! threads — every reply must match a single-threaded
 //! [`StreamingEngine`] oracle fed the same sequence, and after a drain
-//! every replica must hold the *identical* graph (`snapshot_csr()`
+//! the service's engine must hold the *identical* graph (`snapshot_csr()`
 //! bit-equal, features included) and answer a fixed-depth read of every
 //! node exactly as a fresh engine deployed on the oracle's final graph —
 //! engine state derived from the graph at mutation time (the cached
 //! per-node normalization factors) must have followed every mutation,
-//! not only the graph itself. This is the serving layer's
-//! correctness contract: mutations are applied on every replica in one
-//! global order, so there is no such thing as a wrong shard to read
-//! from. A second test submits from four threads at once and checks the
-//! same convergence with replica 0 as the reference.
+//! not only the graph itself. This is the serving layer's correctness
+//! contract: the sequencer applies each mutation once, in one global
+//! order, to the one engine every reader thread reads, so there is no
+//! such thing as a wrong thread to read on. A second test submits from
+//! four threads at once and checks the drained engine against a fresh
+//! engine deployed on its own final graph.
 
 use nai::core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
 use nai::models::{DepthClassifier, ModelKind};
@@ -29,8 +30,8 @@ const K: usize = 2;
 const CLASSES: usize = 3;
 const SEED_NODES: usize = 50;
 
-/// Deterministic replica factory: every call yields a bit-identical
-/// engine, so service replicas and the oracle agree at boot.
+/// Deterministic engine factory: every call yields a bit-identical
+/// engine, so the service's engine and the oracle agree at boot.
 fn engine() -> StreamingEngine {
     let g = nai::graph::generators::generate(
         &nai::graph::generators::GeneratorConfig {
@@ -94,7 +95,7 @@ fn script(seed: u64, len: usize) -> Vec<Op> {
                 Op::ObserveEdge { u, v }
             }
             _ => Op::Infer {
-                // Bias reads toward the newest ids — the replicated
+                // Bias reads toward the newest ids — the mutated
                 // region is where divergence would show.
                 nodes: (0..2)
                     .map(|_| {
@@ -160,8 +161,8 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
         }
     }
 
-    // Drain and compare every replica's materialized graph — to each
-    // other and to the oracle — bit for bit.
+    // Drain and compare the engine's materialized graph to the
+    // oracle's, bit for bit.
     let mut replicas: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
     prop_assert_eq!(replicas.len(), 1);
     let want = oracle.graph();
@@ -191,8 +192,8 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     }
 
     // Fixed-depth reads of every node read no stationary state, so they
-    // depend only on the graph and the engine's per-node factors: each
-    // replica must answer them exactly as an engine deployed fresh on
+    // depend only on the graph and the engine's per-node factors: the
+    // engine must answer them exactly as an engine deployed fresh on
     // the oracle's final graph.
     let all: Vec<u32> = (0..want.num_nodes() as u32).collect();
     let fixed = InferenceConfig::fixed(K);
@@ -212,9 +213,9 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 /// ingest, edge and read traffic at once, each sequencing its own
 /// requests on its own thread. There is no single-threaded oracle for
 /// the order they interleave in, but whatever order the sequencer
-/// picked, every replica applied it: all replicas must end with the
-/// identical graph, and answer a fixed-depth read of every node exactly
-/// as a fresh engine deployed on replica 0's graph.
+/// picked, the engine applied it whole: it must hold every ingest, and
+/// answer a fixed-depth read of every node exactly as a fresh engine
+/// deployed on its own final graph.
 #[test]
 fn replicas_converge_under_concurrent_submitters() {
     const THREADS: usize = 4;

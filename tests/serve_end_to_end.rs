@@ -3,13 +3,14 @@
 //! Boots `nai::serve` on an ephemeral port and drives it with clients,
 //! then checks the serving contract:
 //!
-//! * **replicated determinism** — replies to a closed-loop interleaved
+//! * **sequenced determinism** — replies to a closed-loop interleaved
 //!   ingest / edge-arrival / infer sequence, dispatched with **no**
-//!   `shard` routing (reads fan out round-robin over the replicas, and
-//!   every mutation is sequenced and broadcast to all of them), are
-//!   bit-equal to a single-threaded [`StreamingEngine`] fed the same
-//!   sequence — including reads of just-ingested nodes, which any
-//!   replica must serve;
+//!   `shard` routing (reads fan out round-robin over the reader threads,
+//!   which all read the service's one engine, and every mutation is
+//!   sequenced and applied to that engine once), are bit-equal to a
+//!   single-threaded [`StreamingEngine`] fed the same sequence —
+//!   including reads of just-ingested nodes, which every reader thread
+//!   must serve;
 //! * **bounded admission** — beyond `queue_cap` in-flight requests the
 //!   service answers `overloaded` immediately (HTTP 503 on single-line
 //!   bodies), it never hangs, and admitted requests still complete;
@@ -30,7 +31,7 @@ const CLASSES: usize = 4;
 const SEED_NODES: usize = 90;
 
 /// Engines with deterministic (seeded, untrained) weights: every call
-/// builds a bit-identical replica, so shards and oracles agree.
+/// builds a bit-identical engine, so the service and the oracles agree.
 fn engine() -> StreamingEngine {
     let g = nai::graph::generators::generate(
         &nai::graph::generators::GeneratorConfig {
@@ -54,10 +55,10 @@ fn infer_cfg() -> InferenceConfig {
 }
 
 /// A deterministic closed-loop interleaving of all three op kinds.
-/// Ingests grow the *global* graph (sequenced replication assigns ids
+/// Ingests grow the *global* graph (the sequencer assigns ids
 /// service-wide); infers deliberately include the most recent arrival,
-/// so round-robin dispatch exercises read-your-writes on every
-/// replica; edge arrivals include occasional duplicates, whose
+/// so round-robin dispatch exercises read-your-writes on every reader
+/// thread; edge arrivals include occasional duplicates, whose
 /// `added:false` answer must match the oracle.
 fn interleaved_script(seed: u64, len: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -84,7 +85,7 @@ fn interleaved_script(seed: u64, len: usize) -> Vec<Op> {
                 let mut read: Vec<u32> = vec![rng.gen_range(0..nodes)];
                 if let Some(fresh) = last_ingested {
                     // Immediately read back the latest arrival: the
-                    // next replica in the rotation must know it.
+                    // next reader thread in the rotation must see it.
                     read.push(fresh);
                 }
                 Op::Infer { nodes: read }
@@ -119,7 +120,7 @@ fn round_robin_interleaved_workload_matches_single_engine_oracle() {
 
     // Drive the whole interleaved script closed-loop over one socket,
     // with no shard field anywhere: the service's own round-robin
-    // decides which replica answers each request.
+    // decides which reader thread answers each request.
     let mut client = HttpClient::connect(addr).unwrap();
     let mut replies = Vec::with_capacity(OPS);
     for op in &script {
@@ -135,7 +136,7 @@ fn round_robin_interleaved_workload_matches_single_engine_oracle() {
     }
 
     // Replay the script on a fresh single-threaded engine and demand
-    // bit-identical answers, whatever replica served each request.
+    // bit-identical answers, whatever thread served each request.
     let mut oracle = engine();
     let mut last_applied = 0u64;
     let mut answering_shards = std::collections::HashSet::new();
