@@ -38,14 +38,17 @@ step "cargo test -q (tier-1)" \
 # again with --release, so an optimisation-sensitive change to the
 # kernel's arithmetic (the one summation order of Eq. (1), against the
 # offline propagation the classifiers were trained on, or the exact
-# stationary state) shows here. The parallel stationary sweep's oracle
-# sizes itself by build profile: 100k-node graphs here, 3k in tier-1.
+# stationary state) shows here. The oracles of the parallel stationary
+# sweep and of the component labelling size themselves by build
+# profile: 100k-node graphs here, 3k in tier-1.
 release_oracles() {
   cargo test -q --release -p nai-core --test active_regression
   cargo test -q --release -p nai-core --test offline_oracle
   cargo test -q --release -p nai-core --test read_path_regression
   cargo test -q --release -p nai-core --lib \
     stationary::tests::parallel_sweep_is_bit_equal_on_benchmark_sized_graphs
+  cargo test -q --release -p nai-core --lib \
+    stationary::tests::labels_are_exact_on_benchmark_sized_graphs
 }
 
 step "read-kernel oracles (--release)" \

@@ -10,9 +10,8 @@
 //!
 //! Substitutions relative to the original papers (DeepWalk → random-walk
 //! random projections for NOSMOG; PAM → scaled dot-product neighbor
-//! attention for TinyGNN) are documented in DESIGN.md §3; each preserves
-//! the baseline's cost/accuracy signature, which is what the paper's
-//! comparison measures.
+//! attention for TinyGNN) each preserve the baseline's cost/accuracy
+//! signature, which is what the paper's comparison measures.
 
 pub mod common;
 pub mod glnn;

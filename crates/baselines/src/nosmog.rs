@@ -4,7 +4,7 @@
 //! The original uses DeepWalk embeddings; offline we substitute
 //! random-projected random-walk diffusion `P = (D̃⁻¹ Ã)^t · R` with a
 //! Gaussian projection `R`, which carries the same class of positional
-//! signal (multi-hop co-visit structure) — see DESIGN.md §3. At inference,
+//! signal (multi-hop co-visit structure). At inference,
 //! unseen nodes aggregate the mean position of their *observed* neighbors
 //! via matrix products, the re-implementation the paper describes in its
 //! footnote 3; this is NOSMOG's (small) feature-processing cost. The

@@ -135,10 +135,14 @@ fn need(data: &[u8], n: usize, what: &str) -> Result<()> {
 
 fn get_f32_vec(data: &mut &[u8], what: &str) -> Result<Vec<f32>> {
     need(data, 8, what)?;
-    let len = data.get_u64_le() as usize;
-    need(data, len * 4, what)?;
-    let mut v = Vec::with_capacity(len);
-    for _ in 0..len {
+    let len = data.get_u64_le();
+    let bytes = usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_mul(4))
+        .ok_or_else(|| CheckpointError::Decode(format!("{what} length {len} overflows")))?;
+    need(data, bytes, what)?;
+    let mut v = Vec::with_capacity(bytes / 4);
+    for _ in 0..bytes / 4 {
         v.push(data.get_f32_le());
     }
     Ok(v)
@@ -318,7 +322,7 @@ impl ModelCheckpoint {
         let gate_snaps = if data.get_u8() == 1 {
             need(data, 8, "gate count")?;
             let g = data.get_u64_le() as usize;
-            if g + 1 != k {
+            if g != k - 1 {
                 return Err(CheckpointError::Decode(format!(
                     "gate count {g} disagrees with k = {k}"
                 )));
@@ -619,6 +623,53 @@ mod tests {
         let mut long = bytes.to_vec();
         long.extend_from_slice(&[0u8; 7]);
         assert!(ModelCheckpoint::decode(&long).is_err());
+    }
+
+    /// An MLP-layer length whose byte count overflows is an error, not a
+    /// capacity-overflow panic.
+    #[test]
+    fn overflowing_layer_length_is_rejected() {
+        for len in [1u64 << 62, u64::MAX] {
+            let mut buf = BytesMut::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(VERSION);
+            buf.put_u8(kind_to_u8(ModelKind::Sgc));
+            // k, feature_dim, num_classes; gamma; no hidden layer.
+            [1, 4, 2].iter().for_each(|&d| buf.put_u64_le(d));
+            buf.put_f32_le(0.5);
+            buf.put_u64_le(0);
+            // One classifier of one layer, whose weight length is `len`.
+            buf.put_u64_le(1);
+            buf.put_u64_le(1);
+            buf.put_u64_le(len);
+            buf.put_slice(&[0; 64]);
+            match ModelCheckpoint::decode(&buf) {
+                Err(CheckpointError::Decode(msg)) => assert!(msg.contains("overflows"), "{msg}"),
+                other => panic!("length {len}: {:?}", other.err()),
+            }
+        }
+    }
+
+    /// A gate count of `usize::MAX` is an error, not an add overflow.
+    #[test]
+    fn overflowing_gate_count_is_rejected() {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(VERSION);
+        buf.put_u8(kind_to_u8(ModelKind::Sgc));
+        [1, 4, 2].iter().for_each(|&d| buf.put_u64_le(d));
+        buf.put_f32_le(0.5);
+        buf.put_u64_le(0);
+        // One classifier of no layer, no GAMLP, then gates.
+        buf.put_u64_le(1);
+        buf.put_u64_le(0);
+        buf.put_u8(0);
+        buf.put_u8(1);
+        buf.put_u64_le(u64::MAX);
+        match ModelCheckpoint::decode(&buf) {
+            Err(CheckpointError::Decode(msg)) => assert!(msg.contains("gate count"), "{msg}"),
+            other => panic!("{:?}", other.err()),
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   are softmax-normalised into ensemble weights, and the weighted vote
 //!   `z̄ = Σ w^(l) ỹ^(l)` supervises all students via
 //!   `L = L_t + (1−λ)·L_c + λ·T²·L_e`. Students *and* the scoring vectors
-//!   update jointly; the depth-`k` classifier stays frozen (DESIGN.md §3
-//!   note 4).
+//!   update jointly; the depth-`k` classifier stays frozen.
 
 use crate::config::DistillConfig;
 use nai_linalg::ops::{sigmoid, softmax_slice};

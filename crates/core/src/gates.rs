@@ -10,8 +10,8 @@
 //! classifiers: the discrete exit decision is relaxed via Gumbel-softmax,
 //! the per-depth exit probabilities form a stick-breaking chain
 //! `α_l = exit_l · Π_{j<l} continue_j`, and the loss is the cross-entropy
-//! of the α-weighted mixture of the frozen classifiers' predictions. As
-//! documented in DESIGN.md §3, the chain product realises the exclusivity
+//! of the α-weighted mixture of the frozen classifiers' predictions. The
+//! chain product realises the exclusivity
 //! that the paper's penalty term Θ (Eq. 11) enforces, and `X̂` inputs are
 //! treated as constants in the backward pass.
 //!

@@ -24,6 +24,7 @@ use crate::kernel::{Heads, ReadKernel, Tally};
 use crate::macs::MacsBreakdown;
 use crate::metrics::InferenceReport;
 use nai_graph::DynamicGraph;
+use nai_linalg::parallel::par_parts;
 use nai_linalg::DenseMatrix;
 use nai_models::DepthClassifier;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -313,18 +314,10 @@ impl NaiEngine {
                 .map(|((nodes, p), d)| self.run_chunk(&kernel, heads, nodes, p, d))
                 .collect()
         } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .map(|((nodes, p), d)| {
-                        scope.spawn(move || self.run_chunk(&kernel, None, nodes, p, d))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // A worker's panic resumes on the caller with its own
-                    // message; swallowing it would return truncated rows.
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
+            // A worker's panic resumes on the caller with its own
+            // message; swallowing it would return truncated rows.
+            par_parts(chunks, |_, ((nodes, p), d)| {
+                self.run_chunk(&kernel, None, nodes, p, d)
             })
         };
 
@@ -334,7 +327,7 @@ impl NaiEngine {
             tally.times.merge(&t.times);
         }
         // Stationary precompute charged once per run (rank-1 structure;
-        // see DESIGN.md §5 / EXPERIMENTS.md accounting).
+        // see ARCHITECTURE.md's read kernel / EXPERIMENTS.md accounting).
         tally.macs.stationary += self.state.stationary().precompute_macs();
         let total_time = total_start.elapsed();
         let eval: Vec<usize> = (0..test_nodes.len()).collect();

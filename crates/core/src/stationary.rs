@@ -26,9 +26,15 @@
 //! re-rounds the stale ones, once however many mutations came between.
 //! The build's one `O(n·f)` sweep runs on every core: integer sums are
 //! exact, so splitting it changes no bit.
+//!
+//! The build labels components with Afforest (Sutton et al., IPDPS
+//! 2018): it links each node to its first two neighbours, samples the
+//! most common label, and links the other edges of only the nodes
+//! outside that component. Every link hangs a root under a smaller id,
+//! so each component's root is its least id.
 
 use nai_graph::CsrMatrix;
-use nai_linalg::parallel::thread_count;
+use nai_linalg::parallel::{par_parts, thread_count};
 use nai_linalg::DenseMatrix;
 use std::ops::Range;
 
@@ -142,6 +148,48 @@ fn add_terms(sums: &mut [ExactSum], w: f32, x: &[f32]) {
 /// inside the `2^31` that [`ExactSum`] holds.
 const CARRY_TERMS: u32 = 1 << 29;
 
+/// Labels the connected components of an undirected graph with
+/// Afforest (Sutton et al., IPDPS 2018): link each node to its first two
+/// neighbours, compress, sample the most common label, and link the
+/// remaining neighbours of only the nodes outside that component. Every
+/// link hangs a root under a smaller id, so each node ends with its
+/// component's least id as parent. Returns the parents and each node's
+/// degree.
+fn label_components<'g>(
+    num_nodes: usize,
+    neighbors: impl Fn(u32) -> &'g [u32],
+) -> (Vec<u32>, Vec<u32>) {
+    let mut parent: Vec<u32> = (0..num_nodes as u32).collect();
+    let mut degree = vec![0u32; num_nodes];
+    for (u, d) in (0..num_nodes as u32).zip(&mut degree) {
+        let row = neighbors(u);
+        *d = row.len() as u32;
+        row.iter().take(2).for_each(|&v| link(&mut parent, u, v));
+    }
+    compress(&mut parent);
+    // A node in the sampled component skips its other edges: each edge
+    // to a node outside it is linked from that node's side.
+    let giant = most_common_label(&parent);
+    for u in 0..num_nodes as u32 {
+        if parent[u as usize] != giant {
+            neighbors(u)
+                .iter()
+                .skip(2)
+                .for_each(|&v| link(&mut parent, u, v));
+        }
+    }
+    compress(&mut parent);
+    (parent, degree)
+}
+
+/// Joins the trees of `u` and `v`, the larger root under the smaller:
+/// every parent is then at most its child, and every root its tree's
+/// least id.
+fn link(parent: &mut [u32], u: u32, v: u32) {
+    let (a, b) = (find_halving(parent, u), find_halving(parent, v));
+    parent[a.max(b) as usize] = a.min(b);
+}
+
 /// The root of `v` in a union-find forest, halving the path on the way.
 fn find_halving(parent: &mut [u32], mut v: u32) -> u32 {
     while parent[v as usize] != v {
@@ -150,6 +198,31 @@ fn find_halving(parent: &mut [u32], mut v: u32) -> u32 {
     }
     v
 }
+
+/// Points every node straight at its root. Parents precede their
+/// children, so one forward pass finds each parent already pointing at
+/// its root.
+fn compress(parent: &mut [u32]) {
+    for v in 0..parent.len() {
+        parent[v] = parent[parent[v] as usize];
+    }
+}
+
+/// The most common label among up to [`LABEL_SAMPLES`] evenly spaced
+/// nodes, or `u32::MAX` for no node. Any label would do: the sample only
+/// decides how much work the last link pass skips.
+fn most_common_label(parent: &[u32]) -> u32 {
+    let (n, samples) = (parent.len(), LABEL_SAMPLES.min(parent.len()));
+    let mut labels: Vec<u32> = (0..samples).map(|i| parent[i * n / samples]).collect();
+    labels.sort_unstable();
+    labels
+        .chunk_by(|a, b| a == b)
+        .max_by_key(|run| run.len())
+        .map_or(u32::MAX, |run| run[0])
+}
+
+/// Nodes [`most_common_label`] samples.
+const LABEL_SAMPLES: usize = 1024;
 
 /// One connected component, owned by union-find root `root`.
 #[derive(Debug, Clone)]
@@ -266,24 +339,11 @@ impl StationaryState {
         neighbors: impl Fn(u32) -> &'g [u32],
         feature: impl Fn(u32) -> &'g [f32] + Sync,
     ) -> Self {
-        // Link each edge's endpoint roots, the larger id under the
-        // smaller: parents then point to lower ids, so one forward pass
-        // leaves every node's parent its root.
-        let mut parent: Vec<u32> = (0..num_nodes as u32).collect();
-        let mut degree = vec![0u32; num_nodes];
-        for u in 0..num_nodes as u32 {
-            degree[u as usize] = neighbors(u).len() as u32;
-            let mut root = find_halving(&mut parent, u);
-            for &v in neighbors(u).iter().filter(|&&v| v > u) {
-                let other = find_halving(&mut parent, v);
-                parent[root.max(other) as usize] = root.min(other);
-                root = root.min(other);
-            }
-        }
+        let (parent, degree) = label_components(num_nodes, neighbors);
+        // Every node's parent is its root, the least id of its component,
+        // so components are numbered in the order of their roots.
         let (mut slot, mut components) = (vec![u32::MAX; num_nodes], Vec::new());
-        for v in 0..num_nodes {
-            let root = parent[parent[v] as usize];
-            parent[v] = root;
+        for (v, &root) in parent.iter().enumerate() {
             if root == v as u32 {
                 slot[v] = components.len() as u32;
                 let single = Component::single(root, feature(root));
@@ -325,24 +385,18 @@ impl StationaryState {
         };
         let bins = if large == 0 {
             Vec::new()
-        } else if threads <= 1 {
-            sweep(0..num_nodes)
         } else {
-            let (per, sweep) = (num_nodes.div_ceil(threads), &sweep);
-            std::thread::scope(|scope| {
-                let parts: Vec<_> = (0..num_nodes)
-                    .step_by(per)
-                    .map(|lo| scope.spawn(move || sweep(lo..num_nodes.min(lo + per))))
-                    .collect();
-                parts
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .reduce(|mut bins, part| {
-                        bins.iter_mut().zip(part).for_each(|(b, p)| *b += p);
-                        bins
-                    })
-                    .unwrap_or_default()
-            })
+            let per = num_nodes.div_ceil(threads.max(1));
+            let ranges = (0..num_nodes)
+                .step_by(per)
+                .map(|lo| lo..num_nodes.min(lo + per));
+            par_parts(ranges, |_, nodes| sweep(nodes))
+                .into_iter()
+                .reduce(|mut bins, part| {
+                    bins.iter_mut().zip(part).for_each(|(b, p)| *b += p);
+                    bins
+                })
+                .unwrap_or_default()
         };
         for (v, &root) in parent.iter().enumerate() {
             let s = slot[root as usize] as usize;
@@ -528,7 +582,7 @@ impl StationaryState {
         self.rows(&nodes)
     }
 
-    /// MACs charged per emitted row (`f`, per DESIGN.md §5).
+    /// MACs charged per emitted row (`f`).
     pub fn macs_per_row(&self) -> u64 {
         self.feature_dim as u64
     }
@@ -1109,6 +1163,71 @@ mod tests {
         }
     }
 
+    /// Each node's least connected id, by depth-first search.
+    fn reference_labels(lists: &[Vec<u32>]) -> Vec<u32> {
+        let mut label = vec![u32::MAX; lists.len()];
+        for s in 0..lists.len() as u32 {
+            if label[s as usize] == u32::MAX {
+                label[s as usize] = s;
+                let mut stack = vec![s];
+                while let Some(u) = stack.pop() {
+                    for &v in &lists[u as usize] {
+                        if label[v as usize] == u32::MAX {
+                            label[v as usize] = s;
+                            stack.push(v);
+                        }
+                    }
+                }
+            }
+        }
+        label
+    }
+
+    /// `lists` with node `v` renamed `ids[v]`.
+    fn relabel(lists: &[Vec<u32>], ids: &[u32]) -> Vec<Vec<u32>> {
+        let mut out = vec![Vec::new(); lists.len()];
+        for (v, row) in lists.iter().enumerate() {
+            let mut row: Vec<u32> = row.iter().map(|&u| ids[u as usize]).collect();
+            row.sort_unstable();
+            out[ids[v] as usize] = row;
+        }
+        out
+    }
+
+    /// The labelling against the reference on the graphs the benchmark
+    /// serves, a small-world and an R-MAT graph of 100k nodes in release
+    /// builds (3k in debug builds), each also with its ids reversed, so
+    /// that node 0 lies outside the R-MAT graph's giant component.
+    #[test]
+    fn labels_are_exact_on_benchmark_sized_graphs() {
+        use nai_graph::generators::{rmat_edges, small_world_edges};
+        let n = if cfg!(debug_assertions) {
+            3_000
+        } else {
+            100_000
+        };
+        let mut rng = StdRng::seed_from_u64(36);
+        let graphs = [
+            small_world_edges(n, 5, 0.1, &mut rng),
+            rmat_edges(n, 5 * n, (0.57, 0.19, 0.19), &mut rng),
+        ];
+        let reversed: Vec<u32> = (0..n as u32).rev().collect();
+        for (name, edges) in ["small-world", "rmat"].iter().zip(graphs) {
+            let lists = lists_of(n, &edges);
+            for (flipped, lists) in [(true, relabel(&lists, &reversed)), (false, lists)] {
+                let want = reference_labels(&lists);
+                if flipped && *name == "rmat" {
+                    let zeros = want.iter().filter(|&&l| l == 0).count();
+                    assert!(zeros < n / 2, "reversed: node 0 outside the giant");
+                }
+                let degrees: Vec<u32> = lists.iter().map(|r| r.len() as u32).collect();
+                let (labels, degree) = label_components(n, |v| &lists[v as usize][..]);
+                assert!(labels == want, "{name}, reversed: {flipped}");
+                assert!(degree == degrees, "{name}, reversed: {flipped}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -1182,6 +1301,47 @@ mod tests {
             for threads in [2, 3] {
                 let parallel = fingerprint(&build_lists(threads, &lists, &x, f, gamma));
                 prop_assert!(parallel == serial, "{} threads", threads);
+            }
+        }
+
+        /// The labelling gives every node its component's least id, and
+        /// the build at 1, 2 and 3 sweep threads the same state: parents,
+        /// slots, masses, sums, means and rows. The graphs have a giant
+        /// component (or none), one near [`BIN_MASS`], many small ones
+        /// and isolated nodes, and half the time node 0 lies outside the
+        /// giant.
+        #[test]
+        fn build_labels_exactly_at_every_thread_count(
+            giant in prop_oneof![Just(0usize), 1400usize..2200],
+            near in 0usize..3,
+            small in 0usize..200,
+            lone in 0usize..40,
+            zero_outside in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut lists = mixed_graph(giant, near, small, lone, seed);
+            let n = lists.len();
+            let labels = reference_labels(&lists);
+            if zero_outside {
+                // Swap node 0 with the first node outside its component.
+                if let Some(w) = (0..n).find(|&v| labels[v] != labels[0]) {
+                    let mut ids: Vec<u32> = (0..n as u32).collect();
+                    ids.swap(0, w);
+                    lists = relabel(&lists, &ids);
+                }
+            }
+            let want = reference_labels(&lists);
+            let x: Vec<f32> = (0..n * 2).map(|i| (i % 13) as f32 - 6.0).collect();
+            let serial = build_lists(1, &lists, &x, 2, 0.5);
+            prop_assert!(serial.parent == want, "serial labels");
+            let degrees: Vec<u32> = lists.iter().map(|r| r.len() as u32).collect();
+            prop_assert!(serial.degree == degrees);
+            for threads in [2, 3] {
+                let parallel = build_lists(threads, &lists, &x, 2, 0.5);
+                prop_assert!(parallel.parent == want, "{} threads: labels", threads);
+                prop_assert!(parallel.slot == serial.slot, "{} threads: slots", threads);
+                prop_assert!(parallel.degree == serial.degree);
+                prop_assert!(fingerprint(&parallel) == fingerprint(&serial), "{} threads", threads);
             }
         }
 

@@ -7,8 +7,7 @@
 //! degree, class count (scaled), feature dimension (scaled), and split
 //! fractions — at roughly 1/15 to 1/150 of the original node counts. The
 //! phenomena NAI's evaluation depends on (neighbor explosion, heavy-tailed
-//! degrees, propagation-improves-accuracy) are preserved; see DESIGN.md §3
-//! for the substitution argument.
+//! degrees, propagation-improves-accuracy) are preserved.
 //!
 //! Every proxy is deterministic given its `DatasetId` and [`Scale`], so
 //! EXPERIMENTS.md numbers are reproducible.

@@ -4,6 +4,7 @@
 use crate::{GraphError, Result};
 use nai_linalg::parallel::par_rows_mut;
 use nai_linalg::DenseMatrix;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Square sparse matrix in CSR form.
@@ -113,12 +114,32 @@ impl CsrMatrix {
         indptr.len() == n + 1
             && indptr[0] == 0
             && indptr[n] == indices.len()
-            && indptr.windows(2).all(|w| {
-                indices.get(w[0]..w[1]).is_some_and(|row| {
-                    row.windows(2).all(|p| p[0] < p[1])
-                        && row.last().is_none_or(|&c| (c as usize) < n)
-                })
-            })
+            && Self::check_rows(n, indptr, indices, 0..n) == Ok(true)
+    }
+
+    /// Checks `rows` of CSR arrays with `n` columns: `Err` with the first
+    /// row whose end pointer precedes its start or passes the last entry,
+    /// else whether every row holds strictly increasing columns below
+    /// `n`. Each row's start is the previous row's end, so the ranges of
+    /// a split check the same rows as one whole.
+    pub(crate) fn check_rows(
+        n: usize,
+        indptr: &[usize],
+        indices: &[u32],
+        rows: Range<usize>,
+    ) -> std::result::Result<bool, usize> {
+        let mut canonical = true;
+        for r in rows {
+            let (start, end) = (indptr[r], indptr[r + 1]);
+            if end < start || end > indices.len() {
+                return Err(r);
+            }
+            let row = &indices[start..end];
+            canonical = canonical
+                && row.windows(2).all(|p| p[0] < p[1])
+                && row.last().is_none_or(|&c| (c as usize) < n);
+        }
+        Ok(canonical)
     }
 
     /// Adopts arrays for which [`Self::is_canonical`] holds, and

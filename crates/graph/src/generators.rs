@@ -4,7 +4,7 @@
 //! datasets are not available in this offline environment, so the proxies in
 //! `nai-datasets` are produced by the degree-corrected stochastic block
 //! model implemented here. The generator is designed to preserve the three
-//! phenomena the NAI evaluation depends on (see DESIGN.md §3):
+//! phenomena the NAI evaluation depends on:
 //!
 //! 1. **power-law degrees** — high-degree nodes reach their stationary
 //!    state after very few hops (Eq. 10), low-degree nodes need many, which

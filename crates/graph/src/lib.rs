@@ -17,7 +17,7 @@
 //!   what mutations touch, and an append-only tail of arrivals;
 //! * [`generators`] — degree-corrected stochastic block models with
 //!   power-law degrees and class-correlated noisy features, used to build
-//!   the dataset proxies described in DESIGN.md.
+//!   the dataset proxies of `nai-datasets`.
 //!
 //! [`Graph`] bundles adjacency + features + labels, and
 //! [`split::InductiveSplit`] carves it into the inductive train/val/test

@@ -2,8 +2,9 @@
 //!
 //! GNN inference kernels are embarrassingly parallel over matrix rows.
 //! Rather than pulling in a work-stealing pool, we split the row range into
-//! contiguous chunks, hand each chunk to a scoped thread, and join. Scoped
-//! threads let us borrow the input matrices without `Arc` gymnastics.
+//! contiguous chunks, run the first on the calling thread and each other
+//! on a scoped thread, and join ([`par_parts`]). Scoped threads let us
+//! borrow the input matrices without `Arc` gymnastics.
 
 /// Work below this many "cells" (rows × cost hint) runs sequentially.
 ///
@@ -23,10 +24,19 @@ pub fn thread_count(work: usize) -> usize {
     if work < PAR_THRESHOLD {
         return 1;
     }
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    hw.min(work / PAR_THRESHOLD).max(1)
+    hardware_threads().min(work / PAR_THRESHOLD).max(1)
+}
+
+/// The machine's available parallelism, read once per process:
+/// `available_parallelism` re-reads the cgroup quota on every call
+/// (tens of µs).
+fn hardware_threads() -> usize {
+    static HW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f(start_row, out_chunk)` over disjoint chunks of `out`,
@@ -59,19 +69,37 @@ where
         return;
     }
     let rows_per = rows.div_ceil(threads);
+    let chunks = out.chunks_mut(rows_per * row_width);
+    par_parts(chunks, |i, chunk| f(i * rows_per, chunk));
+}
+
+/// Runs `f(i, part)` on every part, in parallel, and returns the
+/// results in order. The calling thread runs the first part and one
+/// scoped thread each of the others, so a single part spawns nothing. A
+/// part's panic resumes on the caller once every thread has joined.
+pub fn par_parts<P, R, F>(parts: impl IntoIterator<Item = P>, f: F) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    F: Fn(usize, P) -> R + Sync,
+{
+    let mut parts = parts.into_iter().enumerate();
+    let Some((_, first)) = parts.next() else {
+        return Vec::new();
+    };
+    let f = &f;
     std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut start_row = 0usize;
-        while !rest.is_empty() {
-            let take = (rows_per * row_width).min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let fr = &f;
-            let row0 = start_row;
-            scope.spawn(move || fr(row0, chunk));
-            start_row += take / row_width;
-            rest = tail;
-        }
-    });
+        let others: Vec<_> = parts
+            .map(|(i, part)| scope.spawn(move || f(i, part)))
+            .collect();
+        std::iter::once(f(0, first))
+            .chain(
+                others
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            )
+            .collect()
+    })
 }
 
 /// Parallel map over an index range, collecting results in order.
@@ -92,21 +120,9 @@ where
         return out;
     }
     let per = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut rest = out.as_mut_slice();
-        let mut start = 0usize;
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            let fr = &f;
-            let s0 = start;
-            scope.spawn(move || {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    *slot = fr(s0 + off);
-                }
-            });
-            start += take;
-            rest = tail;
+    par_parts(out.chunks_mut(per), |i, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            *slot = f(i * per + off);
         }
     });
     out
@@ -154,6 +170,28 @@ mod tests {
     fn par_rows_mut_rejects_ragged() {
         let mut out = vec![0.0f32; 5];
         par_rows_mut(&mut out, 2, 1, |_, _| {});
+    }
+
+    #[test]
+    fn par_parts_returns_results_in_order() {
+        let caller = std::thread::current().id();
+        let got = par_parts(0..5, |i, part| {
+            assert_eq!(i, part);
+            (part * 10, std::thread::current().id() == caller)
+        });
+        let values: Vec<usize> = got.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, vec![0, 10, 20, 30, 40]);
+        let on_caller: Vec<bool> = got.iter().map(|&(_, c)| c).collect();
+        assert_eq!(on_caller, vec![true, false, false, false, false]);
+        assert!(par_parts(std::iter::empty::<u8>(), |_, p| p).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "part 3 failed")]
+    fn par_parts_resumes_a_parts_panic() {
+        par_parts(0..4, |i, _| {
+            assert!(i != 3, "part {i} failed");
+        });
     }
 
     #[test]

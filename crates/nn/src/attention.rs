@@ -222,7 +222,7 @@ impl NeighborAttention {
     }
 
     /// MACs for one batch: three projections plus per-edge score/mix work.
-    /// `f` is the feature dim; counts follow DESIGN.md §5.
+    /// `f` is the feature dim.
     pub fn macs(&self, batch_nodes: u64, neighbor_rows: u64, total_edges: u64, f: u64) -> u64 {
         let d = self.dim as u64;
         batch_nodes * f * d            // queries
