@@ -129,7 +129,7 @@ step "lint_selftest (bad fixture crate must produce findings + exit 1)" \
 # Deterministic concurrency model check: rebuilds the serve/obs sync
 # facades against the in-tree loom model checker (--cfg nai_model, its
 # own target dir so normal builds stay cached) and exhaustively explores
-# thread interleavings of the serve core's admission / panic-repair /
+# thread interleavings of the serve core's admission /
 # cache-versioning / shutdown protocols, the store protocol (one writer
 # applies each group of mutations under the engine's write lock while
 # readers share its read lock: no read sees a half-applied group, and a

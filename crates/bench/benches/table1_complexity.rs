@@ -92,7 +92,7 @@ fn main() {
             "S2GC  vanilla O(kmf + knf + nf^2)  | NAI O(qmf + qnf + nf^2 + n^2 f)",
             "GAMLP vanilla O(kmf + Pnf^2)       | NAI O(qmf + Pnf^2 + n^2 f)",
             "here the paper's O(n^2 f) stationary term is realised in O(nf) via the",
-            "rank-1 structure of A^inf (EXPERIMENTS.md documents this accounting).",
+            "rank-1 structure of A^inf (ARCHITECTURE.md, \"Read kernel\", documents it).",
         ],
     );
 }

@@ -5,8 +5,7 @@
 //! dataset proxies, measures the same columns the paper reports, and
 //! prints measured rows next to the paper's reference values. Absolute
 //! numbers differ (synthetic proxies, different hardware); the *shape* —
-//! who wins, by roughly what factor — is the reproduction target (see
-//! EXPERIMENTS.md).
+//! who wins, by roughly what factor — is the reproduction target.
 //!
 //! Set `NAI_BENCH_SCALE=test` to run every harness on the tiny test-scale
 //! proxies (smoke mode, ~10× faster).

@@ -327,7 +327,7 @@ impl NaiEngine {
             tally.times.merge(&t.times);
         }
         // Stationary precompute charged once per run (rank-1 structure;
-        // see ARCHITECTURE.md's read kernel / EXPERIMENTS.md accounting).
+        // see ARCHITECTURE.md, "Read kernel", for the accounting).
         tally.macs.stationary += self.state.stationary().precompute_macs();
         let total_time = total_start.elapsed();
         let eval: Vec<usize> = (0..test_nodes.len()).collect();

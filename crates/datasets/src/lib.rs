@@ -10,7 +10,8 @@
 //! degrees, propagation-improves-accuracy) are preserved.
 //!
 //! Every proxy is deterministic given its `DatasetId` and [`Scale`], so
-//! EXPERIMENTS.md numbers are reproducible.
+//! numbers measured on it are reproducible (ARCHITECTURE.md, "Scenario
+//! topologies and workloads").
 
 use nai_graph::generators::GeneratorConfig;
 use nai_graph::{Graph, InductiveSplit};

@@ -2,7 +2,7 @@
 //!
 //! All randomness in the workspace flows through caller-provided
 //! [`rand::Rng`] instances seeded at the experiment level, so every result
-//! in EXPERIMENTS.md is reproducible bit-for-bit on the same toolchain.
+//! is reproducible bit-for-bit on the same toolchain.
 
 use crate::dense::DenseMatrix;
 use rand::Rng;

@@ -265,7 +265,7 @@ pub enum Invalidation {
 ///   sequence point they were computed at in one acquisition.
 ///
 /// Every method recovers from poison: cache state is a plain map +
-/// counters that no panic can leave half-linked, and a dead worker
+/// counters that no panic can leave half-linked, and a panicked thread
 /// must not take the submit fast path or `/metrics` down.
 pub struct VersionedCache {
     inner: Mutex<PredictionCache>,

@@ -290,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn replicated_ingests_assign_global_ids_any_replica_serves_them() {
+    fn sequenced_ingests_get_global_ids_and_every_worker_reads_them() {
         let service = NaiService::new(engine(40, 5), infer_cfg(), serve_cfg(3)).unwrap();
         let mut answerers = Vec::new();
         for i in 0..6u32 {
@@ -400,13 +400,13 @@ mod tests {
             m.macs
         };
         let solo = run(1);
-        let replicated = run(3);
+        let pooled = run(3);
         assert_eq!(
             solo.total(),
-            replicated.total(),
-            "solo {solo:?} vs replicated {replicated:?}"
+            pooled.total(),
+            "solo {solo:?} vs three workers {pooled:?}"
         );
-        assert_eq!(solo, replicated);
+        assert_eq!(solo, pooled);
         // And the mutation work is exactly a solo engine's for the same
         // script.
         let mut oracle = engine(50, 19);
@@ -425,53 +425,34 @@ mod tests {
             oracle.flush(&infer_cfg());
             oracle.observe_edge(u, v);
         }
-        assert_eq!(replicated.replication, oracle.macs_breakdown().replication);
+        assert_eq!(pooled.replication, oracle.macs_breakdown().replication);
     }
 
     #[test]
-    fn panicking_worker_repairs_admission_and_is_marked_dead() {
+    fn an_engine_panic_on_a_worker_is_answered_and_spares_the_worker() {
         // Gate-mode inference without trained gates panics inside the
-        // engine: the worker must die without leaking its admission
-        // slot, and the sequencer must answer later requests with a
-        // typed error instead of hanging.
+        // engine. In-process calls never run inline, so every read
+        // reaches the one worker: each must come back at once with the
+        // typed error and its admission slot, and the same worker must
+        // go on to run the next batch.
         let service =
             NaiService::new(engine(30, 27), InferenceConfig::gate(1, K), serve_cfg(1)).unwrap();
-        let t = service
-            .submit(Request {
-                op: Op::Infer { nodes: vec![0] },
-                shard: None,
-            })
-            .unwrap();
-        // The worker dies mid-batch; the client sees a timeout, not a
-        // reply, and the in-flight slot is repaired.
-        assert!(matches!(
-            t.wait(Duration::from_secs(5)),
-            Err(crate::ServeError::Timeout)
-        ));
-        let deadline = crate::sync::time::Instant::now() + Duration::from_secs(5);
-        while service.queue_depth() != 0 && crate::sync::time::Instant::now() < deadline {
-            crate::sync::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(service.queue_depth(), 0, "admission slot repaired");
-        // Later requests get a typed error, never a hang: a submission
-        // racing the worker's unwind lands in its channel and is
-        // answered by the dying worker's drain loop ("worker is
-        // gone"); once a submitter has reaped the dead flag, jobs
-        // are answered at sequencing ("no live shard workers"). Either
-        // way every admission slot comes back.
-        for _ in 0..3 {
-            match service.call(Request {
+        for i in 0..3u64 {
+            let reply = service.call(Request {
                 op: Op::Infer { nodes: vec![1] },
                 shard: None,
-            }) {
-                Ok(Reply::Error { message }) => assert!(
-                    message.contains("worker is gone") || message.contains("no live shard"),
-                    "{message}"
-                ),
-                other => panic!("expected typed error, got {other:?}"),
+            });
+            match reply {
+                Ok(Reply::Error { message }) => {
+                    assert_eq!(message, "the engine panicked during this read")
+                }
+                other => panic!("call {i}: expected the typed error, got {other:?}"),
             }
+            assert_eq!(service.metrics().batches, i + 1, "the worker ran call {i}");
+            assert_eq!(service.queue_depth(), 0, "call {i} gave its slot back");
         }
-        assert_eq!(service.queue_depth(), 0, "no slot leaked past the drain");
+        assert_eq!(service.metrics().inline_batches, 0);
+        assert!(service.into_engine().is_some(), "the engine comes back");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! behind it, so batch size follows load.
 //!
 //! **Inline reads**: when the reactor submits a group whose requests
-//! name no shard, it runs the group's first ⌈g / live⌉ reads itself
+//! name no shard, it runs the group's first ⌈g / workers⌉ reads itself
 //! once the sequencer lock is released, and sends the rest to the
 //! workers — no thread hand-off for a lone read. The store is always
 //! caught up, so no read waits for a mutation to reach it.
@@ -70,10 +70,12 @@
 //! inserted.
 //!
 //! **Panics**: a read holds only a shared reference to the engine, so a
-//! panic inside one leaves the store untouched; an inline read's jobs
-//! then get a typed error, and a worker retires as before. A panic while
-//! applying a mutation (which validation makes unexpected) poisons the
-//! store: from then on every request is refused with a typed error.
+//! panic inside one leaves the store untouched. Inline or on a worker,
+//! the batch runs through one function (`Shared::run_batch`) that
+//! catches an engine panic, answers the call's reads with a typed error
+//! and goes on to the next batch. A panic while applying a mutation
+//! (which validation makes unexpected) poisons the store: from then on
+//! every request is refused with a typed error.
 
 use crate::admission::AdmissionLedger;
 use crate::cache::{Invalidation, VersionedCache};
@@ -563,9 +565,12 @@ struct Reader {
 }
 
 struct Shared {
-    /// In-flight slot accounting, per-party reply counters, and worker
-    /// dead flags — the state whose interplay the model tests check.
+    /// In-flight slot accounting (the model tests check its invariant).
     admission: AdmissionLedger,
+    cfg: ServeConfig,
+    /// The base inference config every batch runs under (or its
+    /// load-shed degradation).
+    infer_cfg: InferenceConfig,
     overloaded: AtomicU64,
     batches: AtomicU64,
     inline_batches: AtomicU64,
@@ -597,9 +602,11 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(cfg: &ServeConfig, engine: StreamingEngine) -> Self {
+    fn new(cfg: ServeConfig, infer_cfg: InferenceConfig, engine: StreamingEngine) -> Self {
         Shared {
-            admission: AdmissionLedger::new(cfg.queue_cap, cfg.workers),
+            admission: AdmissionLedger::new(cfg.queue_cap),
+            cfg,
+            infer_cfg,
             overloaded: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             inline_batches: AtomicU64::new(0),
@@ -623,35 +630,53 @@ impl Shared {
         }
     }
 
-    /// Counts one engine batch that answers `owned` requests.
-    fn note_batch(&self, run: &BatchRun, owned: u64) {
+    /// Runs one batch of reads on `reader` — a worker's merged batch, or
+    /// an inline share — reported as worker `shard`, then publishes the
+    /// reader's MACs to `macs`. The batch closes here, so the load-shed
+    /// decision is made here: `in_flight` counts this batch and
+    /// everything queued behind it.
+    fn run_batch(
+        &self,
+        shard: usize,
+        jobs: &[ReadJob],
+        close: CloseReason,
+        reader: &mut Reader,
+        macs: &MacsCell,
+    ) {
+        let degraded = self
+            .cfg
+            .shed
+            .engaged(self.admission.in_flight(), self.cfg.queue_cap);
+        let run = BatchRun {
+            cfg: if degraded {
+                self.cfg.shed.degrade(&self.infer_cfg)
+            } else {
+                self.infer_cfg
+            },
+            degraded,
+            dequeued: Instant::now(),
+            size: jobs.len() as u32,
+            close,
+        };
         // Relaxed on the batch counters: monotone, scrape-only.
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.obs.note_batch(run.size, run.close);
         if run.degraded {
+            let shed = jobs.len() as u64;
             // Relaxed: monotone shed counters, scrape-only.
             self.degraded_batches.fetch_add(1, Ordering::Relaxed);
-            self.shed_ops.fetch_add(owned, Ordering::Relaxed);
+            self.shed_ops.fetch_add(shed, Ordering::Relaxed);
         }
+        read_run(shard, jobs, &run, self, reader);
+        macs.publish(&reader.tally.macs);
     }
 
-    /// Answers every read of a retired worker's batch with the typed
-    /// error of a retired worker.
-    fn answer_gone(&self, worker: usize, batch: Vec<ReadJob>) {
-        for job in batch {
-            self.respond(worker, &job.handle, gone(worker));
-        }
-    }
-    /// Answers a job the sequencer cannot serve with a typed error.
+    /// Answers a job with a typed error.
     fn refuse(&self, handle: &ReplyHandle, message: String) {
-        self.respond(
-            self.admission.sequencer_slot(),
-            handle,
-            Reply::Error { message },
-        );
+        self.respond(handle, Reply::Error { message });
     }
 
-    fn respond(&self, who: usize, handle: &ReplyHandle, reply: Reply) {
+    fn respond(&self, handle: &ReplyHandle, reply: Reply) {
         match &reply {
             // Relaxed on the counters below: each is a monotone count
             // read only by `/metrics` snapshots, with no cross-counter
@@ -675,7 +700,7 @@ impl Shared {
         // client that has its answer can immediately resubmit without
         // racing the counter (and `queue_depth` reads 0 once every
         // reply of a closed loop has been received).
-        self.admission.note_answered(who);
+        self.admission.note_answered();
         handle.responder.deliver(reply);
     }
 
@@ -684,7 +709,7 @@ impl Shared {
     /// recorder first. Only `Infer` and `Ingest` replies come through
     /// here; error and edge paths answer via plain `respond` (no
     /// latency sample — same as the exact accumulator recorded).
-    fn respond_traced(&self, who: usize, handle: &ReplyHandle, reply: Reply, timing: &BatchTiming) {
+    fn respond_traced(&self, handle: &ReplyHandle, reply: Reply, timing: &BatchTiming) {
         // One clock read covers the whole accounting: total latency and
         // the serialize span end at the same instant, so the stage sum
         // tiles the measured total (up to the engine's interior glue).
@@ -756,14 +781,14 @@ impl Shared {
                 close_reason: timing.run.close.as_str(),
             },
         );
-        self.respond(who, handle, reply);
+        self.respond(handle, reply);
     }
 
     /// Merged counters, latency statistics, and MACs — the `/metrics`
     /// body, on `Shared` so observability needs no service handle (and
     /// the poison unit tests can drive a bare `Shared`). Every lock on
-    /// this path recovers from poison, and none is the store's: one dead
-    /// worker or a poisoned store must not take monitoring down.
+    /// this path recovers from poison, and none is the store's: a panicked
+    /// thread or a poisoned store must not take monitoring down.
     fn snapshot(&self) -> MetricsSnapshot {
         // Each read runs on one reader and each mutation once on the
         // store: every stage is a plain sum.
@@ -808,13 +833,6 @@ impl Shared {
     }
 }
 
-/// The typed error a retired worker's jobs are answered with.
-fn gone(worker: usize) -> Reply {
-    Reply::Error {
-        message: format!("shard {worker} worker is gone"),
-    }
-}
-
 /// A pending answer; `wait` blocks until the worker responds.
 pub struct Ticket {
     rx: Receiver<Reply>,
@@ -846,10 +864,6 @@ pub struct NaiService {
     /// inline.
     inline_reader: Mutex<Reader>,
     info: ServiceInfo,
-    cfg: ServeConfig,
-    /// The base inference config every batch runs under (or its
-    /// load-shed degradation).
-    infer_cfg: InferenceConfig,
     /// One per worker — the service runs no other thread.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -905,7 +919,7 @@ impl NaiService {
             radius: infer_cfg.t_max,
             budget: cfg.cache.frontier_budget,
         });
-        let shared = Arc::new(Shared::new(&cfg, engine));
+        let shared = Arc::new(Shared::new(cfg, infer_cfg, engine));
 
         let mut threads = Vec::with_capacity(cfg.workers);
         let mut worker_txs = Vec::with_capacity(cfg.workers);
@@ -916,7 +930,7 @@ impl NaiService {
             threads.push(
                 thread::Builder::new()
                     .name(format!("nai-serve-worker-{w}"))
-                    .spawn(move || worker_loop(w, wrx, shared_w, infer_cfg, cfg))
+                    .spawn(move || worker_loop(w, wrx, shared_w))
                     // nai-lint: allow(hot-path-panic) -- spawn fails only on
                     // OS resource exhaustion during service construction.
                     .expect("spawn worker thread"),
@@ -924,12 +938,14 @@ impl NaiService {
         }
 
         Ok(Self {
-            sequencer: Mutex::new(Some(Sequencer::new(worker_txs, invalidator))),
+            sequencer: Mutex::new(Some(Sequencer {
+                worker_txs,
+                rr: 0,
+                invalidator,
+            })),
             shared,
             inline_reader: Mutex::new(Reader::default()),
             info,
-            cfg,
-            infer_cfg,
             threads: Mutex::new(threads),
         })
     }
@@ -959,7 +975,7 @@ impl NaiService {
 
     /// The serving configuration this service runs under.
     pub fn config(&self) -> ServeConfig {
-        self.cfg
+        self.shared.cfg
     }
 
     /// Submits a request; returns a [`Ticket`] for the eventual reply.
@@ -999,7 +1015,7 @@ impl NaiService {
     /// acquisition of the sequencer lock.
     ///
     /// With `inline` (the reactor's submissions), a group whose requests
-    /// name no shard has its first ⌈g / live⌉ reads (ingests' reads
+    /// name no shard has its first ⌈g / workers⌉ reads (ingests' reads
     /// included) run on this thread after the lock is released, while
     /// the rest go to the workers (see [`Sequencer::dispatch`]).
     ///
@@ -1045,7 +1061,6 @@ impl NaiService {
             }
             return outcomes;
         };
-        seq.reap_dead_workers(&self.shared.admission);
         let share = seq.dispatch(jobs, &self.shared, inline);
         drop(sequencer);
         // Counted once the reads are routed, so hits + misses == reads
@@ -1064,48 +1079,22 @@ impl NaiService {
         outcomes
     }
 
-    /// Runs an inline share of reads on this thread, as a worker would
-    /// run them in one batch, and returns each read's reply in order. A
-    /// panic in the engine leaves the store untouched (a read holds a
-    /// shared reference); the reads it did not answer get a typed error,
-    /// which frees their admission slots.
+    /// Runs an inline share of reads on this thread, as a worker runs a
+    /// batch, and returns each read's reply in order.
     fn run_inline(&self, shard: usize, reads: Vec<ReadJob>) -> Vec<Option<Reply>> {
         let shared = &*self.shared;
-        // The shed decision is the worker's, made at the same point.
-        let degraded = self
-            .cfg
-            .shed
-            .engaged(shared.admission.in_flight(), self.cfg.queue_cap);
-        let run = BatchRun {
-            cfg: if degraded {
-                self.cfg.shed.degrade(&self.infer_cfg)
-            } else {
-                self.infer_cfg
-            },
-            degraded,
-            dequeued: Instant::now(),
-            size: reads.len() as u32,
-            // Everything in the share is aboard and runs at once.
-            close: CloseReason::Idle,
-        };
-        shared.note_batch(&run, reads.len() as u64);
         // Relaxed: monotone, scrape-only.
         shared.inline_batches.fetch_add(1, Ordering::Relaxed);
-        let who = shared.admission.sequencer_slot();
         let mut reader = lock_recover(&self.inline_reader);
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            read_run(who, shard, &reads, &run, shared, &mut reader);
-        }));
-        shared.inline_macs.publish(&reader.tally.macs);
+        // Everything in the share is aboard and runs at once.
+        shared.run_batch(
+            shard,
+            &reads,
+            CloseReason::Idle,
+            &mut reader,
+            &shared.inline_macs,
+        );
         drop(reader);
-        if ran.is_err() {
-            for job in &reads {
-                if matches!(&job.handle.responder, ReplySink::Inline(r) if r.get().is_none()) {
-                    let message = READ_PANICKED.to_string();
-                    shared.respond(who, &job.handle, Reply::Error { message });
-                }
-            }
-        }
         reads
             .into_iter()
             .map(|job| job.handle.into_inline_reply())
@@ -1238,7 +1227,7 @@ impl NaiService {
 
     /// Merged counters, latency statistics, and MACs. Every lock on
     /// this path recovers from poison, so `/metrics` keeps answering
-    /// after a worker panic.
+    /// after a panic.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.snapshot()
     }
@@ -1323,66 +1312,33 @@ impl CacheInvalidator {
 
 /// The state every submitting thread shares, behind
 /// `NaiService::sequencer`'s lock: it applies each group's mutations to
-/// the store, answers its edges, routes its reads, and sends each live
+/// the store, answers its edges, routes its reads, and sends each
 /// worker its share.
 struct Sequencer {
-    /// One sender per worker; `None` once the worker is known dead —
-    /// its `AdmissionLedger` dead flag raised by the panic path, or its
-    /// channel disconnected. Dropping the sender ends the worker's
-    /// drain loop (see [`worker_loop`]); a dead worker is skipped by
-    /// routing from then on, and its jobs are answered with a typed
-    /// error instead of leaking their admission slots.
-    worker_txs: Vec<Option<Sender<Vec<ReadJob>>>>,
+    /// One sender per worker. Dropping them (at shutdown) ends each
+    /// worker once it has answered what is queued for it.
+    worker_txs: Vec<Sender<Vec<ReadJob>>>,
     rr: usize,
     /// Present iff the prediction cache is enabled.
     invalidator: Option<CacheInvalidator>,
 }
 
 impl Sequencer {
-    fn new(worker_txs: Vec<Sender<Vec<ReadJob>>>, invalidator: Option<CacheInvalidator>) -> Self {
-        Self {
-            worker_txs: worker_txs.into_iter().map(Some).collect(),
-            rr: 0,
-            invalidator,
-        }
-    }
-
-    /// Retires workers whose dead flag is up (their engine call
-    /// panicked): drop their senders (disconnecting their drain loops)
-    /// and take them out of routing. A batch sent before the flag was
-    /// observed is answered by the worker's drain loop, so the hand-off
-    /// leaks nothing.
-    fn reap_dead_workers(&mut self, admission: &AdmissionLedger) {
-        for (w, tx) in self.worker_txs.iter_mut().enumerate() {
-            if tx.is_some() && admission.is_dead(w) {
-                *tx = None;
-            }
-        }
-    }
-
-    /// Picks the answering worker: the affinity hint when it names a
-    /// live worker, the next live worker round-robin otherwise, passing
-    /// over `skip` (the worker an inline share is reported as) while
-    /// another live one exists; `None` when every worker is gone.
-    fn route(&mut self, hint: Option<usize>, skip: Option<usize>) -> Option<usize> {
-        let workers = self.worker_txs.len();
+    /// Picks the answering worker: the affinity hint, or else the next
+    /// worker round-robin, passing over `skip` (the worker an inline
+    /// share is reported as) when there is another.
+    fn route(&mut self, hint: Option<usize>, skip: Option<usize>) -> usize {
         if let Some(s) = hint {
-            if self.worker_txs[s].is_some() {
-                return Some(s);
-            }
+            return s;
         }
-        let mut fallback = None;
-        for _ in 0..workers {
-            let s = self.rr % workers;
+        let workers = self.worker_txs.len();
+        let mut s = self.rr % workers;
+        if Some(s) == skip && workers > 1 {
             self.rr += 1;
-            if self.worker_txs[s].is_some() {
-                if Some(s) != skip {
-                    return Some(s);
-                }
-                fallback = Some(s);
-            }
+            s = self.rr % workers;
         }
-        fallback
+        self.rr += 1;
+        s
     }
 
     /// Applies the mutations among `jobs` to the store, in order, under
@@ -1422,16 +1378,15 @@ impl Sequencer {
     /// Applies one group of admitted jobs (see [`Self::apply`]), answers
     /// its edges and invalid mutations, and routes its reads — an
     /// applied ingest becomes a read of its new id. With `inline`, a
-    /// group that names no shard keeps its first ⌈g / live⌉ reads for
+    /// group that names no shard keeps its first ⌈g / workers⌉ reads for
     /// the submitting thread, reported as the next worker round-robin;
-    /// the other reads pass over that worker. Each live worker is sent
-    /// its share; reads that cannot be served are answered here.
+    /// the other reads pass over that worker. Each worker is sent its
+    /// share.
     fn dispatch(&mut self, jobs: Vec<Job>, shared: &Shared, inline: bool) -> Option<InlineShare> {
         let hint_free = jobs.iter().all(|j| j.shard.is_none());
         let mut applied = self.apply(&jobs, shared).into_iter();
         // (index in the group, hint, read), in group order.
         let mut reads = Vec::with_capacity(jobs.len());
-        let here = shared.admission.sequencer_slot();
         for (i, Job { op, shard, handle }) in jobs.into_iter().enumerate() {
             let (nodes, ingest) = match op {
                 Op::Infer { nodes } => (nodes, false),
@@ -1443,7 +1398,7 @@ impl Sequencer {
                             applied_seq: seq,
                             added,
                         };
-                        shared.respond(here, &handle, reply);
+                        shared.respond(&handle, reply);
                         continue;
                     }
                     Some(Err(message)) => {
@@ -1463,43 +1418,31 @@ impl Sequencer {
 
         let mut share = None;
         if inline && hint_free && !reads.is_empty() {
-            if let Some(shard) = self.route(None, None) {
-                let live = self.worker_txs.iter().flatten().count();
-                let rest = reads.split_off(reads.len().div_ceil(live));
-                let mine = std::mem::replace(&mut reads, rest);
-                share = Some(InlineShare {
-                    shard,
-                    reads: mine
-                        .into_iter()
-                        .map(|(i, _, read)| (i, read.answered_here()))
-                        .collect(),
-                });
-            }
+            let shard = self.route(None, None);
+            let rest = reads.split_off(reads.len().div_ceil(self.worker_txs.len()));
+            let mine = std::mem::replace(&mut reads, rest);
+            share = Some(InlineShare {
+                shard,
+                reads: mine
+                    .into_iter()
+                    .map(|(i, _, read)| (i, read.answered_here()))
+                    .collect(),
+            });
         }
         let skip = share.as_ref().map(|s| s.shard);
         let mut batches: Vec<Vec<ReadJob>> = self.worker_txs.iter().map(|_| Vec::new()).collect();
         for (_, hint, read) in reads {
-            match self.route(hint, skip) {
-                Some(w) => batches[w].push(read),
-                None => shared.refuse(&read.handle, "no live shard workers".to_string()),
-            }
+            batches[self.route(hint, skip)].push(read);
         }
-        for (w, (tx, batch)) in self.worker_txs.iter_mut().zip(batches).enumerate() {
+        for (w, (tx, batch)) in self.worker_txs.iter().zip(batches).enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            let unsent = match tx {
-                Some(live) => live.send(batch).err().map(|dead| dead.0),
-                None => Some(batch),
-            };
-            if let Some(unsent) = unsent {
-                // Backstop for a worker that died without raising its
-                // dead flag (should not happen — the panic path always
-                // sets it): answer its reads, so their clients see a
-                // typed error instead of a timeout and no admission
-                // slot leaks.
-                *tx = None;
-                for read in unsent {
+            if let Err(unsent) = tx.send(batch) {
+                // The worker thread is gone (a panic outside an engine
+                // call): answer its reads, so their clients see a typed
+                // error instead of a timeout and no admission slot leaks.
+                for read in unsent.0 {
                     shared.refuse(&read.handle, format!("shard {w} worker is gone"));
                 }
             }
@@ -1508,105 +1451,43 @@ impl Sequencer {
     }
 }
 
-fn worker_loop(
-    worker: usize,
-    rx: Receiver<Vec<ReadJob>>,
-    shared: Arc<Shared>,
-    base_cfg: InferenceConfig,
-    cfg: ServeConfig,
-) {
+fn worker_loop(worker: usize, rx: Receiver<Vec<ReadJob>>, shared: Arc<Shared>) {
     let mut reader = Reader::default();
     while let Ok(batch) = rx.recv() {
-        let Err(panic) = serve_batch(worker, batch, &rx, &shared, &mut reader, &base_cfg, &cfg)
-        else {
-            continue;
-        };
-        // The worker is retired. Batches sent before a submitter
-        // observes the dead flag would otherwise be dropped with their
-        // admission slots held: answer them with a typed error instead.
-        // The drain ends when the sequencer reaps this worker (dropping
-        // its sender) or shuts down.
-        while let Ok(stranded) = rx.recv() {
-            shared.answer_gone(worker, stranded);
-        }
-        std::panic::resume_unwind(panic);
+        serve_batch(worker, batch, &rx, &shared, &mut reader);
     }
 }
 
 /// Merges everything queued behind `batch` and runs it on `reader`.
-/// Returns the number of reads answered, or the engine's panic once the
-/// batch's unanswered admission slots are repaired and the worker's dead
-/// flag is up.
+/// Returns the number of reads answered.
 fn serve_batch(
     worker: usize,
     mut batch: Vec<ReadJob>,
     rx: &Receiver<Vec<ReadJob>>,
     shared: &Shared,
     reader: &mut Reader,
-    base_cfg: &InferenceConfig,
-    cfg: &ServeConfig,
-) -> Result<usize, Box<dyn std::any::Any + Send>> {
-    let close = absorb_queued(&mut batch, rx, cfg.max_batch);
-    let dequeued = Instant::now();
-    // The batch closes here, so the load-shed decision is made here:
-    // in_flight counts this batch and everything queued behind it.
-    let degraded = cfg
-        .shed
-        .engaged(shared.admission.in_flight(), cfg.queue_cap);
-    let run = BatchRun {
-        cfg: if degraded {
-            cfg.shed.degrade(base_cfg)
-        } else {
-            *base_cfg
-        },
-        degraded,
-        dequeued,
-        size: batch.len() as u32,
-        close,
-    };
-    let owned = batch.len() as u64;
-    shared.note_batch(&run, owned);
-    let answered_before = shared.admission.answered_by(worker);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        read_run(worker, worker, &batch, &run, shared, reader);
-    }));
-    shared.worker_macs[worker].publish(&reader.tally.macs);
-    match outcome {
-        Ok(()) => Ok(batch.len()),
-        Err(panic) => {
-            // Give back the admission slots of the reads this batch
-            // never answered, so queue capacity is not permanently
-            // shrunk; these clients see a timeout rather than a reply.
-            // Repair raises the dead flag; the sequencer reaps it at its
-            // next submission.
-            shared
-                .admission
-                .repair_panicked(worker, owned, answered_before);
-            Err(panic)
-        }
-    }
+) -> usize {
+    let close = absorb_queued(&mut batch, rx, shared.cfg.max_batch);
+    let macs = &shared.worker_macs[worker];
+    shared.run_batch(worker, &batch, close, reader, macs);
+    batch.len()
 }
 
-/// Answers a batch of reads as party `who`, reported as worker `shard`,
-/// with one coalesced engine call on `reader` (per-node results are
+/// Answers a batch of reads, reported as worker `shard`, with one
+/// coalesced engine call on `reader` (per-node results are
 /// batch-composition independent). The store's read lock covers the
-/// node-range check and the engine call only. Fresh results populate
-/// the prediction cache — unless this batch ran under a degraded
-/// (load-shed) depth budget, whose answers must never be served later as
-/// full-depth ones; the cache's own version guard additionally drops
-/// results that a mutation applied since has already outdated.
-fn read_run(
-    who: usize,
-    shard: usize,
-    jobs: &[ReadJob],
-    run: &BatchRun,
-    shared: &Shared,
-    reader: &mut Reader,
-) {
+/// node-range check and the engine call only. A panic in the engine call
+/// leaves the store untouched (a read holds a shared reference, and the
+/// engine drops the scratch the panic unwound through): each read of the
+/// call is answered with a typed error. Fresh results populate the
+/// prediction cache — unless this batch ran under a degraded (load-shed)
+/// depth budget, whose answers must never be served later as full-depth
+/// ones; the cache's own version guard additionally drops results that a
+/// mutation applied since has already outdated.
+fn read_run(shard: usize, jobs: &[ReadJob], run: &BatchRun, shared: &Shared, reader: &mut Reader) {
     let Ok(store) = shared.store.read() else {
         for job in jobs {
-            let message = POISONED.to_string();
-            shared.respond(who, &job.handle, Reply::Error { message });
+            shared.refuse(&job.handle, POISONED.to_string());
         }
         return;
     };
@@ -1632,12 +1513,22 @@ fn read_run(
     // before/after delta is this call's share.
     let stages_before = reader.tally.times;
     let engine_start = Instant::now();
-    let results = store
-        .engine
-        .read_nodes(&nodes, &run.cfg, &mut reader.scratch, &mut reader.tally);
+    let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let Reader { scratch, tally } = reader;
+        store.engine.read_nodes(&nodes, &run.cfg, scratch, tally)
+    }));
     let engine_end = Instant::now();
     let applied_seq = store.applied_seq;
     drop(store);
+    for (idx, message) in invalid {
+        shared.refuse(&jobs[idx].handle, message);
+    }
+    let Ok(results) = read else {
+        for (idx, _) in spans {
+            shared.refuse(&jobs[idx].handle, READ_PANICKED.to_string());
+        }
+        return;
+    };
     let timing = BatchTiming {
         run,
         engine_start,
@@ -1685,10 +1576,7 @@ fn read_run(
                     .collect(),
             }
         };
-        shared.respond_traced(who, &job.handle, reply, &timing);
-    }
-    for (idx, message) in invalid {
-        shared.respond(who, &jobs[idx].handle, Reply::Error { message });
+        shared.respond_traced(&job.handle, reply, &timing);
     }
 }
 
@@ -1701,8 +1589,6 @@ pub struct WorkerInbox {
     rx: Receiver<Vec<ReadJob>>,
     shared: Arc<Shared>,
     reader: Reader,
-    infer_cfg: InferenceConfig,
-    cfg: ServeConfig,
 }
 
 #[cfg(nai_model)]
@@ -1728,8 +1614,8 @@ impl NaiService {
             queue_cap,
             ..ServeConfig::default()
         };
-        let shared = Arc::new(Shared::new(&cfg, engine));
-        let (txs, inboxes) = (0..workers)
+        let shared = Arc::new(Shared::new(cfg, infer_cfg, engine));
+        let (worker_txs, inboxes) = (0..workers)
             .map(|worker| {
                 let (tx, rx) = mpsc::channel();
                 let inbox = WorkerInbox {
@@ -1737,19 +1623,19 @@ impl NaiService {
                     rx,
                     shared: Arc::clone(&shared),
                     reader: Reader::default(),
-                    infer_cfg,
-                    cfg,
                 };
                 (tx, inbox)
             })
             .unzip();
         let service = Self {
-            sequencer: Mutex::new(Some(Sequencer::new(txs, None))),
+            sequencer: Mutex::new(Some(Sequencer {
+                worker_txs,
+                rr: 0,
+                invalidator: None,
+            })),
             shared,
             inline_reader: Mutex::new(Reader::default()),
             info,
-            cfg,
-            infer_cfg,
             threads: Mutex::new(Vec::new()),
         };
         (service, inboxes)
@@ -1825,17 +1711,7 @@ impl WorkerInbox {
     }
 
     fn serve(&mut self, batch: Vec<ReadJob>) -> usize {
-        let (worker, shared) = (self.worker, &*self.shared);
-        serve_batch(
-            worker,
-            batch,
-            &self.rx,
-            shared,
-            &mut self.reader,
-            &self.infer_cfg,
-            &self.cfg,
-        )
-        .unwrap_or(0)
+        serve_batch(self.worker, batch, &self.rx, &self.shared, &mut self.reader)
     }
 }
 
@@ -1971,7 +1847,7 @@ mod tests {
             },
             ..ServeConfig::default()
         };
-        Shared::new(&cfg, crate::tests::engine(20, 4))
+        Shared::new(cfg, InferenceConfig::fixed(2), crate::tests::engine(20, 4))
     }
 
     fn poison<T>(m: &Mutex<T>) {
@@ -1995,7 +1871,7 @@ mod tests {
         assert!(store.is_poisoned());
     }
 
-    /// A worker that dies mid-batch poisons its MACs cell; `/metrics`
+    /// A panic while a MACs cell is locked poisons it; `/metrics`
     /// must still answer — with every histogram sample recorded before
     /// the panic — instead of panicking the scrape thread. (Latency
     /// recording itself is lock-free, so there is no stats lock left

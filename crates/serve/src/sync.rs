@@ -11,7 +11,7 @@
 //! explores thread interleavings and whose atomics expose the weak
 //! memory model (a `Relaxed` load may legally return a stale value).
 //! That single switch is what lets `tests/model.rs` prove the serve
-//! core's admission, panic-repair, cache-versioning, and shutdown
+//! core's admission, store, cache-versioning, and shutdown
 //! invariants over *every* schedule within the preemption bound
 //! instead of the one schedule a normal test run happens to see.
 //!
@@ -90,8 +90,8 @@ pub mod poll {
 }
 
 /// Lock, recovering from poison: a mutex poisoned by a panicking
-/// worker still yields its data. Observability and teardown paths
-/// (`/metrics` scrapes, `into_engines`) use this so one dead worker
+/// thread still yields its data. Observability and teardown paths
+/// (`/metrics` scrapes, `into_engine`) use this so one panic
 /// cannot take monitoring down with it; the data they read is a
 /// monotone accumulator, safe to expose even if the poisoning panic
 /// interrupted an update.

@@ -10,22 +10,19 @@
 //! 1. **Admission** — `in_flight` never exceeds `queue_cap` and every
 //!    admitted slot is released exactly once, across submit /
 //!    answer / rollback interleavings.
-//! 2. **Panic repair** — a dying worker frees exactly the slots of
-//!    its unanswered owned jobs, even while other parties answer
-//!    their own jobs concurrently.
-//! 3. **Cache versioning** — a worker insert racing a sequenced
+//! 2. **Cache versioning** — a worker insert racing a sequenced
 //!    mutation never produces a hit that mixes the old prediction
 //!    with the new sequence point.
-//! 4. **Shutdown latch** — racing stoppers see exactly one first
+//! 3. **Shutdown latch** — racing stoppers see exactly one first
 //!    transition, so exactly one of them wakes the reactor.
-//! 5. **Completion mailbox** — a reply pushed while the reactor drains
+//! 4. **Completion mailbox** — a reply pushed while the reactor drains
 //!    is never stranded without a wake.
-//! 6. **Store groups** — two threads submitting mutations at once (one
+//! 5. **Store groups** — two threads submitting mutations at once (one
 //!    of them a group of two) while a third reads inline: each ticket
 //!    is answered once, the group takes consecutive sequence numbers,
 //!    no read sees it half-applied, and every admission slot comes
 //!    back.
-//! 7. **Read-your-writes** — a read submitted after an ingest's reply
+//! 6. **Read-your-writes** — a read submitted after an ingest's reply
 //!    finds the new node, inline and on a worker, while another thread
 //!    mutates the store.
 //!
@@ -67,12 +64,12 @@ fn dfs(bound: usize) -> Builder {
 fn admission_slots_never_exceed_cap_and_never_leak() {
     let stats: Stats = dfs(2)
         .check_quiet(|| {
-            let ledger = Arc::new(AdmissionLedger::new(2, 1));
+            let ledger = Arc::new(AdmissionLedger::new(2));
             let mut handles = Vec::new();
             // Three submitters race for two slots: at least one must
             // be refused somewhere, and every admit is released —
-            // submitter 0 via a worker reply, 1 via the sequencer
-            // slot, 2 via the submit-rollback path.
+            // submitter 0 via a worker reply, 1 via the submitting
+            // thread's own reply, 2 via the submit-rollback path.
             for who in 0..3usize {
                 let ledger = ledger.clone();
                 handles.push(loom::thread::spawn(move || {
@@ -82,8 +79,8 @@ fn admission_slots_never_exceed_cap_and_never_leak() {
                     let depth = ledger.in_flight();
                     assert!(depth >= 1 && depth <= 2, "in_flight {depth} out of bounds");
                     match who {
-                        0 => ledger.note_answered(0),
-                        1 => ledger.note_answered(ledger.sequencer_slot()),
+                        0 => ledger.note_answered(),
+                        1 => ledger.note_answered(),
                         _ => ledger.cancel_admit(),
                     }
                     true
@@ -102,43 +99,7 @@ fn admission_slots_never_exceed_cap_and_never_leak() {
     assert!(stats.iterations > 1);
 }
 
-/// Invariant 2: worker 0 answers one of its two owned jobs and then
-/// panics, while worker 1 concurrently answers its own job from the
-/// same broadcast batch. The repair must free exactly one slot (the
-/// unanswered one) wherever the panic lands relative to worker 1's
-/// replies — a global reply counter instead of per-worker slots would
-/// under-repair here.
-#[test]
-fn panic_repair_frees_exactly_the_unanswered_slots() {
-    let stats = dfs(2)
-        .check_quiet(|| {
-            let ledger = Arc::new(AdmissionLedger::new(4, 2));
-            for _ in 0..3 {
-                assert!(ledger.try_admit());
-            }
-            let l0 = ledger.clone();
-            let dying = loom::thread::spawn(move || {
-                let before = l0.answered_by(0);
-                l0.note_answered(0); // first owned job answered...
-                                     // ...then the engine panics mid-batch: 2 owned, 1 answered.
-                let leaked = l0.repair_panicked(0, 2, before);
-                assert_eq!(leaked, 1, "repair must free exactly the unanswered job");
-            });
-            let l1 = ledger.clone();
-            let healthy = loom::thread::spawn(move || {
-                l1.note_answered(1);
-            });
-            dying.join().unwrap();
-            healthy.join().unwrap();
-            assert_eq!(ledger.in_flight(), 0, "slot leaked or double-freed");
-            assert!(ledger.is_dead(0));
-            assert!(!ledger.is_dead(1));
-        })
-        .expect("panic repair must be exact on every schedule");
-    assert!(stats.exhausted);
-}
-
-/// Invariant 3a: a worker's insert computed at sequence point 0 races
+/// Invariant 2a: a worker's insert computed at sequence point 0 races
 /// the sequencer sequencing a mutation that dirties the same node.
 /// Whichever side takes the cache lock first, a later read must never
 /// see the pre-mutation prediction: insert-then-sequence evicts the
@@ -170,7 +131,7 @@ fn version_guard_never_serves_a_stale_prediction() {
     assert!(stats.exhausted);
 }
 
-/// Invariant 3b: when the sequenced mutation does *not* touch the
+/// Invariant 2b: when the sequenced mutation does *not* touch the
 /// node, both lock orders are legal — but a hit must pair the entry
 /// with the advanced sequence point, never a half-state.
 #[test]
@@ -197,7 +158,7 @@ fn untouched_entries_survive_a_sequence_advance_consistently() {
     });
 }
 
-/// Invariant 4: the stop latch fires its side effect (waking the
+/// Invariant 3: the stop latch fires its side effect (waking the
 /// reactor) exactly once however many threads race `/shutdown`.
 #[test]
 fn stop_latch_latches_exactly_once() {
@@ -215,7 +176,7 @@ fn stop_latch_latches_exactly_once() {
     });
 }
 
-/// Invariant 5: the reactor's completion mailbox never strands a
+/// Invariant 4: the reactor's completion mailbox never strands a
 /// reply without a wake. A worker push racing the reactor's drain
 /// either lands before the drain (and is collected by it), or lands
 /// after the drain emptied the mailbox — making the push the
@@ -311,7 +272,7 @@ fn ingest(neighbor: u32) -> Request {
     }
 }
 
-/// Invariant 6: one thread submits a group of two new edges, another an
+/// Invariant 5: one thread submits a group of two new edges, another an
 /// ingest, while the main thread reads inline. The group holds the
 /// store's write lock across both of its edges, so they take
 /// consecutive sequence numbers, and the read — which holds the read
@@ -365,7 +326,7 @@ fn no_read_sees_a_half_applied_group() {
     assert!(stats.exhausted, "bounded DFS must cover the whole tree");
 }
 
-/// Invariant 7: a client waits for its ingest's reply — a read of the
+/// Invariant 6: a client waits for its ingest's reply — a read of the
 /// new node that the worker answers — and then reads that node twice,
 /// once inline and once through the worker, while another thread adds
 /// an edge. On every schedule both reads find the node at a sequence

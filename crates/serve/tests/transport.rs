@@ -17,8 +17,9 @@
 //!   bodies are rejected with 400 without killing the server;
 //! * **inline reads** — reads the reactor answers itself see every
 //!   write a client has seen acknowledged, as reads handed to a worker
-//!   do, and an engine panic on the reactor thread is answered with a
-//!   typed error without taking the server or the engine down.
+//!   do, and an engine panic, on the reactor thread or on a worker, is
+//!   answered with a typed error without taking the server, the worker
+//!   or the engine down.
 #![cfg(not(nai_model))]
 
 use nai_core::config::{CacheConfig, InferenceConfig, LoadShedPolicy, ServeConfig};
@@ -744,6 +745,77 @@ fn an_engine_panic_during_an_inline_read_is_answered_and_spares_the_engine() {
     );
     assert_eq!(service.queue_depth(), 0);
     drop(client);
+    server.shutdown();
+    server.join();
+    let service = Arc::try_unwrap(service)
+        .ok()
+        .expect("the server let go of the service");
+    let engine = service.into_engine().expect("the engine is handed back");
+    assert_eq!(engine.graph().num_nodes(), SEED_NODES);
+}
+
+/// The same panic on reads a worker runs. Over two workers, each
+/// pipelined burst of reads is one group: the reactor runs its first
+/// half itself and hands the rest to a worker. A lone read follows,
+/// which runs inline. Every line must come back with the typed error
+/// well inside `read_timeout`, `/healthz` must stay up, the worker
+/// must keep running later bursts, and the engine comes back intact.
+#[test]
+fn an_engine_panic_during_a_worker_read_is_answered_and_spares_the_worker() {
+    const ROUNDS: usize = 3;
+    const BURST: usize = 16;
+    let cfg = ServeConfig {
+        workers: 2,
+        ..serve_cfg()
+    };
+    let service = Arc::new(NaiService::new(engine(), InferenceConfig::gate(1, K), cfg).unwrap());
+    let server = Server::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    // The client runs on its own thread so that a line the server never
+    // answers fails this test at the deadline below, not at the 30 s
+    // `read_timeout`.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        let read = render_line(&Op::Infer { nodes: vec![0] });
+        for _ in 0..ROUNDS {
+            let mut replies = client
+                .pipeline("POST", "/v1", &[read.as_str(); BURST])
+                .unwrap();
+            replies.push(client.request("POST", "/v1", Some(&read)).unwrap());
+            tx.send(replies).unwrap();
+        }
+    });
+    for round in 0..ROUNDS {
+        let replies = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("round {round}: a line went unanswered"));
+        assert_eq!(replies.len(), BURST + 1);
+        for (status, body) in replies {
+            assert_eq!(status, 200, "body: {body}");
+            let reply = Json::parse(body.trim()).unwrap();
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{reply}"
+            );
+            let message = reply.get("message").and_then(Json::as_str).unwrap();
+            assert_eq!(message, "the engine panicked during this read");
+        }
+        let (status, health) = nai_serve::http_call(addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "the server must keep serving: {health}");
+    }
+    client.join().unwrap();
+    let (batches, inline) = (metric(addr, "batches"), metric(addr, "inline_batches"));
+    assert!(
+        batches >= inline + ROUNDS as u64,
+        "part of every burst ran on a worker ({batches} batches, {inline} inline)"
+    );
+    assert_eq!(
+        metric(addr, "queue_depth"),
+        0,
+        "every admission slot came back"
+    );
     server.shutdown();
     server.join();
     let service = Arc::try_unwrap(service)

@@ -163,28 +163,28 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
 
     // Drain and compare the engine's materialized graph to the
     // oracle's, bit for bit.
-    let mut replicas: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
-    prop_assert_eq!(replicas.len(), 1);
+    let mut engines: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
+    prop_assert_eq!(engines.len(), 1);
     let want = oracle.graph();
     let want_csr = want.snapshot_csr();
-    for (w, replica) in replicas.iter().enumerate() {
-        let got = replica.graph();
-        prop_assert_eq!(got.num_nodes(), want.num_nodes(), "replica {}", w);
-        prop_assert_eq!(got.num_edges(), want.num_edges(), "replica {}", w);
+    for (w, drained) in engines.iter().enumerate() {
+        let got = drained.graph();
+        prop_assert_eq!(got.num_nodes(), want.num_nodes(), "engine {}", w);
+        prop_assert_eq!(got.num_edges(), want.num_edges(), "engine {}", w);
         let got_csr = got.snapshot_csr();
-        prop_assert_eq!(got_csr.nnz(), want_csr.nnz(), "replica {}", w);
+        prop_assert_eq!(got_csr.nnz(), want_csr.nnz(), "engine {}", w);
         for i in 0..want.num_nodes() {
             prop_assert_eq!(
                 got_csr.row_indices(i),
                 want_csr.row_indices(i),
-                "replica {} row {}",
+                "engine {} row {}",
                 w,
                 i
             );
             prop_assert_eq!(
                 got.feature(i as u32),
                 want.feature(i as u32),
-                "replica {} features {}",
+                "engine {} features {}",
                 w,
                 i
             );
@@ -198,11 +198,11 @@ fn run_and_check(shards: usize, ops: &[Op]) -> Result<(), TestCaseError> {
     let all: Vec<u32> = (0..want.num_nodes() as u32).collect();
     let fixed = InferenceConfig::fixed(K);
     let expected = deploy(want.clone()).infer_nodes(&all, &fixed);
-    for (w, replica) in replicas.iter_mut().enumerate() {
+    for (w, drained) in engines.iter_mut().enumerate() {
         prop_assert_eq!(
-            replica.infer_nodes(&all, &fixed),
+            drained.infer_nodes(&all, &fixed),
             expected,
-            "replica {} fixed-depth reads",
+            "engine {} fixed-depth reads",
             w
         );
     }
@@ -250,37 +250,37 @@ fn replicas_converge_under_concurrent_submitters() {
             }
         });
 
-        let mut replicas: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
-        assert_eq!(replicas.len(), 1);
-        let want = replicas[0].graph().clone();
+        let mut engines: Vec<StreamingEngine> = service.into_engine().into_iter().collect();
+        assert_eq!(engines.len(), 1);
+        let want = engines[0].graph().clone();
         assert_eq!(want.num_nodes(), SEED_NODES + ingests);
         let want_csr = want.snapshot_csr();
-        for (w, replica) in replicas.iter().enumerate().skip(1) {
-            let got = replica.graph();
-            assert_eq!(got.num_nodes(), want.num_nodes(), "replica {w}");
+        for (w, drained) in engines.iter().enumerate().skip(1) {
+            let got = drained.graph();
+            assert_eq!(got.num_nodes(), want.num_nodes(), "engine {w}");
             let got_csr = got.snapshot_csr();
-            assert_eq!(got_csr.nnz(), want_csr.nnz(), "replica {w}");
+            assert_eq!(got_csr.nnz(), want_csr.nnz(), "engine {w}");
             for i in 0..want.num_nodes() {
                 assert_eq!(
                     got_csr.row_indices(i),
                     want_csr.row_indices(i),
-                    "replica {w} row {i}"
+                    "engine {w} row {i}"
                 );
                 assert_eq!(
                     got.feature(i as u32),
                     want.feature(i as u32),
-                    "replica {w} features {i}"
+                    "engine {w} features {i}"
                 );
             }
         }
         let all: Vec<u32> = (0..want.num_nodes() as u32).collect();
         let fixed = InferenceConfig::fixed(K);
         let expected = deploy(want).infer_nodes(&all, &fixed);
-        for (w, replica) in replicas.iter_mut().enumerate() {
+        for (w, drained) in engines.iter_mut().enumerate() {
             assert_eq!(
-                replica.infer_nodes(&all, &fixed),
+                drained.infer_nodes(&all, &fixed),
                 expected,
-                "{shards} shards: replica {w} fixed-depth reads"
+                "{shards} shards: engine {w} fixed-depth reads"
             );
         }
     }
